@@ -4,7 +4,8 @@
           [--config path] [--out dir] [--grid NxM] [--p f] [--seed i]
 
 Flags override the corresponding config fields.  Exit code 0 on success,
-2 when the check suite reports a failure, 1 on error.
+2 when the check suite reports a failure, 1 on error.  A minimization that
+stops on anything but the gradient tolerance warns on stderr and exits 0.
 """
 
 from __future__ import annotations
@@ -68,6 +69,11 @@ def main(argv=None) -> int:
                                       "total", "ratio_max")
                if isinstance(report, dict) and k in report}
     print(f"imlab {args.experiment}: " + json.dumps(summary, sort_keys=True))
+    termination = report.get("termination", "grad_tol")
+    if termination != "grad_tol":
+        print(f"imlab: warning: minimization stopped on {termination} after "
+              f"{report['iterations']} iterations, not on grad_tol; the terminal "
+              f"state is not a converged minimizer", file=sys.stderr)
     return 0 if passed else 2
 
 

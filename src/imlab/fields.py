@@ -180,12 +180,6 @@ class ShapeField:
         s = np.linalg.svd(S, compute_uv=False)
         return float(np.max(s[..., 0]))
 
-    def symmetry_defect(self, g: MetricChart) -> float:
-        """Max asymmetry of the second fundamental form II = g S."""
-        gv = g.eval(self.grid.nodes())
-        II = gv @ self.values
-        return float(np.max(np.abs(II - np.swapaxes(II, -1, -2))))
-
 
 @dataclass(frozen=True)
 class CompatibilityReport:
@@ -399,10 +393,19 @@ def load_node_csv(path) -> np.ndarray:
     header = rows[0].split(",")
     n_idx = sum(1 for h in header if h.startswith("i") and h[1:].isdigit())
     data = [r.split(",") for r in rows[1:]]
+    if n_idx < 1 or not data or any(len(r) != len(header) for r in data):
+        raise ValueError(f"{path}: node table is empty or has ragged rows")
     idx = np.array([[int(c) for c in r[:n_idx]] for r in data])
     vals = np.array([[float(c) for c in r[n_idx:]] for r in data])
-    shape = tuple(idx.max(axis=0) + 1) + (vals.shape[1],)
-    out = np.empty(shape)
+    if idx.min() < 0:
+        raise ValueError(f"{path}: negative node index")
+    counts = tuple(int(c) for c in idx.max(axis=0) + 1)
+    seen = np.bincount(np.ravel_multi_index(tuple(idx.T), counts),
+                       minlength=int(np.prod(counts)))
+    if np.any(seen != 1):
+        raise ValueError(f"{path}: {int(np.sum(seen == 0))} nodes missing and "
+                         f"{int(np.sum(seen > 1))} repeated on a {counts} grid")
+    out = np.empty(counts + (vals.shape[1],))
     out[tuple(idx.T)] = vals
     return out
 

@@ -1,11 +1,12 @@
-"""Metric charts, Christoffel symbols, curvature, and SVD-based matrix projections.
+"""Metric charts, Christoffel symbols, curvature, and matrix distances/projections.
 
 A :class:`MetricChart` evaluates a Riemannian metric (and optionally its first
 partial derivatives) on an axis-aligned coordinate box.  All evaluators are
 batched: a point argument of shape ``(..., n)`` yields matrices of shape
 ``(..., n, n)``.  The module also provides the Frobenius distances to the
-rotation group and to the set of orthonormal-column matrices, which are the
-building blocks of the stretching integrands.
+rotation group (SVD) and to the set of orthonormal-column matrices (closed
+form for hypersurface frames), which are the building blocks of the
+stretching integrands.
 """
 
 from __future__ import annotations
@@ -69,11 +70,6 @@ class MetricChart:
         """Per-axis extent; unbounded axes report a unit reference scale."""
         ext = self.domain[:, 1] - self.domain[:, 0]
         return np.where(np.isfinite(ext), ext, 1.0)
-
-    def contains(self, x) -> bool:
-        x = _as_points(x, self.dim)
-        lo, hi = self.domain[:, 0], self.domain[:, 1]
-        return bool(np.all(x >= lo - 1e-12) and np.all(x <= hi + 1e-12))
 
     def eval(self, x) -> np.ndarray:
         x = _as_points(x, self.dim)
@@ -369,11 +365,76 @@ def dist_rotations(A) -> np.ndarray:
     return np.sqrt(np.sum((s - target) ** 2, axis=-1))
 
 
-def dist_stiefel(Q) -> np.ndarray:
-    """Frobenius distance from a tall matrix to orthonormal-column matrices."""
+def cross_columns(B):
+    """Euclidean normal direction to the column span, oriented positively.
+
+    B has shape (..., d+1, d) with d in {1, 2}.  det([B | result]) > 0 holds
+    automatically for these closed forms, and the length of the result is the
+    product of the singular values of B.
+    """
+    d = B.shape[-1]
+    if d == 1:
+        b = B[..., 0]
+        return np.stack([-b[..., 1], b[..., 0]], axis=-1)
+    if d == 2:
+        return np.cross(B[..., 0], B[..., 1])
+    raise ValueError("generalized cross product implemented for d in {1, 2}")
+
+
+def stiefel_factors(Q, s=None, polar=False):
+    """Closed-form (dist^2, sigma_min, polar factor) of (..., d+1, d) frames.
+
+    For d = 2, with G = Q^T Q, s = sigma_1 sigma_2 = |q_1 x q_2| (the cross
+    product keeps s accurate near rank deficiency, where sqrt(det G) cancels)
+    and t = sigma_1 + sigma_2 = sqrt(|Q|^2 + 2 s):
+    dist^2 = |Q|^2 - 2 t + 2; sigma_min = s / sigma_max with
+    sigma_max = (t + sqrt(|Q|^2 - 2 s)) / 2; P = Q G^{-1/2} with
+    G^{-1/2} = (adj G + s I) / (t s) (2x2 square root identity, Higham,
+    Functions of Matrices, 2008).  For d = 1, sigma = |q| and P = q / |q|.
+
+    dist^2 and P avoid sigma_1 - sigma_2, which keeps about 8 digits near an
+    isometry; sigma_min does not, so it has that accuracy where
+    sigma_1 ~ sigma_2 and full accuracy near the rank guards.  ``s`` may be
+    passed when the caller has the cross product.  P is None unless
+    ``polar`` is set, and zero where s = 0.
+    """
     Q = np.asarray(Q, dtype=float)
-    s = np.linalg.svd(Q, compute_uv=False)
-    return np.sqrt(np.sum((s - 1.0) ** 2, axis=-1))
+    d = Q.shape[-1]
+    if d not in (1, 2) or Q.shape[-2] != d + 1:
+        raise ValueError(f"closed-form Stiefel kernel needs (..., d+1, d) frames "
+                         f"with d in {{1, 2}}, got {Q.shape[-2:]}")
+    if s is None:
+        s = np.linalg.norm(cross_columns(Q), axis=-1)
+    if d == 1:
+        P = Q * _safe_reciprocal(s)[..., None, None] if polar else None
+        return (s - 1.0) ** 2, s, P
+    n2 = np.sum(Q * Q, axis=(-2, -1))
+    t = np.sqrt(n2 + 2.0 * s)
+    dist2 = np.maximum(n2 - 2.0 * t + 2.0, 0.0)
+    smax = 0.5 * (t + np.sqrt(np.maximum(n2 - 2.0 * s, 0.0)))
+    smin = s / np.maximum(smax, np.finfo(float).tiny)
+    if not polar:
+        return dist2, smin, None
+    q1, q2 = Q[..., 0], Q[..., 1]
+    g11 = np.sum(q1 * q1, axis=-1)[..., None]
+    g22 = np.sum(q2 * q2, axis=-1)[..., None]
+    g12 = np.sum(q1 * q2, axis=-1)[..., None]
+    sc = s[..., None]
+    inv = _safe_reciprocal(t * s)[..., None]
+    P = np.stack([(q1 * (g22 + sc) - q2 * g12) * inv,
+                  (q2 * (g11 + sc) - q1 * g12) * inv], axis=-1)
+    return dist2, smin, P
+
+
+def _safe_reciprocal(x):
+    return np.divide(1.0, x, out=np.zeros_like(x), where=x > 0)
+
+
+def dist_stiefel(Q) -> np.ndarray:
+    """Frobenius distance from (..., d+1, d) frames, d in {1, 2}, to
+    orthonormal-column matrices (closed form, see :func:`stiefel_factors`)."""
+    dist2, _, _ = stiefel_factors(Q)
+    return np.sqrt(dist2)
 
 
 def project_stiefel(Q) -> np.ndarray:
@@ -388,19 +449,3 @@ def project_stiefel(Q) -> np.ndarray:
     if np.any(smin <= RANK_RTOL * np.maximum(smax, 1e-300)) or np.any(smax == 0.0):
         raise RankDeficient("projection onto orthonormal columns is not unique")
     return U @ Vt
-
-
-def dist_rotations_grad(A):
-    """(dist^2, projection) pair: d(dist^2)/dA = 2 (A - proj_SO(A)).
-
-    Valid away from the rank-deficiency locus; callers guard the smallest
-    singular value.
-    """
-    A = np.asarray(A, dtype=float)
-    U, s, Vt = np.linalg.svd(A)
-    sign = np.sign(np.linalg.det(U) * np.linalg.det(Vt))
-    target = np.ones_like(s)
-    target[..., -1] = np.where(sign < 0, -1.0, 1.0)
-    proj = np.einsum("...ik,...k,...kj->...ij", U, target, Vt)
-    dist_sq = np.sum((s - target) ** 2, axis=-1)
-    return dist_sq, proj

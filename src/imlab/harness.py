@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import json
 import math
+import numbers
 import os
 import tempfile
 from dataclasses import dataclass, field
@@ -67,9 +68,17 @@ class ExperimentConfig:
         object.__setattr__(self, "grid", grid)
         if any(c < 4 for c in grid):
             raise BadConfig("grid needs at least 4 nodes per axis")
+        for name in ("p", "start_amplitude", "director_scale"):
+            value = getattr(self, name)
+            if not isinstance(value, numbers.Real) or not math.isfinite(value):
+                raise BadConfig(f"{name} must be a finite number")
         if self.p < 1:
             raise BadConfig("p must be >= 1")
+        if not isinstance(self.num_random, numbers.Integral) or self.num_random < 1:
+            raise BadConfig("num_random must be an integer >= 1")
         amps = tuple(float(a) for a in self.amplitudes)
+        if not all(math.isfinite(a) for a in amps):
+            raise BadConfig("amplitudes must be finite")
         object.__setattr__(self, "amplitudes", amps)
         if self.experiment in ("stability-sweep", "ratio-study"):
             if any(a < 0 for a in amps) or any(
@@ -500,6 +509,17 @@ def _fd_vs_analytic(state, g, S, p, rng, coords: int) -> float:
 # energy / reconstruct / minimize drivers
 
 
+def _load_tensor_table(path, grid: Grid) -> np.ndarray:
+    """A d x d tensor per node read from CSV, checked against the config grid."""
+    table = load_node_csv(path)
+    d = grid.dim
+    if table.shape != grid.counts + (d * d,):
+        raise BadConfig(f"table {path} has node counts {table.shape[:-1]} and "
+                        f"{table.shape[-1]} components; the config grid needs "
+                        f"{grid.counts} and {d * d}")
+    return table.reshape(grid.counts + (d, d))
+
+
 def _custom_context(cfg: ExperimentConfig):
     """Problem built from the config: named or tabulated g, constant or tabulated S."""
     custom = cfg.custom
@@ -511,11 +531,10 @@ def _custom_context(cfg: ExperimentConfig):
         g = chart(gspec) if gspec != "euclidean" else chart("euclidean", grid.dim)
     else:
         from .geometry import MetricChart
-        table = load_node_csv(gspec["csv"]).reshape(grid.counts + (grid.dim, grid.dim))
-        g = MetricChart.from_table(grid, table)
+        g = MetricChart.from_table(grid, _load_tensor_table(gspec["csv"], grid))
     sspec = custom["s"]
     if isinstance(sspec, dict):
-        Sv = load_node_csv(sspec["csv"]).reshape(grid.counts + (grid.dim, grid.dim))
+        Sv = _load_tensor_table(sspec["csv"], grid)
     else:
         Sv = np.broadcast_to(np.asarray(sspec, dtype=float),
                              grid.counts + (grid.dim, grid.dim)).copy()

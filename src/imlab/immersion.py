@@ -15,22 +15,7 @@ import numpy as np
 from .errors import RankDeficient
 from .fields import (DirectorField, DiscreteImmersion, JacobianField,
                      NormalField, ShapeField, jacobian_array)
-from .geometry import RANK_RTOL, christoffel, sqrt_and_inv_sqrt
-
-
-def _cross_columns(B):
-    """Euclidean normal direction to the column span, oriented positively.
-
-    B has shape (..., d+1, d) with d in {1, 2}.  det([B | result]) > 0 holds
-    automatically for these closed forms.
-    """
-    d = B.shape[-1]
-    if d == 1:
-        b = B[..., 0]
-        return np.stack([-b[..., 1], b[..., 0]], axis=-1)
-    if d == 2:
-        return np.cross(B[..., 0], B[..., 1])
-    raise ValueError("generalized cross product implemented for d in {1, 2}")
+from .geometry import RANK_RTOL, christoffel, cross_columns, sqrt_and_inv_sqrt
 
 
 def _frame_and_rank_check(B):
@@ -48,7 +33,7 @@ def unit_normal(f: DiscreteImmersion) -> NormalField:
     Hs, Hsi = sqrt_and_inv_sqrt(H)
     B = Hs @ J
     _frame_and_rank_check(B)
-    c = _cross_columns(B)
+    c = cross_columns(B)
     c = c / np.linalg.norm(c, axis=-1, keepdims=True)
     n = np.einsum("...ab,...b->...a", Hsi, c)
     return NormalField(f.grid, n)

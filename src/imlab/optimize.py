@@ -1,9 +1,10 @@
 """Analytic gradients of the discrete energies and a quasi-Newton minimizer.
 
 Gradients are assembled by reverse accumulation through the finite-difference
-stencils; the SVD-distance derivative uses d(dist^2)/dQ = 2 (Q - proj(Q)),
-valid away from rank deficiency.  Gradients require p >= 2 (below that the
-integrand is not C^1 at its zeros) and a constant-metric target chart, which
+stencils; the stretching derivative uses d(dist^2)/dQ = 2 (Q - proj(Q)),
+valid away from rank deficiency, where proj is the closed-form polar factor
+of an immersion frame or the nearest rotation (SVD) of a director frame.
+Gradients require p >= 2 (below that the integrand is not C^1 at its zeros) and a constant-metric target chart, which
 covers every minimization experiment shipped here; curved-target states stay
 evaluate-only.  The smallest frame singular value is guarded at 1e-8: rather
 than regularizing, gradient evaluation aborts, so descent runs cannot silently
@@ -21,8 +22,7 @@ from .energy import relaxed_total, total_energy
 from .errors import BadConfig, RankDeficient, UnsupportedExponent, UnsupportedTarget
 from .fields import (DirectorField, DiscreteImmersion, jacobian_adjoint,
                      jacobian_array, quadrature_weights)
-from .geometry import MetricChart, sqrt_and_inv_sqrt
-from .immersion import _cross_columns
+from .geometry import MetricChart, cross_columns, sqrt_and_inv_sqrt, stiefel_factors
 
 SIGMA_GUARD = 1e-8
 
@@ -121,6 +121,9 @@ class _Evaluator:
     Precomputes everything independent of the unknowns; states whose smallest
     frame singular value sits below the gradient guard evaluate to +inf, so a
     line search never accepts a point where the gradient would be undefined.
+    Each path has one forward shared by the energy and the gradient.  With
+    H = h, the bending integrand g^{ij} h_ab A^a_i A^b_j is
+    sum((H A) * (A g^{-1})) and its derivative in A is 2 H A g^{-1}.
     """
 
     def __init__(self, template: State, g: MetricChart, S, p: float):
@@ -133,7 +136,10 @@ class _Evaluator:
         self.p = float(p)
         self.grid = template.grid
         self.Sv = S.values
+        self.SvT = np.swapaxes(self.Sv, -1, -2)
         self.H = target.constant
+        # both square roots come out exactly symmetric, so they are their
+        # own transposes in the adjoints below
         self.Hs, self.Hsi = sqrt_and_inv_sqrt(self.H)
         gv = g.eval(self.grid.nodes())
         _, self.gsi = sqrt_and_inv_sqrt(gv)
@@ -142,131 +148,114 @@ class _Evaluator:
         self.wdet = quadrature_weights(self.grid) * np.sqrt(np.prod(w, axis=-1))
         self.is_immersion = isinstance(template, DiscreteImmersion)
 
+    # -- shared integrand pieces ----------------------------------------------
+
+    def _bend_sq(self, A):
+        """(H A, max(|A|^2_{g,h}, 0)) per node."""
+        HA = self.H @ A
+        return HA, np.maximum(np.sum(HA * (A @ self.ginv), axis=(-2, -1)), 0.0)
+
+    def _stretch_bar(self, dist2, Q, proj):
+        """Weighted d(dist^p)/dQ = p dist^{p-2} (Q - proj)."""
+        p = self.p
+        coef = p * dist2 ** ((p - 2.0) / 2.0) if p != 2.0 else 2.0
+        return (self.wdet * coef)[..., None, None] * (Q - proj)
+
+    def _bend_bar(self, HA, q2):
+        """Weighted d(|A|^p)/dA = p |A|^{p-2} H A g^{-1}."""
+        p = self.p
+        coef = self.wdet * p * (q2 ** ((p - 2.0) / 2.0) if p != 2.0 else 1.0)
+        return coef[..., None, None] * (HA @ self.ginv)
+
     # -- immersion states ---------------------------------------------------
 
-    def _immersion_forward(self, values):
+    def _immersion_forward(self, values, polar):
+        """(dist2, q2, node quantities) of an immersion, or None below the
+        rank guard."""
         J = jacobian_array(values, self.grid)
         Q = self.Hs @ J @ self.gsi
-        U, s, Vt = np.linalg.svd(Q, full_matrices=False)
-        if np.min(s[..., -1]) < SIGMA_GUARD:
-            raise RankDeficient("frame singular value below gradient guard")
-        dist2 = np.sum((s - 1.0) ** 2, axis=-1)
-        B = self.Hs @ J
-        c = _cross_columns(B)
+        # the cross product of the columns of Q is det(g^{-1/2}) > 0 times
+        # that of h^{1/2} J: same unit normal, and its length is sigma_1 sigma_2
+        c = cross_columns(Q)
         nu = np.linalg.norm(c, axis=-1)
+        dist2, smin, P = stiefel_factors(Q, nu, polar)
+        if np.min(smin) < SIGMA_GUARD:
+            return None
         nhat = c / nu[..., None]
-        n = np.einsum("ab,...b->...a", self.Hsi, nhat)
-        Dn = jacobian_array(n, self.grid)
-        A = Dn + J @ self.Sv
-        q2 = np.maximum(
-            np.einsum("...ij,ab,...ai,...bj->...", self.ginv, self.H, A, A), 0.0)
-        return J, Q, (U, s, Vt), dist2, B, nu, nhat, A, q2
-
-    def _immersion_energy(self, values):
-        J = jacobian_array(values, self.grid)
-        Q = self.Hs @ J @ self.gsi
-        s = np.linalg.svd(Q, compute_uv=False)
-        if np.min(s[..., -1]) < SIGMA_GUARD:
-            return np.inf, np.inf, np.inf
-        dist2 = np.sum((s - 1.0) ** 2, axis=-1)
-        B = self.Hs @ J
-        c = _cross_columns(B)
-        nu = np.linalg.norm(c, axis=-1)
-        nhat = c / nu[..., None]
-        n = np.einsum("ab,...b->...a", self.Hsi, nhat)
+        n = nhat @ self.Hsi
         A = jacobian_array(n, self.grid) + J @ self.Sv
-        q2 = np.maximum(
-            np.einsum("...ij,ab,...ai,...bj->...", self.ginv, self.H, A, A), 0.0)
-        stretch = float(np.sum(self.wdet * dist2 ** (self.p / 2.0)))
-        bend = float(np.sum(self.wdet * q2 ** (self.p / 2.0)))
-        return stretch + bend, stretch, bend
+        HA, q2 = self._bend_sq(A)
+        return dist2, q2, Q, P, nu, nhat, HA
 
     def _immersion_gradient(self, values):
-        p = self.p
-        J, Q, (U, s, Vt), dist2, B, nu, nhat, A, q2 = self._immersion_forward(values)
-        coef = p * dist2 ** ((p - 2.0) / 2.0) if p != 2.0 else np.full_like(dist2, 2.0)
-        Qbar = (self.wdet * coef)[..., None, None] * (Q - U @ Vt)
-        Jbar = self.Hs.T @ Qbar @ np.swapaxes(self.gsi, -1, -2)
-
-        q2coef = self.wdet * (p / 2.0) * (q2 ** ((p - 2.0) / 2.0) if p != 2.0 else 1.0)
-        Abar = q2coef[..., None, None] * 2.0 * np.einsum(
-            "ab,...bj,...ji->...ai", self.H, A, self.ginv)
-        Jbar = Jbar + np.einsum("...ai,...ji->...aj", Abar, self.Sv)
-        nbar = jacobian_adjoint(Abar, self.grid)
-        nhat_bar = np.einsum("ab,...a->...b", self.Hsi, nbar)
+        fwd = self._immersion_forward(values, polar=True)
+        if fwd is None:
+            raise RankDeficient("frame singular value below gradient guard")
+        dist2, q2, Q, P, nu, nhat, HA = fwd
+        Abar = self._bend_bar(HA, q2)
+        nhat_bar = jacobian_adjoint(Abar, self.grid) @ self.Hsi
         cbar = (nhat_bar - nhat * np.sum(nhat * nhat_bar, axis=-1, keepdims=True)) \
             / nu[..., None]
-        Bbar = _cross_adjoint(B, cbar)
-        Jbar = Jbar + self.Hs.T @ Bbar
+        Qbar = self._stretch_bar(dist2, Q, P) + _cross_adjoint(Q, cbar)
+        Jbar = self.Hs @ Qbar @ self.gsi + Abar @ self.SvT
         return jacobian_adjoint(Jbar, self.grid)
 
     # -- director states ----------------------------------------------------
 
-    def _director_frame(self, foot, vec):
+    def _director_forward(self, foot, vec):
+        """(dist2, q2, node quantities) of a director field, or None below
+        the rank guard."""
         Jx = jacobian_array(foot, self.grid)
         Jv = jacobian_array(vec, self.grid)
         B = self.Hs @ np.concatenate([Jx @ self.gsi, vec[..., None]], axis=-1)
-        C = Jx @ self.Sv + Jv
-        q2 = np.maximum(
-            np.einsum("...ij,ab,...ai,...bj->...", self.ginv, self.H, C, C), 0.0)
-        return Jx, B, C, q2
-
-    def _director_energy(self, foot, vec):
-        _, B, _, q2 = self._director_frame(foot, vec)
         U, s, Vt = np.linalg.svd(B)
         if np.min(s[..., -1]) < SIGMA_GUARD:
-            return np.inf, np.inf, np.inf
+            return None
+        # nearest rotation: flip the smallest singular direction when det < 0
         sign = np.sign(np.linalg.det(U) * np.linalg.det(Vt))
         target = np.ones_like(s)
         target[..., -1] = np.where(sign < 0, -1.0, 1.0)
         dist2 = np.sum((s - target) ** 2, axis=-1)
-        stretch = float(np.sum(self.wdet * dist2 ** (self.p / 2.0)))
-        bend = float(np.sum(self.wdet * q2 ** (self.p / 2.0)))
-        return stretch + bend, stretch, bend
+        HC, q2 = self._bend_sq(Jx @ self.Sv + Jv)
+        return dist2, q2, B, (U * target[..., None, :]) @ Vt, HC
 
     def _director_gradient(self, foot, vec):
-        p = self.p
         d = self.grid.dim
-        _, B, C, q2 = self._director_frame(foot, vec)
-        U, s, Vt = np.linalg.svd(B)
-        if np.min(s[..., -1]) < SIGMA_GUARD:
+        fwd = self._director_forward(foot, vec)
+        if fwd is None:
             raise RankDeficient("director frame singular value below gradient guard")
-        sign = np.sign(np.linalg.det(U) * np.linalg.det(Vt))
-        target = np.ones_like(s)
-        target[..., -1] = np.where(sign < 0, -1.0, 1.0)
-        proj = np.einsum("...ik,...k,...kj->...ij", U, target, Vt)
-        dist2 = np.sum((s - target) ** 2, axis=-1)
-
-        coef = p * dist2 ** ((p - 2.0) / 2.0) if p != 2.0 else np.full_like(dist2, 2.0)
-        Bbar = (self.wdet * coef)[..., None, None] * (B - proj)
-        T = self.Hs.T @ Bbar
-        Jxbar = T[..., :, :d] @ np.swapaxes(self.gsi, -1, -2)
-        vbar = T[..., :, d]
-
-        q2coef = self.wdet * (p / 2.0) * (q2 ** ((p - 2.0) / 2.0) if p != 2.0 else 1.0)
-        Cbar = q2coef[..., None, None] * 2.0 * np.einsum(
-            "ab,...bj,...ji->...ai", self.H, C, self.ginv)
-        Jxbar = Jxbar + np.einsum("...ai,...ji->...aj", Cbar, self.Sv)
+        dist2, q2, B, proj, HC = fwd
+        T = self.Hs @ self._stretch_bar(dist2, B, proj)
+        Cbar = self._bend_bar(HC, q2)
+        Jxbar = T[..., :, :d] @ self.gsi + Cbar @ self.SvT
         grad_foot = jacobian_adjoint(Jxbar, self.grid)
-        grad_vec = jacobian_adjoint(Cbar, self.grid) + vbar
+        grad_vec = jacobian_adjoint(Cbar, self.grid) + T[..., :, d]
         return grad_foot, grad_vec
 
     # -- flat-vector API ----------------------------------------------------
 
+    def _split(self, x: np.ndarray):
+        if self.is_immersion:
+            return (x.reshape(self.template.values.shape),)
+        half = self.template.foot.size
+        return (x[:half].reshape(self.template.foot.shape),
+                x[half:].reshape(self.template.vec.shape))
+
     def energy(self, x: np.ndarray):
         if self.is_immersion:
-            return self._immersion_energy(x.reshape(self.template.values.shape))
-        half = self.template.foot.size
-        return self._director_energy(x[:half].reshape(self.template.foot.shape),
-                                     x[half:].reshape(self.template.vec.shape))
+            fwd = self._immersion_forward(*self._split(x), polar=False)
+        else:
+            fwd = self._director_forward(*self._split(x))
+        if fwd is None:
+            return np.inf, np.inf, np.inf
+        stretch = float(np.sum(self.wdet * fwd[0] ** (self.p / 2.0)))
+        bend = float(np.sum(self.wdet * fwd[1] ** (self.p / 2.0)))
+        return stretch + bend, stretch, bend
 
     def gradient(self, x: np.ndarray) -> np.ndarray:
         if self.is_immersion:
-            return self._immersion_gradient(
-                x.reshape(self.template.values.shape)).ravel()
-        half = self.template.foot.size
-        gf, gv = self._director_gradient(x[:half].reshape(self.template.foot.shape),
-                                         x[half:].reshape(self.template.vec.shape))
+            return self._immersion_gradient(*self._split(x)).ravel()
+        gf, gv = self._director_gradient(*self._split(x))
         return np.concatenate([gf.ravel(), gv.ravel()])
 
 

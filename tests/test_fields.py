@@ -1,7 +1,13 @@
 """Grids, stencils, quadrature, Sobolev distances, serialization."""
 
+import os
+import tempfile
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from hypothesis.extra import numpy as hnp
 
 from helpers import convergence_orders
 from imlab.errors import BadExponent, GridMismatch
@@ -158,6 +164,15 @@ class TestSobolevDistance:
             w1p_distance(f0, f1, 2.0)
 
 
+@st.composite
+def _node_arrays(draw):
+    """Finite float64 node arrays on 1D or 2D grids with 1-4 components."""
+    counts = tuple(draw(st.lists(st.integers(4, 7), min_size=1, max_size=2)))
+    shape = counts + (draw(st.integers(1, 4)),)
+    return draw(hnp.arrays(np.float64, shape,
+                           elements=st.floats(allow_nan=False, allow_infinity=False)))
+
+
 class TestSerialization:
     def test_csv_roundtrip_exact(self, tmp_path):
         rng = np.random.default_rng(3)
@@ -167,6 +182,32 @@ class TestSerialization:
         save_node_csv(path, g, vals)
         back = load_node_csv(path)
         assert np.array_equal(back.reshape(vals.shape), vals)
+
+    @settings(max_examples=60, deadline=None)
+    @given(_node_arrays())
+    def test_csv_roundtrip_property(self, vals):
+        grid = Grid(vals.shape[:-1], (1.0,) * (vals.ndim - 1))
+        with tempfile.TemporaryDirectory() as tmp:
+            path = os.path.join(tmp, "field.csv")
+            save_node_csv(path, grid, vals)
+            back = load_node_csv(path)
+        assert back.shape == vals.shape
+        assert back.tobytes() == vals.tobytes()
+
+    def test_csv_rejects_missing_and_repeated_nodes(self, tmp_path):
+        g = Grid((4, 5), (1.0, 1.0))
+        path = tmp_path / "field.csv"
+        save_node_csv(path, g, np.ones(g.counts + (2,)))
+        header, *rows = path.read_text().strip().split("\n")
+        missing, repeated = rows[:7] + rows[8:], rows + [rows[3]]
+        swapped = rows[:3] + [rows[4]] + rows[4:]   # right count, one node twice
+        for bad_rows in (missing, repeated, swapped):
+            path.write_text("\n".join([header] + bad_rows) + "\n")
+            with pytest.raises(ValueError):
+                load_node_csv(path)
+        path.write_text(header + "\n")
+        with pytest.raises(ValueError):
+            load_node_csv(path)
 
     def test_binary_roundtrip_and_magic(self, tmp_path):
         rng = np.random.default_rng(4)

@@ -9,7 +9,8 @@ from helpers import (lambdify_tensor, random_rotation, symbolic_christoffel,
 from imlab.errors import NotSPD, RankDeficient, SingularMetric
 from imlab.geometry import (MetricChart, chart, christoffel, dist_rotations,
                             dist_stiefel, metric_sqrt, project_stiefel,
-                            riemann_curvature)
+                            riemann_curvature, stiefel_factors)
+from imlab.optimize import SIGMA_GUARD
 
 
 def _symbolic_charts():
@@ -165,6 +166,92 @@ class TestStiefelDistance:
             samples.append(np.linalg.norm(Q - O))
         assert min(samples) >= d - 1e-6
         assert abs(np.linalg.norm(Q - project_stiefel(Q)) - d) < 1e-12
+
+
+def _svd_stiefel(Q):
+    """Reference (dist^2, sigma_min, polar factor) from the thin SVD."""
+    U, s, Vt = np.linalg.svd(Q, full_matrices=False)
+    return np.sum((s - 1.0) ** 2, axis=-1), s[..., -1], U @ Vt
+
+
+def _orthonormal_frames(rng, n, d):
+    U, _, Vt = np.linalg.svd(rng.normal(size=(n, d + 1, d)), full_matrices=False)
+    return U @ Vt
+
+
+class TestStiefelKernel:
+    """Closed-form kernel against the SVD on seeded (d+1) x d corpora.
+
+    dist^2 agrees to 1e-14 absolute on O(1) frames (relative to |Q|^2 on
+    badly scaled ones, where the reference itself carries that error), the
+    polar factor to 1e-12.
+    """
+
+    def _compare(self, Q, smin_rtol=1e-12):
+        dist2, smin, P = stiefel_factors(Q, polar=True)
+        ref2, ref_smin, ref_P = _svd_stiefel(Q)
+        scale = np.maximum(1.0, np.sum(Q * Q, axis=(-2, -1)))
+        assert np.all(dist2 >= 0.0)
+        assert np.max(np.abs(dist2 - ref2) / scale) <= 1e-14
+        assert np.max(np.abs(P - ref_P)) <= 1e-12
+        assert np.max(np.abs(smin - ref_smin) / ref_smin) <= smin_rtol
+        d2_only, smin_only, none = stiefel_factors(Q)
+        assert none is None
+        assert np.array_equal(d2_only, dist2) and np.array_equal(smin_only, smin)
+        assert np.array_equal(dist_stiefel(Q), np.sqrt(dist2))
+
+    @pytest.mark.parametrize("d", [1, 2])
+    def test_random_frames(self, d):
+        rng = np.random.default_rng(30 + d)
+        self._compare(rng.normal(size=(4000, d + 1, d)))
+
+    @pytest.mark.parametrize("d", [1, 2])
+    def test_near_isometric(self, d):
+        # |Q|^2 - 2t + 2 cancels to ~1e-18 here; sigma_min comes from the
+        # clustered pair and keeps about 8 digits (it only feeds the guard)
+        rng = np.random.default_rng(40 + d)
+        O = _orthonormal_frames(rng, 4000, d)
+        self._compare(O + 1e-9 * rng.normal(size=O.shape), smin_rtol=1e-7)
+
+    @pytest.mark.parametrize("d", [1, 2])
+    def test_badly_scaled_columns(self, d):
+        rng = np.random.default_rng(50 + d)
+        scales = 10.0 ** rng.uniform(-3.0, 3.0, size=(4000, 1, d))
+        self._compare(rng.normal(size=(4000, d + 1, d)) * scales)
+
+    @pytest.mark.parametrize("d", [1, 2])
+    def test_rank_guard_side(self, d):
+        rng = np.random.default_rng(60 + d)
+        n = 2000
+        O = _orthonormal_frames(rng, n, d)
+        angle = rng.uniform(0.0, 2.0 * np.pi, size=n)
+        V = (np.stack([np.cos(angle), -np.sin(angle), np.sin(angle), np.cos(angle)],
+                      axis=-1).reshape(n, 2, 2) if d == 2 else np.ones((n, 1, 1)))
+        sigma = np.empty((n, d))
+        sigma[:, 0] = rng.uniform(0.5, 2.0, size=n)
+        side = np.where(np.arange(n) % 2 == 0, 1.001, 0.999)
+        sigma[:, -1] = SIGMA_GUARD * side
+        Q = (O * sigma[:, None, :]) @ V
+        _, smin, _ = stiefel_factors(Q)
+        _, ref_smin, _ = _svd_stiefel(Q)
+        assert np.array_equal(smin < SIGMA_GUARD, side < 1.0)
+        assert np.array_equal(ref_smin < SIGMA_GUARD, side < 1.0)
+        assert np.max(np.abs(smin - ref_smin) / ref_smin) <= 1e-6
+
+    def test_rank_deficient_is_quiet(self):
+        Q = np.zeros((2, 3, 2))
+        Q[1, 0, 0] = 1.0
+        with np.errstate(all="raise"):
+            dist2, smin, P = stiefel_factors(Q, polar=True)
+        assert np.array_equal(smin, [0.0, 0.0])
+        assert np.array_equal(dist2, [2.0, 1.0])
+        assert np.array_equal(P, np.zeros_like(Q))
+
+    def test_rejects_other_shapes(self):
+        with pytest.raises(ValueError):
+            stiefel_factors(np.ones((4, 2)))
+        with pytest.raises(ValueError):
+            stiefel_factors(np.ones((4, 3)))
 
 
 class TestStiefelProjection:

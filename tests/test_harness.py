@@ -44,6 +44,15 @@ class TestConfig:
         cfg = config_from_dict({**base, "amplitudes": [0.1, 0.05, 0.0]})
         assert cfg.amplitudes[-1] == 0.0
 
+    @pytest.mark.parametrize("key,value", [
+        ("p", float("nan")), ("p", float("inf")), ("p", "2"),
+        ("start_amplitude", float("nan")),
+        ("director_scale", float("inf")), ("amplitudes", (0.1, float("nan"))),
+        ("num_random", 0)])
+    def test_rejects_non_finite_and_empty_values(self, key, value):
+        with pytest.raises(BadConfig):
+            ExperimentConfig(experiment="check", **{key: value})
+
     def test_json_roundtrip(self, tmp_path):
         path = tmp_path / "cfg.json"
         path.write_text(json.dumps({"imlab_config": 1, "experiment": "energy",
@@ -164,6 +173,20 @@ class TestCustomProblem:
         report, _ = run_experiment(cfg)
         assert report["total"] <= 1e-20
 
+    def test_table_must_match_the_config_grid(self, tmp_path):
+        # a 5x9 table read onto a 9x5 grid has the right node count but
+        # would be scrambled by a reshape
+        gpath = tmp_path / "metric.csv"
+        grid = Grid((5, 9), (1.0, 1.0))
+        save_node_csv(gpath, grid, np.broadcast_to(np.eye(2), grid.counts + (2, 2)))
+        cfg = config_from_dict({
+            "imlab_config": 1, "experiment": "energy", "preset": "custom",
+            "grid": [9, 5], "out": str(tmp_path / "out"),
+            "custom": {"g": {"csv": str(gpath)}, "s": [[0.0, 0.0], [0.0, 0.0]],
+                       "box": [[0.0, 1.0], [0.0, 1.0]]}})
+        with pytest.raises(BadConfig):
+            run_experiment(cfg)
+
 
 class TestCli:
     def test_check_exit_codes(self, tmp_path, capsys):
@@ -184,6 +207,22 @@ class TestCli:
         bad = tmp_path / "bad.json"
         bad.write_text("{\"imlab_config\": 2}")
         assert cli_main(["energy", "--config", str(bad)]) == 1
+
+    def test_non_finite_exponent_exits_1(self, tmp_path, capsys):
+        assert cli_main(["energy", "--p", "nan", "--out", str(tmp_path)]) == 1
+        assert not (tmp_path / "energy_report.json").exists()
+
+    def test_minimize_warns_when_not_converged(self, tmp_path, capsys):
+        cfgpath = tmp_path / "cfg.json"
+        cfgpath.write_text(json.dumps({
+            "imlab_config": 1, "experiment": "minimize", "preset": "flat",
+            "grid": [9, 9], "out": str(tmp_path / "out"),
+            "optimizer": {"max_iters": 3}}))
+        assert cli_main(["minimize", "--config", str(cfgpath)]) == 0
+        err = capsys.readouterr().err
+        assert "warning" in err and "max_iters" in err
+        report = json.loads((tmp_path / "out" / "minimize_report.json").read_text())
+        assert report["termination"] == "max_iters"
 
     def test_flag_overrides(self, tmp_path, capsys):
         rc = cli_main(["energy", "--preset", "flat", "--grid", "9x9",

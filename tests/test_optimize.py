@@ -6,12 +6,14 @@ import pytest
 from helpers import random_rotation
 from imlab.errors import (BadConfig, RankDeficient, UnsupportedExponent,
                           UnsupportedTarget)
-from imlab.fields import DirectorField, DiscreteImmersion, Grid, ShapeField
-from imlab.geometry import chart
-from imlab.harness import _sym_field, random_director, random_surface_immersion
+from imlab.fields import (DirectorField, DiscreteImmersion, Grid, ShapeField,
+                          jacobian_adjoint, jacobian_array, quadrature_weights)
+from imlab.geometry import chart, sqrt_and_inv_sqrt
+from imlab.harness import (_sym_field, random_curve_immersion, random_director,
+                           random_smooth_field, random_surface_immersion)
 from imlab.immersion import normal_director
-from imlab.optimize import (OptimizeConfig, energy_gradient, minimize,
-                            objective, pack_state, unpack_like)
+from imlab.optimize import (OptimizeConfig, _Evaluator, energy_gradient,
+                            minimize, objective, pack_state, unpack_like)
 from imlab.presets import get_preset
 
 E2 = chart("euclidean", 2)
@@ -57,7 +59,73 @@ def _fd_check(state, g, S, p, rng, coords=12):
     return worst
 
 
+def _svd_reference(f, g, S, p):
+    """Energy and gradient of a surface immersion by the SVD polar factor and
+    4-operand einsum contractions: the minimizer's formulas before their
+    closed forms, kept here as the reference."""
+    grid = f.grid
+    H = f.target.constant
+    Hs, Hsi = sqrt_and_inv_sqrt(H)
+    gv = g.eval(grid.nodes())
+    _, gsi = sqrt_and_inv_sqrt(gv)
+    ginv = gsi @ gsi
+    wdet = quadrature_weights(grid) * np.sqrt(np.linalg.det(gv))
+    J = jacobian_array(f.values, grid)
+    Q = Hs @ J @ gsi
+    U, s, Vt = np.linalg.svd(Q, full_matrices=False)
+    dist2 = np.sum((s - 1.0) ** 2, axis=-1)
+    B = Hs @ J
+    c = np.cross(B[..., 0], B[..., 1])
+    nu = np.linalg.norm(c, axis=-1)
+    nhat = c / nu[..., None]
+    n = np.einsum("ab,...b->...a", Hsi, nhat)
+    A = jacobian_array(n, grid) + J @ S.values
+    q2 = np.einsum("...ij,ab,...ai,...bj->...", ginv, H, A, A)
+    energy = np.sum(wdet * dist2 ** (p / 2.0)) + np.sum(wdet * q2 ** (p / 2.0))
+    Qbar = (wdet * p * dist2 ** ((p - 2.0) / 2.0))[..., None, None] * (Q - U @ Vt)
+    Abar = (wdet * p * q2 ** ((p - 2.0) / 2.0))[..., None, None] * np.einsum(
+        "ab,...bj,...ji->...ai", H, A, ginv)
+    nhat_bar = np.einsum("ab,...a->...b", Hsi, jacobian_adjoint(Abar, grid))
+    cbar = (nhat_bar - nhat * np.sum(nhat * nhat_bar, axis=-1, keepdims=True)) \
+        / nu[..., None]
+    Bbar = np.stack([np.cross(B[..., 1], cbar), np.cross(cbar, B[..., 0])], axis=-1)
+    Jbar = (Hs.T @ Qbar @ np.swapaxes(gsi, -1, -2) + Hs.T @ Bbar
+            + np.einsum("...ai,...ji->...aj", Abar, S.values))
+    return energy, jacobian_adjoint(Jbar, grid)
+
+
 class TestGradient:
+    def test_closed_forms_match_svd_reference_at_probe_start(self):
+        # the criterion-10 probe start: flat graph plus an in-plane smooth kick
+        pre = get_preset("sphere-incompatible")
+        grid = pre.grid((33, 33))
+        values = _plane(grid).values
+        values[..., :2] += 0.02 * random_smooth_field(grid, 2, np.random.default_rng(0))
+        start = DiscreteImmersion(grid, values, E3)
+        S = ShapeField(grid, 0.3 * _sym_field(grid, np.random.default_rng(1)))
+        for shape in (pre.shape_field(grid), S):
+            for p in (2.0, 3.0):
+                ref_energy, ref_grad = _svd_reference(start, pre.g, shape, p)
+                ev = _Evaluator(start, pre.g, shape, p)
+                x = pack_state(start)
+                assert ev.energy(x)[0] == pytest.approx(ref_energy, rel=1e-13)
+                grad = ev.gradient(x).reshape(ref_grad.shape)
+                assert np.max(np.abs(grad - ref_grad)) <= 1e-12 * np.max(np.abs(ref_grad))
+
+    def test_curve_matches_finite_differences(self):
+        rng = np.random.default_rng(29)
+        grid = Grid((17,), (1.0,))
+        E1 = chart("euclidean", 1)
+        worst = 0.0
+        for p in (2.0, 4.0):
+            S = ShapeField(grid, 0.4 * random_smooth_field(grid, 1, rng)[..., None])
+            curve = random_curve_immersion(grid, E2, rng)
+            director = DirectorField(grid, curve.values,
+                                     random_smooth_field(grid, 2, rng), E2)
+            for state in (curve, director):
+                worst = max(worst, _fd_check(state, E1, S, p, rng, coords=20))
+        assert worst <= 1e-5
+
     def test_zero_at_exact_minimizer(self):
         grid = _grid()
         for p in (2.0, 4.0):
@@ -112,8 +180,12 @@ class TestGradient:
         x = grid.nodes()
         vals = np.stack([x[..., 0], 0 * x[..., 1], 0 * x[..., 0]], axis=-1)
         state = DiscreteImmersion(grid, vals, E3)
-        with pytest.raises(RankDeficient):
+        # the guard fires before any division by the vanishing cross product
+        with np.errstate(all="raise"), pytest.raises(RankDeficient):
             energy_gradient(state, E2, _zero_shape(grid), 2.0)
+        with np.errstate(all="raise"):
+            ev = _Evaluator(state, E2, _zero_shape(grid), 2.0)
+            assert ev.energy(pack_state(state)) == (np.inf, np.inf, np.inf)
 
 
 class TestMinimize:
