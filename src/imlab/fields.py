@@ -46,6 +46,8 @@ class Grid:
             raise ValueError("counts, extents and origin must have equal length")
         if any(c < 4 for c in counts):
             raise ValueError("need at least 4 nodes per axis")
+        if not all(np.isfinite(extents)) or not all(np.isfinite(origin)):
+            raise ValueError("extents and origin must be finite")
         if any(e <= 0 for e in extents):
             raise ValueError("extents must be positive")
         object.__setattr__(self, "counts", counts)

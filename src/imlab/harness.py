@@ -137,7 +137,10 @@ def _atomic_write(path, data) -> None:
 
 
 def write_json(path, obj) -> None:
-    _atomic_write(path, json.dumps(obj, sort_keys=True, indent=2) + "\n")
+    """Atomic JSON write; a NaN or infinite value raises ValueError before
+    anything is written, since JSON has no such numbers."""
+    _atomic_write(path, json.dumps(obj, sort_keys=True, indent=2, allow_nan=False)
+                  + "\n")
 
 
 def _fmt(x) -> str:
@@ -626,6 +629,9 @@ def run_minimize(cfg: ExperimentConfig):
               "seed": cfg.seed, "start": cfg.start,
               "iterations": int(trace.records[-1]["iter"]),
               "termination": trace.reason,
+              "converged": trace.reason == "grad_tol",
+              "nfev": trace.nfev, "ngev": trace.ngev,
+              "backtracks": trace.backtracks,
               "terminal_energy": float(trace.records[-1]["energy"]),
               "terminal_stretch": float(trace.records[-1]["stretch"]),
               "terminal_bend": float(trace.records[-1]["bend"])}

@@ -35,6 +35,14 @@ class TestGrid:
         with pytest.raises(ValueError):
             Grid((5, 5, 5), (1.0, 1.0, 1.0))
 
+    @pytest.mark.parametrize("extents, origin", [
+        ((np.nan, 1.0), None), ((1.0, np.inf), None), ((-np.inf, 1.0), None),
+        ((1.0, 1.0), (np.nan, 0.0)), ((1.0, 1.0), (0.0, -np.inf)),
+    ])
+    def test_rejects_non_finite(self, extents, origin):
+        with pytest.raises(ValueError, match="finite"):
+            Grid((9, 9), extents, origin)
+
 
 class TestStencils:
     def test_exact_on_affine(self):

@@ -7,9 +7,9 @@ import sympy as sp
 from helpers import (lambdify_tensor, random_rotation, symbolic_christoffel,
                      symbolic_riemann_lowered)
 from imlab.errors import NotSPD, RankDeficient, SingularMetric
-from imlab.geometry import (MetricChart, chart, christoffel, dist_rotations,
-                            dist_stiefel, metric_sqrt, project_stiefel,
-                            riemann_curvature, stiefel_factors)
+from imlab.geometry import (MetricChart, chart, christoffel, cross3, cross_columns,
+                            dist_rotations, dist_stiefel, metric_sqrt,
+                            project_stiefel, riemann_curvature, stiefel_factors)
 from imlab.optimize import SIGMA_GUARD
 
 
@@ -252,6 +252,15 @@ class TestStiefelKernel:
             stiefel_factors(np.ones((4, 2)))
         with pytest.raises(ValueError):
             stiefel_factors(np.ones((4, 3)))
+
+
+def test_cross_by_components_is_bit_identical_to_numpy():
+    rng = np.random.default_rng(31)
+    Q = rng.normal(size=(33, 33, 3, 2)) * 10.0 ** rng.uniform(-3, 3, size=(33, 33, 1, 1))
+    a, b = Q[..., 0], Q[..., 1]
+    assert cross3(a, b).tobytes() == np.cross(a, b).tobytes()
+    assert cross3(b, a).tobytes() == np.cross(b, a).tobytes()
+    assert cross_columns(Q).tobytes() == np.cross(a, b).tobytes()
 
 
 class TestStiefelProjection:

@@ -1,5 +1,6 @@
 """Experiment drivers, configuration validation, CLI, reproducibility."""
 
+import dataclasses
 import filecmp
 import json
 import os
@@ -12,9 +13,10 @@ from imlab.energy import total_energy
 from imlab.errors import BadConfig
 from imlab.fields import DiscreteImmersion, Grid, load_binary, save_node_csv
 from imlab.geometry import chart
+from imlab import harness
 from imlab.harness import (ExperimentConfig, config_from_dict, load_config,
                            run_check, run_minimize, run_experiment,
-                           run_stability_sweep, wrinkle_profile)
+                           run_stability_sweep, wrinkle_profile, write_json)
 from imlab.presets import get_preset
 
 
@@ -223,6 +225,18 @@ class TestCli:
         assert "warning" in err and "max_iters" in err
         report = json.loads((tmp_path / "out" / "minimize_report.json").read_text())
         assert report["termination"] == "max_iters"
+        assert report["converged"] is False
+        assert report["iterations"] == 3 and report["ngev"] == 4
+        assert report["nfev"] == 4 + report["backtracks"]
+
+    def test_non_finite_report_value_exits_1(self, tmp_path, monkeypatch, capsys):
+        real = harness.en.total_energy
+        monkeypatch.setattr(harness.en, "total_energy", lambda *a: dataclasses.replace(
+            real(*a), stretch=float("nan")))
+        out = tmp_path / "out"
+        assert cli_main(["energy", "--preset", "flat", "--grid", "9x9",
+                         "--out", str(out)]) == 1
+        assert "energy_report.json" not in os.listdir(out)
 
     def test_flag_overrides(self, tmp_path, capsys):
         rc = cli_main(["energy", "--preset", "flat", "--grid", "9x9",
@@ -230,6 +244,15 @@ class TestCli:
         assert rc == 0
         report = json.loads((tmp_path / "energy_report.json").read_text())
         assert report["grid_meta"]["counts"] == [9, 9]
+
+
+def test_write_json_rejects_non_finite_and_leaves_no_file(tmp_path):
+    for bad in (float("nan"), float("inf"), -float("inf")):
+        with pytest.raises(ValueError):
+            write_json(tmp_path / "report.json", {"nested": [1.0, bad]})
+    assert os.listdir(tmp_path) == []
+    write_json(tmp_path / "report.json", {"total": 1.5})
+    assert json.loads((tmp_path / "report.json").read_text()) == {"total": 1.5}
 
 
 class TestDeterminism:

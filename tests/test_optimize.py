@@ -2,6 +2,8 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from helpers import random_rotation
 from imlab.errors import (BadConfig, RankDeficient, UnsupportedExponent,
@@ -12,8 +14,9 @@ from imlab.geometry import chart, sqrt_and_inv_sqrt
 from imlab.harness import (_sym_field, random_curve_immersion, random_director,
                            random_smooth_field, random_surface_immersion)
 from imlab.immersion import normal_director
-from imlab.optimize import (OptimizeConfig, _Evaluator, energy_gradient,
-                            minimize, objective, pack_state, unpack_like)
+from imlab.optimize import (SMOOTH_BETA, SMOOTH_POWER, OptimizeConfig, _Evaluator,
+                            _GridSmoother, energy_gradient, minimize, objective,
+                            pack_state, unpack_like)
 from imlab.presets import get_preset
 
 E2 = chart("euclidean", 2)
@@ -269,6 +272,30 @@ class TestMinimize:
         assert trace.reason == "max_iters"
         assert trace.records[-1]["iter"] == 3
 
+    def test_evaluation_counters(self):
+        rng = np.random.default_rng(4)
+        grid = _grid(9)
+        f = random_surface_immersion(grid, rng, amplitude=0.05)
+        S = ShapeField(grid, 0.3 * _sym_field(grid, rng))
+        _, trace = minimize(f, E2, S, 2.0, OptimizeConfig(max_iters=60))
+        iterations = trace.records[-1]["iter"]
+        assert trace.backtracks > 0
+        assert trace.ngev == iterations + 1
+        assert trace.nfev == iterations + 1 + trace.backtracks
+
+    def test_stalled_probe_start_reaches_grad_tol(self):
+        # this criterion-10 start drove a node onto the rank guard and
+        # stopped on step_tol at E = 0.0954 under the scalar H0
+        pre = get_preset("sphere-incompatible")
+        grid = pre.grid((33, 33))
+        values = _plane(grid).values
+        values[..., :2] += 0.02 * random_smooth_field(grid, 2, np.random.default_rng([4, 2]))
+        start = DiscreteImmersion(grid, values, E3)
+        _, trace = minimize(start, pre.g, pre.shape_field(grid), 2.0,
+                            OptimizeConfig(max_iters=2500, grad_tol=1e-7))
+        assert trace.reason == "grad_tol"
+        assert trace.records[-1]["energy"] == pytest.approx(0.0022186805, rel=1e-6)
+
     def test_trace_csv(self, tmp_path):
         grid = _grid(9)
         f = _plane(grid, 1.2)
@@ -279,3 +306,47 @@ class TestMinimize:
         lines = path.read_text().strip().split("\n")
         assert lines[0] == "iter,energy,stretch,bend,grad_norm,step"
         assert len(lines) == len(trace.records) + 1
+
+
+def _neumann_laplacian(n, h):
+    L = 2.0 * np.eye(n) - np.eye(n, k=1) - np.eye(n, k=-1)
+    L[0, 0] = L[-1, -1] = 1.0
+    return L / h ** 2
+
+
+_grids = st.one_of(
+    st.builds(lambda n, e: Grid((n,), (e,)), st.integers(4, 40), st.floats(0.05, 20.0)),
+    st.builds(lambda n1, n2, e1, e2: Grid((n1, n2), (e1, e2)),
+              st.integers(4, 24), st.integers(4, 24),
+              st.floats(0.05, 20.0), st.floats(0.05, 20.0)))
+
+
+class TestGridSmoother:
+    """The two-loop's H0 metric M = (I + beta (h^2 L)^k)^{-1}."""
+
+    def test_matches_dense_inverse_on_anisotropic_grid(self):
+        grid = Grid((7, 11), (2.0, 0.5))
+        n1, n2 = grid.counts
+        L = (np.kron(_neumann_laplacian(n1, grid.spacing[0]), np.eye(n2))
+             + np.kron(np.eye(n1), _neumann_laplacian(n2, grid.spacing[1])))
+        hL = min(grid.spacing) ** 2 * np.kron(L, np.eye(3))
+        ref = np.linalg.inv(np.eye(hL.shape[0])
+                            + SMOOTH_BETA * np.linalg.matrix_power(hL, SMOOTH_POWER))
+        M = _GridSmoother(grid)
+        x = np.random.default_rng(3).normal(size=(2, ref.shape[0]))
+        # a director state stacks foot and vec: M acts on each
+        assert np.allclose(M(x.ravel()).reshape(2, -1), x @ ref.T, rtol=0, atol=1e-13)
+
+    @settings(max_examples=60, deadline=None)
+    @given(_grids, st.integers(1, 2), st.integers(0, 2 ** 32 - 1))
+    def test_symmetric_positive_and_constant_preserving(self, grid, arrays, seed):
+        M = _GridSmoother(grid)
+        rng = np.random.default_rng(seed)
+        shape = (arrays,) + grid.counts + (grid.dim + 1,)
+        x, y = rng.normal(size=(2,) + shape).reshape(2, -1)
+        scale = np.linalg.norm(x) * np.linalg.norm(y)
+        assert abs(x @ M(y) - y @ M(x)) <= 1e-13 * scale
+        assert x @ M(x) > 0.0
+        const = np.broadcast_to(rng.normal(size=(arrays,) + (1,) * grid.dim
+                                           + (grid.dim + 1,)), shape).ravel()
+        assert np.allclose(M(const), const, rtol=0, atol=1e-13 * np.max(np.abs(const)))
