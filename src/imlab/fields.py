@@ -9,6 +9,8 @@ trapezoidal, collocated with the derivative nodes.
 
 from __future__ import annotations
 
+import math
+import os
 import struct
 from dataclasses import dataclass, field
 from typing import Optional, Sequence
@@ -359,6 +361,30 @@ def w1p_distance(f: DiscreteImmersion, f0: DiscreteImmersion, p: float,
 # serialization: CSV (17 significant digits) and raw binary dumps
 
 
+def atomic_write(path, data) -> None:
+    """Write text (UTF-8) or bytes to ``path`` through a temporary file in the
+    same directory and ``os.replace``: readers see the old file or the new
+    one, never part of a write, and a failed write leaves no temporary file.
+    The file gets the mode a plain ``open`` would give it (0o666 less the
+    umask), since the temporary file is created with that mode."""
+    path = os.fspath(path)
+    tmp = os.path.join(os.path.dirname(os.path.abspath(path)),
+                       f".{os.path.basename(path)}.{os.urandom(6).hex()}.tmp")
+    fd = os.open(tmp, os.O_WRONLY | os.O_CREAT | os.O_EXCL, 0o666)
+    try:
+        if isinstance(data, bytes):
+            with os.fdopen(fd, "wb") as fh:
+                fh.write(data)
+        else:
+            with os.fdopen(fd, "w", encoding="utf-8") as fh:
+                fh.write(data)
+        os.replace(tmp, path)
+    except BaseException:
+        if os.path.exists(tmp):
+            os.remove(tmp)
+        raise
+
+
 def _fmt(x: float) -> str:
     return format(float(x), ".17g")
 
@@ -383,9 +409,7 @@ def save_node_csv(path, grid: Grid, values, names: Optional[Sequence[str]] = Non
     lines = [header]
     for ind, row in zip(idx, flat):
         lines.append(",".join([str(int(k)) for k in ind] + [_fmt(v) for v in row]))
-    text = "\n".join(lines) + "\n"
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write(text)
+    atomic_write(path, "\n".join(lines) + "\n")
 
 
 def load_node_csv(path) -> np.ndarray:
@@ -414,20 +438,29 @@ def load_node_csv(path) -> np.ndarray:
 
 def save_binary(path, values) -> None:
     """Little-endian float64 dump, row-major, magic header + uint64 shape."""
-    values = np.ascontiguousarray(values, dtype="<f8")
-    with open(path, "wb") as fh:
-        fh.write(BINARY_MAGIC)
-        fh.write(struct.pack("<Q", values.ndim))
-        fh.write(struct.pack(f"<{values.ndim}Q", *values.shape))
-        fh.write(values.tobytes())
+    values = np.asarray(values, dtype="<f8")
+    atomic_write(path, b"".join([BINARY_MAGIC, struct.pack("<Q", values.ndim),
+                                 struct.pack(f"<{values.ndim}Q", *values.shape),
+                                 values.tobytes()]))
 
 
 def load_binary(path) -> np.ndarray:
+    """Inverse of :func:`save_binary`.  A file with a bad magic header, cut
+    short, or holding a different number of values than its shape says raises
+    ValueError naming the path."""
     with open(path, "rb") as fh:
-        magic = fh.read(8)
-        if magic != BINARY_MAGIC:
-            raise ValueError("bad magic header in binary field dump")
-        (ndim,) = struct.unpack("<Q", fh.read(8))
-        shape = struct.unpack(f"<{ndim}Q", fh.read(8 * ndim))
-        data = np.frombuffer(fh.read(), dtype="<f8")
-    return data.reshape(shape).copy()
+        raw = fh.read()
+    if raw[:len(BINARY_MAGIC)] != BINARY_MAGIC:
+        raise ValueError(f"{path}: bad magic header in binary field dump")
+    head = len(BINARY_MAGIC) + 8
+    if len(raw) < head:
+        raise ValueError(f"{path}: binary field dump cut inside its header")
+    (ndim,) = struct.unpack_from("<Q", raw, len(BINARY_MAGIC))
+    if len(raw) < head + 8 * ndim:
+        raise ValueError(f"{path}: binary field dump cut inside its header")
+    shape = struct.unpack_from(f"<{ndim}Q", raw, head)
+    head += 8 * ndim
+    if len(raw) - head != 8 * math.prod(shape):
+        raise ValueError(f"{path}: binary field dump holds {len(raw) - head} data "
+                         f"bytes, its shape {shape} needs {8 * math.prod(shape)}")
+    return np.frombuffer(raw, dtype="<f8", offset=head).reshape(shape).copy()

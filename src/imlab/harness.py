@@ -13,7 +13,6 @@ import json
 import math
 import numbers
 import os
-import tempfile
 from dataclasses import dataclass, field
 from typing import List, Optional
 
@@ -22,8 +21,8 @@ import numpy as np
 from . import energy as en
 from .errors import AsymmetricShape, BadConfig
 from .fields import (DirectorField, DiscreteImmersion, Grid, ShapeField,
-                     jacobian_array, load_node_csv, save_binary, save_node_csv,
-                     w1p_distance)
+                     atomic_write, jacobian_array, load_node_csv, save_binary,
+                     save_node_csv, w1p_distance)
 from .geometry import chart, christoffel, dist_rotations, dist_stiefel
 from .immersion import normal_director, pullback_metric, shape_operator, unit_normal
 from .optimize import (OptimizeConfig, energy_gradient, minimize, objective,
@@ -123,24 +122,11 @@ def load_config(path) -> ExperimentConfig:
 # atomic output helpers
 
 
-def _atomic_write(path, data) -> None:
-    mode = "wb" if isinstance(data, bytes) else "w"
-    fd, tmp = tempfile.mkstemp(dir=os.path.dirname(os.path.abspath(path)))
-    try:
-        with os.fdopen(fd, mode) as fh:
-            fh.write(data)
-        os.replace(tmp, path)
-    except BaseException:
-        if os.path.exists(tmp):
-            os.remove(tmp)
-        raise
-
-
 def write_json(path, obj) -> None:
     """Atomic JSON write; a NaN or infinite value raises ValueError before
     anything is written, since JSON has no such numbers."""
-    _atomic_write(path, json.dumps(obj, sort_keys=True, indent=2, allow_nan=False)
-                  + "\n")
+    atomic_write(path, json.dumps(obj, sort_keys=True, indent=2, allow_nan=False)
+                 + "\n")
 
 
 def _fmt(x) -> str:
@@ -154,7 +140,7 @@ def write_csv(path, header: List[str], rows: List[List]) -> None:
         for c in row:
             cells.append(c if isinstance(c, str) else _fmt(c))
         lines.append(",".join(cells))
-    _atomic_write(path, "\n".join(lines) + "\n")
+    atomic_write(path, "\n".join(lines) + "\n")
 
 
 def write_svg_loglog(path, xs, ys, xlabel, ylabel, title) -> None:
@@ -195,7 +181,7 @@ def write_svg_loglog(path, xs, ys, xlabel, ylabel, title) -> None:
     parts.append(f'<text x="16" y="{H/2:.1f}" font-size="11" text-anchor="middle" '
                  f'transform="rotate(-90 16 {H/2:.1f})">{ylabel} (log)</text>')
     parts.append("</svg>")
-    _atomic_write(path, "\n".join(parts) + "\n")
+    atomic_write(path, "\n".join(parts) + "\n")
 
 
 # ---------------------------------------------------------------------------

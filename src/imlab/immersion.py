@@ -15,15 +15,23 @@ import numpy as np
 from .errors import RankDeficient
 from .fields import (DirectorField, DiscreteImmersion, JacobianField,
                      NormalField, ShapeField, jacobian_array)
-from .geometry import RANK_RTOL, christoffel, cross_columns, sqrt_and_inv_sqrt
+from .geometry import (RANK_RTOL, christoffel, cross_columns, sqrt_and_inv_sqrt,
+                       stiefel_factors)
 
 
-def _frame_and_rank_check(B):
-    s = np.linalg.svd(B, compute_uv=False)
-    bad = s[..., -1] <= RANK_RTOL * np.maximum(s[..., 0], 1e-300)
+def _frame_and_rank_check(B, c):
+    """Raise where sigma_min <= RANK_RTOL sigma_max, else return |c|; c is the
+    cross product of the columns of the (..., d+1, d) frame B, whose length
+    is sigma_1 ... sigma_d."""
+    s = np.linalg.norm(c, axis=-1)
+    _, smin, _ = stiefel_factors(B, s)
+    # sigma_max^2 = |B|^2 - (d - 1) sigma_min^2 for d in {1, 2}
+    smax2 = np.sum(B * B, axis=(-2, -1)) - (B.shape[-1] - 1) * smin ** 2
+    bad = smin <= RANK_RTOL * np.maximum(np.sqrt(np.maximum(smax2, 0.0)), 1e-300)
     if np.any(bad):
-        idx = tuple(np.argwhere(bad)[0])
+        idx = tuple(int(i) for i in np.argwhere(bad)[0])
         raise RankDeficient(f"differential is rank deficient at node {idx}")
+    return s
 
 
 def unit_normal(f: DiscreteImmersion) -> NormalField:
@@ -32,9 +40,8 @@ def unit_normal(f: DiscreteImmersion) -> NormalField:
     H = f.target.eval(f.values)
     Hs, Hsi = sqrt_and_inv_sqrt(H)
     B = Hs @ J
-    _frame_and_rank_check(B)
     c = cross_columns(B)
-    c = c / np.linalg.norm(c, axis=-1, keepdims=True)
+    c = c / _frame_and_rank_check(B, c)[..., None]
     n = np.einsum("...ab,...b->...a", Hsi, c)
     return NormalField(f.grid, n)
 

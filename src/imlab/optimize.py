@@ -3,7 +3,9 @@
 Gradients are assembled by reverse accumulation through the finite-difference
 stencils; the stretching derivative uses d(dist^2)/dQ = 2 (Q - proj(Q)),
 valid away from rank deficiency, where proj is the closed-form polar factor
-of an immersion frame or the nearest rotation (SVD) of a director frame.
+of an immersion frame or the nearest rotation of a director frame (closed
+form for 2x2 frames, scaled Newton polar iteration for 3x3 ones, see
+:func:`imlab.geometry.rotation_factors`).
 Gradients require p >= 2 (below that the integrand is not C^1 at its zeros) and a constant-metric target chart, which
 covers every minimization experiment shipped here; curved-target states stay
 evaluate-only.  The smallest frame singular value is guarded at 1e-8: rather
@@ -31,12 +33,10 @@ import numpy as np
 
 from .energy import relaxed_total, total_energy
 from .errors import BadConfig, RankDeficient, UnsupportedExponent, UnsupportedTarget
-from .fields import (DirectorField, DiscreteImmersion, jacobian_adjoint,
-                     jacobian_array, quadrature_weights)
-from .geometry import (MetricChart, cross3, cross_columns, sqrt_and_inv_sqrt,
-                       stiefel_factors)
-
-SIGMA_GUARD = 1e-8
+from .fields import (DirectorField, DiscreteImmersion, atomic_write,
+                     jacobian_adjoint, jacobian_array, quadrature_weights)
+from .geometry import (SIGMA_GUARD, MetricChart, cross3, cross_columns,
+                       rotation_factors, sqrt_and_inv_sqrt, stiefel_factors)
 
 State = Union[DiscreteImmersion, DirectorField]
 
@@ -83,8 +83,7 @@ class OptimizeTrace:
             lines.append(",".join([str(r["iter"])] + [
                 format(float(r[k]), ".17g")
                 for k in ("energy", "stretch", "bend", "grad_norm", "step")]))
-        with open(path, "w", encoding="utf-8") as fh:
-            fh.write("\n".join(lines) + "\n")
+        atomic_write(path, "\n".join(lines) + "\n")
 
 
 # ---------------------------------------------------------------------------
@@ -217,26 +216,21 @@ class _Evaluator:
 
     # -- director states ----------------------------------------------------
 
-    def _director_forward(self, foot, vec):
+    def _director_forward(self, foot, vec, polar):
         """(dist2, q2, node quantities) of a director field, or None below
         the rank guard."""
         Jx = jacobian_array(foot, self.grid)
         Jv = jacobian_array(vec, self.grid)
         B = self.Hs @ np.concatenate([Jx @ self.gsi, vec[..., None]], axis=-1)
-        U, s, Vt = np.linalg.svd(B)
-        if np.min(s[..., -1]) < SIGMA_GUARD:
+        dist2, smin, R = rotation_factors(B, polar)
+        if np.min(smin) < SIGMA_GUARD:
             return None
-        # nearest rotation: flip the smallest singular direction when det < 0
-        sign = np.sign(np.linalg.det(U) * np.linalg.det(Vt))
-        target = np.ones_like(s)
-        target[..., -1] = np.where(sign < 0, -1.0, 1.0)
-        dist2 = np.sum((s - target) ** 2, axis=-1)
         HC, q2 = self._bend_sq(Jx @ self.Sv + Jv)
-        return dist2, q2, B, (U * target[..., None, :]) @ Vt, HC
+        return dist2, q2, B, R, HC
 
     def _director_gradient(self, foot, vec):
         d = self.grid.dim
-        fwd = self._director_forward(foot, vec)
+        fwd = self._director_forward(foot, vec, polar=True)
         if fwd is None:
             raise RankDeficient("director frame singular value below gradient guard")
         dist2, q2, B, proj, HC = fwd
@@ -260,7 +254,7 @@ class _Evaluator:
         if self.is_immersion:
             fwd = self._immersion_forward(*self._split(x), polar=False)
         else:
-            fwd = self._director_forward(*self._split(x))
+            fwd = self._director_forward(*self._split(x), polar=False)
         if fwd is None:
             return np.inf, np.inf, np.inf
         stretch = float(np.sum(self.wdet * fwd[0] ** (self.p / 2.0)))

@@ -26,7 +26,8 @@ import numpy as np
 from .errors import (AsymmetricShape, DegenerateCovariance, GridMismatch,
                      IncompatibleForms, NonSPDAnchor)
 from .fields import (CompatibilityReport, DiscreteImmersion, Grid, ShapeField,
-                     axis_derivative, axis_second_derivative, quadrature_weights)
+                     atomic_write, axis_derivative, axis_second_derivative,
+                     quadrature_weights)
 from .geometry import (MetricChart, chart, christoffel, christoffel_from_values,
                        riemann_from_values)
 
@@ -389,5 +390,4 @@ def save_obj(path, f: DiscreteImmersion) -> None:
             c, dd = vid(i + 1, j + 1), vid(i, j + 1)
             lines.append(f"f {a} {b} {c}")
             lines.append(f"f {a} {c} {dd}")
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write("\n".join(lines) + "\n")
+    atomic_write(path, "\n".join(lines) + "\n")

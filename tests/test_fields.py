@@ -11,12 +11,15 @@ from hypothesis.extra import numpy as hnp
 
 from helpers import convergence_orders
 from imlab.errors import BadExponent, GridMismatch
-from imlab.fields import (DiscreteImmersion, Grid, axis_derivative,
+from imlab.fields import (DiscreteImmersion, Grid, atomic_write, axis_derivative,
                           axis_derivative_adjoint, axis_second_derivative,
                           fd_jacobian, integrate_density, jacobian_array,
                           load_binary, load_node_csv, lp_norm, quadrature_weights,
                           save_binary, save_node_csv, w1p_distance)
 from imlab.geometry import chart
+from imlab.harness import write_csv, write_json, write_svg_loglog
+from imlab.optimize import OptimizeTrace
+from imlab.reconstruct import save_obj
 
 
 class TestGrid:
@@ -228,3 +231,80 @@ class TestSerialization:
         bad.write_bytes(b"NOTMAGIC" + b"\x00" * 16)
         with pytest.raises(ValueError):
             load_binary(bad)
+
+    @settings(max_examples=60, deadline=None)
+    @given(hnp.arrays(np.float64, hnp.array_shapes(min_dims=0, max_dims=4,
+                                                   min_side=0, max_side=3)))
+    def test_binary_roundtrip_property(self, vals):
+        with tempfile.TemporaryDirectory() as tmp:
+            path = os.path.join(tmp, "field.bin")
+            save_binary(path, vals)
+            back = load_binary(path)
+        assert back.shape == vals.shape
+        assert back.tobytes() == vals.tobytes()
+
+    def test_binary_rejects_every_truncation(self, tmp_path):
+        path = tmp_path / "field.bin"
+        save_binary(path, np.arange(24.0).reshape(2, 3, 4))
+        raw = path.read_bytes()
+        cut = tmp_path / "cut.bin"
+        for n in range(len(raw)):
+            cut.write_bytes(raw[:n])
+            with pytest.raises(ValueError, match="cut.bin"):
+                load_binary(cut)
+        cut.write_bytes(raw + b"\x00" * 8)
+        with pytest.raises(ValueError, match="cut.bin"):
+            load_binary(cut)
+
+
+def _artifact_writers():
+    """One writer call per artifact writer, keyed by file name."""
+    grid = Grid((4, 4), (1.0, 1.0))
+    values = np.concatenate([grid.nodes(), np.zeros(grid.counts + (1,))], axis=-1)
+    trace = OptimizeTrace()
+    trace.append(0, 1.0, 0.5, 0.5, 0.1, 0.0)
+    return {
+        "field.csv": lambda p: save_node_csv(p, grid, values),
+        "field.bin": lambda p: save_binary(p, values),
+        "mesh.obj": lambda p: save_obj(p, DiscreteImmersion(grid, values,
+                                                             chart("euclidean", 3))),
+        "trace.csv": trace.to_csv,
+        "report.json": lambda p: write_json(p, {"total": 1.0}),
+        "table.csv": lambda p: write_csv(p, ["a", "b"], [[1.0, "x"]]),
+        "plot.svg": lambda p: write_svg_loglog(p, [1.0, 2.0], [1.0, 4.0], "x", "y", "t"),
+    }
+
+
+class TestAtomicWrite:
+    def test_artifact_mode_matches_plain_open(self, tmp_path):
+        old = os.umask(0o022)
+        try:
+            with open(tmp_path / "plain.txt", "w", encoding="utf-8") as fh:
+                fh.write("x\n")
+            for name, write in _artifact_writers().items():
+                write(str(tmp_path / name))
+        finally:
+            os.umask(old)
+        plain = os.stat(tmp_path / "plain.txt").st_mode
+        assert plain & 0o777 == 0o644
+        for name in _artifact_writers():
+            assert os.stat(tmp_path / name).st_mode == plain, name
+
+    def test_failed_replace_keeps_old_file_and_leaves_no_temp(self, tmp_path,
+                                                               monkeypatch):
+        writers = _artifact_writers()
+        for name, write in writers.items():
+            (tmp_path / name).write_bytes(b"old")
+
+        def fail(src, dst):
+            raise OSError("replace failed")
+
+        monkeypatch.setattr(os, "replace", fail)
+        for name, write in writers.items():
+            with pytest.raises(OSError, match="replace failed"):
+                write(str(tmp_path / name))
+        with pytest.raises(OSError, match="replace failed"):
+            atomic_write(tmp_path / "field.bin", b"new")
+        assert sorted(os.listdir(tmp_path)) == sorted(writers)
+        for name in writers:
+            assert (tmp_path / name).read_bytes() == b"old"

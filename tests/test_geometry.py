@@ -9,7 +9,8 @@ from helpers import (lambdify_tensor, random_rotation, symbolic_christoffel,
 from imlab.errors import NotSPD, RankDeficient, SingularMetric
 from imlab.geometry import (MetricChart, chart, christoffel, cross3, cross_columns,
                             dist_rotations, dist_stiefel, metric_sqrt,
-                            project_stiefel, riemann_curvature, stiefel_factors)
+                            project_stiefel, riemann_curvature, rotation_factors,
+                            stiefel_factors)
 from imlab.optimize import SIGMA_GUARD
 
 
@@ -252,6 +253,144 @@ class TestStiefelKernel:
             stiefel_factors(np.ones((4, 2)))
         with pytest.raises(ValueError):
             stiefel_factors(np.ones((4, 3)))
+
+
+def _svd_rotation(B):
+    """Reference (dist^2, sigma_min, nearest rotation, singular values, det
+    sign) from the SVD: flip the smallest singular direction when det < 0."""
+    U, s, Vt = np.linalg.svd(B)
+    sign = np.where(np.linalg.det(U) * np.linalg.det(Vt) < 0, -1.0, 1.0)
+    target = np.ones_like(s)
+    target[..., -1] = sign
+    return (np.sum((s - target) ** 2, axis=-1), s[..., -1],
+            (U * target[..., None, :]) @ Vt, s, sign)
+
+
+def _orthogonal(rng, m, n):
+    """m orthogonal n x n matrices, about half of them with det -1."""
+    U, _, Vt = np.linalg.svd(rng.normal(size=(m, n, n)))
+    return U @ Vt
+
+
+class TestRotationKernel:
+    """Closed-form (n = 2) and Newton polar (n = 3) kernel against the SVD on
+    seeded n x n corpora with both signs of det.
+
+    dist^2 agrees to 1e-14 relative to max(1, |B|^2).  R agrees to 1e-12
+    where the nearest rotation is well separated, sigma_{n-1} + sign(det B)
+    sigma_n >= 1e-3 max(1, sigma_1): relative to sigma_1, since the SVD's own
+    R carries an error of about eps sigma_1 over that gap.  sigma_min is
+    exact for n = 2 and wherever n = 3 takes the SVD; on certified n = 3 rows
+    it is the bound |det B| / |cof B|_F in [sigma_3 / sqrt(3), sigma_3], at
+    least SIGMA_GUARD, so the guard decides as it does on the SVD.
+    """
+
+    def _compare(self, B):
+        dist2, smin, R = rotation_factors(B, polar=True)
+        ref2, ref_smin, ref_R, s, sign = _svd_rotation(B)
+        n = B.shape[-1]
+        scale = np.maximum(1.0, np.sum(B * B, axis=(-2, -1)))
+        assert np.all(dist2 >= 0.0)
+        assert np.max(np.abs(dist2 - ref2) / scale) <= 1e-14
+        eye = np.broadcast_to(np.eye(n), R.shape)
+        assert np.max(np.abs(np.swapaxes(R, -1, -2) @ R - eye)) <= 1e-14
+        assert np.all(np.linalg.det(R) > 0.0)
+        well = s[..., -2] + sign * s[..., -1] >= 1e-3 * np.maximum(1.0, s[..., 0])
+        assert np.any(well)
+        assert np.max(np.abs(R - ref_R)[well]) <= 1e-12
+        assert np.array_equal(smin < SIGMA_GUARD, ref_smin < SIGMA_GUARD)
+        slack = 1e-13 * s[..., 0]
+        assert np.all(smin <= ref_smin + slack)
+        assert np.all(smin >= (ref_smin if n == 2 else ref_smin / np.sqrt(3.0)) - slack)
+        d2_only, smin_only, none = rotation_factors(B)
+        assert none is None
+        assert np.array_equal(d2_only, dist2) and np.array_equal(smin_only, smin)
+        assert np.array_equal(dist_rotations(B), np.sqrt(dist2))
+        return sign
+
+    @pytest.mark.parametrize("n", [2, 3])
+    def test_random_frames(self, n):
+        rng = np.random.default_rng(70 + n)
+        sign = self._compare(rng.normal(size=(4000, n, n)))
+        assert np.any(sign < 0) and np.any(sign > 0)
+
+    @pytest.mark.parametrize("n", [2, 3])
+    def test_near_rotation(self, n):
+        # near reflections (det -1) are not separated: only dist^2 is compared
+        rng = np.random.default_rng(80 + n)
+        O = _orthogonal(rng, 4000, n)
+        sign = self._compare(O + 1e-9 * rng.normal(size=O.shape))
+        assert np.any(sign < 0) and np.any(sign > 0)
+
+    @pytest.mark.parametrize("n", [2, 3])
+    def test_badly_scaled_columns(self, n):
+        rng = np.random.default_rng(90 + n)
+        scales = 10.0 ** rng.uniform(-3.0, 3.0, size=(4000, 1, n))
+        self._compare(rng.normal(size=(4000, n, n)) * scales)
+
+    @pytest.mark.parametrize("n", [2, 3])
+    def test_relax_like_frames(self, n):
+        # rotations scaled by up to 2.5 plus a kick, as in director descents
+        rng = np.random.default_rng(100 + n)
+        O = _orthogonal(rng, 4000, n)
+        O[..., 0] *= np.sign(np.linalg.det(O))[:, None]
+        B = O * rng.uniform(0.5, 2.5, size=(4000, 1, 1)) + 0.2 * rng.normal(size=O.shape)
+        self._compare(B)
+
+    @pytest.mark.parametrize("n", [2, 3])
+    def test_rank_guard_side(self, n):
+        rng = np.random.default_rng(110 + n)
+        m = 2000
+        sigma = rng.uniform(0.5, 2.0, size=(m, n))
+        side = np.where(np.arange(m) % 2 == 0, 1.001, 0.999)
+        sigma[:, -1] = SIGMA_GUARD * side
+        B = (_orthogonal(rng, m, n) * sigma[:, None, :]) @ _orthogonal(rng, m, n)
+        _, smin, _ = rotation_factors(B)
+        _, ref_smin, _, _, sign = _svd_rotation(B)
+        assert np.any(sign < 0) and np.any(sign > 0)
+        assert np.array_equal(smin < SIGMA_GUARD, side < 1.0)
+        assert np.array_equal(ref_smin < SIGMA_GUARD, side < 1.0)
+        self._compare(B)
+
+    def test_certified_frames_take_no_svd(self, monkeypatch):
+        rng = np.random.default_rng(120)
+        B = np.eye(3) + 0.1 * rng.normal(size=(500, 3, 3))
+        ref2, ref_smin, ref_R, _, _ = _svd_rotation(B)
+
+        def no_svd(*args, **kwargs):
+            raise AssertionError("certified frames must not reach the SVD")
+
+        monkeypatch.setattr(np.linalg, "svd", no_svd)
+        dist2, smin, R = rotation_factors(B, polar=True)
+        assert np.max(np.abs(dist2 - ref2)) <= 1e-14
+        assert np.max(np.abs(R - ref_R)) <= 1e-13
+        assert np.all(smin <= ref_smin * (1.0 + 1e-13))
+        assert np.all(smin >= ref_smin / np.sqrt(3.0) * (1.0 - 1e-13))
+
+    def test_singular_is_quiet(self):
+        B3 = np.stack([np.zeros((3, 3)), np.diag([1.0, 0.0, 0.0]),
+                       np.diag([2.0, 1.0, 0.0]), np.diag([1.0, 1.0, -1.0])])
+        B2 = np.stack([np.zeros((2, 2)), np.ones((2, 2)), np.diag([1.0, -1.0])])
+        for B in (B3, B2):
+            with np.errstate(all="raise"):
+                dist2, smin, R = rotation_factors(B, polar=True)
+            ref2, ref_smin, _, _, _ = _svd_rotation(B)
+            assert np.max(np.abs(dist2 - ref2)) <= 1e-14
+            assert np.array_equal(smin[:-1], [0.0] * (len(B) - 1))
+            assert np.all(np.isfinite(R))
+
+    def test_shape_and_rejects_other_shapes(self):
+        rng = np.random.default_rng(121)
+        B = rng.normal(size=(5, 4, 3, 3))
+        dist2, smin, R = rotation_factors(B, polar=True)
+        assert dist2.shape == smin.shape == (5, 4) and R.shape == B.shape
+        flat2, _, flatR = rotation_factors(B.reshape(-1, 3, 3), polar=True)
+        assert np.array_equal(dist2.ravel(), flat2)
+        assert np.array_equal(R.reshape(-1, 3, 3), flatR)
+        assert rotation_factors(np.eye(3))[0].shape == ()
+        for shape in ((4, 4), (3, 2), (1, 1)):
+            with pytest.raises(ValueError):
+                rotation_factors(np.ones(shape))
 
 
 def test_cross_by_components_is_bit_identical_to_numpy():

@@ -1,14 +1,16 @@
 """Unit normals, pullback metrics, covariant derivatives, shape operators."""
 
+import re
+
 import numpy as np
 import pytest
 
 from helpers import convergence_orders, random_rotation
 from imlab.errors import RankDeficient
 from imlab.fields import DiscreteImmersion, Grid, jacobian_array, lp_norm
-from imlab.geometry import MetricChart, chart
-from imlab.immersion import (covariant_normal_derivative, pullback_metric,
-                             shape_operator, unit_normal)
+from imlab.geometry import RANK_RTOL, MetricChart, chart, cross_columns
+from imlab.immersion import (_frame_and_rank_check, covariant_normal_derivative,
+                             pullback_metric, shape_operator, unit_normal)
 from imlab.presets import get_preset
 
 E3 = chart("euclidean", 3)
@@ -66,6 +68,30 @@ class TestUnitNormal:
         vals = np.stack([x[..., 0], 0.0 * x[..., 1], 0.0 * x[..., 0]], axis=-1)
         with pytest.raises(RankDeficient):
             unit_normal(DiscreteImmersion(grid, vals, E3))
+
+    def test_rank_check_matches_svd_decision(self):
+        # sigma_min / sigma_max = 1e-12 (1 +- 0.1): the closed-form check
+        # raises on the same frames as the SVD rule, at the same first node
+        rng = np.random.default_rng(17)
+        m = 400
+        U, _, Vt = np.linalg.svd(rng.normal(size=(m, 3, 2)), full_matrices=False)
+        smax = 10.0 ** rng.uniform(-2.0, 2.0, size=m)
+        ratio = RANK_RTOL * np.where(rng.uniform(size=m) < 0.5, 0.9, 1.1)
+        ratio[:3] = 1.1 * RANK_RTOL
+        B = (U * np.stack([smax, ratio * smax], axis=-1)[:, None, :]) @ Vt
+        s = np.linalg.svd(B, compute_uv=False)
+        ref_bad = s[:, -1] <= RANK_RTOL * s[:, 0]
+        assert np.array_equal(ref_bad, ratio < RANK_RTOL)
+        for frame, bad in zip(B, ref_bad):
+            if bad:
+                with pytest.raises(RankDeficient):
+                    _frame_and_rank_check(frame, cross_columns(frame))
+            else:
+                _frame_and_rank_check(frame, cross_columns(frame))
+        grid_B = B.reshape(20, 20, 3, 2)
+        first = tuple(int(i) for i in np.argwhere(ref_bad.reshape(20, 20))[0])
+        with pytest.raises(RankDeficient, match=re.escape(f"node {first}")):
+            _frame_and_rank_check(grid_B, cross_columns(grid_B))
 
     def test_curved_target_normal(self):
         # curve in the round-sphere chart: h-unit, h-orthogonal, oriented

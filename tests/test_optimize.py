@@ -97,7 +97,67 @@ def _svd_reference(f, g, S, p):
     return energy, jacobian_adjoint(Jbar, grid)
 
 
+def _director_svd_reference(xi, g, S, p):
+    """Energy and gradient of a director field by the SVD nearest rotation,
+    with the det < 0 flip taken from det U det V^T, and einsum contractions:
+    the minimizer's formulas before the rotation kernel, kept here as the
+    reference."""
+    grid, d = xi.grid, xi.grid.dim
+    H = xi.target.constant
+    Hs, _ = sqrt_and_inv_sqrt(H)
+    gv = g.eval(grid.nodes())
+    _, gsi = sqrt_and_inv_sqrt(gv)
+    ginv = gsi @ gsi
+    wdet = quadrature_weights(grid) * np.sqrt(np.linalg.det(gv))
+    Jx = jacobian_array(xi.foot, grid)
+    B = Hs @ np.concatenate([Jx @ gsi, xi.vec[..., None]], axis=-1)
+    U, s, Vt = np.linalg.svd(B)
+    target = np.ones_like(s)
+    target[..., -1] = np.sign(np.linalg.det(U) * np.linalg.det(Vt))
+    dist2 = np.sum((s - target) ** 2, axis=-1)
+    C = np.einsum("...ai,...ij->...aj", Jx, S.values) + jacobian_array(xi.vec, grid)
+    q2 = np.einsum("...ij,ab,...ai,...bj->...", ginv, H, C, C)
+    energy = np.sum(wdet * dist2 ** (p / 2.0)) + np.sum(wdet * q2 ** (p / 2.0))
+    Bbar = (wdet * p * dist2 ** ((p - 2.0) / 2.0))[..., None, None] * (
+        B - (U * target[..., None, :]) @ Vt)
+    T = np.einsum("ba,...bj->...aj", Hs, Bbar)
+    Cbar = (wdet * p * q2 ** ((p - 2.0) / 2.0))[..., None, None] * np.einsum(
+        "ab,...bj,...ji->...ai", H, C, ginv)
+    Jxbar = (np.einsum("...ai,...ji->...aj", T[..., :d], gsi)
+             + np.einsum("...ai,...ji->...aj", Cbar, S.values))
+    grad_foot = jacobian_adjoint(Jxbar, grid)
+    grad_vec = jacobian_adjoint(Cbar, grid) + T[..., d]
+    return energy, np.concatenate([grad_foot.ravel(), grad_vec.ravel()])
+
+
 class TestGradient:
+    def test_closed_forms_match_svd_reference_at_relax_start(self):
+        # d = 2: the relax start (unit normal director of the flat graph,
+        # doubled, foot kicked) and a random director; d = 1: a curve
+        # director in E^2.  The last two have frames with det < 0.
+        pre = get_preset("sphere-incompatible")
+        grid2 = pre.grid((17, 17))
+        base = normal_director(_plane(grid2))
+        foot = base.foot + 0.01 * random_smooth_field(grid2, 3, np.random.default_rng(7))
+        grid1 = Grid((17,), (1.0,))
+        rng = np.random.default_rng(8)
+        curve = random_curve_immersion(grid1, E2, rng)
+        cases = [(DirectorField(grid2, foot, 2.0 * base.vec, E3), pre.g,
+                  pre.shape_field(grid2)),
+                 (random_director(_grid(), E3, rng), E2,
+                  ShapeField(_grid(), 0.3 * _sym_field(_grid(), rng))),
+                 (DirectorField(grid1, curve.values, random_smooth_field(grid1, 2, rng), E2),
+                  chart("euclidean", 1),
+                  ShapeField(grid1, 0.4 * random_smooth_field(grid1, 1, rng)[..., None]))]
+        for xi, g, S in cases:
+            for p in (2.0, 3.0):
+                ref_energy, ref_grad = _director_svd_reference(xi, g, S, p)
+                ev = _Evaluator(xi, g, S, p)
+                x = pack_state(xi)
+                assert ev.energy(x)[0] == pytest.approx(ref_energy, rel=1e-13)
+                grad = ev.gradient(x)
+                assert np.max(np.abs(grad - ref_grad)) <= 1e-12 * np.max(np.abs(ref_grad))
+
     def test_closed_forms_match_svd_reference_at_probe_start(self):
         # the criterion-10 probe start: flat graph plus an in-plane smooth kick
         pre = get_preset("sphere-incompatible")
