@@ -7,7 +7,9 @@ A_i^a = d_i n^a + Gamma^a_bc(f) d_i f^b n^c + d_j f^a S^j_i.  The relaxed
 counterparts act on arbitrary director fields xi = (x, v): the square matrix
 h^{1/2} [df_x g^{-1/2} | v] is measured against the rotation group, and the
 connector K o Dxi replaces the normal derivative.  Conjugating by the metric
-square roots realizes all metric distances as Euclidean matrix distances.
+square roots realizes all metric distances as Euclidean matrix distances; the
+roots come from :func:`imlab.geometry.chart_factors`, closed form for 2x2
+metrics, and a constant metric is factored once per call as single matrices.
 """
 
 from __future__ import annotations
@@ -19,8 +21,8 @@ import numpy as np
 from .errors import BadExponent
 from .fields import (DirectorField, DiscreteImmersion, Grid, JacobianField,
                      ShapeField, integrate_density, jacobian_array)
-from .geometry import (MetricChart, christoffel, dist_rotations, dist_stiefel,
-                       sqrt_and_inv_sqrt)
+from .geometry import (MetricChart, chart_factors, christoffel, dist_rotations,
+                       dist_stiefel)
 from .immersion import covariant_normal_derivative, unit_normal
 
 
@@ -45,23 +47,24 @@ def _check_p(p):
 
 
 def parameter_factors(g: MetricChart, grid: Grid):
-    """(g^{-1}, g^{-1/2}) at the grid nodes."""
-    gv = g.eval(grid.nodes())
-    gs, gsi = sqrt_and_inv_sqrt(gv)
-    ginv = gsi @ gsi
-    return ginv, gsi
+    """(g^{-1}, g^{-1/2}) at the grid nodes, single matrices for a constant g."""
+    _, _, _, gsi = chart_factors(g, grid.nodes)
+    return gsi @ gsi, gsi
 
 
 def target_factors(target: MetricChart, points):
-    """(h, h^{1/2}, h^{-1/2}) at the given target points."""
-    H = target.eval(points)
-    Hs, Hsi = sqrt_and_inv_sqrt(H)
+    """(h, h^{1/2}, h^{-1/2}) at the given target points, single matrices for
+    a constant target."""
+    H, _, Hs, Hsi = chart_factors(target, points)
     return H, Hs, Hsi
 
 
-def hom_norm_sq(A, ginv, H) -> np.ndarray:
-    """Squared (g,h)-norm of a Hom(TM, TN) field: g^{ij} h_ab A^a_i A^b_j."""
-    return np.einsum("...ij,...ab,...ai,...bj->...", ginv, H, A, A)
+def hom_norm_sq(A, g: MetricChart, grid: Grid, target: MetricChart, points):
+    """Squared (g,h)-norm of a Hom(TM, TN) field, g^{ij} h_ab A^a_i A^b_j, with
+    g at the grid nodes and h at the target points."""
+    ginv, _ = parameter_factors(g, grid)
+    H = target.constant if target.is_constant else target.eval(points)
+    return np.sum((H @ A) * (A @ ginv), axis=(-2, -1))
 
 
 def stretching_energy(f: DiscreteImmersion, g: MetricChart, p: float):
@@ -85,9 +88,7 @@ def bending_energy(f: DiscreteImmersion, g: MetricChart, S: ShapeField, p: float
     W = covariant_normal_derivative(f, n).values
     J = jacobian_array(f.values, f.grid)
     A = W + J @ S.values
-    H = f.target.eval(f.values)
-    ginv, _ = parameter_factors(g, f.grid)
-    density = np.maximum(hom_norm_sq(A, ginv, H), 0.0) ** (p / 2.0)
+    density = np.maximum(hom_norm_sq(A, g, f.grid, f.target, f.values), 0.0) ** (p / 2.0)
     return integrate_density(density, f.grid, g), density
 
 
@@ -143,9 +144,7 @@ def relaxed_bending(xi: DirectorField, g: MetricChart, S: ShapeField, p: float):
     """Integral of |df_x S + K o Dxi|^p_{g,h} against dVol_g."""
     _check_p(p)
     C = _relaxed_bending_field(xi, S)
-    H = xi.target.eval(xi.foot)
-    ginv, _ = parameter_factors(g, xi.grid)
-    density = np.maximum(hom_norm_sq(C, ginv, H), 0.0) ** (p / 2.0)
+    density = np.maximum(hom_norm_sq(C, g, xi.grid, xi.target, xi.foot), 0.0) ** (p / 2.0)
     return integrate_density(density, xi.grid, g), density
 
 
@@ -162,9 +161,8 @@ def sasaki_norm_sq(xi: DirectorField, g: MetricChart) -> np.ndarray:
     """
     Jx = jacobian_array(xi.foot, xi.grid)
     K = connector_apply(xi).values
-    H = xi.target.eval(xi.foot)
-    ginv, _ = parameter_factors(g, xi.grid)
-    return hom_norm_sq(Jx, ginv, H) + hom_norm_sq(K, ginv, H)
+    return (hom_norm_sq(Jx, g, xi.grid, xi.target, xi.foot)
+            + hom_norm_sq(K, g, xi.grid, xi.target, xi.foot))
 
 
 def sasaki_bound_margin(xi: DirectorField, g: MetricChart, S: ShapeField) -> np.ndarray:
@@ -180,9 +178,7 @@ def sasaki_bound_margin(xi: DirectorField, g: MetricChart, S: ShapeField) -> np.
     lhs = np.sqrt(np.maximum(sasaki_norm_sq(xi, g), 0.0))
     dist = dist_rotations(director_frame(xi, g))
     C = _relaxed_bending_field(xi, S)
-    H = xi.target.eval(xi.foot)
-    ginv, _ = parameter_factors(g, xi.grid)
-    bend = np.sqrt(np.maximum(hom_norm_sq(C, ginv, H), 0.0))
+    bend = np.sqrt(np.maximum(hom_norm_sq(C, g, xi.grid, xi.target, xi.foot), 0.0))
     factor = 3.0 + 2.0 * M
     rhs = factor * (dist + bend)
     applicable = lhs >= factor * np.sqrt(d + 1.0)

@@ -1,4 +1,7 @@
-"""Exception types shared across the library."""
+"""Exception types shared across the library, and the type tests of config values."""
+
+import math
+import numbers
 
 
 class ImlabError(Exception):
@@ -51,3 +54,17 @@ class DegenerateCovariance(ImlabError):
 
 class BadConfig(ImlabError):
     """Invalid experiment or optimizer configuration."""
+
+
+def is_int(v) -> bool:
+    return isinstance(v, numbers.Integral) and not isinstance(v, bool)
+
+
+def is_finite(v) -> bool:
+    return isinstance(v, numbers.Real) and not isinstance(v, bool) and math.isfinite(v)
+
+
+def require(ok, message) -> None:
+    """Reject a config value: raise BadConfig(message) unless ok."""
+    if not ok:
+        raise BadConfig(message)

@@ -17,8 +17,8 @@ from typing import Optional, Sequence
 
 import numpy as np
 
-from .errors import BadExponent, GridMismatch, UnsupportedTarget
-from .geometry import MetricChart, spd_sqrt_det, sqrt_and_inv_sqrt
+from .errors import BadExponent, GridMismatch, SingularMetric, UnsupportedTarget
+from .geometry import MetricChart, chart_factors
 
 BINARY_MAGIC = b"IMLAB001"
 
@@ -174,12 +174,8 @@ class ShapeField:
     def sup_norm(self, g: Optional[MetricChart] = None) -> float:
         """Max over nodes of the operator norm (g-weighted when g is given)."""
         S = self.values
-        if g is not None and not g.is_constant:
-            gv = g.eval(self.grid.nodes())
-            gs, gsi = sqrt_and_inv_sqrt(gv)
-            S = gs @ S @ gsi
-        elif g is not None and g.is_constant:
-            gs, gsi = sqrt_and_inv_sqrt(g.constant)
+        if g is not None:
+            _, _, gs, gsi = chart_factors(g, self.grid.nodes)
             S = gs @ S @ gsi
         s = np.linalg.svd(S, compute_uv=False)
         return float(np.max(s[..., 0]))
@@ -313,7 +309,7 @@ def volume_density(grid: Grid, g: Optional[MetricChart]) -> np.ndarray:
         return np.ones(grid.counts)
     if g.dim != grid.dim:
         raise ValueError("volume metric dimension must match the grid")
-    return spd_sqrt_det(g.eval(grid.nodes()))
+    return np.broadcast_to(chart_factors(g, grid.nodes, SingularMetric)[1], grid.counts)
 
 
 def integrate_density(density, grid: Grid, g: Optional[MetricChart] = None) -> float:
@@ -385,7 +381,8 @@ def atomic_write(path, data) -> None:
         raise
 
 
-def _fmt(x: float) -> str:
+def fmt17(x) -> str:
+    """The number format of every text artifact: 17 significant digits."""
     return format(float(x), ".17g")
 
 
@@ -408,7 +405,7 @@ def save_node_csv(path, grid: Grid, values, names: Optional[Sequence[str]] = Non
                                indexing="ij"), axis=-1).reshape(grid.num_nodes, grid.dim)
     lines = [header]
     for ind, row in zip(idx, flat):
-        lines.append(",".join([str(int(k)) for k in ind] + [_fmt(v) for v in row]))
+        lines.append(",".join([str(int(k)) for k in ind] + [fmt17(v) for v in row]))
     atomic_write(path, "\n".join(lines) + "\n")
 
 

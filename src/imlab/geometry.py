@@ -3,11 +3,13 @@
 A :class:`MetricChart` evaluates a Riemannian metric (and optionally its first
 partial derivatives) on an axis-aligned coordinate box.  All evaluators are
 batched: a point argument of shape ``(..., n)`` yields matrices of shape
-``(..., n, n)``.  The module also provides the Frobenius distances to the
-rotation group (closed form for 2x2 frames, scaled Newton polar iteration
-with an SVD fallback for 3x3 ones) and to the set of orthonormal-column
-matrices (closed form for hypersurface frames), which are the building
-blocks of the stretching integrands.
+``(..., n, n)``.  The metric factors (sqrt det, square root, inverse
+square root) come from one kernel, closed form for 2x2 and 1x1 matrices,
+and a constant chart is factored once.  The module also provides the
+Frobenius distances to the rotation group (closed form for 2x2 frames,
+scaled Newton polar iteration with an SVD fallback for 3x3 ones) and to the
+set of orthonormal-column matrices (closed form for hypersurface frames),
+which are the building blocks of the stretching integrands.
 """
 
 from __future__ import annotations
@@ -239,38 +241,63 @@ def chart(name: str, dim: int | None = None) -> MetricChart:
 
 
 # ---------------------------------------------------------------------------
-# symmetric square roots and eigen-based checks
+# symmetric positive-definite factors
 
 
-def _spd_eigh(G, err=NotSPD):
+def spd_factors(G, err=NotSPD):
+    """(sqrt(det G), G^{1/2}, G^{-1/2}) of the symmetric part of (..., n, n)
+    matrices; raises ``err`` unless lambda_min > SPD_RTOL |lambda_max|, so
+    also on NaN or infinite entries.
+
+    n = 2 is in closed form (Higham, Functions of Matrices, SIAM 2008, Sec. 6):
+    with G = [[a, b], [b, c]], s = sqrt(ac - b^2) and t = sqrt(a + c + 2s),
+    G^{1/2} = (G + sI) / t and G^{-1/2} = (adj G + sI) / (st), both exactly
+    symmetric; the guard is lambda_max = (a + c + hypot(a - c, 2b)) / 2 > 0
+    and det G > SPD_RTOL lambda_max^2.  n = 1 is the scalar root, n > 2 eigh.
+    """
     G = np.asarray(G, dtype=float)
-    w, V = np.linalg.eigh(0.5 * (G + np.swapaxes(G, -1, -2)))
-    if np.any(w[..., 0] <= SPD_RTOL * np.abs(w[..., -1])):
+    n, ok = G.shape[-1], np.isfinite(G).all()
+    if ok and n > 2:
+        w, V = np.linalg.eigh(0.5 * (G + np.swapaxes(G, -1, -2)))
+        ok, det = np.all(w[..., 0] > SPD_RTOL * np.abs(w[..., -1])), np.prod(w, axis=-1)
+    elif ok and n == 2:
+        a, c, b = G[..., 0, 0], G[..., 1, 1], 0.5 * (G[..., 0, 1] + G[..., 1, 0])
+        det, lmax = a * c - b * b, 0.5 * (a + c + np.hypot(a - c, 2.0 * b))
+        ok = np.all((lmax > 0.0) & (det > SPD_RTOL * lmax * lmax))
+    elif ok:
+        det = G[..., 0, 0]
+        ok = np.all(det > SPD_RTOL * np.abs(det))
+    if not ok:
         raise err("matrix is not positive definite to working precision")
-    return w, V
-
-
-def metric_sqrt(G) -> np.ndarray:
-    """Symmetric positive-definite square root (eigendecomposition based)."""
-    w, V = _spd_eigh(G)
-    s = np.sqrt(w)
-    R = np.einsum("...ik,...k,...jk->...ij", V, s, V)
-    return 0.5 * (R + np.swapaxes(R, -1, -2))
+    s = np.sqrt(det)
+    if n > 2:
+        r, Vt = np.sqrt(w)[..., None, :], np.swapaxes(V, -1, -2)
+        R, Ri = (V * r) @ Vt, (V / r) @ Vt
+        return s, 0.5 * (R + np.swapaxes(R, -1, -2)), 0.5 * (Ri + np.swapaxes(Ri, -1, -2))
+    if n == 1:
+        return s, s[..., None, None], 1.0 / s[..., None, None]
+    u = 1.0 / np.sqrt(a + c + 2.0 * s)     # 1 / t, and v = 1 / (s t)
+    v = u / s
+    return (s, np.stack([(a + s) * u, b * u, b * u, (c + s) * u], -1).reshape(G.shape),
+            np.stack([(c + s) * v, -b * v, -b * v, (a + s) * v], -1).reshape(G.shape))
 
 
 def sqrt_and_inv_sqrt(G, err=NotSPD):
-    """(G^{1/2}, G^{-1/2}) in one eigendecomposition."""
-    w, V = _spd_eigh(G, err=err)
-    s = np.sqrt(w)
-    R = np.einsum("...ik,...k,...jk->...ij", V, s, V)
-    Ri = np.einsum("...ik,...k,...jk->...ij", V, 1.0 / s, V)
-    return 0.5 * (R + np.swapaxes(R, -1, -2)), 0.5 * (Ri + np.swapaxes(Ri, -1, -2))
+    """(G^{1/2}, G^{-1/2}) of SPD matrices (see :func:`spd_factors`)."""
+    return spd_factors(G, err)[1:]
 
 
 def spd_sqrt_det(G, err=SingularMetric) -> np.ndarray:
     """sqrt(det G) for SPD matrices (the Riemannian volume density)."""
-    w, _ = _spd_eigh(G, err=err)
-    return np.sqrt(np.prod(w, axis=-1))
+    return spd_factors(G, err)[0]
+
+
+def chart_factors(m: MetricChart, x, err=NotSPD):
+    """(m, sqrt(det m), m^{1/2}, m^{-1/2}) at points x (..., dim) or at those a
+    callable x returns (:func:`spd_factors`).  A constant chart is factored
+    once, x unused: its factors are single matrices, broadcast by numpy."""
+    G = m.constant if m.is_constant else m.eval(x() if callable(x) else x)
+    return (G,) + spd_factors(G, err)
 
 
 # ---------------------------------------------------------------------------
@@ -289,12 +316,11 @@ class ChristoffelValue:
 
 def christoffel_from_values(G, dG) -> np.ndarray:
     """Gamma^a_bc from metric values and partials dG[..., k, i, j] = d_k g_ij."""
-    w, V = _spd_eigh(G, err=SingularMetric)
-    Ginv = np.einsum("...ik,...k,...jk->...ij", V, 1.0 / w, V)
+    _, _, Gsi = spd_factors(G, SingularMetric)
     t1 = np.swapaxes(dG, -3, -2)        # [d,b,c] = dG[b,d,c]
     t2 = np.moveaxis(dG, -3, -1)        # [d,b,c] = dG[c,d,b]
-    term = t1 + t2 - dG
-    return 0.5 * np.einsum("...ad,...dbc->...abc", Ginv, term)
+    term = t1 + t2 - dG                 # contracted with G^{-1} as a matmul
+    return 0.5 * ((Gsi @ Gsi) @ term.reshape(term.shape[:-2] + (-1,))).reshape(term.shape)
 
 
 def christoffel(m: MetricChart, x) -> ChristoffelValue:

@@ -11,7 +11,6 @@ from __future__ import annotations
 
 import json
 import math
-import numbers
 import os
 from dataclasses import dataclass, field
 from typing import List, Optional
@@ -19,10 +18,10 @@ from typing import List, Optional
 import numpy as np
 
 from . import energy as en
-from .errors import AsymmetricShape, BadConfig
+from .errors import AsymmetricShape, BadConfig, is_finite, is_int, require
 from .fields import (DirectorField, DiscreteImmersion, Grid, ShapeField,
-                     atomic_write, jacobian_array, load_node_csv, save_binary,
-                     save_node_csv, w1p_distance)
+                     atomic_write, fmt17, jacobian_array, load_node_csv,
+                     save_binary, save_node_csv, w1p_distance)
 from .geometry import chart, christoffel, dist_rotations, dist_stiefel
 from .immersion import normal_director, pullback_metric, shape_operator, unit_normal
 from .optimize import (OptimizeConfig, energy_gradient, minimize, objective,
@@ -55,62 +54,61 @@ class ExperimentConfig:
     optimizer: OptimizeConfig = field(default_factory=OptimizeConfig)
 
     def __post_init__(self):
-        if self.experiment not in EXPERIMENTS:
-            raise BadConfig(f"unknown experiment {self.experiment!r}")
+        require(all(isinstance(getattr(self, k), str)
+                    for k in ("experiment", "preset", "out", "start")),
+                "experiment, preset, out and start must be strings")
+        require(self.experiment in EXPERIMENTS, f"unknown experiment {self.experiment!r}")
+        require(self.custom is None or isinstance(self.custom, dict),
+                "custom must be an object")
         if self.preset == "custom":
-            if not isinstance(self.custom, dict) or \
-                    not {"g", "s", "box"} <= set(self.custom):
-                raise BadConfig("preset 'custom' needs a custom dict with g, s, box")
-        elif self.preset not in PRESETS:
-            raise BadConfig(f"unknown preset {self.preset!r}")
-        grid = tuple(int(c) for c in np.atleast_1d(self.grid))
-        object.__setattr__(self, "grid", grid)
-        if any(c < 4 for c in grid):
-            raise BadConfig("grid needs at least 4 nodes per axis")
+            require({"g", "s", "box"} <= set(self.custom or {}),
+                    "preset 'custom' needs a custom object with g, s and box")
+        else:
+            require(self.preset in PRESETS, f"unknown preset {self.preset!r}")
+        grid = (self.grid,) if is_int(self.grid) else self.grid
+        require(_is_list(grid, is_int) and 1 <= len(grid) <= 2 and min(grid) >= 4,
+                "grid needs one or two integer node counts of at least 4")
+        object.__setattr__(self, "grid", tuple(int(c) for c in grid))
         for name in ("p", "start_amplitude", "director_scale"):
-            value = getattr(self, name)
-            if not isinstance(value, numbers.Real) or not math.isfinite(value):
-                raise BadConfig(f"{name} must be a finite number")
-        if self.p < 1:
-            raise BadConfig("p must be >= 1")
-        if not isinstance(self.num_random, numbers.Integral) or self.num_random < 1:
-            raise BadConfig("num_random must be an integer >= 1")
-        amps = tuple(float(a) for a in self.amplitudes)
-        if not all(math.isfinite(a) for a in amps):
-            raise BadConfig("amplitudes must be finite")
-        object.__setattr__(self, "amplitudes", amps)
+            require(is_finite(getattr(self, name)), f"{name} must be a finite number")
+        require(self.p >= 1, "p must be >= 1")
+        require(is_int(self.num_random) and self.num_random >= 1,
+                "num_random must be an integer >= 1")
+        require(is_int(self.seed) and self.seed >= 0, "seed must be an integer >= 0")
+        for name in ("amplitudes", "frequencies"):
+            require(_is_list(getattr(self, name), is_finite),
+                    f"{name} must be a list of finite numbers")
+            object.__setattr__(self, name, tuple(float(a) for a in getattr(self, name)))
+        amps = self.amplitudes
         if self.experiment in ("stability-sweep", "ratio-study"):
-            if any(a < 0 for a in amps) or any(
-                    a2 >= a1 for a1, a2 in zip(amps, amps[1:])):
-                raise BadConfig("amplitudes must be nonnegative and strictly decreasing")
-        freqs = tuple(float(q) for q in self.frequencies)
-        object.__setattr__(self, "frequencies", freqs)
-        if self.start not in ("immersion", "director"):
-            raise BadConfig("start must be 'immersion' or 'director'")
+            require(all(a >= 0 for a in amps) and all(
+                a2 < a1 for a1, a2 in zip(amps, amps[1:])),
+                "amplitudes must be nonnegative and strictly decreasing")
+        require(self.start in ("immersion", "director"),
+                "start must be 'immersion' or 'director'")
         if self.s_override is not None:
+            require(_is_list(self.s_override, lambda row: _is_list(row, is_finite)),
+                    "s_override must be a list of rows of finite numbers")
             object.__setattr__(self, "s_override",
-                               tuple(tuple(float(v) for v in row)
-                                     for row in self.s_override))
+                               tuple(tuple(map(float, row)) for row in self.s_override))
+
+
+def _is_list(v, item) -> bool:
+    return isinstance(v, (list, tuple)) and all(item(x) for x in v)
 
 
 def config_from_dict(d: dict) -> ExperimentConfig:
-    d = dict(d)
-    if d.pop("imlab_config", None) != CONFIG_VERSION:
-        raise BadConfig(f"config must declare \"imlab_config\": {CONFIG_VERSION}")
-    opt = d.pop("optimizer", None)
-    kwargs = {}
-    for key in ("experiment", "preset", "grid", "p", "frequencies", "amplitudes",
-                "seed", "out", "start", "start_amplitude", "director_scale",
-                "num_random", "s_override", "custom"):
-        if key in d:
-            kwargs[key] = d.pop(key)
-    if d:
-        raise BadConfig(f"unknown config keys: {sorted(d)}")
-    if opt is not None:
-        kwargs["optimizer"] = OptimizeConfig(**opt)
-    if "experiment" not in kwargs:
-        raise BadConfig("config must name an experiment")
-    return ExperimentConfig(**kwargs)
+    require(isinstance(d, dict) and d.get("imlab_config") == CONFIG_VERSION,
+            f"config must be an object declaring \"imlab_config\": {CONFIG_VERSION}")
+    kwargs = {k: v for k, v in d.items() if k != "imlab_config"}
+    opt = kwargs.pop("optimizer", None)
+    opt = {} if opt is None else opt
+    require(isinstance(opt, dict), "optimizer must be an object")
+    unknown = sorted(set(kwargs) - set(ExperimentConfig.__dataclass_fields__)) + [
+        f"optimizer.{k}" for k in sorted(set(opt) - set(OptimizeConfig.__dataclass_fields__))]
+    require(not unknown, f"unknown config keys: {unknown}")
+    require("experiment" in kwargs, "config must name an experiment")
+    return ExperimentConfig(**kwargs, optimizer=OptimizeConfig(**opt))
 
 
 def load_config(path) -> ExperimentConfig:
@@ -129,17 +127,9 @@ def write_json(path, obj) -> None:
                  + "\n")
 
 
-def _fmt(x) -> str:
-    return format(float(x), ".17g")
-
-
 def write_csv(path, header: List[str], rows: List[List]) -> None:
-    lines = [",".join(header)]
-    for row in rows:
-        cells = []
-        for c in row:
-            cells.append(c if isinstance(c, str) else _fmt(c))
-        lines.append(",".join(cells))
+    lines = [",".join(header)] + [",".join(c if isinstance(c, str) else fmt17(c)
+                                           for c in row) for row in rows]
     atomic_write(path, "\n".join(lines) + "\n")
 
 
@@ -278,10 +268,7 @@ def _sasaki_direct(xi: DirectorField, g) -> np.ndarray:
     Jx = jacobian_array(xi.foot, xi.grid)
     Jv = jacobian_array(xi.vec, xi.grid)
     H = xi.target.eval(xi.foot)
-    if xi.target.is_constant:
-        Gam = np.zeros(xi.foot.shape[:-1] + (xi.target.dim,) * 3)
-    else:
-        Gam = christoffel(xi.target, xi.foot).components
+    Gam = christoffel(xi.target, xi.foot).components
     ginv, _ = en.parameter_factors(g, xi.grid)
     horiz = Jx
     vert = Jv + np.einsum("...abc,...bi,...c->...ai", Gam, Jx, xi.vec)
@@ -295,9 +282,11 @@ def _sasaki_direct(xi: DirectorField, g) -> np.ndarray:
     return acc
 
 
-def _check_entry(name, violation, tol):
-    return {"check": name, "max_violation": float(violation),
-            "tolerance": float(tol), "pass": bool(violation <= tol)}
+def _check_entry(name, violation, tol, n_samples, **extra):
+    """Report entry of one check; a check that ran on no samples fails."""
+    return {"check": name, "max_violation": float(violation), "tolerance": float(tol),
+            "n_samples": int(n_samples),
+            "pass": bool(violation <= tol and n_samples > 0), **extra}
 
 
 def run_check(cfg: ExperimentConfig):
@@ -307,7 +296,6 @@ def run_check(cfg: ExperimentConfig):
     checks = []
     grid2 = Grid((cfg.grid[0], cfg.grid[-1]), (1.0, 1.0))
     grid1 = Grid((max(cfg.grid),), (1.0,))
-    e3 = chart("euclidean", 3)
 
     # relaxation identity and node-wise distance identity on random surfaces
     relax_viol = 0.0
@@ -328,8 +316,10 @@ def run_check(cfg: ExperimentConfig):
             fc = random_curve_immersion(grid1, tchart, rng)
             dist_viol = max(dist_viol,
                             _distance_identity_violation(fc, chart("euclidean", 1)))
-    checks.append(_check_entry("relaxation_identity", relax_viol, 1e-10))
-    checks.append(_check_entry("distance_identity", dist_viol, 1e-10))
+    checks.append(_check_entry("relaxation_identity", relax_viol, 1e-10,
+                               2 * cfg.num_random))
+    checks.append(_check_entry("distance_identity", dist_viol, 1e-10,
+                               3 * cfg.num_random))
 
     # Sasaki norm identity against the direct double-tangent assembly
     sas_viol = 0.0
@@ -342,13 +332,12 @@ def run_check(cfg: ExperimentConfig):
             b = _sasaki_direct(xi, gparam)
             sas_viol = max(sas_viol, float(np.max(np.abs(a - b))
                                            / (1.0 + float(np.max(np.abs(b))))))
-    checks.append(_check_entry("sasaki_identity", sas_viol, 1e-12))
+    checks.append(_check_entry("sasaki_identity", sas_viol, 1e-12, 3 * cfg.num_random))
 
     # pointwise derivative bound margin on amplified directors
     margin_min, applicable = _margin_sweep(cfg, rng, samples_needed=2000)
-    checks.append({"check": "sasaki_bound_margin", "max_violation": float(max(0.0, -margin_min)),
-                   "tolerance": 0.0, "pass": bool(margin_min >= 0.0),
-                   "applicable_samples": int(applicable)})
+    checks.append(_check_entry("sasaki_bound_margin", max(0.0, -margin_min), 0.0,
+                               applicable, applicable_samples=int(applicable)))
 
     # Gauss-Codazzi on the presets (including the shape-symmetry gate)
     for name in ("flat", "cylinder", "sphere-cap"):
@@ -363,10 +352,10 @@ def run_check(cfg: ExperimentConfig):
             rep = gauss_codazzi_residual(preset.g, S, pgrid)
             entry = _check_entry(f"gauss_codazzi:{name}",
                                  max(rep.max_gauss, rep.max_codazzi),
-                                 float(np.max(rep.tolerance)))
-            entry["pass"] = bool(rep.passed)
+                                 float(np.max(rep.tolerance)), rep.gauss_residual.size)
+            entry["pass"] = bool(rep.passed and entry["pass"])
         except AsymmetricShape as exc:
-            entry = {"check": f"gauss_codazzi:{name}", "pass": False,
+            entry = {"check": f"gauss_codazzi:{name}", "pass": False, "n_samples": 0,
                      "status": f"AsymmetricShape: {exc}"}
         checks.append(entry)
 
@@ -374,16 +363,16 @@ def run_check(cfg: ExperimentConfig):
     preset = get_preset("sphere-incompatible")
     pgrid = preset.grid(cfg.grid)
     rep = gauss_codazzi_residual(preset.g, preset.shape_field(pgrid), pgrid)
-    checks.append({"check": "gauss_codazzi:sphere-incompatible-rejected",
-                   "max_violation": 0.0 if not rep.passed else 1.0,
-                   "tolerance": 0.0, "pass": bool(not rep.passed)})
+    checks.append(_check_entry("gauss_codazzi:sphere-incompatible-rejected",
+                               float(rep.passed), 0.0, rep.gauss_residual.size))
 
     # analytic gradient versus central finite differences
     if cfg.p < 2:
-        checks.append({"check": "gradient_fd", "status": "skipped: p<2", "pass": True})
+        checks.append({"check": "gradient_fd", "status": "skipped: p<2", "pass": True,
+                       "n_samples": 0})
     else:
-        gv = _gradient_fd_violation(rng, p=float(cfg.p), coords=8)
-        checks.append(_check_entry("gradient_fd", gv, 1e-5))
+        gv, n = _gradient_fd_violation(rng, p=float(cfg.p), coords=8)
+        checks.append(_check_entry("gradient_fd", gv, 1e-5, n))
 
     # zero-energy presets
     ze_viol = 0.0
@@ -394,7 +383,7 @@ def run_check(cfg: ExperimentConfig):
         rep = en.total_energy(f0, preset.g, preset.shape_field(pgrid), 2.0)
         h = max(pgrid.spacing)
         ze_viol = max(ze_viol, rep.total / (10.0 * h * h))
-    checks.append(_check_entry("zero_energy_presets", ze_viol, 1.0))
+    checks.append(_check_entry("zero_energy_presets", ze_viol, 1.0, 2))
 
     # SVD projection consistency
     proj_viol = 0.0
@@ -403,7 +392,7 @@ def run_check(cfg: ExperimentConfig):
         Q = rng.normal(size=(3, 2))
         proj_viol = max(proj_viol,
                         abs(np.linalg.norm(Q - project_stiefel(Q)) - dist_stiefel(Q)))
-    checks.append(_check_entry("stiefel_projection", proj_viol, 1e-12))
+    checks.append(_check_entry("stiefel_projection", proj_viol, 1e-12, cfg.num_random))
 
     passed = all(c.get("pass", False) for c in checks)
     report = {"imlab_config": CONFIG_VERSION, "experiment": "check",
@@ -459,8 +448,9 @@ def _margin_sweep(cfg, rng, samples_needed: int):
     return margin_min, total_applicable
 
 
-def _gradient_fd_violation(rng, p: float, coords: int, seeds: int = 3) -> float:
-    """Max relative mismatch between analytic and central-FD gradients."""
+def _gradient_fd_violation(rng, p: float, coords: int, seeds: int = 3):
+    """Max relative mismatch between analytic and finite-difference gradients,
+    and the number of coordinates compared."""
     worst = 0.0
     flat = get_preset("flat")
     grid = Grid((9, 9), (1.0, 1.0))
@@ -471,27 +461,47 @@ def _gradient_fd_violation(rng, p: float, coords: int, seeds: int = 3) -> float:
         xi = random_director(grid, chart("euclidean", 3), rng,
                              vec_scale=1.0)
         worst = max(worst, _fd_vs_analytic(xi, flat.g, S, p, rng, coords))
-    return worst
+    return worst, 2 * seeds * coords   # every state has 243 coordinates or more
 
 
 def _fd_vs_analytic(state, g, S, p, rng, coords: int) -> float:
+    """Max relative mismatch between the analytic gradient and Ridders'
+    differences of ``objective`` at ``coords`` coordinates drawn from rng."""
     x = pack_state(state)
     grad = energy_gradient(state, g, S, p)
     grad = grad.ravel() if isinstance(grad, np.ndarray) else np.concatenate(
         [grad[0].ravel(), grad[1].ravel()])
-    gmax = float(np.max(np.abs(grad)))
+    floor = max(1e-6 * float(np.max(np.abs(grad))), 1e-12)
     worst = 0.0
     idx = rng.choice(x.size, size=min(coords, x.size), replace=False)
     for i in idx:
-        h = 1e-6 * max(1.0, abs(x[i]))
-        xp = x.copy(); xp[i] += h
-        xm = x.copy(); xm[i] -= h
-        fp = objective(unpack_like(xp, state), g, S, p)[0]
-        fm = objective(unpack_like(xm, state), g, S, p)[0]
-        fd = (fp - fm) / (2.0 * h)
-        denom = max(abs(fd), abs(grad[i]), 1e-6 * gmax, 1e-12)
-        worst = max(worst, abs(grad[i] - fd) / denom)
+        e = np.zeros_like(x)
+        e[i] = 1.0
+        # an error estimate of 1 % of the 1e-5 tolerance is accurate enough
+        fd = _ridders(lambda t: objective(unpack_like(x + t * e, state), g, S, p)[0],
+                      1e-4 * max(1.0, abs(x[i])), 1e-7 * max(abs(grad[i]), floor))
+        worst = max(worst, abs(grad[i] - fd) / max(abs(fd), abs(grad[i]), floor))
     return worst
+
+
+def _ridders(fn, h, target, shrink=1.4, columns=10):
+    """d fn / dt at t = 0 by Ridders' extrapolation of central differences
+    with steps h, h / shrink, ... (Numerical Recipes, 3rd ed., Sec. 5.7,
+    dfridr).  Stops as soon as the error estimate stops improving, reaches
+    ``target``, or the highest order moves by more than twice it."""
+    prev, best, err = [], 0.0, np.inf
+    for _ in range(columns):
+        row, last = [(fn(h) - fn(-h)) / (2.0 * h)], err
+        for j, q in enumerate(prev):
+            fac = shrink ** (2 * j + 2)
+            row.append((fac * row[j] - q) / (fac - 1.0))
+            e = max(abs(row[-1] - row[-2]), abs(row[-1] - q))
+            if e <= err:
+                best, err = row[-1], e
+        if prev and (err >= last or err <= target or abs(row[-1] - prev[-1]) >= 2 * err):
+            break
+        prev, h = row, h / shrink
+    return best
 
 
 # ---------------------------------------------------------------------------
@@ -686,7 +696,7 @@ def run_stability_sweep(cfg: ExperimentConfig):
     rows = []
     for r in records:
         rows.append([r.eps, r.energy, r.w1p_map, r.w1p_normal,
-                     "" if r.ratio is None else _fmt(r.ratio),
+                     "" if r.ratio is None else fmt17(r.ratio),
                      "1" if r.flagged else "0"])
     write_csv(os.path.join(cfg.out, "sweep.csv"),
               ["eps", "energy", "w1p_map", "w1p_normal", "ratio", "flagged"], rows)

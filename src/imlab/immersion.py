@@ -15,7 +15,7 @@ import numpy as np
 from .errors import RankDeficient
 from .fields import (DirectorField, DiscreteImmersion, JacobianField,
                      NormalField, ShapeField, jacobian_array)
-from .geometry import (RANK_RTOL, christoffel, cross_columns, sqrt_and_inv_sqrt,
+from .geometry import (RANK_RTOL, chart_factors, christoffel, cross_columns,
                        stiefel_factors)
 
 
@@ -37,13 +37,11 @@ def _frame_and_rank_check(B, c):
 def unit_normal(f: DiscreteImmersion) -> NormalField:
     """Oriented h-unit normal field of a full-rank discrete immersion."""
     J = jacobian_array(f.values, f.grid)
-    H = f.target.eval(f.values)
-    Hs, Hsi = sqrt_and_inv_sqrt(H)
+    _, _, Hs, Hsi = chart_factors(f.target, f.values)
     B = Hs @ J
     c = cross_columns(B)
     c = c / _frame_and_rank_check(B, c)[..., None]
-    n = np.einsum("...ab,...b->...a", Hsi, c)
-    return NormalField(f.grid, n)
+    return NormalField(f.grid, (Hsi @ c[..., None])[..., 0])
 
 
 def pullback_metric(f: DiscreteImmersion) -> np.ndarray:

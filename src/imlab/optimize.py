@@ -32,11 +32,12 @@ from typing import List, Optional, Union
 import numpy as np
 
 from .energy import relaxed_total, total_energy
-from .errors import BadConfig, RankDeficient, UnsupportedExponent, UnsupportedTarget
-from .fields import (DirectorField, DiscreteImmersion, atomic_write,
+from .errors import (BadConfig, RankDeficient, UnsupportedExponent, UnsupportedTarget,
+                     is_finite, is_int, require)
+from .fields import (DirectorField, DiscreteImmersion, atomic_write, fmt17,
                      jacobian_adjoint, jacobian_array, quadrature_weights)
-from .geometry import (SIGMA_GUARD, MetricChart, cross3, cross_columns,
-                       rotation_factors, sqrt_and_inv_sqrt, stiefel_factors)
+from .geometry import (SIGMA_GUARD, MetricChart, chart_factors, cross3,
+                       cross_columns, rotation_factors, stiefel_factors)
 
 State = Union[DiscreteImmersion, DirectorField]
 
@@ -50,12 +51,12 @@ class OptimizeConfig:
     seed: int = 0
 
     def __post_init__(self):
-        if self.max_iters < 1:
-            raise BadConfig("max_iters must be >= 1")
-        if self.grad_tol <= 0 or self.step_tol <= 0:
-            raise BadConfig("tolerances must be positive")
-        if self.memory < 1:
-            raise BadConfig("memory must be >= 1")
+        require(all(map(is_int, (self.max_iters, self.memory, self.seed))),
+                "max_iters, memory and seed must be integers")
+        require(self.max_iters >= 1 and self.memory >= 1,
+                "max_iters and memory must be >= 1")
+        require(all(is_finite(t) and t > 0 for t in (self.grad_tol, self.step_tol)),
+                "tolerances must be positive finite numbers")
 
 
 @dataclass
@@ -81,8 +82,7 @@ class OptimizeTrace:
         lines = ["iter,energy,stretch,bend,grad_norm,step"]
         for r in self.records:
             lines.append(",".join([str(r["iter"])] + [
-                format(float(r[k]), ".17g")
-                for k in ("energy", "stretch", "bend", "grad_norm", "step")]))
+                fmt17(r[k]) for k in ("energy", "stretch", "bend", "grad_norm", "step")]))
         atomic_write(path, "\n".join(lines) + "\n")
 
 
@@ -154,12 +154,10 @@ class _Evaluator:
         self.H = target.constant
         # both square roots come out exactly symmetric, so they are their
         # own transposes in the adjoints below
-        self.Hs, self.Hsi = sqrt_and_inv_sqrt(self.H)
-        gv = g.eval(self.grid.nodes())
-        _, self.gsi = sqrt_and_inv_sqrt(gv)
+        _, _, self.Hs, self.Hsi = chart_factors(target, None)
+        _, sdet, _, self.gsi = chart_factors(g, self.grid.nodes)
         self.ginv = self.gsi @ self.gsi
-        w = np.linalg.eigvalsh(gv)
-        self.wdet = quadrature_weights(self.grid) * np.sqrt(np.prod(w, axis=-1))
+        self.wdet = quadrature_weights(self.grid) * sdet
         self.is_immersion = isinstance(template, DiscreteImmersion)
 
     # -- shared integrand pieces ----------------------------------------------

@@ -27,7 +27,7 @@ from .errors import (AsymmetricShape, DegenerateCovariance, GridMismatch,
                      IncompatibleForms, NonSPDAnchor)
 from .fields import (CompatibilityReport, DiscreteImmersion, Grid, ShapeField,
                      atomic_write, axis_derivative, axis_second_derivative,
-                     quadrature_weights)
+                     fmt17, quadrature_weights)
 from .geometry import (MetricChart, chart, christoffel, christoffel_from_values,
                        riemann_from_values)
 
@@ -379,7 +379,7 @@ def save_obj(path, f: DiscreteImmersion) -> None:
     verts = f.values.reshape(-1, 3)
     lines = []
     for v in verts:
-        lines.append("v " + " ".join(format(c, ".17g") for c in v))
+        lines.append("v " + " ".join(fmt17(c) for c in v))
 
     def vid(i, j):
         return i * n2 + j + 1

@@ -7,9 +7,10 @@ import sympy as sp
 from helpers import (lambdify_tensor, random_rotation, symbolic_christoffel,
                      symbolic_riemann_lowered)
 from imlab.errors import NotSPD, RankDeficient, SingularMetric
-from imlab.geometry import (MetricChart, chart, christoffel, cross3, cross_columns,
-                            dist_rotations, dist_stiefel, metric_sqrt,
+from imlab.geometry import (SPD_RTOL, MetricChart, chart, chart_factors, christoffel,
+                            cross3, cross_columns, dist_rotations, dist_stiefel,
                             project_stiefel, riemann_curvature, rotation_factors,
+                            spd_factors, spd_sqrt_det, sqrt_and_inv_sqrt,
                             stiefel_factors)
 from imlab.optimize import SIGMA_GUARD
 
@@ -114,8 +115,8 @@ class TestRiemannCurvature:
 
 class TestMetricSqrt:
     def test_identity_and_diagonal(self):
-        assert np.allclose(metric_sqrt(np.eye(3)), np.eye(3), atol=0)
-        assert np.allclose(metric_sqrt(np.diag([4.0, 9.0])), np.diag([2.0, 3.0]),
+        assert np.allclose(sqrt_and_inv_sqrt(np.eye(3))[0], np.eye(3), atol=0)
+        assert np.allclose(sqrt_and_inv_sqrt(np.diag([4.0, 9.0]))[0], np.diag([2.0, 3.0]),
                            atol=1e-14)
 
     def test_multiply_back_random_spd(self):
@@ -123,15 +124,128 @@ class TestMetricSqrt:
         for _ in range(20):
             A = rng.normal(size=(3, 3))
             G = A @ A.T + 0.5 * np.eye(3)
-            r = metric_sqrt(G)
+            r = sqrt_and_inv_sqrt(G)[0]
             assert np.allclose(r @ r, G, rtol=1e-12, atol=1e-13)
             assert np.allclose(r, r.T, atol=0)
 
     def test_not_spd_raises(self):
         with pytest.raises(NotSPD):
-            metric_sqrt(np.diag([1.0, -2.0]))
+            sqrt_and_inv_sqrt(np.diag([1.0, -2.0]))[0]
         with pytest.raises(NotSPD):
-            metric_sqrt(np.diag([1.0, 0.0]))
+            sqrt_and_inv_sqrt(np.diag([1.0, 0.0]))[0]
+
+
+def _eigh_factors(G):
+    """The eigendecomposition reference the SPD kernel replaced: its guard
+    decision per matrix, sqrt(det), the two roots, and cond(G)."""
+    w, V = np.linalg.eigh(0.5 * (G + np.swapaxes(G, -1, -2)))
+    bad = ~(w[..., 0] > SPD_RTOL * np.abs(w[..., -1]))
+    r = np.sqrt(np.abs(w))[..., None, :]
+    Vt = np.swapaxes(V, -1, -2)
+    return (bad, np.sqrt(np.abs(np.prod(w, axis=-1))), (V * r) @ Vt, (V / r) @ Vt,
+            np.abs(w[..., -1] / w[..., 0]))
+
+
+def _spd_with_spectrum(rng, lmax, lmin):
+    """Q diag(lmax, lmin) Q^T for random rotations Q, one matrix per entry."""
+    th = rng.uniform(0.0, np.pi, size=np.shape(lmax))
+    c, s = np.cos(th), np.sin(th)
+    a = lmax * c * c + lmin * s * s
+    d = lmax * s * s + lmin * c * c
+    b = (lmax - lmin) * c * s
+    return np.stack([a, b, b, d], axis=-1).reshape(np.shape(lmax) + (2, 2))
+
+
+def _spd_corpora():
+    rng = np.random.default_rng(611)
+    A = rng.normal(size=(400, 2, 2))
+    random = A @ np.swapaxes(A, -1, -2) + 1e-3 * np.eye(2)
+    scale = 10.0 ** rng.uniform(-3.0, 3.0, size=600)
+    cond = 10.0 ** rng.uniform(0.0, 10.0, size=600)
+    conditioned = _spd_with_spectrum(rng, scale, scale / cond)
+    diagonal = np.stack([np.diag([s, s / c]) for s, c in zip(scale[:50], cond[:50])])
+    return {"random": random, "conditioned": conditioned, "diagonal": diagonal}
+
+
+class TestSpdKernel:
+    """spd_factors against the eigh formulas it replaced."""
+
+    @pytest.mark.parametrize("name", ["random", "conditioned", "diagonal"])
+    def test_matches_eigh_reference(self, name):
+        G = _spd_corpora()[name]
+        bad, sdet, R_ref, Ri_ref, cond = _eigh_factors(G)
+        assert not bad.any()
+        s, R, Ri = spd_factors(G)
+        tol = 1e-14 * cond
+
+        def rel(x, ref):
+            return np.linalg.norm(x - ref, axis=(-2, -1)) / np.linalg.norm(ref, axis=(-2, -1))
+
+        assert np.all(np.abs(s - sdet) <= tol * sdet)
+        assert np.all(rel(R, R_ref) <= tol)
+        assert np.all(rel(Ri, Ri_ref) <= tol)
+        assert np.array_equal(R, np.swapaxes(R, -1, -2))
+        assert np.array_equal(Ri, np.swapaxes(Ri, -1, -2))
+        assert np.array_equal(spd_sqrt_det(G), s)
+        assert all(np.array_equal(a, b) for a, b in zip(sqrt_and_inv_sqrt(G), (R, Ri)))
+
+    def test_raises_on_the_rows_the_eigh_rule_rejects(self):
+        rng = np.random.default_rng(612)
+        scale = 10.0 ** rng.uniform(-3.0, 3.0, size=800)
+        ratio = SPD_RTOL * np.concatenate([
+            np.repeat([0.99, 1.01], 200), 10.0 ** rng.uniform(-3.0, 3.0, size=400)])
+        G = _spd_with_spectrum(rng, scale, scale * ratio)
+        A = rng.normal(size=(200, 2, 2))
+        G = np.concatenate([G, A + np.swapaxes(A, -1, -2), -G[:50]])
+        bad, _, _, _, _ = _eigh_factors(G)
+        w = np.linalg.eigvalsh(G)
+        outside = np.abs(w[:, 0] / w[:, 1] / SPD_RTOL - 1.0) > 0.01
+        assert outside.sum() > 800 and bad[outside].sum() > 300
+        assert (~bad[outside]).sum() > 300
+        for Gk, bk, ok in zip(G, bad, outside):
+            if not ok:
+                continue
+            if bk:
+                with pytest.raises(NotSPD):
+                    spd_factors(Gk)
+            else:
+                spd_factors(Gk)
+        with pytest.raises(SingularMetric):
+            spd_sqrt_det(G)
+
+    @pytest.mark.parametrize("n", [1, 2, 3])
+    @pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf])
+    def test_non_finite_entries_raise(self, n, value):
+        for k in range(n * n):
+            G = np.tile(np.eye(n), (3, 1, 1))
+            G[1].flat[k] = value
+            with pytest.raises(NotSPD):
+                spd_factors(G)
+            with pytest.raises(SingularMetric):
+                spd_sqrt_det(G)
+
+    def test_scalar_and_three_by_three(self):
+        s, R, Ri = spd_factors(np.array([[[4.0]], [[0.25]]]))
+        assert np.array_equal(s, [2.0, 0.5])
+        assert np.array_equal(R[:, 0, 0], [2.0, 0.5]) and np.array_equal(Ri[:, 0, 0], [0.5, 2.0])
+        rng = np.random.default_rng(613)
+        A = rng.normal(size=(30, 3, 3))
+        G = A @ np.swapaxes(A, -1, -2) + 0.1 * np.eye(3)
+        _, sdet, R_ref, Ri_ref, _ = _eigh_factors(G)
+        s, R, Ri = spd_factors(G)
+        assert np.allclose(s, sdet, rtol=1e-13) and np.allclose(R, R_ref, rtol=1e-12)
+        assert np.allclose(Ri, Ri_ref, rtol=1e-12, atol=1e-12)
+        assert np.array_equal(R, np.swapaxes(R, -1, -2))
+
+    def test_constant_chart_is_factored_once_without_nodes(self, monkeypatch):
+        m = MetricChart(dim=2, domain=[[0.0, 1.0]] * 2, constant=[[2.0, 0.3], [0.3, 1.0]])
+        nodes = np.random.default_rng(614).uniform(size=(5, 4, 2))
+        per_node = spd_factors(m.eval(nodes))
+        monkeypatch.setattr(MetricChart, "eval", lambda *a: pytest.fail("eval called"))
+        G, *factors = chart_factors(m, lambda: pytest.fail("points built"))
+        assert np.array_equal(G, m.constant)
+        for f, ref in zip(factors, per_node):
+            assert np.array_equal(np.broadcast_to(f, ref.shape), ref)
 
 
 class TestRotationDistance:

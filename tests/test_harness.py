@@ -1,5 +1,6 @@
 """Experiment drivers, configuration validation, CLI, reproducibility."""
 
+import copy
 import dataclasses
 import filecmp
 import json
@@ -7,17 +8,19 @@ import os
 
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, assume, given, settings
+from hypothesis import strategies as st
 
 from imlab.cli import main as cli_main
 from imlab.energy import total_energy
 from imlab.errors import BadConfig
-from imlab.fields import DiscreteImmersion, Grid, load_binary, save_node_csv
+from imlab.fields import DiscreteImmersion, Grid, fmt17, load_binary, save_node_csv
 from imlab.geometry import chart
 from imlab import harness
 from imlab.harness import (ExperimentConfig, config_from_dict, load_config,
                            run_check, run_minimize, run_experiment,
                            run_stability_sweep, wrinkle_profile, write_json)
-from imlab.presets import get_preset
+from imlab.presets import PRESETS, get_preset
 
 
 class TestConfig:
@@ -279,3 +282,228 @@ def test_wrinkle_profile_mixes_frequencies():
     assert w.shape == grid.counts
     assert np.max(np.abs(w)) > 0.1
     assert np.allclose(w[0, :], 0.0, atol=1e-12)  # sine modes vanish at the edge
+
+
+# ---------------------------------------------------------------------------
+# the gradient check's estimator, sample counts, the number format, and
+# property tests of config parsing
+
+
+def _gradient_entry(report):
+    return [c for c in report["checks"] if c["check"] == "gradient_fd"][0]
+
+
+class TestGradientCheck:
+    @pytest.mark.parametrize("seed", [76, 350])
+    def test_seeds_with_small_gradient_entries_pass(self, tmp_path, seed):
+        # central differences at a fixed step 1e-6 read 4.8e-5 and 1.4e-4 here
+        cfg = ExperimentConfig(experiment="check", grid=(33, 33), seed=seed,
+                               out=str(tmp_path))
+        report, passed = run_check(cfg)
+        entry = _gradient_entry(report)
+        assert passed and entry["pass"], entry
+        assert entry["tolerance"] == 1e-5 and entry["max_violation"] < 1e-6
+        assert entry["n_samples"] == 48
+
+    @pytest.mark.parametrize("kind", ["immersion", "director"])
+    def test_gradient_corrupted_at_one_coordinate_fails(self, monkeypatch, kind):
+        grid = Grid((9, 9), (1.0, 1.0))
+        rng = np.random.default_rng(41)
+        if kind == "immersion":
+            state = harness.random_surface_immersion(grid, rng, amplitude=0.08)
+        else:
+            state = harness.random_director(grid, chart("euclidean", 3), rng)
+        S = harness.ShapeField(grid, 0.4 * harness._sym_field(grid, rng))
+        g = get_preset("flat").g
+        true_gradient = harness.energy_gradient
+
+        def packed(grad):
+            parts = grad if isinstance(grad, tuple) else (grad,)
+            return np.concatenate([a.ravel() for a in parts])
+
+        # the sampled coordinate with the largest gradient entry
+        idx = copy.deepcopy(rng).choice(harness.pack_state(state).size, size=8,
+                                        replace=False)
+        i = idx[np.argmax(np.abs(packed(true_gradient(state, g, S, 2.0))[idx]))]
+
+        def corrupted(*args):
+            grad = true_gradient(*args)
+            flat = packed(grad)
+            flat[i] *= 1.0 + 1e-4
+            if not isinstance(grad, tuple):
+                return flat.reshape(grad.shape)
+            return flat[:grad[0].size].reshape(grad[0].shape), \
+                flat[grad[0].size:].reshape(grad[1].shape)
+
+        clean = harness._fd_vs_analytic(state, g, S, 2.0, copy.deepcopy(rng), 8)
+        monkeypatch.setattr(harness, "energy_gradient", corrupted)
+        bad = harness._fd_vs_analytic(state, g, S, 2.0, rng, 8)
+        assert clean < 1e-7 and 5e-5 < bad < 2e-4
+
+    def test_ridders_extrapolates_past_round_off(self):
+        # f(t) = exp(3 t) / 3 + 1e3 has f'(0) = 1; round-off in f is about
+        # 1e-13, which a central difference with step 1e-6 divides by 1e-6
+        calls = []
+
+        def fn(t):
+            calls.append(t)
+            return np.exp(3.0 * t) / 3.0 + 1e3
+
+        central = (fn(1e-6) - fn(-1e-6)) / 2e-6
+        calls.clear()
+        assert abs(harness._ridders(fn, 1e-2, 1e-13) - 1.0) < 1e-9 < abs(central - 1.0)
+        assert len(calls) <= 2 * 10
+
+
+class TestCheckSamples:
+    def test_every_entry_counts_its_samples(self, tmp_path):
+        cfg = ExperimentConfig(experiment="check", grid=(9, 9), seed=5, num_random=2,
+                               out=str(tmp_path))
+        report, passed = run_check(cfg)
+        assert passed
+        saved = json.loads((tmp_path / "check_report.json").read_text())
+        for entry in saved["checks"]:
+            assert isinstance(entry["n_samples"], int) and entry["n_samples"] >= 1, entry
+        margin = [c for c in saved["checks"] if c["check"] == "sasaki_bound_margin"][0]
+        assert margin["applicable_samples"] == margin["n_samples"] >= 2000
+
+    def test_check_on_zero_samples_fails(self, tmp_path, monkeypatch):
+        monkeypatch.setattr(harness, "_margin_sweep",
+                            lambda cfg, rng, samples_needed: (np.inf, 0))
+        cfg = ExperimentConfig(experiment="check", grid=(9, 9), seed=5, num_random=2,
+                               out=str(tmp_path))
+        report, passed = run_check(cfg)
+        margin = [c for c in report["checks"] if c["check"] == "sasaki_bound_margin"][0]
+        assert not passed and not margin["pass"]
+        assert margin["n_samples"] == 0 and margin["max_violation"] == 0.0
+
+    def test_skipped_gradient_check_reports_no_samples(self, tmp_path):
+        cfg = ExperimentConfig(experiment="check", grid=(9, 9), seed=3, num_random=2,
+                               p=1.5, out=str(tmp_path))
+        report, _ = run_check(cfg)
+        entry = _gradient_entry(report)
+        assert entry["n_samples"] == 0 and entry["status"] == "skipped: p<2"
+
+
+def test_number_format_is_the_17_digit_repr_of_every_writer(tmp_path):
+    values = np.array([0.0, -0.0, 1.0, -2.5, 1e-300, 5e-324, 1.7976931348623157e308,
+                       np.pi, 1.0 / 3.0, 123456789012345678.0, 0.1 + 0.2])
+    assert [fmt17(v) for v in values] == [format(float(v), ".17g") for v in values]
+    assert fmt17(np.float32(0.1)) == format(float(np.float32(0.1)), ".17g")
+    grid = Grid((4,), (1.0,))
+    data = np.stack([values[:4], values[4:8], values[7:11]], axis=-1)
+    save_node_csv(tmp_path / "t.csv", grid, data)
+    expect = ["i0,c0,c1,c2"] + [",".join([str(k)] + [format(float(v), ".17g")
+                                                     for v in row])
+                                for k, row in enumerate(data)]
+    assert (tmp_path / "t.csv").read_text() == "\n".join(expect) + "\n"
+
+
+_NAMES = set(harness.EXPERIMENTS) | set(PRESETS) | {"immersion", "director"}
+_FLOATS = st.floats(-1e3, 1e3)
+
+
+@st.composite
+def _valid_configs(draw):
+    d = {"imlab_config": 1, "experiment": draw(st.sampled_from(harness.EXPERIMENTS))}
+    optional = {
+        "preset": st.sampled_from(sorted(PRESETS)),
+        "grid": st.one_of(st.integers(4, 65),
+                          st.lists(st.integers(4, 65), min_size=1, max_size=2)),
+        "p": st.floats(1.0, 8.0),
+        "frequencies": st.lists(_FLOATS, max_size=4),
+        "amplitudes": st.lists(st.floats(0.0, 1.0), unique=True, max_size=4).map(
+            lambda a: sorted(a, reverse=True)),
+        "seed": st.integers(0, 2 ** 63),
+        "out": st.text(max_size=8),
+        "start": st.sampled_from(["immersion", "director"]),
+        "start_amplitude": _FLOATS, "director_scale": _FLOATS,
+        "num_random": st.integers(1, 50),
+        "s_override": st.one_of(st.none(), st.lists(st.lists(_FLOATS, min_size=2,
+                                                             max_size=2),
+                                                    min_size=2, max_size=2)),
+        "optimizer": st.one_of(st.none(), st.fixed_dictionaries({}, optional={
+            "max_iters": st.integers(1, 10 ** 6), "memory": st.integers(1, 100),
+            "seed": st.integers(-5, 5), "grad_tol": st.floats(1e-300, 1e3),
+            "step_tol": st.floats(1e-300, 1e3)})),
+    }
+    for key in draw(st.lists(st.sampled_from(sorted(optional)), unique=True)):
+        d[key] = draw(optional[key])
+    return d
+
+
+_WRONG = st.one_of(st.none(), st.booleans(), st.text(max_size=5).filter(
+    lambda v: v not in _NAMES), st.sampled_from([float("nan"), float("inf"), -float("inf")]),
+    st.dictionaries(st.text(max_size=3), st.integers(), min_size=1, max_size=2),
+    st.lists(st.text(max_size=3), min_size=1, max_size=2))
+
+
+def _wrong_for(key):
+    """Values of a wrong type (or non-finite) for a config key."""
+    if key == "out":
+        return _WRONG.filter(lambda v: not isinstance(v, str))
+    if key in ("s_override", "custom", "optimizer"):
+        return _WRONG.filter(lambda v: v is not None
+                             and not (key != "s_override" and isinstance(v, dict)))
+    return _WRONG
+
+
+class TestConfigParsing:
+    @settings(max_examples=150, deadline=None,
+              suppress_health_check=[HealthCheck.function_scoped_fixture])
+    @given(d=_valid_configs())
+    def test_valid_configs_round_trip(self, tmp_path, d):
+        path = tmp_path / "cfg.json"
+        path.write_text(json.dumps(d))
+        cfg = load_config(path)
+        for key, value in d.items():
+            if key == "imlab_config":
+                continue
+            got = getattr(cfg, key)
+            if key == "optimizer":
+                assert all(getattr(got, k) == v for k, v in (value or {}).items())
+            elif key == "grid":
+                assert got == tuple(np.atleast_1d(value))
+            elif isinstance(value, list):
+                assert got == tuple(tuple(v) if isinstance(v, list) else v for v in value)
+            else:
+                assert got == value
+        again = dict(dataclasses.asdict(cfg), imlab_config=1)
+        path.write_text(json.dumps(again))
+        assert load_config(path) == cfg
+
+    @settings(max_examples=300, deadline=None)
+    @given(key=st.sampled_from(sorted(ExperimentConfig.__dataclass_fields__)),
+           data=st.data())
+    def test_wrong_types_and_non_finite_values_raise_bad_config(self, key, data):
+        d = {"imlab_config": 1, "experiment": "check", key: data.draw(_wrong_for(key))}
+        with pytest.raises(BadConfig):
+            config_from_dict(d)
+
+    @settings(max_examples=100, deadline=None)
+    @given(key=st.sampled_from(sorted(harness.OptimizeConfig.__dataclass_fields__)),
+           value=_WRONG.filter(lambda v: not isinstance(v, dict)))
+    def test_wrong_optimizer_values_raise_bad_config(self, key, value):
+        with pytest.raises(BadConfig):
+            config_from_dict({"imlab_config": 1, "experiment": "check",
+                              "optimizer": {key: value}})
+
+    @settings(max_examples=100, deadline=None)
+    @given(key=st.text(min_size=1, max_size=12), nested=st.booleans())
+    def test_unknown_keys_are_rejected(self, key, nested):
+        fields = (harness.OptimizeConfig if nested else ExperimentConfig).__dataclass_fields__
+        assume(key not in fields and key != "imlab_config")
+        d = {"imlab_config": 1, "experiment": "check"}
+        if nested:
+            d["optimizer"] = {key: 1}
+        else:
+            d[key] = 1
+        with pytest.raises(BadConfig, match="unknown config keys"):
+            config_from_dict(d)
+
+    @pytest.mark.parametrize("doc", [[], "check", 1, None, {"experiment": "check"},
+                                     {"imlab_config": 2, "experiment": "check"},
+                                     {"imlab_config": 1}])
+    def test_documents_that_are_not_configs_raise_bad_config(self, doc):
+        with pytest.raises(BadConfig):
+            config_from_dict(doc)
