@@ -5,10 +5,10 @@ energy, reconstruction of reference immersions from prescribed first and
 second fundamental forms, and desk-scale verification experiments.
 """
 
-from .energy import (EnergyReport, bending_energy, connector_apply,
-                     relaxed_bending, relaxed_stretching, relaxed_total,
-                     sasaki_bound_margin, sasaki_norm_sq, stretching_energy,
-                     total_energy)
+from .energy import (EnergyReport, Integrands, bending_energy,
+                     connector_apply, relaxed_bending, relaxed_stretching,
+                     relaxed_total, sasaki_bound_margin, sasaki_norm_sq,
+                     stretching_energy, total_energy)
 from .errors import (AsymmetricShape, BadConfig, BadExponent,
                      DegenerateCovariance, GridMismatch, ImlabError,
                      IncompatibleForms, NonSPDAnchor, NotSPD, RankDeficient,

@@ -20,8 +20,7 @@ from .harness import (EXPERIMENTS, ExperimentConfig, load_config, run_experiment
 
 
 def _parse_grid(text):
-    parts = text.lower().split("x")
-    return tuple(int(p) for p in parts)
+    return tuple(int(p) for p in text.lower().split("x"))
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -48,17 +47,10 @@ def main(argv=None) -> int:
                 cfg = dataclasses.replace(cfg, experiment=args.experiment)
         else:
             cfg = ExperimentConfig(experiment=args.experiment)
-        overrides = {}
-        if args.out is not None:
-            overrides["out"] = args.out
-        if args.grid is not None:
+        overrides = {k: getattr(args, k) for k in ("out", "grid", "p", "seed", "preset")
+                     if getattr(args, k) is not None}
+        if "grid" in overrides:
             overrides["grid"] = _parse_grid(args.grid)
-        if args.p is not None:
-            overrides["p"] = args.p
-        if args.seed is not None:
-            overrides["seed"] = args.seed
-        if args.preset is not None:
-            overrides["preset"] = args.preset
         if overrides:
             cfg = dataclasses.replace(cfg, **overrides)
         report, passed = run_experiment(cfg)

@@ -12,7 +12,7 @@ from __future__ import annotations
 import math
 import os
 import struct
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Optional, Sequence
 
 import numpy as np
@@ -104,6 +104,8 @@ class DiscreteImmersion:
             raise ValueError(f"immersion values have shape {v.shape}, expected {expected}")
         if self.target.dim != self.grid.dim + 1:
             raise ValueError("target chart dimension must be grid dim + 1")
+        if not np.all(np.isfinite(v)):
+            raise ValueError("immersion values must be finite")
         _check_in_domain(v, self.target, "immersion")
         object.__setattr__(self, "values", v)
 
@@ -123,8 +125,8 @@ class DirectorField:
         expected = self.grid.counts + (self.grid.dim + 1,)
         if f.shape != expected or v.shape != expected:
             raise ValueError("director foot/vec have wrong shape")
-        if not np.all(np.isfinite(v)):
-            raise ValueError("director vectors must be finite")
+        if not (np.all(np.isfinite(f)) and np.all(np.isfinite(v))):
+            raise ValueError("director feet and vectors must be finite")
         _check_in_domain(f, self.target, "director foot")
         object.__setattr__(self, "foot", f)
         object.__setattr__(self, "vec", v)
@@ -169,6 +171,8 @@ class ShapeField:
         expected = self.grid.counts + (d, d)
         if v.shape != expected:
             raise ValueError(f"shape-field values have shape {v.shape}, expected {expected}")
+        if not np.all(np.isfinite(v)):
+            raise ValueError("shape-field values must be finite")
         object.__setattr__(self, "values", v)
 
     def sup_norm(self, g: Optional[MetricChart] = None) -> float:
@@ -303,17 +307,9 @@ def quadrature_weights(grid: Grid) -> np.ndarray:
     return w
 
 
-def volume_density(grid: Grid, g: Optional[MetricChart]) -> np.ndarray:
-    """sqrt(det g) at the nodes (1 when no metric is given)."""
-    if g is None:
-        return np.ones(grid.counts)
-    if g.dim != grid.dim:
-        raise ValueError("volume metric dimension must match the grid")
-    return np.broadcast_to(chart_factors(g, grid.nodes, SingularMetric)[1], grid.counts)
-
-
 def integrate_density(density, grid: Grid, g: Optional[MetricChart] = None) -> float:
-    """Quadrature of a node scalar field against the Riemannian volume.
+    """Quadrature of a node scalar field against the Riemannian volume
+    sqrt(det g) (1 when no metric is given).
 
     Summation order is fixed (row-major numpy reduction) so results are
     reproducible bit-for-bit.
@@ -321,7 +317,10 @@ def integrate_density(density, grid: Grid, g: Optional[MetricChart] = None) -> f
     density = np.asarray(density, dtype=float)
     if density.shape != grid.counts:
         raise ValueError("density shape does not match the grid")
-    return float(np.sum(quadrature_weights(grid) * density * volume_density(grid, g)))
+    if g is not None and g.dim != grid.dim:
+        raise ValueError("volume metric dimension must match the grid")
+    sdet = 1.0 if g is None else chart_factors(g, grid.nodes, SingularMetric)[1]
+    return float(np.sum(quadrature_weights(grid) * density * sdet))
 
 
 def lp_norm(values, p: float, g: Optional[MetricChart], grid: Grid) -> float:

@@ -22,7 +22,7 @@ from .errors import AsymmetricShape, BadConfig, is_finite, is_int, require
 from .fields import (DirectorField, DiscreteImmersion, Grid, ShapeField,
                      atomic_write, fmt17, jacobian_array, load_node_csv,
                      save_binary, save_node_csv, w1p_distance)
-from .geometry import chart, christoffel, dist_rotations, dist_stiefel
+from .geometry import MetricChart, chart, christoffel, dist_stiefel
 from .immersion import normal_director, pullback_metric, shape_operator, unit_normal
 from .optimize import (OptimizeConfig, energy_gradient, minimize, objective,
                        pack_state, unpack_like)
@@ -33,6 +33,7 @@ CONFIG_VERSION = 1
 EXPERIMENTS = ("energy", "check", "reconstruct", "minimize",
                "stability-sweep", "ratio-study")
 RATIO_GUARD = 1e-12
+CHART_NAMES = ("euclidean", "sphere", "hyperbolic", "polar")
 
 
 @dataclass(frozen=True)
@@ -58,11 +59,10 @@ class ExperimentConfig:
                     for k in ("experiment", "preset", "out", "start")),
                 "experiment, preset, out and start must be strings")
         require(self.experiment in EXPERIMENTS, f"unknown experiment {self.experiment!r}")
-        require(self.custom is None or isinstance(self.custom, dict),
-                "custom must be an object")
+        if self.custom is not None:
+            _check_custom(self.custom)
         if self.preset == "custom":
-            require({"g", "s", "box"} <= set(self.custom or {}),
-                    "preset 'custom' needs a custom object with g, s and box")
+            require(self.custom is not None, "preset 'custom' needs a custom object")
         else:
             require(self.preset in PRESETS, f"unknown preset {self.preset!r}")
         grid = (self.grid,) if is_int(self.grid) else self.grid
@@ -87,14 +87,32 @@ class ExperimentConfig:
         require(self.start in ("immersion", "director"),
                 "start must be 'immersion' or 'director'")
         if self.s_override is not None:
-            require(_is_list(self.s_override, lambda row: _is_list(row, is_finite)),
-                    "s_override must be a list of rows of finite numbers")
+            require(_is_list(self.s_override, lambda row: _is_list(row, is_finite, 2), 2),
+                    "s_override must be a 2x2 list of finite numbers")
             object.__setattr__(self, "s_override",
                                tuple(tuple(map(float, row)) for row in self.s_override))
 
 
-def _is_list(v, item) -> bool:
-    return isinstance(v, (list, tuple)) and all(item(x) for x in v)
+def _is_list(v, item, size=None) -> bool:
+    return (isinstance(v, (list, tuple)) and all(item(x) for x in v)
+            and size in (None, len(v)))
+
+
+def _check_custom(custom) -> None:
+    """Reject a malformed custom problem, whose grid is two-dimensional: g is
+    a chart name or {"csv": path}, s a 2x2 list of finite numbers or
+    {"csv": path}, box two finite [lo, hi] pairs with lo < hi."""
+    def table(v):
+        return isinstance(v, dict) and set(v) == {"csv"} and isinstance(v["csv"], str)
+
+    require(isinstance(custom, dict) and set(custom) == {"g", "s", "box"},
+            "custom must be an object with exactly the keys g, s and box")
+    require(custom["g"] in CHART_NAMES or table(custom["g"]),
+            f"custom.g must be one of {CHART_NAMES} or {{\"csv\": path}}")
+    require(table(custom["s"]) or _is_list(custom["s"], lambda r: _is_list(r, is_finite, 2), 2),
+            "custom.s must be a 2x2 list of finite numbers or {\"csv\": path}")
+    require(_is_list(custom["box"], lambda b: _is_list(b, is_finite, 2) and b[0] < b[1], 2),
+            "custom.box must be two [lo, hi] pairs of finite numbers with lo < hi")
 
 
 def config_from_dict(d: dict) -> ExperimentConfig:
@@ -409,13 +427,12 @@ def _sym_field(grid, rng):
 
 
 def _distance_identity_violation(f: DiscreteImmersion, g) -> float:
+    """Max node-wise gap between the distance of the frame of f to the
+    orthonormal columns and that of its normal director to the rotations."""
+    core = en.Integrands(f.grid, g, f.target)
     xi = normal_director(f)
-    B = en.director_frame(xi, g)
-    J = jacobian_array(f.values, f.grid)
-    _, Hs, _ = en.target_factors(f.target, f.values)
-    _, gsi = en.parameter_factors(g, f.grid)
-    Q = Hs @ J @ gsi
-    return float(np.max(np.abs(dist_rotations(B) - dist_stiefel(Q))))
+    return float(np.max(np.abs(np.sqrt(core.director(xi.foot, xi.vec).dist2)
+                               - np.sqrt(core.immersion(f.values).dist2))))
 
 
 def _margin_sweep(cfg, rng, samples_needed: int):
@@ -521,22 +538,13 @@ def _load_tensor_table(path, grid: Grid) -> np.ndarray:
 
 def _custom_context(cfg: ExperimentConfig):
     """Problem built from the config: named or tabulated g, constant or tabulated S."""
-    custom = cfg.custom
-    box = tuple(tuple(float(v) for v in pair) for pair in custom["box"])
+    gspec, sspec, box = cfg.custom["g"], cfg.custom["s"], cfg.custom["box"]
     counts = cfg.grid if len(cfg.grid) == 2 else cfg.grid * 2
     grid = Grid(counts, tuple(hi - lo for lo, hi in box), tuple(lo for lo, _ in box))
-    gspec = custom["g"]
-    if isinstance(gspec, str):
-        g = chart(gspec) if gspec != "euclidean" else chart("euclidean", grid.dim)
-    else:
-        from .geometry import MetricChart
-        g = MetricChart.from_table(grid, _load_tensor_table(gspec["csv"], grid))
-    sspec = custom["s"]
-    if isinstance(sspec, dict):
-        Sv = _load_tensor_table(sspec["csv"], grid)
-    else:
-        Sv = np.broadcast_to(np.asarray(sspec, dtype=float),
-                             grid.counts + (grid.dim, grid.dim)).copy()
+    g = (chart(gspec, grid.dim) if isinstance(gspec, str)
+         else MetricChart.from_table(grid, _load_tensor_table(gspec["csv"], grid)))
+    Sv = (_load_tensor_table(sspec["csv"], grid) if isinstance(sspec, dict)
+          else np.broadcast_to(np.asarray(sspec, dtype=float), grid.counts + (2, 2)).copy())
     return g, grid, ShapeField(grid, Sv), None
 
 
@@ -655,16 +663,6 @@ def run_minimize(cfg: ExperimentConfig):
 # stability sweep and ratio study
 
 
-@dataclass(frozen=True)
-class SweepRecord:
-    eps: float
-    energy: float
-    w1p_map: float
-    w1p_normal: float
-    ratio: Optional[float]
-    flagged: bool
-
-
 def run_stability_sweep(cfg: ExperimentConfig):
     """Wrinkle-family sweep: energies, aligned Sobolev distances, bound ratios."""
     os.makedirs(cfg.out, exist_ok=True)
@@ -687,33 +685,27 @@ def run_stability_sweep(cfg: ExperimentConfig):
         # energy sits at the discretization floor, so flag it explicitly
         flagged = denom < RATIO_GUARD or eps == 0.0
         ratio = None if flagged else (dist_map + dist_normal) / denom
-        records.append(SweepRecord(eps, rep.total, dist_map, dist_normal,
-                                   ratio, flagged))
+        records.append({"eps": eps, "energy": rep.total, "w1p_map": dist_map,
+                        "w1p_normal": dist_normal, "ratio": ratio, "flagged": flagged})
         fname = f"field_{k:03d}.bin"
         save_binary(os.path.join(cfg.out, fname), feps.values)
         field_files.append(fname)
 
-    rows = []
-    for r in records:
-        rows.append([r.eps, r.energy, r.w1p_map, r.w1p_normal,
-                     "" if r.ratio is None else fmt17(r.ratio),
-                     "1" if r.flagged else "0"])
-    write_csv(os.path.join(cfg.out, "sweep.csv"),
-              ["eps", "energy", "w1p_map", "w1p_normal", "ratio", "flagged"], rows)
-    write_svg_loglog(os.path.join(cfg.out, "sweep_energy.svg"),
-                     [r.eps for r in records], [r.energy for r in records],
+    header = ["eps", "energy", "w1p_map", "w1p_normal", "ratio", "flagged"]
+    write_csv(os.path.join(cfg.out, "sweep.csv"), header,
+              [[r[k] for k in header[:4]] + ["" if r["ratio"] is None else fmt17(r["ratio"]),
+                                             "1" if r["flagged"] else "0"] for r in records])
+    xs = [r["eps"] for r in records]
+    write_svg_loglog(os.path.join(cfg.out, "sweep_energy.svg"), xs,
+                     [r["energy"] for r in records],
                      "eps", "energy", f"{cfg.preset}: energy vs amplitude")
-    write_svg_loglog(os.path.join(cfg.out, "sweep_ratio.svg"),
-                     [r.eps for r in records],
-                     [r.ratio if r.ratio is not None else float("nan") for r in records],
+    write_svg_loglog(os.path.join(cfg.out, "sweep_ratio.svg"), xs,
+                     [r["ratio"] if r["ratio"] is not None else float("nan") for r in records],
                      "eps", "ratio", f"{cfg.preset}: stability ratio vs amplitude")
     report = {"imlab_config": CONFIG_VERSION, "experiment": cfg.experiment,
               "preset": cfg.preset, "grid_meta": _grid_meta(grid), "p": cfg.p,
               "seed": cfg.seed, "frequencies": list(cfg.frequencies),
-              "field_files": field_files,
-              "records": [{"eps": r.eps, "energy": r.energy, "w1p_map": r.w1p_map,
-                           "w1p_normal": r.w1p_normal, "ratio": r.ratio,
-                           "flagged": r.flagged} for r in records]}
+              "field_files": field_files, "records": records}
     write_json(os.path.join(cfg.out, "sweep.json"), report)
     return report, True
 

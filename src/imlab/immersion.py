@@ -52,16 +52,23 @@ def pullback_metric(f: DiscreteImmersion) -> np.ndarray:
     return 0.5 * (G + np.swapaxes(G, -1, -2))
 
 
+def connector(target, points, Dv, J, v):
+    """Derivative along a map, with differential J and values at ``points``,
+    of a target vector field v with raw derivative Dv:
+    Dv^a_i + Gamma^a_bc d_i f^b v^c (Dv itself for a constant target)."""
+    if target.is_constant:
+        return Dv
+    Gam = christoffel(target, points).components
+    return Dv + np.einsum("...abc,...bi,...c->...ai", Gam, J, v)
+
+
 def covariant_normal_derivative(f: DiscreteImmersion, n: NormalField) -> JacobianField:
     """Pullback-connection derivative of the normal:
     (grad n)_i^a = d_i n^a + Gamma^a_bc(f) d_i f^b n^c.
     """
     J = jacobian_array(f.values, f.grid)
     Dn = jacobian_array(n.values, f.grid)
-    if not f.target.is_constant:
-        Gam = christoffel(f.target, f.values).components
-        Dn = Dn + np.einsum("...abc,...bi,...c->...ai", Gam, J, n.values)
-    return JacobianField(f.grid, Dn)
+    return JacobianField(f.grid, connector(f.target, f.values, Dn, J, n.values))
 
 
 def shape_operator(f: DiscreteImmersion) -> ShapeField:

@@ -1,15 +1,16 @@
 """Analytic gradients of the discrete energies and a quasi-Newton minimizer.
 
-Gradients are assembled by reverse accumulation through the finite-difference
-stencils; the stretching derivative uses d(dist^2)/dQ = 2 (Q - proj(Q)),
-valid away from rank deficiency, where proj is the closed-form polar factor
-of an immersion frame or the nearest rotation of a director frame (closed
-form for 2x2 frames, scaled Newton polar iteration for 3x3 ones, see
-:func:`imlab.geometry.rotation_factors`).
-Gradients require p >= 2 (below that the integrand is not C^1 at its zeros) and a constant-metric target chart, which
-covers every minimization experiment shipped here; curved-target states stay
-evaluate-only.  The smallest frame singular value is guarded at 1e-8: rather
-than regularizing, gradient evaluation aborts, so descent runs cannot silently
+Energies and the intermediates of the gradients come from the forwards of
+:class:`imlab.energy.Integrands`, the ones the library energies use, so the
+minimizer and the library agree to the last bit.  Gradients are assembled by
+reverse accumulation through them and the finite-difference stencils; the
+stretching derivative uses d(dist^2)/dQ = 2 (Q - proj(Q)), where proj is the
+polar factor of an immersion frame or the nearest rotation of a director
+frame (:func:`imlab.geometry.stiefel_factors`, ``rotation_factors``).
+Gradients require p >= 2 (below that the integrand is not C^1 at its zeros)
+and a constant-metric target chart; curved-target states stay evaluate-only.
+A smallest frame singular value below 1e-8 makes the energy +inf and the
+gradient raise, rather than regularizing, so descent runs cannot silently
 smooth over degeneracies.
 
 The minimizer is L-BFGS with Armijo backtracking.  Its two-loop recursion
@@ -31,13 +32,14 @@ from typing import List, Optional, Union
 
 import numpy as np
 
-from .energy import relaxed_total, total_energy
+from .energy import Integrands, relaxed_total, total_energy
 from .errors import (BadConfig, RankDeficient, UnsupportedExponent, UnsupportedTarget,
                      is_finite, is_int, require)
-from .fields import (DirectorField, DiscreteImmersion, atomic_write, fmt17,
-                     jacobian_adjoint, jacobian_array, quadrature_weights)
-from .geometry import (SIGMA_GUARD, MetricChart, chart_factors, cross3,
-                       cross_columns, rotation_factors, stiefel_factors)
+# jacobian_array is unused here but stays bound: perfbench/spans.py traces
+# the stencil calls through every imlab module's binding
+from .fields import (DirectorField, DiscreteImmersion, atomic_write, fmt17,  # noqa: F401
+                     jacobian_adjoint, jacobian_array)
+from .geometry import SIGMA_GUARD, MetricChart, cross3
 
 State = Union[DiscreteImmersion, DirectorField]
 
@@ -132,138 +134,89 @@ def _cross_adjoint(B, cbar):
 class _Evaluator:
     """Energy and gradient of one fixed (grid, g, S, p, target) problem.
 
-    Precomputes everything independent of the unknowns; states whose smallest
-    frame singular value sits below the gradient guard evaluate to +inf, so a
-    line search never accepts a point where the gradient would be undefined.
-    Each path has one forward shared by the energy and the gradient.  With
-    H = h, the bending integrand g^{ij} h_ab A^a_i A^b_j is
-    sum((H A) * (A g^{-1})) and its derivative in A is 2 H A g^{-1}.
+    Holds the problem's :class:`imlab.energy.Integrands`, whose forwards give
+    the energy and the intermediates of the reverse passes below; states
+    whose smallest frame singular value sits below the gradient guard
+    evaluate to +inf, so a line search never accepts a point where the
+    gradient would be undefined.  The derivative of the bending integrand
+    sum((H A) * (A g^{-1})) in A is 2 H A g^{-1}.
     """
 
     def __init__(self, template: State, g: MetricChart, S, p: float):
         if p < 2:
             raise UnsupportedExponent("gradients require p >= 2")
-        target = template.target
-        if not target.is_constant:
+        if not template.target.is_constant:
             raise UnsupportedTarget("gradients support constant-metric targets only")
         self.template = template
         self.p = float(p)
         self.grid = template.grid
-        self.Sv = S.values
-        self.SvT = np.swapaxes(self.Sv, -1, -2)
-        self.H = target.constant
-        # both square roots come out exactly symmetric, so they are their
-        # own transposes in the adjoints below
-        _, _, self.Hs, self.Hsi = chart_factors(target, None)
-        _, sdet, _, self.gsi = chart_factors(g, self.grid.nodes)
-        self.ginv = self.gsi @ self.gsi
-        self.wdet = quadrature_weights(self.grid) * sdet
+        self.core = Integrands(self.grid, g, template.target, S)
+        self.SvT = np.swapaxes(self.core.Sv, -1, -2)
         self.is_immersion = isinstance(template, DiscreteImmersion)
-
-    # -- shared integrand pieces ----------------------------------------------
-
-    def _bend_sq(self, A):
-        """(H A, max(|A|^2_{g,h}, 0)) per node."""
-        HA = self.H @ A
-        return HA, np.maximum(np.sum(HA * (A @ self.ginv), axis=(-2, -1)), 0.0)
 
     def _stretch_bar(self, dist2, Q, proj):
         """Weighted d(dist^p)/dQ = p dist^{p-2} (Q - proj)."""
         p = self.p
         coef = p * dist2 ** ((p - 2.0) / 2.0) if p != 2.0 else 2.0
-        return (self.wdet * coef)[..., None, None] * (Q - proj)
+        return (self.core.wdet * coef)[..., None, None] * (Q - proj)
 
     def _bend_bar(self, HA, q2):
         """Weighted d(|A|^p)/dA = p |A|^{p-2} H A g^{-1}."""
         p = self.p
-        coef = self.wdet * p * (q2 ** ((p - 2.0) / 2.0) if p != 2.0 else 1.0)
-        return coef[..., None, None] * (HA @ self.ginv)
+        coef = self.core.wdet * p * (q2 ** ((p - 2.0) / 2.0) if p != 2.0 else 1.0)
+        return coef[..., None, None] * (HA @ self.core.ginv)
 
-    # -- immersion states ---------------------------------------------------
+    def _forward(self, x, polar):
+        if self.is_immersion:
+            return self.core.immersion(x.reshape(self.template.values.shape),
+                                       polar, SIGMA_GUARD)
+        half = self.template.foot.size
+        return self.core.director(x[:half].reshape(self.template.foot.shape),
+                                  x[half:].reshape(self.template.vec.shape),
+                                  polar, SIGMA_GUARD)
 
-    def _immersion_forward(self, values, polar):
-        """(dist2, q2, node quantities) of an immersion, or None below the
-        rank guard."""
-        J = jacobian_array(values, self.grid)
-        Q = self.Hs @ J @ self.gsi
-        # the cross product of the columns of Q is det(g^{-1/2}) > 0 times
-        # that of h^{1/2} J: same unit normal, and its length is sigma_1 sigma_2
-        c = cross_columns(Q)
-        nu = np.linalg.norm(c, axis=-1)
-        dist2, smin, P = stiefel_factors(Q, nu, polar)
-        if np.min(smin) < SIGMA_GUARD:
-            return None
-        nhat = c / nu[..., None]
-        n = nhat @ self.Hsi
-        A = jacobian_array(n, self.grid) + J @ self.Sv
-        HA, q2 = self._bend_sq(A)
-        return dist2, q2, Q, P, nu, nhat, HA
-
-    def _immersion_gradient(self, values):
-        fwd = self._immersion_forward(values, polar=True)
-        if fwd is None:
-            raise RankDeficient("frame singular value below gradient guard")
+    def _immersion_gradient(self, fwd):
+        core = self.core
         dist2, q2, Q, P, nu, nhat, HA = fwd
         Abar = self._bend_bar(HA, q2)
-        nhat_bar = jacobian_adjoint(Abar, self.grid) @ self.Hsi
+        nhat_bar = jacobian_adjoint(Abar, self.grid) @ core.Hsi
         cbar = (nhat_bar - nhat * np.sum(nhat * nhat_bar, axis=-1, keepdims=True)) \
             / nu[..., None]
         Qbar = self._stretch_bar(dist2, Q, P) + _cross_adjoint(Q, cbar)
-        Jbar = self.Hs @ Qbar @ self.gsi + Abar @ self.SvT
+        Jbar = core.Hs @ Qbar @ core.gsi + Abar @ self.SvT
         return jacobian_adjoint(Jbar, self.grid)
 
-    # -- director states ----------------------------------------------------
-
-    def _director_forward(self, foot, vec, polar):
-        """(dist2, q2, node quantities) of a director field, or None below
-        the rank guard."""
-        Jx = jacobian_array(foot, self.grid)
-        Jv = jacobian_array(vec, self.grid)
-        B = self.Hs @ np.concatenate([Jx @ self.gsi, vec[..., None]], axis=-1)
-        dist2, smin, R = rotation_factors(B, polar)
-        if np.min(smin) < SIGMA_GUARD:
-            return None
-        HC, q2 = self._bend_sq(Jx @ self.Sv + Jv)
-        return dist2, q2, B, R, HC
-
-    def _director_gradient(self, foot, vec):
+    def _director_gradient(self, fwd):
         d = self.grid.dim
-        fwd = self._director_forward(foot, vec, polar=True)
-        if fwd is None:
-            raise RankDeficient("director frame singular value below gradient guard")
         dist2, q2, B, proj, HC = fwd
-        T = self.Hs @ self._stretch_bar(dist2, B, proj)
+        T = self.core.Hs @ self._stretch_bar(dist2, B, proj)
         Cbar = self._bend_bar(HC, q2)
-        Jxbar = T[..., :, :d] @ self.gsi + Cbar @ self.SvT
+        Jxbar = T[..., :, :d] @ self.core.gsi + Cbar @ self.SvT
         grad_foot = jacobian_adjoint(Jxbar, self.grid)
         grad_vec = jacobian_adjoint(Cbar, self.grid) + T[..., :, d]
         return grad_foot, grad_vec
 
-    # -- flat-vector API ----------------------------------------------------
-
-    def _split(self, x: np.ndarray):
-        if self.is_immersion:
-            return (x.reshape(self.template.values.shape),)
-        half = self.template.foot.size
-        return (x[:half].reshape(self.template.foot.shape),
-                x[half:].reshape(self.template.vec.shape))
-
     def energy(self, x: np.ndarray):
-        if self.is_immersion:
-            fwd = self._immersion_forward(*self._split(x), polar=False)
-        else:
-            fwd = self._director_forward(*self._split(x), polar=False)
+        fwd = self._forward(x, polar=False)
         if fwd is None:
             return np.inf, np.inf, np.inf
-        stretch = float(np.sum(self.wdet * fwd[0] ** (self.p / 2.0)))
-        bend = float(np.sum(self.wdet * fwd[1] ** (self.p / 2.0)))
-        return stretch + bend, stretch, bend
+        rep = self.core.report(fwd, self.p)
+        return rep.total, rep.stretch, rep.bend
+
+    def gradient_parts(self, x: np.ndarray):
+        """The gradient shaped like the state: the node values of an
+        immersion, or the pair (grad_foot, grad_vec) of a director field."""
+        fwd = self._forward(x, polar=True)
+        if fwd is None:
+            raise RankDeficient("frame singular value below gradient guard")
+        if self.is_immersion:
+            return self._immersion_gradient(fwd)
+        return self._director_gradient(fwd)
 
     def gradient(self, x: np.ndarray) -> np.ndarray:
-        if self.is_immersion:
-            return self._immersion_gradient(*self._split(x)).ravel()
-        gf, gv = self._director_gradient(*self._split(x))
-        return np.concatenate([gf.ravel(), gv.ravel()])
+        grad = self.gradient_parts(x)
+        return grad.ravel() if self.is_immersion else np.concatenate(
+            [grad[0].ravel(), grad[1].ravel()])
 
 
 def energy_gradient(state: State, g: MetricChart, S, p: float):
@@ -272,10 +225,7 @@ def energy_gradient(state: State, g: MetricChart, S, p: float):
     Immersion states return an array shaped like the node values; director
     states return the pair (grad_foot, grad_vec).
     """
-    ev = _Evaluator(state, g, S, p)
-    if isinstance(state, DiscreteImmersion):
-        return ev._immersion_gradient(state.values)
-    return ev._director_gradient(state.foot, state.vec)
+    return _Evaluator(state, g, S, p).gradient_parts(pack_state(state))
 
 
 # ---------------------------------------------------------------------------

@@ -10,11 +10,10 @@ import numpy as np
 
 from helpers import convergence_orders
 from imlab.energy import (director_frame, parameter_factors, relaxed_total,
-                          sasaki_bound_margin, sasaki_norm_sq, target_factors,
-                          total_energy)
+                          sasaki_bound_margin, sasaki_norm_sq, total_energy)
 from imlab.fields import (DiscreteImmersion, Grid, ShapeField, jacobian_array,
                           w1p_distance)
-from imlab.geometry import chart, christoffel, dist_rotations, dist_stiefel
+from imlab.geometry import chart, chart_factors, christoffel, dist_rotations, dist_stiefel
 from imlab.harness import (ExperimentConfig, _fd_vs_analytic, _sym_field,
                            random_curve_immersion, random_director,
                            random_surface_immersion, run_check,
@@ -58,7 +57,7 @@ def test_criterion_01_relaxation_identity():
 def _distance_violation(f, g):
     xi = normal_director(f)
     B = director_frame(xi, g)
-    _, Hs, _ = target_factors(f.target, f.values)
+    _, _, Hs, _ = chart_factors(f.target, f.values)
     _, gsi = parameter_factors(g, f.grid)
     Q = Hs @ jacobian_array(f.values, f.grid) @ gsi
     return float(np.max(np.abs(dist_rotations(B) - dist_stiefel(Q))))

@@ -6,13 +6,15 @@ from scipy.integrate import solve_ivp
 
 from helpers import random_rotation
 from imlab.energy import (bending_energy, connector_apply, director_frame,
-                          relaxed_bending, relaxed_stretching, relaxed_total,
-                          sasaki_bound_margin, sasaki_norm_sq, stretching_energy,
-                          total_energy)
+                          parameter_factors, relaxed_bending, relaxed_stretching,
+                          relaxed_total, sasaki_bound_margin, sasaki_norm_sq,
+                          stretching_energy, total_energy)
 from imlab.errors import BadExponent
-from imlab.fields import DirectorField, DiscreteImmersion, Grid, ShapeField, jacobian_array
-from imlab.geometry import chart, christoffel, dist_rotations, dist_stiefel
-from imlab.harness import (_sym_field, random_director, random_surface_immersion)
+from imlab.fields import (DirectorField, DiscreteImmersion, Grid, ShapeField,
+                          integrate_density, jacobian_array)
+from imlab.geometry import chart, chart_factors, christoffel, dist_rotations, dist_stiefel
+from imlab.harness import (_sym_field, random_curve_immersion, random_director,
+                           random_smooth_field, random_surface_immersion)
 from imlab.immersion import normal_director, unit_normal
 from imlab.presets import get_preset
 
@@ -239,8 +241,7 @@ class TestRelaxationIdentity:
         f = random_surface_immersion(grid, rng, amplitude=0.1)
         xi = normal_director(f)
         B = director_frame(xi, E2)
-        from imlab.energy import parameter_factors, target_factors
-        _, Hs, _ = target_factors(f.target, f.values)
+        _, _, Hs, _ = chart_factors(f.target, f.values)
         _, gsi = parameter_factors(E2, grid)
         Q = Hs @ jacobian_array(f.values, grid) @ gsi
         assert np.max(np.abs(dist_rotations(B) - dist_stiefel(Q))) < 1e-10
@@ -367,3 +368,92 @@ class TestInvariances:
         rep1 = total_energy(f_t, E2, ShapeField(grid_t, Sv_t), 2.0)
         assert abs(rep0.stretch - rep1.stretch) <= 1e-13 * (1.0 + rep0.stretch)
         assert abs(rep0.bend - rep1.bend) <= 1e-13 * (1.0 + rep0.bend)
+
+
+# ---------------------------------------------------------------------------
+# reference formulas: each term assembled on its own, with per-call factors,
+# the normal of unit_normal and the Christoffel term written out
+
+
+def _reference_hom_sq(A, g, grid, target, points):
+    ginv, _ = parameter_factors(g, grid)
+    H = target.constant if target.is_constant else target.eval(points)
+    return np.maximum(np.sum((H @ A) * (A @ ginv), axis=(-2, -1)), 0.0)
+
+
+def _reference_connector(target, points, Dv, J, v):
+    Gam = christoffel(target, points).components
+    return Dv + np.einsum("...abc,...bi,...c->...ai", Gam, J, v)
+
+
+def _reference_total(f, g, S, p):
+    J = jacobian_array(f.values, f.grid)
+    _, _, Hs, _ = chart_factors(f.target, f.values)
+    _, gsi = parameter_factors(g, f.grid)
+    stretch = integrate_density(dist_stiefel(Hs @ J @ gsi) ** p, f.grid, g)
+    n = unit_normal(f).values
+    A = _reference_connector(f.target, f.values, jacobian_array(n, f.grid), J, n) \
+        + J @ S.values
+    bend = integrate_density(_reference_hom_sq(A, g, f.grid, f.target, f.values)
+                             ** (p / 2.0), f.grid, g)
+    return stretch, bend
+
+
+def _reference_relaxed(xi, g, S, p):
+    Jx = jacobian_array(xi.foot, xi.grid)
+    _, _, Hs, _ = chart_factors(xi.target, xi.foot)
+    _, gsi = parameter_factors(g, xi.grid)
+    B = Hs @ np.concatenate([Jx @ gsi, xi.vec[..., None]], axis=-1)
+    stretch = integrate_density(dist_rotations(B) ** p, xi.grid, g)
+    C = Jx @ S.values + _reference_connector(
+        xi.target, xi.foot, jacobian_array(xi.vec, xi.grid), Jx, xi.vec)
+    bend = integrate_density(_reference_hom_sq(C, g, xi.grid, xi.target, xi.foot)
+                             ** (p / 2.0), xi.grid, g)
+    return stretch, bend
+
+
+class TestCurvedTargets:
+    """Library energies on curved target charts and a curved parameter
+    metric against the reference formulas above."""
+
+    def _cases(self):
+        rng = np.random.default_rng(41)
+        curve_grid = Grid((33,), (1.0,))
+        E1 = chart("euclidean", 1)
+
+        def curve_shape():
+            return ShapeField(curve_grid, 0.4 * random_smooth_field(curve_grid, 1, rng)[..., None])
+
+        for name in ("sphere", "hyperbolic"):
+            for _ in range(3):
+                yield random_curve_immersion(curve_grid, chart(name), rng), E1, curve_shape()
+        for name in ("polar", "sphere"):
+            for _ in range(3):
+                yield random_director(curve_grid, chart(name), rng), E1, curve_shape()
+        # a curved parameter metric: surfaces over the polar chart
+        grid = Grid((17, 17), (1.0, 1.0), (1.0, 0.0))
+        for _ in range(2):
+            S = ShapeField(grid, 0.5 * _sym_field(grid, rng))
+            f = random_surface_immersion(grid, rng, amplitude=0.08)
+            yield f, chart("polar"), S
+            yield random_director(grid, E3, rng), chart("polar"), S
+
+    def test_energies_match_reference_formulas(self):
+        worst = 0.0
+        for state, g, S in self._cases():
+            for p in (2.0, 3.0):
+                if isinstance(state, DiscreteImmersion):
+                    rep, ref = total_energy(state, g, S, p), _reference_total(state, g, S, p)
+                else:
+                    rep, ref = relaxed_total(state, g, S, p), _reference_relaxed(state, g, S, p)
+                for got, expect in zip((rep.stretch, rep.bend), ref):
+                    assert expect > 0.0
+                    worst = max(worst, abs(got - expect) / expect)
+        assert worst <= 1e-13
+
+    def test_relaxation_identity_on_curved_targets(self):
+        for state, g, S in self._cases():
+            if isinstance(state, DiscreteImmersion):
+                rep = total_energy(state, g, S, 2.0)
+                rel = relaxed_total(normal_director(state), g, S, 2.0)
+                assert abs(rep.total - rel.total) <= 1e-10 * (1.0 + rep.total)

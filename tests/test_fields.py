@@ -11,7 +11,8 @@ from hypothesis.extra import numpy as hnp
 
 from helpers import convergence_orders
 from imlab.errors import BadExponent, GridMismatch
-from imlab.fields import (DiscreteImmersion, Grid, atomic_write, axis_derivative,
+from imlab.fields import (DirectorField, DiscreteImmersion, Grid, JacobianField,
+                          ShapeField, atomic_write, axis_derivative,
                           axis_derivative_adjoint, axis_second_derivative,
                           fd_jacobian, integrate_density, jacobian_array,
                           load_binary, load_node_csv, lp_norm, quadrature_weights,
@@ -45,6 +46,31 @@ class TestGrid:
     def test_rejects_non_finite(self, extents, origin):
         with pytest.raises(ValueError, match="finite"):
             Grid((9, 9), extents, origin)
+
+
+def _field(kind, value):
+    """A field of the given kind on a 5x5 grid with one node entry set to value."""
+    grid = Grid((5, 5), (1.0, 1.0))
+    E3 = chart("euclidean", 3)
+    x = np.concatenate([grid.nodes(), np.zeros(grid.counts + (1,))], axis=-1)
+    e3 = np.broadcast_to([0.0, 0.0, 1.0], x.shape).copy()
+    eye = np.broadcast_to(np.eye(3, 2), grid.counts + (3, 2)).copy()
+    zero = np.zeros(grid.counts + (2, 2))
+    {"immersion": x, "foot": x, "vec": e3, "jacobian": eye, "shape": zero}[kind][2, 1, -1] = value
+    if kind == "immersion":
+        return DiscreteImmersion(grid, x, E3)
+    if kind in ("foot", "vec"):
+        return DirectorField(grid, x, e3, E3)
+    return JacobianField(grid, eye) if kind == "jacobian" else ShapeField(grid, zero)
+
+
+class TestFieldValues:
+    @pytest.mark.parametrize("kind", ["immersion", "foot", "vec", "jacobian", "shape"])
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_rejects_non_finite(self, kind, bad):
+        _field(kind, 0.5)
+        with pytest.raises(ValueError, match="finite"):
+            _field(kind, bad)
 
 
 class TestStencils:

@@ -53,7 +53,8 @@ class TestConfig:
         ("p", float("nan")), ("p", float("inf")), ("p", "2"),
         ("start_amplitude", float("nan")),
         ("director_scale", float("inf")), ("amplitudes", (0.1, float("nan"))),
-        ("num_random", 0)])
+        ("num_random", 0), ("s_override", ((0.0, 1.0, 2.0),)),
+        ("s_override", ((0.0,), (1.0,)))])
     def test_rejects_non_finite_and_empty_values(self, key, value):
         with pytest.raises(BadConfig):
             ExperimentConfig(experiment="check", **{key: value})
@@ -438,11 +439,49 @@ _WRONG = st.one_of(st.none(), st.booleans(), st.text(max_size=5).filter(
     st.lists(st.text(max_size=3), min_size=1, max_size=2))
 
 
+_CUSTOM = {"g": "sphere", "s": [[0.0, 0.0], [0.0, 0.0]],
+           "box": [[0.5, 1.5], [0.0, 1.0]]}
+_FINITE = st.floats(allow_nan=False, allow_infinity=False)
+_WRONG_INNER = {
+    "g": st.one_of(_WRONG.filter(lambda v: v not in harness.CHART_NAMES),
+                   st.sampled_from([5, {"path": "m.csv"}, {"csv": 1},
+                                    {"csv": "m.csv", "x": 1}])),
+    "s": st.one_of(_WRONG, st.sampled_from([{"file": 1}, {"csv": None}]),
+                   st.lists(st.lists(_FINITE, max_size=3), max_size=3).filter(
+                       lambda m: [len(r) for r in m] != [2, 2]),
+                   st.sampled_from([[[0.0, float(x)], [0.0, 0.0]]
+                                    for x in ("nan", "inf", "-inf")] + [[[0.0, True], [0.0, 0.0]]])),
+    "box": st.one_of(_WRONG, st.just(3), st.lists(st.tuples(_FINITE, _FINITE).map(list),
+                                                   max_size=3).filter(
+        lambda b: len(b) != 2 or any(lo >= hi for lo, hi in b)),
+        st.sampled_from([[[0, None], [0.0, 1.0]], [[0.0, 1.0], [0.0, float("inf")]],
+                         [[0.0, 1.0, 2.0], [0.0, 1.0]]])),
+}
+
+
+@st.composite
+def _wrong_custom(draw):
+    """A custom section with one wrong inner value, or a key too many or few."""
+    d = copy.deepcopy(_CUSTOM)
+    what = draw(st.sampled_from(sorted(_WRONG_INNER) + ["extra", "missing"]))
+    if what == "extra":
+        d[draw(st.text(max_size=3).filter(lambda k: k not in d))] = 1
+    elif what == "missing":
+        del d[draw(st.sampled_from(sorted(d)))]
+    else:
+        d[what] = draw(_WRONG_INNER[what])
+    return d
+
+
 def _wrong_for(key):
-    """Values of a wrong type (or non-finite) for a config key."""
+    """Values of a wrong type (or non-finite) for a config key; for custom,
+    also objects with wrong inner values."""
     if key == "out":
         return _WRONG.filter(lambda v: not isinstance(v, str))
-    if key in ("s_override", "custom", "optimizer"):
+    if key == "custom":
+        return st.one_of(_WRONG.filter(lambda v: v is not None and not isinstance(v, dict)),
+                         _wrong_custom())
+    if key in ("s_override", "optimizer"):
         return _WRONG.filter(lambda v: v is not None
                              and not (key != "s_override" and isinstance(v, dict)))
     return _WRONG
@@ -479,6 +518,30 @@ class TestConfigParsing:
         d = {"imlab_config": 1, "experiment": "check", key: data.draw(_wrong_for(key))}
         with pytest.raises(BadConfig):
             config_from_dict(d)
+
+    @settings(max_examples=200, deadline=None)
+    @given(custom=_wrong_custom(), preset=st.sampled_from(["custom", "cylinder"]))
+    def test_malformed_custom_sections_raise_bad_config(self, custom, preset):
+        with pytest.raises(BadConfig):
+            config_from_dict({"imlab_config": 1, "experiment": "energy",
+                              "preset": preset, "custom": custom})
+
+    @pytest.mark.parametrize("inner", [
+        {"g": {"path": "metric.csv"}}, {"g": 5}, {"s": {"file": 1}}, {"box": 3},
+        {"box": [[0, None], [0.0, 1.0]]}, {"s": [[0.0, 0.0, 0.0], [0.0, 0.0, 0.0]]},
+        {"s": [[0.0, 0.0]]}])
+    def test_custom_sections_that_crashed_raise_bad_config(self, inner):
+        with pytest.raises(BadConfig, match="custom"):
+            config_from_dict({"imlab_config": 1, "experiment": "energy",
+                              "preset": "custom", "custom": dict(_CUSTOM, **inner)})
+
+    def test_well_formed_custom_sections_are_accepted(self):
+        for g in harness.CHART_NAMES + ({"csv": "metric.csv"},):
+            for s in (_CUSTOM["s"], {"csv": "shape.csv"}):
+                cfg = config_from_dict({"imlab_config": 1, "experiment": "energy",
+                                        "preset": "custom",
+                                        "custom": dict(_CUSTOM, g=g, s=s)})
+                assert cfg.custom["g"] == g and cfg.custom["s"] == s
 
     @settings(max_examples=100, deadline=None)
     @given(key=st.sampled_from(sorted(harness.OptimizeConfig.__dataclass_fields__)),

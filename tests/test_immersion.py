@@ -6,13 +6,15 @@ import numpy as np
 import pytest
 
 from helpers import convergence_orders, random_rotation
+from imlab.energy import total_energy
 from imlab.errors import RankDeficient
-from imlab.fields import DiscreteImmersion, Grid, jacobian_array, lp_norm
+from imlab.fields import DiscreteImmersion, Grid, ShapeField, jacobian_array, lp_norm
 from imlab.geometry import RANK_RTOL, MetricChart, chart, cross_columns
 from imlab.immersion import (_frame_and_rank_check, covariant_normal_derivative,
                              pullback_metric, shape_operator, unit_normal)
 from imlab.presets import get_preset
 
+E2 = chart("euclidean", 2)
 E3 = chart("euclidean", 3)
 
 
@@ -25,6 +27,17 @@ def _plane(grid, slope=0.0):
 
 def _grid(n=17, box=((0.0, 1.0), (0.0, 1.0))):
     return Grid((n, n), tuple(hi - lo for lo, hi in box), tuple(lo for lo, _ in box))
+
+
+def _rank_corpus(m=400):
+    """m frames (3x2) with sigma_max 10^U(-2,2) and sigma_min / sigma_max =
+    RANK_RTOL (1 +- 0.1), and those ratios; the first three full rank."""
+    rng = np.random.default_rng(17)
+    U, _, Vt = np.linalg.svd(rng.normal(size=(m, 3, 2)), full_matrices=False)
+    smax = 10.0 ** rng.uniform(-2.0, 2.0, size=m)
+    ratio = RANK_RTOL * np.where(rng.uniform(size=m) < 0.5, 0.9, 1.1)
+    ratio[:3] = 1.1 * RANK_RTOL
+    return (U * np.stack([smax, ratio * smax], axis=-1)[:, None, :]) @ Vt, ratio
 
 
 class TestUnitNormal:
@@ -72,13 +85,7 @@ class TestUnitNormal:
     def test_rank_check_matches_svd_decision(self):
         # sigma_min / sigma_max = 1e-12 (1 +- 0.1): the closed-form check
         # raises on the same frames as the SVD rule, at the same first node
-        rng = np.random.default_rng(17)
-        m = 400
-        U, _, Vt = np.linalg.svd(rng.normal(size=(m, 3, 2)), full_matrices=False)
-        smax = 10.0 ** rng.uniform(-2.0, 2.0, size=m)
-        ratio = RANK_RTOL * np.where(rng.uniform(size=m) < 0.5, 0.9, 1.1)
-        ratio[:3] = 1.1 * RANK_RTOL
-        B = (U * np.stack([smax, ratio * smax], axis=-1)[:, None, :]) @ Vt
+        B, ratio = _rank_corpus()
         s = np.linalg.svd(B, compute_uv=False)
         ref_bad = s[:, -1] <= RANK_RTOL * s[:, 0]
         assert np.array_equal(ref_bad, ratio < RANK_RTOL)
@@ -92,6 +99,26 @@ class TestUnitNormal:
         first = tuple(int(i) for i in np.argwhere(ref_bad.reshape(20, 20))[0])
         with pytest.raises(RankDeficient, match=re.escape(f"node {first}")):
             _frame_and_rank_check(grid_B, cross_columns(grid_B))
+
+    def test_total_energy_raises_where_unit_normal_does(self):
+        # the same frames as differentials of linear immersions: the library
+        # energy keeps the rank rule of the normal
+        B, ratio = _rank_corpus()
+        grid = _grid(4)
+        zero = ShapeField(grid, np.zeros(grid.counts + (2, 2)))
+        raised = []
+        for frame in B:
+            f = DiscreteImmersion(grid, grid.nodes() @ frame.T, E3)
+            outcome = []
+            for fn in (unit_normal, lambda f: total_energy(f, E2, zero, 2.0)):
+                try:
+                    fn(f)
+                    outcome.append(False)
+                except RankDeficient:
+                    outcome.append(True)
+            assert outcome[0] == outcome[1]
+            raised.append(outcome[0])
+        assert np.array_equal(raised, ratio < RANK_RTOL)
 
     def test_curved_target_normal(self):
         # curve in the round-sphere chart: h-unit, h-orthogonal, oriented

@@ -6,6 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from helpers import random_rotation
+from imlab.energy import relaxed_total, total_energy
 from imlab.errors import (BadConfig, RankDeficient, UnsupportedExponent,
                           UnsupportedTarget)
 from imlab.fields import (DirectorField, DiscreteImmersion, Grid, ShapeField,
@@ -249,6 +250,29 @@ class TestGradient:
         with np.errstate(all="raise"):
             ev = _Evaluator(state, E2, _zero_shape(grid), 2.0)
             assert ev.energy(pack_state(state)) == (np.inf, np.inf, np.inf)
+
+
+class TestOneIntegrandCore:
+    def test_evaluator_energy_equals_library_energy(self):
+        # the minimizer and the library evaluate the same forward: equal bits
+        rng = np.random.default_rng(37)
+        pre = get_preset("sphere-incompatible")
+        cases = []
+        for grid, g in ((_grid(9), E2), (pre.grid((9, 9)), pre.g)):
+            S = ShapeField(grid, 0.4 * _sym_field(grid, rng))
+            f = random_surface_immersion(grid, rng, amplitude=0.08)
+            cases += [(f, g, S), (normal_director(f), g, S),
+                      (random_director(grid, E3, rng), g, S)]
+        grid1 = Grid((17,), (1.0,))
+        S1 = ShapeField(grid1, 0.4 * random_smooth_field(grid1, 1, rng)[..., None])
+        cases.append((random_curve_immersion(grid1, E2, rng), chart("euclidean", 1), S1))
+        for state, g, S in cases:
+            for p in (2.0, 3.0):
+                got = _Evaluator(state, g, S, p).energy(pack_state(state))
+                lib = (total_energy if isinstance(state, DiscreteImmersion)
+                       else relaxed_total)(state, g, S, p)
+                assert got == (lib.total, lib.stretch, lib.bend)
+                assert objective(state, g, S, p) == got
 
 
 class TestMinimize:
