@@ -5,7 +5,9 @@
 
 Flags override the corresponding config fields.  Exit code 0 on success,
 2 when the check suite reports a failure, 1 on error.  A minimization that
-stops on anything but the gradient tolerance warns on stderr and exits 0.
+stops on anything but the gradient tolerance warns on stderr, naming its
+largest residual gradient component and its recent energy decrease, and
+exits 0.
 """
 
 from __future__ import annotations
@@ -63,9 +65,13 @@ def main(argv=None) -> int:
     print(f"imlab {args.experiment}: " + json.dumps(summary, sort_keys=True))
     termination = report.get("termination", "grad_tol")
     if termination != "grad_tol":
+        big = report["residual_gradient_largest"]
         print(f"imlab: warning: minimization stopped on {termination} after "
               f"{report['iterations']} iterations, not on grad_tol; the terminal "
-              f"state is not a converged minimizer", file=sys.stderr)
+              f"state is not a converged minimizer (largest residual gradient "
+              f"{big['field']}[{big['component']}] = {big['max']:.3e}; "
+              f"energy fell by {report['recent_energy_decrease']:.3e} over the "
+              f"last {report['recent_records']} trace records)", file=sys.stderr)
     return 0 if passed else 2
 
 

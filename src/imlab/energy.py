@@ -126,11 +126,15 @@ class Integrands:
         HA, q2 = self._bend_sq(H, A)
         return ImmersionNodes(dist2, q2, Q, P, nu, nhat, HA)
 
-    def director(self, foot, vec, polar=False, guard=None):
+    def derivatives(self, foot, vec):
+        """The Jacobians (Jx, Jv) of a director field's foot and vector."""
+        return jacobian_array(foot, self.grid), jacobian_array(vec, self.grid)
+
+    def director(self, foot, vec, polar=False, guard=None, J=None):
         """DirectorNodes of the director field (foot, vec); with ``guard``,
-        None where sigma_min(B) < guard."""
-        Jx = jacobian_array(foot, self.grid)
-        Jv = jacobian_array(vec, self.grid)
+        None where sigma_min(B) < guard.  ``J`` reuses the pair that
+        :meth:`derivatives` returned for this field."""
+        Jx, Jv = self.derivatives(foot, vec) if J is None else J
         H, Hs, _ = self._target(foot)
         B = Hs @ np.concatenate([Jx @ self.gsi, vec[..., None]], axis=-1)
         dist2, smin, R = rotation_factors(B, polar)
@@ -139,10 +143,11 @@ class Integrands:
         HC, q2 = self._bend_sq(H, Jx @ self.Sv + connector(self.target, foot, Jv, Jx, vec))
         return DirectorNodes(dist2, q2, B, R, HC)
 
-    def sasaki_sq(self, foot, vec):
-        """Squared Sasaki norm |Df_x|^2_{g,h} + |K o Dxi|^2_{g,h} per node."""
-        Jx = jacobian_array(foot, self.grid)
-        K = connector(self.target, foot, jacobian_array(vec, self.grid), Jx, vec)
+    def sasaki_sq(self, foot, vec, J=None):
+        """Squared Sasaki norm |Df_x|^2_{g,h} + |K o Dxi|^2_{g,h} per node;
+        ``J`` as in :meth:`director`."""
+        Jx, Jv = self.derivatives(foot, vec) if J is None else J
+        K = connector(self.target, foot, Jv, Jx, vec)
         H, _, _ = self._target(foot)
         return self._bend_sq(H, Jx)[1] + self._bend_sq(H, K)[1]
 
@@ -231,8 +236,9 @@ def sasaki_bound_margin(xi: DirectorField, g: MetricChart, S: ShapeField) -> np.
     returned as an explicit not-applicable sentinel.
     """
     core = Integrands(xi.grid, g, xi.target, S)
-    lhs = np.sqrt(core.sasaki_sq(xi.foot, xi.vec))
-    nodes = core.director(xi.foot, xi.vec)
+    J = core.derivatives(xi.foot, xi.vec)
+    lhs = np.sqrt(core.sasaki_sq(xi.foot, xi.vec, J))
+    nodes = core.director(xi.foot, xi.vec, J=J)
     factor = 3.0 + 2.0 * S.sup_norm(g)
     rhs = factor * (np.sqrt(nodes.dist2) + np.sqrt(nodes.q2))
     applicable = lhs >= factor * np.sqrt(xi.grid.dim + 1.0)

@@ -3,12 +3,15 @@
 Node arrays are laid out row-major with the grid axes leading, e.g. a map into
 R^3 on an n1 x n2 grid has shape (n1, n2, 3).  Derivatives use second-order
 central stencils at interior nodes and second-order one-sided stencils at the
-boundary, so they are exact on quadratics.  Quadrature is tensor-product
-trapezoidal, collocated with the derivative nodes.
+boundary, so they are exact on quadratics.  Each axis's stencil is a cached
+per-axis difference matrix applied by a matrix product; the adjoints apply
+its transpose.  Quadrature is tensor-product trapezoidal, collocated with the
+derivative nodes.
 """
 
 from __future__ import annotations
 
+import functools
 import math
 import os
 import struct
@@ -205,78 +208,72 @@ class CompatibilityReport:
 # finite-difference stencils
 
 
-def axis_derivative(values, axis: int, spacing: float) -> np.ndarray:
-    """d/dx_axis of a node array: central interior, one-sided O(h^2) boundary.
-
-    The boundary stencils use five points so their leading error term equals
-    the interior one (+ h^2 f'''/6).  A uniform error coefficient keeps the
-    error field of derived quantities smooth up to the boundary, which is what
-    lets nested derivatives (curvature of pullback data, normal derivatives)
-    converge at second order in the max norm.  Four-node axes fall back to the
-    classical three-point stencil.
-    """
-    v = np.moveaxis(np.asarray(values, dtype=float), axis, 0)
-    out = np.empty_like(v)
-    out[1:-1] = (v[2:] - v[:-2]) / (2.0 * spacing)
-    if v.shape[0] >= 5:
-        out[0] = (-5.0 * v[0] + 11.0 * v[1] - 10.0 * v[2] + 5.0 * v[3]
-                  - v[4]) / (2.0 * spacing)
-        out[-1] = (5.0 * v[-1] - 11.0 * v[-2] + 10.0 * v[-3] - 5.0 * v[-4]
-                   + v[-5]) / (2.0 * spacing)
+@functools.lru_cache(maxsize=128)
+def difference_matrix(count: int, spacing: float, order: int = 1) -> np.ndarray:
+    """Read-only (count, count) matrix of the d/dx (order 1) or d^2/dx^2
+    (order 2) stencil on one axis, built once per (count, spacing, order):
+    central interior rows and one-sided O(h^2) rows at the first node and,
+    mirrored (negated for d/dx), at the last.  The five-point d/dx rows share
+    the interior leading error term (+ h^2 f'''/6), which keeps nested
+    derivatives second order up to the boundary; four-node axes fall back to
+    three points.  Direct d^2/dx^2 rows avoid nesting one-sided d/dx rows."""
+    if order == 1:
+        inner, scale = (-1.0, 0.0, 1.0), 2.0 * spacing
+        first = (-5.0, 11.0, -10.0, 5.0, -1.0) if count >= 5 else (-3.0, 4.0, -1.0)
     else:
-        out[0] = (-3.0 * v[0] + 4.0 * v[1] - v[2]) / (2.0 * spacing)
-        out[-1] = (3.0 * v[-1] - 4.0 * v[-2] + v[-3]) / (2.0 * spacing)
-    return np.moveaxis(out, 0, axis)
+        inner, scale, first = (1.0, -2.0, 1.0), spacing * spacing, (2.0, -5.0, 4.0, -1.0)
+    D = np.zeros((count, count))
+    i = np.arange(1, count - 1)[:, None]
+    D[i, i + np.arange(-1, 2)] = inner
+    D[0, :len(first)] = first
+    D[-1, -len(first):] = np.array(first[::-1]) * (-1.0) ** order
+    D /= scale
+    D.setflags(write=False)
+    return D
+
+
+def _along_axis(values, axis: int, spacing: float, order=1, adjoint=False):
+    """The axis's difference matrix, or its transpose, applied along ``axis``:
+    one product on axis 0, a product batched over the leading axes
+    otherwise, so the node array is never transposed."""
+    v = np.asarray(values, dtype=float)
+    D = difference_matrix(v.shape[axis], spacing, order)
+    u = v.reshape(math.prod(v.shape[:axis]), v.shape[axis], -1)
+    return ((D.T if adjoint else D) @ (u[0] if axis == 0 else u)).reshape(v.shape)
+
+
+def axis_derivative(values, axis: int, spacing: float) -> np.ndarray:
+    """d/dx_axis of a node array: central interior, one-sided O(h^2)
+    boundary, so exact on quadratics."""
+    return _along_axis(values, axis, spacing)
 
 
 def axis_second_derivative(values, axis: int, spacing: float) -> np.ndarray:
-    """d^2/dx_axis^2: central interior, 4-point one-sided O(h^2) boundary.
-
-    Direct second-derivative stencils avoid the order loss of nesting
-    one-sided first-derivative stencils at the boundary.
-    """
-    v = np.moveaxis(np.asarray(values, dtype=float), axis, 0)
-    out = np.empty_like(v)
-    h2 = spacing * spacing
-    out[1:-1] = (v[2:] - 2.0 * v[1:-1] + v[:-2]) / h2
-    out[0] = (2.0 * v[0] - 5.0 * v[1] + 4.0 * v[2] - v[3]) / h2
-    out[-1] = (2.0 * v[-1] - 5.0 * v[-2] + 4.0 * v[-3] - v[-4]) / h2
-    return np.moveaxis(out, 0, axis)
+    """d^2/dx_axis^2: central interior, 4-point one-sided O(h^2) boundary."""
+    return _along_axis(values, axis, spacing, order=2)
 
 
 def axis_derivative_adjoint(bar, axis: int, spacing: float) -> np.ndarray:
-    """Adjoint of :func:`axis_derivative` under the unweighted node dot product."""
-    b = np.moveaxis(np.asarray(bar, dtype=float), axis, 0)
-    out = np.zeros_like(b)
-    out[:-2] -= b[1:-1]
-    out[2:] += b[1:-1]
-    if b.shape[0] >= 5:
-        for k, c in enumerate((-5.0, 11.0, -10.0, 5.0, -1.0)):
-            out[k] += c * b[0]
-            out[-1 - k] += -c * b[-1]
-    else:
-        out[0] += -3.0 * b[0]
-        out[1] += 4.0 * b[0]
-        out[2] += -b[0]
-        out[-1] += 3.0 * b[-1]
-        out[-2] += -4.0 * b[-1]
-        out[-3] += b[-1]
-    out /= (2.0 * spacing)
-    return np.moveaxis(out, 0, axis)
+    """Adjoint of :func:`axis_derivative` under the unweighted node dot
+    product: the transposed difference matrix."""
+    return _along_axis(bar, axis, spacing, adjoint=True)
 
 
 def jacobian_array(values, grid: Grid) -> np.ndarray:
     """Raw Jacobian d_i f^alpha of a node array, shape (*counts, comps, dim)."""
     values = np.asarray(values, dtype=float)
-    cols = [axis_derivative(values, i, grid.spacing[i]) for i in range(grid.dim)]
-    return np.stack(cols, axis=-1)
+    # filled column by column, so one product's temporary lives at a time
+    J = np.empty(values.shape + (grid.dim,))
+    for i, h in enumerate(grid.spacing):
+        J[..., i] = axis_derivative(values, i, h)
+    return J
 
 
 def jacobian_adjoint(bar, grid: Grid) -> np.ndarray:
-    """Adjoint of :func:`jacobian_array`: scatter (*counts, comps, dim) back."""
+    """Adjoint of :func:`jacobian_array`: (*counts, comps, dim) back to nodes."""
     bar = np.asarray(bar, dtype=float)
-    out = np.zeros(bar.shape[:-1])
-    for i in range(grid.dim):
+    out = axis_derivative_adjoint(bar[..., 0], 0, grid.spacing[0])
+    for i in range(1, grid.dim):
         out += axis_derivative_adjoint(bar[..., i], i, grid.spacing[i])
     return out
 

@@ -602,6 +602,27 @@ def run_reconstruct(cfg: ExperimentConfig):
     return report, True
 
 
+STALL_WINDOW = 100
+
+
+def _stall_diagnostics(state, g, S, p, trace) -> dict:
+    """Why a minimization did not reach grad_tol: the max-norm of the
+    residual gradient at the terminal state per field (immersion ``values``,
+    or director ``foot`` and ``vec``) and per component, the largest of them
+    by name, and the energy decrease over the last STALL_WINDOW trace records."""
+    grad = energy_gradient(state, g, S, p)
+    parts = {"values": grad} if isinstance(state, DiscreteImmersion) else \
+        dict(zip(("foot", "vec"), grad))
+    maxes = {k: np.max(np.abs(v.reshape(-1, v.shape[-1])), axis=0).tolist()
+             for k, v in parts.items()}
+    top, name, comp = max((m, k, c) for k, ms in maxes.items() for c, m in enumerate(ms))
+    recent = trace.records[-STALL_WINDOW:]
+    return {"residual_gradient_max": maxes,
+            "residual_gradient_largest": {"field": name, "component": comp, "max": top},
+            "recent_records": len(recent),
+            "recent_energy_decrease": float(recent[0]["energy"] - recent[-1]["energy"])}
+
+
 def run_minimize(cfg: ExperimentConfig):
     """Descend the energy from a perturbed start; dump terminal state and trace."""
     os.makedirs(cfg.out, exist_ok=True)
@@ -639,6 +660,8 @@ def run_minimize(cfg: ExperimentConfig):
               "terminal_energy": float(trace.records[-1]["energy"]),
               "terminal_stretch": float(trace.records[-1]["stretch"]),
               "terminal_bend": float(trace.records[-1]["bend"])}
+    if not report["converged"]:
+        report.update(_stall_diagnostics(state, g, S, cfg.p, trace))
     gv = g.eval(grid.nodes())
     if isinstance(state, DiscreteImmersion):
         save_node_csv(os.path.join(cfg.out, "terminal.csv"), grid, state.values)

@@ -57,23 +57,13 @@ def _grid_second_partials(values, grid: Grid) -> np.ndarray:
     nest first-derivative stencils along distinct axes (which commute and
     keep second-order accuracy up to the boundary).
     """
-    d = grid.dim
-    h = grid.spacing
-    cache = {}
-    rows = []
+    d, h = grid.dim, grid.spacing
+    P = [[None] * d for _ in range(d)]
     for k in range(d):
-        cols = []
-        for l in range(d):
-            key = (min(k, l), max(k, l))
-            if key not in cache:
-                if k == l:
-                    cache[key] = axis_second_derivative(values, k, h[k])
-                else:
-                    inner = axis_derivative(values, max(k, l), h[max(k, l)])
-                    cache[key] = axis_derivative(inner, min(k, l), h[min(k, l)])
-            cols.append(cache[key])
-        rows.append(np.stack(cols, axis=d))
-    return np.stack(rows, axis=d)
+        P[k][k] = axis_second_derivative(values, k, h[k])
+        for l in range(k + 1, d):
+            P[k][l] = P[l][k] = axis_derivative(axis_derivative(values, l, h[l]), k, h[k])
+    return np.stack([np.stack(row, axis=d) for row in P], axis=d)
 
 
 def _christoffel_partials(gv, dG, d2G) -> np.ndarray:

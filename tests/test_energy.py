@@ -5,7 +5,8 @@ import pytest
 from scipy.integrate import solve_ivp
 
 from helpers import random_rotation
-from imlab.energy import (bending_energy, connector_apply, director_frame,
+from imlab import energy as energy_module
+from imlab.energy import (Integrands, bending_energy, connector_apply, director_frame,
                           parameter_factors, relaxed_bending, relaxed_stretching,
                           relaxed_total, sasaki_bound_margin, sasaki_norm_sq,
                           stretching_energy, total_energy)
@@ -336,6 +337,33 @@ class TestBoundMargin:
             if mask.any():
                 assert np.min(m[mask]) >= 0.0
         assert count > 1000
+
+
+    @pytest.mark.parametrize("dim, target", [(2, "euclidean"), (1, "sphere")])
+    def test_shares_jacobians_and_keeps_bits(self, monkeypatch, dim, target):
+        """Two jacobian_array calls per evaluation (foot and vec, shared by the
+        Sasaki norm and the integrands), and the margins of evaluating the
+        two separately, bit for bit."""
+        rng = np.random.default_rng(41)
+        grid = Grid((13,) * dim, (1.0,) * dim)
+        g = chart("euclidean", dim)
+        xi = random_director(grid, chart(target, 3 if target == "euclidean" else None),
+                             rng, vec_scale=30.0)
+        S = ShapeField(grid, rng.normal(size=grid.counts + (dim, dim)))
+        core = Integrands(grid, g, xi.target, S)
+        lhs = np.sqrt(core.sasaki_sq(xi.foot, xi.vec))
+        nodes = core.director(xi.foot, xi.vec)
+        factor = 3.0 + 2.0 * S.sup_norm(g)
+        rhs = factor * (np.sqrt(nodes.dist2) + np.sqrt(nodes.q2))
+        expect = np.where(lhs >= factor * np.sqrt(dim + 1.0), rhs - lhs, np.nan)
+
+        calls = []
+        real = energy_module.jacobian_array
+        monkeypatch.setattr(energy_module, "jacobian_array",
+                            lambda *a: calls.append(1) or real(*a))
+        m = sasaki_bound_margin(xi, g, S)
+        assert len(calls) == 2
+        assert np.isfinite(m).any() and m.tobytes() == expect.tobytes()
 
 
 class TestInvariances:

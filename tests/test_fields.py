@@ -9,14 +9,16 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
+import helpers as ref
 from helpers import convergence_orders
 from imlab.errors import BadExponent, GridMismatch
 from imlab.fields import (DirectorField, DiscreteImmersion, Grid, JacobianField,
                           ShapeField, atomic_write, axis_derivative,
                           axis_derivative_adjoint, axis_second_derivative,
-                          fd_jacobian, integrate_density, jacobian_array,
-                          load_binary, load_node_csv, lp_norm, quadrature_weights,
-                          save_binary, save_node_csv, w1p_distance)
+                          difference_matrix, fd_jacobian, integrate_density,
+                          jacobian_adjoint, jacobian_array, load_binary, load_node_csv,
+                          lp_norm, quadrature_weights, save_binary, save_node_csv,
+                          w1p_distance)
 from imlab.geometry import chart
 from imlab.harness import write_csv, write_json, write_svg_loglog
 from imlab.optimize import OptimizeTrace
@@ -73,6 +75,19 @@ class TestFieldValues:
             _field(kind, bad)
 
 
+@st.composite
+def _stencil_cases(draw):
+    """(grid, trailing shape, rng): 1-D and 2-D grids with independent,
+    anisotropic spacings, four-node axes (the three-point boundary
+    fallback) among the counts, and node arrays with trailing shapes (),
+    (3,) and (3, 3)."""
+    dim = draw(st.integers(1, 2))
+    counts = tuple(draw(st.sampled_from([4, 5, 6, 9, 17, 33])) for _ in range(dim))
+    extents = tuple(draw(st.floats(0.05, 20.0)) for _ in range(dim))
+    trailing = draw(st.sampled_from([(), (3,), (3, 3)]))
+    return Grid(counts, extents), trailing, np.random.default_rng(draw(st.integers(0, 2 ** 32)))
+
+
 class TestStencils:
     def test_exact_on_affine(self):
         g = Grid((7, 5), (1.2, 0.8))
@@ -108,15 +123,66 @@ class TestStencils:
             K = a * jacobian_array(u, g) + b * jacobian_array(v, g)
             assert np.max(np.abs(J - K)) < 1e-13
 
-    def test_adjoint_identity(self):
-        rng = np.random.default_rng(1)
-        for axis, shape in ((0, (9, 5)), (1, (5, 8)), (0, (11,))):
-            u = rng.normal(size=shape)
-            v = rng.normal(size=shape)
-            h = 0.37
-            lhs = np.sum(axis_derivative(u, axis, h) * v)
-            rhs = np.sum(u * axis_derivative_adjoint(v, axis, h))
-            assert abs(lhs - rhs) < 1e-12 * max(1.0, abs(lhs))
+    @settings(max_examples=60, deadline=None)
+    @given(_stencil_cases())
+    def test_adjoint_identity(self, case):
+        grid, trailing, rng = case
+        u = rng.normal(size=grid.counts + trailing)
+        v = rng.normal(size=grid.counts + trailing + (grid.dim,))
+        Ju = jacobian_array(u, grid)
+        lhs, rhs = np.sum(Ju * v), np.sum(u * jacobian_adjoint(v, grid))
+        assert abs(lhs - rhs) <= 1e-12 * np.sum(np.abs(Ju * v))
+        for axis, h in enumerate(grid.spacing):
+            Du, w = axis_derivative(u, axis, h), v[..., axis]
+            lhs, rhs = np.sum(Du * w), np.sum(u * axis_derivative_adjoint(w, axis, h))
+            assert abs(lhs - rhs) <= 1e-12 * np.sum(np.abs(Du * w))
+
+    @settings(max_examples=60, deadline=None)
+    @given(_stencil_cases())
+    def test_matrices_match_slicing_reference(self, case):
+        """The difference matrices agree with the slicing stencils they
+        replaced to 1e-13, relative to the larger of the result and the
+        input over h^order (the scale of the cancelling terms)."""
+        grid, trailing, rng = case
+        u = 10.0 ** rng.uniform(-3, 3) * rng.normal(size=grid.counts + trailing)
+        bar = rng.normal(size=grid.counts + trailing + (grid.dim,))
+
+        def close(new, old, inp, h, order=1):
+            assert new.shape == old.shape
+            scale = max(np.max(np.abs(old)), np.max(np.abs(inp)) / h ** order)
+            assert np.max(np.abs(new - old)) <= 1e-13 * scale
+
+        h = min(grid.spacing)
+        close(jacobian_array(u, grid), ref.jacobian_array(u, grid), u, h)
+        close(jacobian_adjoint(bar, grid), ref.jacobian_adjoint(bar, grid), bar, h)
+        for axis, h in enumerate(grid.spacing):
+            close(axis_derivative(u, axis, h), ref.axis_derivative(u, axis, h), u, h)
+            close(axis_derivative_adjoint(u, axis, h),
+                  ref.axis_derivative_adjoint(u, axis, h), u, h)
+            close(axis_second_derivative(u, axis, h),
+                  ref.axis_second_derivative(u, axis, h), u, h, order=2)
+
+    def test_difference_matrices_cached_read_only_and_transposed_adjoint(self):
+        D = difference_matrix(9, 0.25)
+        assert difference_matrix(9, 0.25) is D and not D.flags.writeable
+        assert difference_matrix(9, 0.25, 2) is not D
+        with pytest.raises(ValueError):
+            D[0, 0] = 1.0
+        eye = np.eye(9)
+        assert np.array_equal(axis_derivative(eye, 0, 0.25), D)
+        assert np.array_equal(axis_derivative_adjoint(eye, 0, 0.25), D.T)
+        assert np.array_equal(axis_second_derivative(eye, 0, 0.25),
+                              difference_matrix(9, 0.25, 2))
+
+    def test_no_axis_transposes(self, monkeypatch):
+        def refuse(*args, **kwargs):
+            raise AssertionError("stencils must not call np.moveaxis")
+
+        monkeypatch.setattr(np, "moveaxis", refuse)
+        grid = Grid((5, 7), (1.0, 2.0))
+        u = np.ones(grid.counts + (3,))
+        jacobian_adjoint(jacobian_array(u, grid), grid)
+        axis_second_derivative(u, 1, grid.spacing[1])
 
     def test_second_derivative_exact_on_cubics(self):
         g = Grid((9,), (2.0,))

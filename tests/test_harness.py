@@ -14,9 +14,11 @@ from hypothesis import strategies as st
 from imlab.cli import main as cli_main
 from imlab.energy import total_energy
 from imlab.errors import BadConfig
-from imlab.fields import DiscreteImmersion, Grid, fmt17, load_binary, save_node_csv
+from imlab.fields import (DirectorField, DiscreteImmersion, Grid, fmt17, load_binary,
+                          load_node_csv, save_node_csv)
 from imlab.geometry import chart
 from imlab import harness
+from imlab.optimize import energy_gradient
 from imlab.harness import (ExperimentConfig, config_from_dict, load_config,
                            run_check, run_minimize, run_experiment,
                            run_stability_sweep, wrinkle_profile, write_json)
@@ -232,6 +234,56 @@ class TestCli:
         assert report["converged"] is False
         assert report["iterations"] == 3 and report["ngev"] == 4
         assert report["nfev"] == 4 + report["backtracks"]
+
+    @pytest.mark.parametrize("start", ["immersion", "director"])
+    def test_minimize_stall_diagnostics(self, tmp_path, capsys, start):
+        """A run cut at max_iters=5 reports the residual gradient max-norm per
+        field and component at its terminal state and the energy decrease
+        over its trace, and its warning names the largest component."""
+        out = tmp_path / "out"
+        cfgpath = tmp_path / "cfg.json"
+        cfgpath.write_text(json.dumps({
+            "imlab_config": 1, "experiment": "minimize", "preset": "flat",
+            "grid": [9, 9], "out": str(out), "start": start,
+            "optimizer": {"max_iters": 5}}))
+        assert cli_main(["minimize", "--config", str(cfgpath)]) == 0
+        err = capsys.readouterr().err
+        report = json.loads((out / "minimize_report.json").read_text())
+        cfg = load_config(cfgpath)
+        g, grid, S, _ = harness._problem_context(cfg)
+        E3 = chart("euclidean", 3)
+        if start == "immersion":
+            state = DiscreteImmersion(grid, load_binary(out / "terminal.bin"), E3)
+            parts = {"values": energy_gradient(state, g, S, cfg.p)}
+        else:
+            state = DirectorField(grid, load_node_csv(out / "terminal_foot.csv"),
+                                  load_node_csv(out / "terminal_vec.csv"), E3)
+            parts = dict(zip(("foot", "vec"), energy_gradient(state, g, S, cfg.p)))
+        maxes = report["residual_gradient_max"]
+        assert sorted(maxes) == sorted(parts)
+        for name, grad in parts.items():
+            assert maxes[name] == np.max(np.abs(grad), axis=(0, 1)).tolist()
+        trace = np.loadtxt(out / "trace.csv", delimiter=",", skiprows=1)
+        top = max(max(m) for m in maxes.values())
+        assert top == trace[-1, 4]
+        big = report["residual_gradient_largest"]
+        assert big["max"] == top == maxes[big["field"]][big["component"]]
+        assert f"largest residual gradient {big['field']}[{big['component']}]" in err
+        assert report["recent_records"] == 6 == len(trace)
+        assert report["recent_energy_decrease"] == trace[0, 1] - trace[-1, 1] > 0.0
+        assert "over the last 6 trace records" in err
+
+    def test_converged_minimize_reports_no_stall(self, tmp_path, capsys):
+        out = tmp_path / "out"
+        cfgpath = tmp_path / "cfg.json"
+        cfgpath.write_text(json.dumps({
+            "imlab_config": 1, "experiment": "minimize", "preset": "flat",
+            "grid": [9, 9], "out": str(out), "start": "director",
+            "optimizer": {"max_iters": 500, "grad_tol": 1e-6}}))
+        assert cli_main(["minimize", "--config", str(cfgpath)]) == 0
+        assert "warning" not in capsys.readouterr().err
+        report = json.loads((out / "minimize_report.json").read_text())
+        assert report["converged"] and "residual_gradient_max" not in report
 
     def test_non_finite_report_value_exits_1(self, tmp_path, monkeypatch, capsys):
         real = harness.en.total_energy
