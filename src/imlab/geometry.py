@@ -304,16 +304,6 @@ def chart_factors(m: MetricChart, x, err=NotSPD):
 # Christoffel symbols and curvature
 
 
-@dataclass(frozen=True)
-class ChristoffelValue:
-    """Levi-Civita connection coefficients, components[..., a, b, c] = Gamma^a_bc."""
-
-    components: np.ndarray
-
-    def __post_init__(self):
-        object.__setattr__(self, "components", np.asarray(self.components, dtype=float))
-
-
 def christoffel_from_values(G, dG) -> np.ndarray:
     """Gamma^a_bc from metric values and partials dG[..., k, i, j] = d_k g_ij."""
     _, _, Gsi = spd_factors(G, SingularMetric)
@@ -323,14 +313,13 @@ def christoffel_from_values(G, dG) -> np.ndarray:
     return 0.5 * ((Gsi @ Gsi) @ term.reshape(term.shape[:-2] + (-1,))).reshape(term.shape)
 
 
-def christoffel(m: MetricChart, x) -> ChristoffelValue:
-    """Levi-Civita Christoffel symbols of a metric chart at point(s) x."""
+def christoffel(m: MetricChart, x) -> np.ndarray:
+    """Levi-Civita Christoffel symbols [..., a, b, c] = Gamma^a_bc of a metric
+    chart at point(s) x (..., dim)."""
     x = _as_points(x, m.dim)
     if m.is_constant:
-        return ChristoffelValue(np.zeros(x.shape[:-1] + (m.dim,) * 3))
-    G = m.eval(x)
-    dG = m.eval_deriv(x)
-    return ChristoffelValue(christoffel_from_values(G, dG))
+        return np.zeros(x.shape[:-1] + (m.dim,) * 3)
+    return christoffel_from_values(m.eval(x), m.eval_deriv(x))
 
 
 def riemann_from_values(G, Gam, dGam) -> np.ndarray:
@@ -357,7 +346,7 @@ def riemann_curvature(m: MetricChart, x) -> np.ndarray:
     if m.is_constant:
         return np.zeros(x.shape[:-1] + (n,) * 4)
     G = m.eval(x)
-    Gam = christoffel(m, x).components
+    Gam = christoffel(m, x)
     # larger step when the metric derivative itself is finite-differenced,
     # to keep the nested-difference noise below truncation error
     rel = FD_STEP_REL if m.matrix_deriv is not None else 1e-4
@@ -366,8 +355,8 @@ def riemann_curvature(m: MetricChart, x) -> np.ndarray:
     for k in range(n):
         dx = np.zeros(n)
         dx[k] = steps[k]
-        gp = christoffel(m, x + dx).components
-        gm = christoffel(m, x - dx).components
+        gp = christoffel(m, x + dx)
+        gm = christoffel(m, x - dx)
         dGam[..., k, :, :, :] = (gp - gm) / (2.0 * steps[k])
     return riemann_from_values(G, Gam, dGam)
 

@@ -18,7 +18,8 @@ from typing import List, Optional
 import numpy as np
 
 from . import energy as en
-from .errors import AsymmetricShape, BadConfig, is_finite, is_int, require
+from .errors import (AsymmetricShape, BadConfig, IncompatibleForms, is_finite,
+                     is_int, require)
 from .fields import (DirectorField, DiscreteImmersion, Grid, ShapeField,
                      atomic_write, fmt17, jacobian_array, load_node_csv,
                      save_binary, save_node_csv, w1p_distance)
@@ -286,7 +287,7 @@ def _sasaki_direct(xi: DirectorField, g) -> np.ndarray:
     Jx = jacobian_array(xi.foot, xi.grid)
     Jv = jacobian_array(xi.vec, xi.grid)
     H = xi.target.eval(xi.foot)
-    Gam = christoffel(xi.target, xi.foot).components
+    Gam = christoffel(xi.target, xi.foot)
     ginv, _ = en.parameter_factors(g, xi.grid)
     horiz = Jx
     vert = Jv + np.einsum("...abc,...bi,...c->...ai", Gam, Jx, xi.vec)
@@ -629,10 +630,9 @@ def run_minimize(cfg: ExperimentConfig):
     g, grid, S, f0 = _problem_context(cfg)
     rng = np.random.default_rng(cfg.seed)
     if f0 is None:
-        rep = gauss_codazzi_residual(g, S, grid)
-        if rep.passed:
+        try:
             f0 = integrate_frame(g, S, grid)
-        else:
+        except IncompatibleForms:
             # incompatible forms have no reference: start from the flat chart graph
             f0 = DiscreteImmersion(grid, np.concatenate(
                 [grid.nodes(), np.zeros(grid.counts + (1,))], axis=-1),

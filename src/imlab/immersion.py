@@ -58,7 +58,7 @@ def connector(target, points, Dv, J, v):
     Dv^a_i + Gamma^a_bc d_i f^b v^c (Dv itself for a constant target)."""
     if target.is_constant:
         return Dv
-    Gam = christoffel(target, points).components
+    Gam = christoffel(target, points)
     return Dv + np.einsum("...abc,...bi,...c->...ai", Gam, J, v)
 
 

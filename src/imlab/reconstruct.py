@@ -15,6 +15,9 @@ integrates the moving-frame system
 with classical fourth-order Runge-Kutta steps: first along the grid's first
 axis through the anchor, then along the second axis per column.  The discrete
 integration path is fixed (path independence holds only in the continuum).
+The coefficients Gamma, II and S depend on the point only, so each sweep
+evaluates them once, batched over its nodes and midpoints; an RK4 stage reads
+them from that table and does only the state-dependent work.
 """
 
 from __future__ import annotations
@@ -24,7 +27,7 @@ from typing import Optional
 import numpy as np
 
 from .errors import (AsymmetricShape, DegenerateCovariance, GridMismatch,
-                     IncompatibleForms, NonSPDAnchor)
+                     IncompatibleForms, NonSPDAnchor, is_int)
 from .fields import (CompatibilityReport, DiscreteImmersion, Grid, ShapeField,
                      atomic_write, axis_derivative, axis_second_derivative,
                      fmt17, quadrature_weights)
@@ -174,48 +177,75 @@ def _validate_frame(g: MetricChart, anchor_point, E0, n0):
         raise NonSPDAnchor("anchor frame must be positively oriented")
 
 
-def _frame_rhs(g: MetricChart, X, Sx, F, E, N, axis: int):
-    """Batched right-hand side of the moving-frame system along one axis."""
-    Gam = christoffel(g, X).components
-    gx = g.eval(X)
-    II = gx @ Sx
+def _sweep_coefficients(g: MetricChart, X, Snode, Smid, axis: int) -> tuple:
+    """The point-only coefficients of the frame system along ``axis`` at the
+    2n-1 half-step points ``X`` (2n-1, batch, d) of one sweep, nodes at even
+    and midpoints at odd indices: Gamma^k_(axis)j, II_(axis)j = (g S)_(axis)j
+    and S^j_(axis), from one batched Christoffel and one batched metric
+    evaluation.  ``Snode``/``Smid`` hold S at the nodes and midpoints."""
+    S = np.empty((2 * len(Snode) - 1,) + Snode.shape[1:])
+    S[0::2], S[1::2] = Snode, Smid
+    Gam = christoffel(g, X)[..., :, axis, :].copy()
+    II = (g.eval(X) @ S)[..., axis, :].copy()
+    return Gam, II, S[..., :, axis]
+
+
+def _frame_rhs(coef, t: int, F, E, N, axis: int):
+    """Right-hand side of the moving-frame system along one axis, with the
+    coefficients at half-step ``t`` of the sweep's table: state work only."""
+    Gam, II, Sa = (c[t] for c in coef)
     dF = E[..., :, axis]
-    dE = (np.einsum("...kj,...ck->...cj", Gam[..., :, axis, :], E)
-          + N[..., :, None] * II[..., axis, None, :])
-    dN = -np.einsum("...ck,...k->...c", E, Sx[..., :, axis])
+    dE = np.einsum("...kj,...ck->...cj", Gam, E) + N[..., :, None] * II[..., None, :]
+    dN = -np.einsum("...ck,...k->...c", E, Sa)
     return dF, dE, dN
 
 
-def _rk4_march(g, axis, point_of, Snode, Smid, h, start, stop, F, E, N, out):
-    """March the frame system from index ``start`` to ``stop`` along one axis.
+def _rk4_march(coef, axis, h, start, stop, F, E, N, out):
+    """March the frame system from node ``start`` to ``stop`` of one sweep.
 
-    ``point_of(j)`` gives the batched coordinates at marching index j;
-    ``Snode[j]``/``Smid[j]`` index the shape operator at nodes / midpoints
-    (midpoint j sits between nodes j and j+1).  States are written into
-    ``out`` (a list of per-index slots).
+    Node j reads the coefficient table at half-step 2j, the midpoint towards
+    the next node at 2j + step.  States are written into ``out`` (a list of
+    per-node slots).
     """
     step = 1 if stop > start else -1
-    j = start
-    while j != stop:
-        jn = j + step
-        mid = j if step > 0 else jn
-        hh = h * step
-        Xa, Xm, Xb = point_of(j), point_of(j + 0.5 * step), point_of(jn)
-        Sa, Sm, Sb = Snode[j], Smid[mid], Snode[jn]
-
-        k1 = _frame_rhs(g, Xa, Sa, F, E, N, axis)
+    hh = h * step
+    for j in range(start, stop, step):
+        k1 = _frame_rhs(coef, 2 * j, F, E, N, axis)
         F1, E1, N1 = F + 0.5 * hh * k1[0], E + 0.5 * hh * k1[1], N + 0.5 * hh * k1[2]
-        k2 = _frame_rhs(g, Xm, Sm, F1, E1, N1, axis)
+        k2 = _frame_rhs(coef, 2 * j + step, F1, E1, N1, axis)
         F2, E2, N2 = F + 0.5 * hh * k2[0], E + 0.5 * hh * k2[1], N + 0.5 * hh * k2[2]
-        k3 = _frame_rhs(g, Xm, Sm, F2, E2, N2, axis)
+        k3 = _frame_rhs(coef, 2 * j + step, F2, E2, N2, axis)
         F3, E3, N3 = F + hh * k3[0], E + hh * k3[1], N + hh * k3[2]
-        k4 = _frame_rhs(g, Xb, Sb, F3, E3, N3, axis)
+        k4 = _frame_rhs(coef, 2 * (j + step), F3, E3, N3, axis)
 
         F = F + hh / 6.0 * (k1[0] + 2 * k2[0] + 2 * k3[0] + k4[0])
         E = E + hh / 6.0 * (k1[1] + 2 * k2[1] + 2 * k3[1] + k4[1])
         N = N + hh / 6.0 * (k1[2] + 2 * k2[2] + 2 * k3[2] + k4[2])
-        out[jn] = (F, E, N)
-        j = jn
+        out[j + step] = (F, E, N)
+
+
+def _sweep(g, X, Snode, Smid, axis, h, i0, state) -> list:
+    """March one sweep (see :func:`_sweep_coefficients`) from node ``i0``,
+    which holds ``state``, to both ends; returns F, E and N with the batch
+    leading and the node second."""
+    coef = _sweep_coefficients(g, X, Snode, Smid, axis)
+    slots = [None] * len(Snode)
+    slots[i0] = state
+    _rk4_march(coef, axis, h, i0, len(Snode) - 1, *state, slots)
+    _rk4_march(coef, axis, h, i0, 0, *state, slots)
+    return [np.stack([s[c] for s in slots], axis=1) for c in range(3)]
+
+
+def _anchor(anchor_index, grid: Grid) -> tuple:
+    """The anchor node: d integers 0 <= i < n_a, the first node by default."""
+    if anchor_index is None:
+        return (0,) * grid.dim
+    idx = tuple(anchor_index) if isinstance(anchor_index, (tuple, list, np.ndarray)) else ()
+    if len(idx) != grid.dim or not all(is_int(i) and 0 <= i < n
+                                       for i, n in zip(idx, grid.counts)):
+        raise ValueError(f"anchor_index must be {grid.dim} integers 0 <= i < n "
+                         f"for counts {grid.counts}, got {anchor_index!r}")
+    return tuple(int(i) for i in idx)
 
 
 def integrate_frame(g: MetricChart, S: ShapeField, grid: Grid,
@@ -226,19 +256,18 @@ def integrate_frame(g: MetricChart, S: ShapeField, grid: Grid,
 
     The anchor frame defaults to the transposed Cholesky factor of g(anchor)
     embedded in the last-coordinate plane with the normal on the last axis;
-    pass ``frame=(E0, n0)`` for a custom admissible frame.  With
+    pass ``frame=(E0, n0)`` for a custom admissible frame.  ``anchor_index``
+    must be d integers 0 <= i < n_a (ValueError otherwise).  With
     ``return_frame`` the integrated tangent frame and normal node arrays are
     returned alongside the immersion.
     """
+    anchor_index = _anchor(anchor_index, grid)
     report = gauss_codazzi_residual(g, S, grid)
     if not report.passed:
         raise IncompatibleForms(
             f"Gauss residual {report.max_gauss:.3e}, "
             f"Codazzi residual {report.max_codazzi:.3e} exceed tolerance")
     d = grid.dim
-    if anchor_index is None:
-        anchor_index = (0,) * d
-    anchor_index = tuple(int(i) for i in anchor_index)
     axes = grid.axes()
     anchor_point = np.array([axes[a][anchor_index[a]] for a in range(d)])
     if frame is None:
@@ -250,72 +279,30 @@ def integrate_frame(g: MetricChart, S: ShapeField, grid: Grid,
 
     Sv = S.values
     h = grid.spacing
+    state = (np.zeros((1, d + 1)), E0[None, ...], n0[None, ...])
+    # half-step coordinates along the first axis, x_0 + (k/2) h
+    x = axes[0][0] + np.arange(2 * grid.counts[0] - 1) / 2.0 * h[0]
 
     if d == 1:
-        n0_count = grid.counts[0]
-        i0 = anchor_index[0]
-        slots = [None] * n0_count
-        slots[i0] = (np.zeros((1, 2)), E0[None, ...], n0[None, ...])
-        Smid = _midpoint_values(Sv, 0)
-
-        def point_of(t):
-            return np.array([[axes[0][0] + t * h[0]]])
-
-        F, E, N = slots[i0]
-        _rk4_march(g, 0, point_of, Sv, Smid, h[0], i0, n0_count - 1, F, E, N, slots)
-        F, E, N = slots[i0]
-        _rk4_march(g, 0, point_of, Sv, Smid, h[0], i0, 0, F, E, N, slots)
-        values = np.stack([slots[i][0][0] for i in range(n0_count)])
-        out = DiscreteImmersion(grid, values, chart("euclidean", 2))
-        if return_frame:
-            Earr = np.stack([slots[i][1][0] for i in range(n0_count)])
-            Narr = np.stack([slots[i][2][0] for i in range(n0_count)])
-            return out, Earr, Narr
-        return out
-
-    n1, n2 = grid.counts
-    i0, j0 = anchor_index
-
-    # first sweep: along axis 0 on the anchor row
-    row_slots = [None] * n1
-    row_slots[i0] = (np.zeros((1, 3)), E0[None, ...], n0[None, ...])
-    Srow = Sv[:, j0]
-    Smid_row = _midpoint_values(Srow, 0)
-
-    def row_point(t):
-        return np.array([[axes[0][0] + t * h[0], axes[1][j0]]])
-
-    F, E, N = row_slots[i0]
-    if i0 < n1 - 1:
-        _rk4_march(g, 0, row_point, Srow, Smid_row, h[0], i0, n1 - 1, F, E, N, row_slots)
-    if i0 > 0:
-        _rk4_march(g, 0, row_point, Srow, Smid_row, h[0], i0, 0, F, E, N, row_slots)
-
-    # second sweep: along axis 1, all columns in a single batch
-    F0 = np.concatenate([row_slots[i][0] for i in range(n1)], axis=0)
-    E0b = np.concatenate([row_slots[i][1] for i in range(n1)], axis=0)
-    N0 = np.concatenate([row_slots[i][2] for i in range(n1)], axis=0)
-    col_slots = [None] * n2
-    col_slots[j0] = (F0, E0b, N0)
-    Snode = np.moveaxis(Sv, 1, 0)                # (n2, n1, d, d)
-    Smid_col = np.moveaxis(_midpoint_values(Sv, 1), 1, 0)
-
-    def col_point(t):
-        y = axes[1][0] + t * h[1]
-        return np.stack([axes[0], np.full(n1, y)], axis=-1)
-
-    if j0 < n2 - 1:
-        _rk4_march(g, 1, col_point, Snode, Smid_col, h[1], j0, n2 - 1, F0, E0b, N0, col_slots)
-    if j0 > 0:
-        _rk4_march(g, 1, col_point, Snode, Smid_col, h[1], j0, 0, F0, E0b, N0, col_slots)
-
-    values = np.stack([col_slots[j][0] for j in range(n2)], axis=1)
-    out = DiscreteImmersion(grid, values, chart("euclidean", 3))
-    if return_frame:
-        Earr = np.stack([col_slots[j][1] for j in range(n2)], axis=1)
-        Narr = np.stack([col_slots[j][2] for j in range(n2)], axis=1)
-        return out, Earr, Narr
-    return out
+        F, E, N = (a[0] for a in _sweep(g, x[:, None, None], Sv[:, None],
+                                        _midpoint_values(Sv, 0)[:, None],
+                                        0, h[0], anchor_index[0], state))
+    else:
+        # first sweep: along axis 0 on the anchor row
+        i0, j0 = anchor_index
+        Srow = Sv[:, j0]
+        row = np.stack([x, np.full_like(x, axes[1][j0])], axis=-1)[:, None]
+        state = [a[0] for a in _sweep(g, row, Srow[:, None],
+                                      _midpoint_values(Srow, 0)[:, None],
+                                      0, h[0], i0, state)]
+        # second sweep: along axis 1, all columns in a single batch
+        y = axes[1][0] + np.arange(2 * grid.counts[1] - 1) / 2.0 * h[1]
+        col = np.stack(np.broadcast_arrays(axes[0], y[:, None]), axis=-1)
+        F, E, N = _sweep(g, col, np.moveaxis(Sv, 1, 0),
+                         np.moveaxis(_midpoint_values(Sv, 1), 1, 0),
+                         1, h[1], j0, state)
+    out = DiscreteImmersion(grid, F, chart("euclidean", d + 1))
+    return (out, E, N) if return_frame else out
 
 
 # ---------------------------------------------------------------------------

@@ -1,11 +1,15 @@
 """Shared test utilities: random rotations, convergence orders, symbolic oracles,
-and the slicing finite-difference stencils that the library's difference
-matrices are checked against."""
+the slicing finite-difference stencils that the library's difference
+matrices are checked against, and the per-stage RK4 frame march that the
+library's per-sweep march is checked against."""
 
 import numpy as np
 import sympy as sp
 
 from imlab.fields import Grid
+from imlab.geometry import christoffel
+from imlab.reconstruct import (_default_anchor_frame, _midpoint_values,
+                               _validate_frame)
 
 
 def random_rotation(rng, n):
@@ -155,3 +159,128 @@ def jacobian_adjoint(bar, grid: Grid) -> np.ndarray:
     for i in range(grid.dim):
         out += axis_derivative_adjoint(bar[..., i], i, grid.spacing[i])
     return out
+
+
+# ---------------------------------------------------------------------------
+# reference frame march: the per-stage RK4 march that the per-sweep
+# coefficient tables of imlab.reconstruct replaced, kept verbatim (the
+# Gauss-Codazzi gate aside); returns the immersion values, frame and normal
+
+
+def _frame_rhs(g, X, Sx, F, E, N, axis: int):
+    """Batched right-hand side of the moving-frame system along one axis."""
+    Gam = christoffel(g, X)
+    gx = g.eval(X)
+    II = gx @ Sx
+    dF = E[..., :, axis]
+    dE = (np.einsum("...kj,...ck->...cj", Gam[..., :, axis, :], E)
+          + N[..., :, None] * II[..., axis, None, :])
+    dN = -np.einsum("...ck,...k->...c", E, Sx[..., :, axis])
+    return dF, dE, dN
+
+
+def _rk4_march(g, axis, point_of, Snode, Smid, h, start, stop, F, E, N, out):
+    """March the frame system from index ``start`` to ``stop`` along one axis.
+
+    ``point_of(j)`` gives the batched coordinates at marching index j;
+    ``Snode[j]``/``Smid[j]`` index the shape operator at nodes / midpoints
+    (midpoint j sits between nodes j and j+1).  States are written into
+    ``out`` (a list of per-index slots).
+    """
+    step = 1 if stop > start else -1
+    j = start
+    while j != stop:
+        jn = j + step
+        mid = j if step > 0 else jn
+        hh = h * step
+        Xa, Xm, Xb = point_of(j), point_of(j + 0.5 * step), point_of(jn)
+        Sa, Sm, Sb = Snode[j], Smid[mid], Snode[jn]
+
+        k1 = _frame_rhs(g, Xa, Sa, F, E, N, axis)
+        F1, E1, N1 = F + 0.5 * hh * k1[0], E + 0.5 * hh * k1[1], N + 0.5 * hh * k1[2]
+        k2 = _frame_rhs(g, Xm, Sm, F1, E1, N1, axis)
+        F2, E2, N2 = F + 0.5 * hh * k2[0], E + 0.5 * hh * k2[1], N + 0.5 * hh * k2[2]
+        k3 = _frame_rhs(g, Xm, Sm, F2, E2, N2, axis)
+        F3, E3, N3 = F + hh * k3[0], E + hh * k3[1], N + hh * k3[2]
+        k4 = _frame_rhs(g, Xb, Sb, F3, E3, N3, axis)
+
+        F = F + hh / 6.0 * (k1[0] + 2 * k2[0] + 2 * k3[0] + k4[0])
+        E = E + hh / 6.0 * (k1[1] + 2 * k2[1] + 2 * k3[1] + k4[1])
+        N = N + hh / 6.0 * (k1[2] + 2 * k2[2] + 2 * k3[2] + k4[2])
+        out[jn] = (F, E, N)
+        j = jn
+
+
+def integrate_frame(g, S, grid: Grid, anchor_index=None, frame=None):
+    """(values, E, N) of the per-stage march from the anchor frame."""
+    d = grid.dim
+    if anchor_index is None:
+        anchor_index = (0,) * d
+    anchor_index = tuple(int(i) for i in anchor_index)
+    axes = grid.axes()
+    anchor_point = np.array([axes[a][anchor_index[a]] for a in range(d)])
+    if frame is None:
+        E0, n0 = _default_anchor_frame(g, anchor_point)
+    else:
+        E0 = np.asarray(frame[0], dtype=float)
+        n0 = np.asarray(frame[1], dtype=float)
+        _validate_frame(g, anchor_point, E0, n0)
+
+    Sv = S.values
+    h = grid.spacing
+
+    if d == 1:
+        n0_count = grid.counts[0]
+        i0 = anchor_index[0]
+        slots = [None] * n0_count
+        slots[i0] = (np.zeros((1, 2)), E0[None, ...], n0[None, ...])
+        Smid = _midpoint_values(Sv, 0)
+
+        def point_of(t):
+            return np.array([[axes[0][0] + t * h[0]]])
+
+        F, E, N = slots[i0]
+        _rk4_march(g, 0, point_of, Sv, Smid, h[0], i0, n0_count - 1, F, E, N, slots)
+        F, E, N = slots[i0]
+        _rk4_march(g, 0, point_of, Sv, Smid, h[0], i0, 0, F, E, N, slots)
+        return tuple(np.stack([slots[i][c][0] for i in range(n0_count)])
+                     for c in range(3))
+
+    n1, n2 = grid.counts
+    i0, j0 = anchor_index
+
+    # first sweep: along axis 0 on the anchor row
+    row_slots = [None] * n1
+    row_slots[i0] = (np.zeros((1, 3)), E0[None, ...], n0[None, ...])
+    Srow = Sv[:, j0]
+    Smid_row = _midpoint_values(Srow, 0)
+
+    def row_point(t):
+        return np.array([[axes[0][0] + t * h[0], axes[1][j0]]])
+
+    F, E, N = row_slots[i0]
+    if i0 < n1 - 1:
+        _rk4_march(g, 0, row_point, Srow, Smid_row, h[0], i0, n1 - 1, F, E, N, row_slots)
+    if i0 > 0:
+        _rk4_march(g, 0, row_point, Srow, Smid_row, h[0], i0, 0, F, E, N, row_slots)
+
+    # second sweep: along axis 1, all columns in a single batch
+    F0 = np.concatenate([row_slots[i][0] for i in range(n1)], axis=0)
+    E0b = np.concatenate([row_slots[i][1] for i in range(n1)], axis=0)
+    N0 = np.concatenate([row_slots[i][2] for i in range(n1)], axis=0)
+    col_slots = [None] * n2
+    col_slots[j0] = (F0, E0b, N0)
+    Snode = np.moveaxis(Sv, 1, 0)                # (n2, n1, d, d)
+    Smid_col = np.moveaxis(_midpoint_values(Sv, 1), 1, 0)
+
+    def col_point(t):
+        y = axes[1][0] + t * h[1]
+        return np.stack([axes[0], np.full(n1, y)], axis=-1)
+
+    if j0 < n2 - 1:
+        _rk4_march(g, 1, col_point, Snode, Smid_col, h[1], j0, n2 - 1, F0, E0b, N0, col_slots)
+    if j0 > 0:
+        _rk4_march(g, 1, col_point, Snode, Smid_col, h[1], j0, 0, F0, E0b, N0, col_slots)
+
+    return tuple(np.stack([col_slots[j][c] for j in range(n2)], axis=1)
+                 for c in range(3))

@@ -134,7 +134,7 @@ def _sasaki_direct_oracle(xi, gparam):
     Jx = jacobian_array(xi.foot, xi.grid)
     Jv = jacobian_array(xi.vec, xi.grid)
     H = xi.target.eval(xi.foot)
-    Gam = christoffel(xi.target, xi.foot).components
+    Gam = christoffel(xi.target, xi.foot)
     ginv, _ = parameter_factors(gparam, xi.grid)
     out = np.zeros(xi.grid.counts)
     d = xi.grid.dim

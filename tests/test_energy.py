@@ -168,7 +168,7 @@ class TestConnector:
         vec = np.broadcast_to(np.array([0.7, -0.2]), (n, 2)).copy()
         xi = DirectorField(grid, foot, vec, chart("polar"))
         K = connector_apply(xi).values
-        Gam = christoffel(chart("polar"), foot).components
+        Gam = christoffel(chart("polar"), foot)
         Jx = jacobian_array(foot, grid)
         expect = np.einsum("...abc,...bi,...c->...ai", Gam, Jx, vec)
         assert np.max(np.abs(K - expect)) < 1e-13
@@ -295,7 +295,7 @@ class TestSasaki:
             # direct per-node assembly through the double-tangent coordinates
             Jx = jacobian_array(xi.foot, grid)
             Jv = jacobian_array(xi.vec, grid)
-            Gam = christoffel(tchart, xi.foot).components
+            Gam = christoffel(tchart, xi.foot)
             H = tchart.eval(xi.foot)
             expect = np.zeros(grid.counts)
             for k in range(grid.counts[0]):
@@ -410,7 +410,7 @@ def _reference_hom_sq(A, g, grid, target, points):
 
 
 def _reference_connector(target, points, Dv, J, v):
-    Gam = christoffel(target, points).components
+    Gam = christoffel(target, points)
     return Dv + np.einsum("...abc,...bi,...c->...ai", Gam, J, v)
 
 

@@ -166,6 +166,43 @@ class TestRunMinimize:
         assert report["tangency_max_error"] <= 1e-4
 
 
+    @pytest.mark.parametrize("g", ["euclidean", "sphere"])
+    def test_one_compatibility_evaluation(self, g, tmp_path, monkeypatch):
+        # a compatible custom problem starts from its reconstruction, an
+        # incompatible one from the flat chart graph; either way the
+        # Gauss-Codazzi residual is evaluated once
+        from imlab import reconstruct
+        from imlab.optimize import OptimizeConfig
+        calls, starts = [], []
+
+        def counting(*args):
+            calls.append(args)
+            return gauss_codazzi_residual(*args)
+
+        def spying(start, *args):
+            starts.append(start)
+            return minimize(start, *args)
+
+        gauss_codazzi_residual = reconstruct.gauss_codazzi_residual
+        minimize = harness.minimize
+        monkeypatch.setattr(reconstruct, "gauss_codazzi_residual", counting)
+        monkeypatch.setattr(harness, "gauss_codazzi_residual", counting)
+        monkeypatch.setattr(harness, "minimize", spying)
+        cfg = ExperimentConfig(experiment="minimize", preset="custom", grid=(9, 9),
+                               out=str(tmp_path), start_amplitude=0.0,
+                               custom=dict(_CUSTOM, g=g),
+                               optimizer=OptimizeConfig(max_iters=1))
+        run_minimize(cfg)
+        assert len(calls) == 1
+        grid = Grid((9, 9), (1.0, 1.0), (0.5, 0.0))
+        flat = np.concatenate([grid.nodes(), np.zeros(grid.counts + (1,))], axis=-1)
+        if g == "euclidean":
+            # the reconstruction of flat forms is the graph up to a rigid motion
+            assert np.max(np.abs(starts[0].values - (flat - flat[0, 0]))) < 1e-12
+        else:
+            assert starts[0].values.tobytes() == flat.tobytes()
+
+
 class TestCustomProblem:
     def test_tabulated_metric_matches_named_chart(self, tmp_path):
         # tabulated Euclidean metric behaves like the named flat preset

@@ -3,11 +3,13 @@
 import numpy as np
 import pytest
 
+import helpers
 from helpers import convergence_orders, random_rotation
+from imlab import reconstruct
 from imlab.errors import (AsymmetricShape, DegenerateCovariance,
                           IncompatibleForms, NonSPDAnchor)
 from imlab.fields import DiscreteImmersion, Grid, ShapeField, quadrature_weights
-from imlab.geometry import chart
+from imlab.geometry import MetricChart, chart
 from imlab.immersion import pullback_metric, shape_operator
 from imlab.presets import get_preset
 from imlab.reconstruct import (align_rigid, alignment_residual,
@@ -149,6 +151,113 @@ class TestIntegrateFrame:
         t = grid.nodes()[..., 0]
         expect = np.stack([r * np.sin(t / r), r * (1.0 - np.cos(t / r))], axis=-1)
         assert np.max(np.linalg.norm(f.values - expect, axis=-1)) < 1e-8
+
+
+def _march_case(kind, n=9):
+    """(g, S, grid) of a sphere (analytic derivatives), a Euclidean (constant)
+    or a tabulated sphere metric (finite-difference derivatives); "swapped" is
+    the sphere with its coordinates exchanged, so the metric varies along the
+    second grid axis."""
+    pre = get_preset("cylinder" if kind == "euclidean" else "sphere-cap")
+    grid = pre.grid((n, n))
+    g = pre.g
+    if kind == "tabulated":
+        g = MetricChart.from_table(grid, pre.g.eval(grid.nodes()))
+    if kind == "swapped":
+        P = np.array([[0.0, 1.0], [1.0, 0.0]])
+        grid = Grid(grid.counts, grid.extents[::-1], grid.origin[::-1])
+        g = MetricChart(2, pre.g.domain[::-1],
+                        matrix=lambda x: P @ pre.g.eval(x[..., ::-1]) @ P,
+                        matrix_deriv=lambda x: (P @ pre.g.eval_deriv(x[..., ::-1])
+                                                @ P)[..., ::-1, :, :])
+    return g, pre.shape_field(grid), grid
+
+
+class TestPerSweepMarch:
+    """The per-sweep coefficient tables against the per-stage reference march."""
+
+    @staticmethod
+    def _assert_same_bits(g, S, grid, anchor_index=None, frame=None):
+        f, E, N = integrate_frame(g, S, grid, anchor_index=anchor_index,
+                                  frame=frame, return_frame=True)
+        ref = helpers.integrate_frame(g, S, grid, anchor_index, frame)
+        for got, want in zip((f.values, E, N), ref):
+            assert got.shape == want.shape
+            assert got.tobytes() == want.tobytes()
+
+    @pytest.mark.parametrize("kind", ["sphere", "swapped", "euclidean", "tabulated"])
+    @pytest.mark.parametrize("anchor", [None, (4, 5), (8, 8), (0, 8)])
+    def test_bytes_match_per_stage_reference(self, kind, anchor):
+        self._assert_same_bits(*_march_case(kind), anchor_index=anchor)
+
+    @pytest.mark.parametrize("kind", ["sphere", "euclidean", "tabulated"])
+    def test_bytes_match_with_custom_frame(self, kind):
+        g, S, grid = _march_case(kind)
+        anchor = (3, 6)
+        x = np.array([grid.axes()[a][anchor[a]] for a in range(2)])
+        E0 = np.zeros((3, 2))
+        E0[:2, :] = np.linalg.cholesky(g.eval(x)).T
+        R = random_rotation(np.random.default_rng(11), 3)
+        self._assert_same_bits(g, S, grid, anchor, (R @ E0, R @ np.array([0.0, 0.0, 1.0])))
+
+    @pytest.mark.parametrize("anchor", [None, (7,), (16,)])
+    def test_bytes_match_on_a_curve(self, anchor):
+        grid = Grid((17,), (1.0,))
+        g1 = MetricChart.from_function(1, lambda p: np.array([[1.0 + 0.3 * p[0] ** 2]]),
+                                       domain=[[0.0, 1.0]])
+        x = grid.nodes()[..., 0]
+        S = ShapeField(grid, (np.sin(3.0 * x) + 1.5)[:, None, None])
+        self._assert_same_bits(g1, S, grid, anchor)
+
+    @pytest.mark.parametrize("kind", ["sphere", "tabulated"])
+    def test_christoffel_calls_per_sweep(self, kind, monkeypatch):
+        calls = []
+
+        def counting(m, x):
+            calls.append(np.shape(x))
+            return helpers.christoffel(m, x)
+
+        monkeypatch.setattr(reconstruct, "christoffel", counting)
+        counts = []
+        for n in (9, 33):
+            calls.clear()
+            integrate_frame(*_march_case(kind, n))
+            counts.append(len(calls))
+        assert counts[0] == counts[1] <= 2
+
+
+class TestAnchorValidation:
+    @pytest.mark.parametrize("anchor", [(-1, 0), (0, -1), (1.7, 0), (1.0, 0), (9, 0),
+                                        (0, 9), (0,), (0, 0, 0), (True, 0), 3, "00"])
+    def test_bad_anchor_rejected_before_any_work(self, anchor, monkeypatch):
+        pre = get_preset("sphere-cap")
+        grid = pre.grid((9, 9))
+
+        def no_work(*args):
+            raise AssertionError("the anchor was not checked first")
+
+        monkeypatch.setattr(reconstruct, "gauss_codazzi_residual", no_work)
+        with pytest.raises(ValueError, match="anchor_index"):
+            integrate_frame(pre.g, pre.shape_field(grid), grid, anchor_index=anchor)
+
+    def test_curve_anchor_bounds(self):
+        grid = Grid((9,), (1.0,))
+        S = ShapeField(grid, np.ones(grid.counts + (1, 1)))
+        for bad in [(-1,), (9,), (0, 0)]:
+            with pytest.raises(ValueError, match="anchor_index"):
+                integrate_frame(chart("euclidean", 1), S, grid, anchor_index=bad)
+        f = integrate_frame(chart("euclidean", 1), S, grid, anchor_index=[np.int64(8)])
+        assert np.all(f.values[8] == 0.0)
+
+    def test_integer_anchors_accepted(self):
+        pre = get_preset("sphere-cap")
+        grid = pre.grid((9, 9))
+        S = pre.shape_field(grid)
+        gv = pre.g.eval(grid.nodes())
+        for anchor in [(8, 8), [0, 8], np.array([4, 3])]:
+            f = integrate_frame(pre.g, S, grid, anchor_index=anchor)
+            assert np.all(f.values[tuple(anchor)] == 0.0)
+            assert np.max(np.abs(pullback_metric(f) - gv)) < 2e-2
 
 
 class TestAlignRigid:
