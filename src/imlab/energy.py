@@ -10,7 +10,12 @@ connector K o Dxi replaces the normal derivative.  Conjugating by the metric
 square roots realizes all metric distances as Euclidean matrix distances.
 :class:`Integrands` is the one implementation of both integrands, for the
 library functions here and for the minimizer (:mod:`imlab.optimize`), so
-both report the same numbers.
+both report the same numbers.  Its forwards keep per-node quantities
+component-major, matrix entries leading and node axes trailing
+(:func:`imlab.geometry.component_major`), so each small per-node product is
+a few elementwise operations on whole node arrays, or one matrix product for
+a single constant factor; only the Jacobians cross from the node-major
+layout of the stencils.
 """
 
 from __future__ import annotations
@@ -24,8 +29,9 @@ import numpy as np
 from .errors import BadExponent
 from .fields import (DirectorField, DiscreteImmersion, Grid, JacobianField,
                      ShapeField, jacobian_array, quadrature_weights)
-from .geometry import (MetricChart, chart_factors, cross_columns, rotation_factors,
-                       stiefel_factors)
+from .geometry import (MetricChart, chart_factors, component_major, cross_columns_cm,
+                       left_mul, node_major, right_mul, rotation_factors_cm,
+                       stiefel_factors_cm, target_factors_cm)
 from .immersion import _frame_and_rank_check, connector
 
 
@@ -56,11 +62,12 @@ def parameter_factors(g: MetricChart, grid: Grid):
 
 
 # Per-node integrands (squared frame distance dist2, squared bending norm q2)
-# and the intermediates of their VJPs: the polar factor P or nearest rotation
-# R (None unless asked for), nu = |cross(Q)| = sigma_1 sigma_2, the unit
-# cross product nhat, and the bending fields premultiplied by h.
-ImmersionNodes = namedtuple("ImmersionNodes", "dist2 q2 Q P nu nhat HA")
-DirectorNodes = namedtuple("DirectorNodes", "dist2 q2 B R HC")
+# and the intermediates of their VJPs, component-major: the frame Q or B,
+# its polar factor P or nearest rotation R (None unless asked for),
+# nu = |cross(Q)| = sigma_1 sigma_2, the unit cross product nhat, and
+# h A g^{-1} of the bending field A, half its q2-derivative.
+ImmersionNodes = namedtuple("ImmersionNodes", "dist2 q2 Q P nu nhat HAG")
+DirectorNodes = namedtuple("DirectorNodes", "dist2 q2 B R HCG")
 
 
 class Integrands:
@@ -69,34 +76,43 @@ class Integrands:
     g^{-1/2}, g^{-1}, the quadrature weights times sqrt det g and the factors
     of a constant target are computed once, here; a curved target is factored
     at the state's points in each forward, which then also adds the connector
-    term Gamma(f) df v.  Without S the shape operator is zero.  With H = h,
-    the bending integrand g^{ij} h_ab A^a_i A^b_j is sum((H A) * (A g^{-1})).
+    term Gamma(f) df v.  Without S, or with S = 0, the shape operator is
+    left out.  With H = h, the bending integrand g^{ij} h_ab A^a_i A^b_j is
+    sum((H A g^{-1}) * A).
+
+    The forwards take node-major states and return component-major
+    intermediates: each Jacobian is transposed once as it leaves
+    :func:`imlab.fields.jacobian_array`.
     """
 
     def __init__(self, grid: Grid, g: MetricChart, target: MetricChart,
                  S: Optional[ShapeField] = None):
         self.grid = grid
         self.target = target
-        self.Sv = np.zeros((grid.dim, grid.dim)) if S is None else S.values
         # the square roots come out exactly symmetric, so they are their own
         # transposes in the minimizer's adjoints
-        _, sdet, _, self.gsi = chart_factors(g, grid.nodes)
-        self.ginv = self.gsi @ self.gsi
+        _, sdet, _, gsi = chart_factors(g, grid.nodes)
+        self.gsi, self.ginv = component_major(gsi, 2), component_major(gsi @ gsi, 2)
+        self.S = None if S is None or not S.values.any() else component_major(S.values, 2)
         self.wdet = quadrature_weights(grid) * sdet
         if target.is_constant:
-            self.H, _, self.Hs, self.Hsi = chart_factors(target, None)
+            self.H, self.Hs, self.Hsi = target_factors_cm(target, None)
 
     def _target(self, points):
         """(h, h^{1/2}, h^{-1/2}): single matrices, or per node at the points."""
         if self.target.is_constant:
             return self.H, self.Hs, self.Hsi
-        H, _, Hs, Hsi = chart_factors(self.target, points)
-        return H, Hs, Hsi
+        return target_factors_cm(self.target, points)
 
     def _bend_sq(self, H, A):
-        """(H A, max(|A|^2_{g,h}, 0)) per node."""
-        HA = H @ A
-        return HA, np.maximum(np.sum(HA * (A @ self.ginv), axis=(-2, -1)), 0.0)
+        """(H A g^{-1}, max(|A|^2_{g,h}, 0)) per node."""
+        HAG = left_mul(H, right_mul(A, self.ginv))
+        sq = (HAG * A).reshape((-1,) + self.grid.counts)
+        return HAG, np.maximum(np.add.reduce(sq, axis=0), 0.0)
+
+    def _with_shape(self, J, K):
+        """J S + K, K alone without S."""
+        return K if self.S is None else right_mul(J, self.S) + K
 
     def immersion(self, values, polar=False, guard=None):
         """ImmersionNodes of the immersion with node values ``values``.
@@ -105,30 +121,30 @@ class Integrands:
         deficient (:func:`imlab.immersion.unit_normal`'s rule); with it,
         returns None where sigma_min(Q) < guard.
         """
-        J = jacobian_array(values, self.grid)
+        J = component_major(jacobian_array(values, self.grid), 2)
         H, Hs, Hsi = self._target(values)
-        Q = Hs @ J @ self.gsi
+        B = left_mul(Hs, J)
+        Q = right_mul(B, self.gsi)
         # the cross product of the columns of Q is det(g^{-1/2}) > 0 times
         # that of h^{1/2} J: same unit normal, and its length is sigma_1 sigma_2
-        c = cross_columns(Q)
-        nu = np.linalg.norm(c, axis=-1)
-        dist2, smin, P = stiefel_factors(Q, nu, polar)
+        c = cross_columns_cm(Q)
+        nu = np.sqrt(np.add.reduce(c * c, axis=0))
+        dist2, smin, P = stiefel_factors_cm(Q, nu, polar)
         if guard is None:
-            B = Hs @ J
-            _frame_and_rank_check(B, cross_columns(B))
+            _frame_and_rank_check(B, cross_columns_cm(B))
         elif np.min(smin) < guard:
             return None
-        nhat = c / nu[..., None]
-        # n = h^{-1/2} nhat; a single (symmetric) h^{-1/2} multiplies from the
-        # right, the product the minimizer's bits were fixed with
-        n = nhat @ Hsi if Hsi.ndim == 2 else (Hsi @ nhat[..., None])[..., 0]
-        A = connector(self.target, values, jacobian_array(n, self.grid), J, n) + J @ self.Sv
-        HA, q2 = self._bend_sq(H, A)
-        return ImmersionNodes(dist2, q2, Q, P, nu, nhat, HA)
+        nhat = c / nu
+        n = left_mul(Hsi, nhat[:, None])[:, 0]
+        Dn = component_major(jacobian_array(node_major(n, 1), self.grid), 2)
+        HAG, q2 = self._bend_sq(H, self._with_shape(J, connector(self.target, values, Dn, J, n)))
+        return ImmersionNodes(dist2, q2, Q, P, nu, nhat, HAG)
 
     def derivatives(self, foot, vec):
-        """The Jacobians (Jx, Jv) of a director field's foot and vector."""
-        return jacobian_array(foot, self.grid), jacobian_array(vec, self.grid)
+        """The component-major Jacobians (Jx, Jv) of a director field's foot
+        and vector."""
+        return (component_major(jacobian_array(foot, self.grid), 2),
+                component_major(jacobian_array(vec, self.grid), 2))
 
     def director(self, foot, vec, polar=False, guard=None, J=None):
         """DirectorNodes of the director field (foot, vec); with ``guard``,
@@ -136,18 +152,19 @@ class Integrands:
         :meth:`derivatives` returned for this field."""
         Jx, Jv = self.derivatives(foot, vec) if J is None else J
         H, Hs, _ = self._target(foot)
-        B = Hs @ np.concatenate([Jx @ self.gsi, vec[..., None]], axis=-1)
-        dist2, smin, R = rotation_factors(B, polar)
+        v = component_major(vec, 1)
+        B = left_mul(Hs, np.concatenate([right_mul(Jx, self.gsi), v[:, None]], axis=1))
+        dist2, smin, R = rotation_factors_cm(B, polar)
         if guard is not None and np.min(smin) < guard:
             return None
-        HC, q2 = self._bend_sq(H, Jx @ self.Sv + connector(self.target, foot, Jv, Jx, vec))
-        return DirectorNodes(dist2, q2, B, R, HC)
+        HCG, q2 = self._bend_sq(H, self._with_shape(Jx, connector(self.target, foot, Jv, Jx, v)))
+        return DirectorNodes(dist2, q2, B, R, HCG)
 
     def sasaki_sq(self, foot, vec, J=None):
         """Squared Sasaki norm |Df_x|^2_{g,h} + |K o Dxi|^2_{g,h} per node;
         ``J`` as in :meth:`director`."""
         Jx, Jv = self.derivatives(foot, vec) if J is None else J
-        K = connector(self.target, foot, Jv, Jx, vec)
+        K = connector(self.target, foot, Jv, Jx, component_major(vec, 1))
         H, _, _ = self._target(foot)
         return self._bend_sq(H, Jx)[1] + self._bend_sq(H, K)[1]
 
@@ -188,14 +205,16 @@ def connector_apply(xi: DirectorField) -> JacobianField:
     """Connector applied to the director derivative:
     (K o Dxi)_i^a = d_i v^a + Gamma^a_bc(x) d_i x^b v^c.
     """
-    Jx = jacobian_array(xi.foot, xi.grid)
-    Jv = jacobian_array(xi.vec, xi.grid)
-    return JacobianField(xi.grid, connector(xi.target, xi.foot, Jv, Jx, xi.vec))
+    Jx = component_major(jacobian_array(xi.foot, xi.grid), 2)
+    Jv = component_major(jacobian_array(xi.vec, xi.grid), 2)
+    K = connector(xi.target, xi.foot, Jv, Jx, component_major(xi.vec, 1))
+    return JacobianField(xi.grid, np.ascontiguousarray(node_major(K, 2)))
 
 
 def director_frame(xi: DirectorField, g: MetricChart) -> np.ndarray:
     """Square frame matrix B = h^{1/2}(x) [df_x g^{-1/2} | v] per node."""
-    return Integrands(xi.grid, g, xi.target).director(xi.foot, xi.vec).B
+    B = Integrands(xi.grid, g, xi.target).director(xi.foot, xi.vec).B
+    return np.ascontiguousarray(node_major(B, 2))
 
 
 def relaxed_total(xi: DirectorField, g: MetricChart, S: Optional[ShapeField],

@@ -399,10 +399,11 @@ def save_node_csv(path, grid: Grid, values, names: Optional[Sequence[str]] = Non
     header = ",".join([f"i{a}" for a in range(grid.dim)] + list(names))
     idx = np.stack(np.meshgrid(*[np.arange(c) for c in grid.counts],
                                indexing="ij"), axis=-1).reshape(grid.num_nodes, grid.dim)
-    lines = [header]
-    for ind, row in zip(idx, flat):
-        lines.append(",".join([str(int(k)) for k in ind] + [fmt17(v) for v in row]))
-    atomic_write(path, "\n".join(lines) + "\n")
+    # one %-format of the whole table: Python ints and floats, and
+    # "%.17g" % x == fmt17(x) for every float x
+    cells = np.concatenate([idx.astype(object), flat.astype(object)], axis=1)
+    row = ",".join(["%d"] * grid.dim + ["%.17g"] * comp) + "\n"
+    atomic_write(path, header + "\n" + (row * grid.num_nodes) % tuple(cells.ravel()))
 
 
 def load_node_csv(path) -> np.ndarray:

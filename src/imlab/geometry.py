@@ -9,7 +9,11 @@ and a constant chart is factored once.  The module also provides the
 Frobenius distances to the rotation group (closed form for 2x2 frames,
 scaled Newton polar iteration with an SVD fallback for 3x3 ones) and to the
 set of orthonormal-column matrices (closed form for hypersurface frames),
-which are the building blocks of the stretching integrands.
+which are the building blocks of the stretching integrands.  The frame
+kernels work on component-major arrays, matrix entries leading and node axes
+trailing, where a per-node product is elementwise arithmetic on node arrays
+(:func:`left_mul`, :func:`right_mul`); ``stiefel_factors`` and
+``rotation_factors`` take node-major frames.
 """
 
 from __future__ import annotations
@@ -300,6 +304,13 @@ def chart_factors(m: MetricChart, x, err=NotSPD):
     return (G,) + spd_factors(G, err)
 
 
+def target_factors_cm(m: MetricChart, x):
+    """(m, m^{1/2}, m^{-1/2}) of a chart at points x (..., n), component-major:
+    (n, n, ...), or the single (n, n) matrices of a constant chart."""
+    H, _, Hs, Hsi = chart_factors(m, x)
+    return component_major(H, 2), component_major(Hs, 2), component_major(Hsi, 2)
+
+
 # ---------------------------------------------------------------------------
 # Christoffel symbols and curvature
 
@@ -359,6 +370,49 @@ def riemann_curvature(m: MetricChart, x) -> np.ndarray:
         gm = christoffel(m, x - dx)
         dGam[..., k, :, :, :] = (gp - gm) / (2.0 * steps[k])
     return riemann_from_values(G, Gam, dGam)
+
+
+# ---------------------------------------------------------------------------
+# component-major node arrays: matrix entries lead, node axes trail, so the
+# per-node algebra is elementwise arithmetic on whole node arrays
+
+
+def component_major(a, k):
+    """Contiguous copy of a node-major (*nodes, *entries) array with k entry
+    axes, moved to the front: (*entries, *nodes)."""
+    a = np.asarray(a, dtype=float)
+    n = a.ndim - k
+    return np.ascontiguousarray(a.transpose(tuple(range(n, a.ndim)) + tuple(range(n))))
+
+
+def node_major(a, k):
+    """The node-major view (*nodes, *entries) of a component-major array
+    with k leading entry axes."""
+    return a.transpose(tuple(range(k, a.ndim)) + tuple(range(k)))
+
+
+def left_mul(M, u):
+    """M u per node for component-major u (m, k, ...): M is one (m, m)
+    matrix, applied as a single product, or component-major (m, m, ...)."""
+    if M.ndim == 2:
+        return (M @ u.reshape(M.shape[1], -1)).reshape((M.shape[0],) + u.shape[1:])
+    out = M[:, 0, None] * u[None, 0]
+    for b in range(1, M.shape[1]):
+        out = out + M[:, b, None] * u[None, b]
+    return out
+
+
+def right_mul(u, M):
+    """u M per node for component-major u (m, k, ...): M is one (k, j)
+    matrix, applied as a single stacked product, or component-major
+    (k, j, ...)."""
+    if M.ndim == 2:
+        out = np.matmul(M.T, u.reshape(u.shape[0], M.shape[0], -1))
+        return out.reshape(u.shape[:1] + M.shape[1:] + u.shape[2:])
+    out = u[:, 0, None] * M[None, 0]
+    for i in range(1, M.shape[0]):
+        out = out + u[:, i, None] * M[None, i]
+    return out
 
 
 # ---------------------------------------------------------------------------
@@ -464,8 +518,9 @@ def _rotation_factors_3(b):
     return dist2, smin, r
 
 
-def rotation_factors(B, polar=False):
-    """(dist^2, sigma_min, nearest rotation R) of (..., n, n) frames, n in {2, 3}.
+def rotation_factors_cm(b, polar=False):
+    """(dist^2, sigma_min, nearest rotation R) of component-major (n, n, ...)
+    frames, n in {2, 3}.
 
     n = 2 is in closed form for either sign of det B: R is the rotation by
     atan2(b_10 - b_01, b_00 + b_11), whose trace pairing with B is
@@ -487,47 +542,52 @@ def rotation_factors(B, polar=False):
     dist^2 = |B - R|_F^2 is formed directly, with no |B|^2 - 2 tr + n
     cancellation.  R is None unless ``polar`` is set.
     """
-    B = np.asarray(B, dtype=float)
-    n = B.shape[-1]
-    if n not in (2, 3) or B.shape[-2] != n:
-        raise ValueError(f"rotation kernel needs (..., n, n) frames with n in "
-                         f"{{2, 3}}, got {B.shape[-2:]}")
-    b = np.ascontiguousarray(B.reshape(-1, n * n).T)
-    dist2, smin, r = (_rotation_factors_2 if n == 2 else _rotation_factors_3)(b)
-    R = r.T.reshape(B.shape) if polar else None
-    return dist2.reshape(B.shape[:-2]), smin.reshape(B.shape[:-2]), R
+    n = b.shape[0]
+    if n not in (2, 3) or b.shape[1] != n:
+        raise ValueError(f"rotation kernel needs (n, n) frames with n in "
+                         f"{{2, 3}}, got {b.shape[:2]}")
+    nodes = b.shape[2:]
+    flat = np.ascontiguousarray(b, dtype=float).reshape(n * n, -1)
+    dist2, smin, r = (_rotation_factors_2 if n == 2 else _rotation_factors_3)(flat)
+    return dist2.reshape(nodes), smin.reshape(nodes), r.reshape(b.shape) if polar else None
 
 
-def cross_columns(B):
-    """Euclidean normal direction to the column span, oriented positively.
+def rotation_factors(B, polar=False):
+    """:func:`rotation_factors_cm` of node-major (..., n, n) frames."""
+    dist2, smin, r = rotation_factors_cm(_frames_first(B), polar)
+    return dist2, smin, None if r is None else np.moveaxis(r, (0, 1), (-2, -1))
 
-    B has shape (..., d+1, d) with d in {1, 2}.  det([B | result]) > 0 holds
-    automatically for these closed forms, and the length of the result is the
-    product of the singular values of B.
+
+def _frames_first(B):
+    return np.moveaxis(np.asarray(B, dtype=float), (-2, -1), (0, 1))
+
+
+def cross3_cm(a, b):
+    """a x b for component-major (3, ...) arrays, written out by components:
+    bit-identical to ``np.cross`` on the node-major arrays, without its
+    Python-level overhead."""
+    return np.stack([a[1] * b[2] - a[2] * b[1], a[2] * b[0] - a[0] * b[2],
+                     a[0] * b[1] - a[1] * b[0]])
+
+
+def cross_columns_cm(q):
+    """Euclidean normal direction to the column span of component-major
+    (d+1, d, ...) frames, d in {1, 2}, oriented positively: (d+1, ...).
+
+    det([B | result]) > 0 holds automatically for these closed forms, and the
+    length of the result is the product of the singular values of B.
     """
-    d = B.shape[-1]
+    d = q.shape[1]
     if d == 1:
-        b = B[..., 0]
-        return np.stack([-b[..., 1], b[..., 0]], axis=-1)
+        return np.stack([-q[1, 0], q[0, 0]])
     if d == 2:
-        return cross3(B[..., 0], B[..., 1])
+        return cross3_cm(q[:, 0], q[:, 1])
     raise ValueError("generalized cross product implemented for d in {1, 2}")
 
 
-def cross3(a, b):
-    """a x b for (..., 3) arrays, written out by components.
-
-    Bit-identical to ``np.cross``, without its Python-level ``moveaxis``
-    overhead, which dominates at the grid sizes used here.
-    """
-    a0, a1, a2 = a[..., 0], a[..., 1], a[..., 2]
-    b0, b1, b2 = b[..., 0], b[..., 1], b[..., 2]
-    return np.stack([a1 * b2 - a2 * b1, a2 * b0 - a0 * b2, a0 * b1 - a1 * b0],
-                    axis=-1)
-
-
-def stiefel_factors(Q, s=None, polar=False):
-    """Closed-form (dist^2, sigma_min, polar factor) of (..., d+1, d) frames.
+def stiefel_factors_cm(q, s=None, polar=False):
+    """Closed-form (dist^2, sigma_min, polar factor) of component-major
+    (d+1, d, ...) frames.
 
     For d = 2, with G = Q^T Q, s = sigma_1 sigma_2 = |q_1 x q_2| (the cross
     product keeps s accurate near rank deficiency, where sqrt(det G) cancels)
@@ -541,34 +601,40 @@ def stiefel_factors(Q, s=None, polar=False):
     isometry; sigma_min does not, so it has that accuracy where
     sigma_1 ~ sigma_2 and full accuracy near the rank guards.  ``s`` may be
     passed when the caller has the cross product.  P is None unless
-    ``polar`` is set, and zero where s = 0.
+    ``polar`` is set, and zero where s = 0.  Sums over components run in
+    index order, as numpy's reductions over the trailing axes of node-major
+    frames do, so the results equal theirs bit for bit.
     """
-    Q = np.asarray(Q, dtype=float)
-    d = Q.shape[-1]
-    if d not in (1, 2) or Q.shape[-2] != d + 1:
-        raise ValueError(f"closed-form Stiefel kernel needs (..., d+1, d) frames "
-                         f"with d in {{1, 2}}, got {Q.shape[-2:]}")
+    d = q.shape[1]
+    if d not in (1, 2) or q.shape[0] != d + 1:
+        raise ValueError(f"closed-form Stiefel kernel needs (d+1, d) frames "
+                         f"with d in {{1, 2}}, got {q.shape[:2]}")
     if s is None:
-        s = np.linalg.norm(cross_columns(Q), axis=-1)
+        c = cross_columns_cm(q)
+        s = np.sqrt(np.add.reduce(c * c, axis=0))
     if d == 1:
-        P = Q * _safe_reciprocal(s)[..., None, None] if polar else None
-        return (s - 1.0) ** 2, s, P
-    n2 = np.sum(Q * Q, axis=(-2, -1))
+        return (s - 1.0) ** 2, s, q * _safe_reciprocal(s) if polar else None
+    n2 = np.add.reduce((q * q).reshape((6,) + q.shape[2:]), axis=0)
     t = np.sqrt(n2 + 2.0 * s)
     dist2 = np.maximum(n2 - 2.0 * t + 2.0, 0.0)
     smax = 0.5 * (t + np.sqrt(np.maximum(n2 - 2.0 * s, 0.0)))
     smin = s / np.maximum(smax, np.finfo(float).tiny)
     if not polar:
         return dist2, smin, None
-    q1, q2 = Q[..., 0], Q[..., 1]
-    g11 = np.sum(q1 * q1, axis=-1)[..., None]
-    g22 = np.sum(q2 * q2, axis=-1)[..., None]
-    g12 = np.sum(q1 * q2, axis=-1)[..., None]
-    sc = s[..., None]
-    inv = _safe_reciprocal(t * s)[..., None]
-    P = np.stack([(q1 * (g22 + sc) - q2 * g12) * inv,
-                  (q2 * (g11 + sc) - q1 * g12) * inv], axis=-1)
+    q1, q2 = q[:, 0], q[:, 1]
+    g11 = np.add.reduce(q1 * q1, axis=0)
+    g22 = np.add.reduce(q2 * q2, axis=0)
+    g12 = np.add.reduce(q1 * q2, axis=0)
+    inv = _safe_reciprocal(t * s)
+    P = np.stack([(q1 * (g22 + s) - q2 * g12) * inv,
+                  (q2 * (g11 + s) - q1 * g12) * inv], axis=1)
     return dist2, smin, P
+
+
+def stiefel_factors(Q, s=None, polar=False):
+    """:func:`stiefel_factors_cm` of node-major (..., d+1, d) frames."""
+    dist2, smin, P = stiefel_factors_cm(_frames_first(Q), s, polar)
+    return dist2, smin, None if P is None else np.moveaxis(P, (0, 1), (-2, -1))
 
 
 def _safe_reciprocal(x):

@@ -25,8 +25,7 @@ from .fields import (DirectorField, DiscreteImmersion, Grid, ShapeField,
                      save_binary, save_node_csv, w1p_distance)
 from .geometry import MetricChart, chart, christoffel, dist_stiefel
 from .immersion import normal_director, pullback_metric, shape_operator, unit_normal
-from .optimize import (OptimizeConfig, energy_gradient, minimize, objective,
-                       pack_state, unpack_like)
+from .optimize import OptimizeConfig, energy_gradient, minimize, pack_state
 from .presets import PRESETS, get_preset
 from .reconstruct import align_rigid, gauss_codazzi_residual, integrate_frame, save_obj
 
@@ -484,22 +483,34 @@ def _gradient_fd_violation(rng, p: float, coords: int, seeds: int = 3):
 
 def _fd_vs_analytic(state, g, S, p, rng, coords: int) -> float:
     """Max relative mismatch between the analytic gradient and Ridders'
-    differences of ``objective`` at ``coords`` coordinates drawn from rng."""
+    differences of the total energy at ``coords`` coordinates drawn from rng."""
     x = pack_state(state)
     grad = energy_gradient(state, g, S, p)
     grad = grad.ravel() if isinstance(grad, np.ndarray) else np.concatenate(
         [grad[0].ravel(), grad[1].ravel()])
     floor = max(1e-6 * float(np.max(np.abs(grad))), 1e-12)
+    total = _total_of(state, g, S, p)
     worst = 0.0
     idx = rng.choice(x.size, size=min(coords, x.size), replace=False)
     for i in idx:
         e = np.zeros_like(x)
         e[i] = 1.0
         # an error estimate of 1 % of the 1e-5 tolerance is accurate enough
-        fd = _ridders(lambda t: objective(unpack_like(x + t * e, state), g, S, p)[0],
+        fd = _ridders(lambda t: total(x + t * e),
                       1e-4 * max(1.0, abs(x[i])), 1e-7 * max(abs(grad[i]), floor))
         worst = max(worst, abs(grad[i] - fd) / max(abs(fd), abs(grad[i]), floor))
     return worst
+
+
+def _total_of(state, g, S, p):
+    """x -> objective(unpack_like(x, state), g, S, p)[0], from one
+    :class:`imlab.energy.Integrands` built here."""
+    core = en.Integrands(state.grid, g, state.target, S)
+    if isinstance(state, DiscreteImmersion):
+        return lambda x: core.report(core.immersion(x.reshape(state.values.shape)), p).total
+    half = state.foot.size
+    return lambda x: core.report(core.director(x[:half].reshape(state.foot.shape),
+                                               x[half:].reshape(state.vec.shape)), p).total
 
 
 def _ridders(fn, h, target, shrink=1.4, columns=10):

@@ -15,18 +15,19 @@ import numpy as np
 from .errors import RankDeficient
 from .fields import (DirectorField, DiscreteImmersion, JacobianField,
                      NormalField, ShapeField, jacobian_array)
-from .geometry import (RANK_RTOL, chart_factors, christoffel, cross_columns,
-                       stiefel_factors)
+from .geometry import (RANK_RTOL, christoffel, component_major, cross_columns_cm,
+                       left_mul, node_major, stiefel_factors_cm, target_factors_cm)
 
 
-def _frame_and_rank_check(B, c):
+def _frame_and_rank_check(b, c):
     """Raise where sigma_min <= RANK_RTOL sigma_max, else return |c|; c is the
-    cross product of the columns of the (..., d+1, d) frame B, whose length
-    is sigma_1 ... sigma_d."""
-    s = np.linalg.norm(c, axis=-1)
-    _, smin, _ = stiefel_factors(B, s)
+    cross product of the columns of the component-major (d+1, d, ...) frame
+    b, whose length is sigma_1 ... sigma_d."""
+    s = np.sqrt(np.add.reduce(c * c, axis=0))
+    _, smin, _ = stiefel_factors_cm(b, s)
     # sigma_max^2 = |B|^2 - (d - 1) sigma_min^2 for d in {1, 2}
-    smax2 = np.sum(B * B, axis=(-2, -1)) - (B.shape[-1] - 1) * smin ** 2
+    smax2 = (np.add.reduce((b * b).reshape((-1,) + b.shape[2:]), axis=0)
+             - (b.shape[1] - 1) * smin ** 2)
     bad = smin <= RANK_RTOL * np.maximum(np.sqrt(np.maximum(smax2, 0.0)), 1e-300)
     if np.any(bad):
         idx = tuple(int(i) for i in np.argwhere(bad)[0])
@@ -36,12 +37,13 @@ def _frame_and_rank_check(B, c):
 
 def unit_normal(f: DiscreteImmersion) -> NormalField:
     """Oriented h-unit normal field of a full-rank discrete immersion."""
-    J = jacobian_array(f.values, f.grid)
-    _, _, Hs, Hsi = chart_factors(f.target, f.values)
-    B = Hs @ J
-    c = cross_columns(B)
-    c = c / _frame_and_rank_check(B, c)[..., None]
-    return NormalField(f.grid, (Hsi @ c[..., None])[..., 0])
+    J = component_major(jacobian_array(f.values, f.grid), 2)
+    _, Hs, Hsi = target_factors_cm(f.target, f.values)
+    b = left_mul(Hs, J)
+    c = cross_columns_cm(b)
+    c = c / _frame_and_rank_check(b, c)
+    n = left_mul(Hsi, c[:, None])[:, 0]
+    return NormalField(f.grid, np.ascontiguousarray(node_major(n, 1)))
 
 
 def pullback_metric(f: DiscreteImmersion) -> np.ndarray:
@@ -55,11 +57,16 @@ def pullback_metric(f: DiscreteImmersion) -> np.ndarray:
 def connector(target, points, Dv, J, v):
     """Derivative along a map, with differential J and values at ``points``,
     of a target vector field v with raw derivative Dv:
-    Dv^a_i + Gamma^a_bc d_i f^b v^c (Dv itself for a constant target)."""
+    Dv^a_i + Gamma^a_bc d_i f^b v^c (Dv itself for a constant target).
+    Dv, J (m, d, ...) and v (m, ...) are component-major, ``points``
+    node-major."""
     if target.is_constant:
         return Dv
-    Gam = christoffel(target, points)
-    return Dv + np.einsum("...abc,...bi,...c->...ai", Gam, J, v)
+    Gam = component_major(christoffel(target, points), 3)
+    Gv = Gam[:, :, 0] * v[0]
+    for c in range(1, v.shape[0]):
+        Gv = Gv + Gam[:, :, c] * v[c]
+    return Dv + left_mul(Gv, J)
 
 
 def covariant_normal_derivative(f: DiscreteImmersion, n: NormalField) -> JacobianField:
@@ -68,7 +75,9 @@ def covariant_normal_derivative(f: DiscreteImmersion, n: NormalField) -> Jacobia
     """
     J = jacobian_array(f.values, f.grid)
     Dn = jacobian_array(n.values, f.grid)
-    return JacobianField(f.grid, connector(f.target, f.values, Dn, J, n.values))
+    K = connector(f.target, f.values, component_major(Dn, 2), component_major(J, 2),
+                  component_major(n.values, 1))
+    return JacobianField(f.grid, np.ascontiguousarray(node_major(K, 2)))
 
 
 def shape_operator(f: DiscreteImmersion) -> ShapeField:

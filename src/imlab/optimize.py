@@ -3,7 +3,8 @@
 Energies and the intermediates of the gradients come from the forwards of
 :class:`imlab.energy.Integrands`, the ones the library energies use, so the
 minimizer and the library agree to the last bit.  Gradients are assembled by
-reverse accumulation through them and the finite-difference stencils; the
+reverse accumulation through them and the finite-difference stencils, in the
+forwards' component-major layout up to the stencil adjoints; the
 stretching derivative uses d(dist^2)/dQ = 2 (Q - proj(Q)), where proj is the
 polar factor of an immersion frame or the nearest rotation of a director
 frame (:func:`imlab.geometry.stiefel_factors`, ``rotation_factors``).
@@ -39,7 +40,8 @@ from .errors import (BadConfig, RankDeficient, UnsupportedExponent, UnsupportedT
 # the stencil calls through every imlab module's binding
 from .fields import (DirectorField, DiscreteImmersion, atomic_write, fmt17,  # noqa: F401
                      jacobian_adjoint, jacobian_array)
-from .geometry import SIGMA_GUARD, MetricChart, cross3
+from .geometry import (SIGMA_GUARD, MetricChart, component_major, cross3_cm, left_mul,
+                       node_major, right_mul)
 
 State = Union[DiscreteImmersion, DirectorField]
 
@@ -122,20 +124,20 @@ def objective(state: State, g: MetricChart, S, p: float):
 # gradients
 
 
-def _cross_adjoint(B, cbar):
-    """Backpropagate through the oriented column cross product."""
-    d = B.shape[-1]
-    if d == 1:
-        b1 = np.stack([cbar[..., 1], -cbar[..., 0]], axis=-1)
-        return b1[..., None]
-    return np.stack([cross3(B[..., 1], cbar), cross3(cbar, B[..., 0])], axis=-1)
+def _cross_adjoint(q, cbar):
+    """Backpropagate through the oriented column cross product of
+    component-major (d+1, d, ...) frames."""
+    if q.shape[1] == 1:
+        return np.stack([cbar[1], -cbar[0]])[:, None]
+    return np.stack([cross3_cm(q[:, 1], cbar), cross3_cm(cbar, q[:, 0])], axis=1)
 
 
 class _Evaluator:
     """Energy and gradient of one fixed (grid, g, S, p, target) problem.
 
     Holds the problem's :class:`imlab.energy.Integrands`, whose forwards give
-    the energy and the intermediates of the reverse passes below; states
+    the energy and the component-major intermediates of the reverse passes
+    below, which stay component-major up to the stencil adjoints; states
     whose smallest frame singular value sits below the gradient guard
     evaluate to +inf, so a line search never accepts a point where the
     gradient would be undefined.  The derivative of the bending integrand
@@ -151,20 +153,25 @@ class _Evaluator:
         self.p = float(p)
         self.grid = template.grid
         self.core = Integrands(self.grid, g, template.target, S)
-        self.SvT = np.swapaxes(self.core.Sv, -1, -2)
+        self.ST = None if self.core.S is None else np.swapaxes(self.core.S, 0, 1)
         self.is_immersion = isinstance(template, DiscreteImmersion)
 
     def _stretch_bar(self, dist2, Q, proj):
         """Weighted d(dist^p)/dQ = p dist^{p-2} (Q - proj)."""
         p = self.p
         coef = p * dist2 ** ((p - 2.0) / 2.0) if p != 2.0 else 2.0
-        return (self.core.wdet * coef)[..., None, None] * (Q - proj)
+        return (self.core.wdet * coef) * (Q - proj)
 
-    def _bend_bar(self, HA, q2):
+    def _bend_bar(self, HAG, q2):
         """Weighted d(|A|^p)/dA = p |A|^{p-2} H A g^{-1}."""
         p = self.p
-        coef = self.core.wdet * p * (q2 ** ((p - 2.0) / 2.0) if p != 2.0 else 1.0)
-        return coef[..., None, None] * (HA @ self.core.ginv)
+        return self.core.wdet * p * (q2 ** ((p - 2.0) / 2.0) if p != 2.0 else 1.0) * HAG
+
+    def _adjoint(self, Jbar, Abar):
+        """Stencil adjoint of the Jacobian cotangent Jbar + Abar S^T."""
+        if self.ST is not None:
+            Jbar = Jbar + right_mul(Abar, self.ST)
+        return jacobian_adjoint(node_major(Jbar, 2), self.grid)
 
     def _forward(self, x, polar):
         if self.is_immersion:
@@ -177,23 +184,22 @@ class _Evaluator:
 
     def _immersion_gradient(self, fwd):
         core = self.core
-        dist2, q2, Q, P, nu, nhat, HA = fwd
-        Abar = self._bend_bar(HA, q2)
-        nhat_bar = jacobian_adjoint(Abar, self.grid) @ core.Hsi
-        cbar = (nhat_bar - nhat * np.sum(nhat * nhat_bar, axis=-1, keepdims=True)) \
-            / nu[..., None]
+        dist2, q2, Q, P, nu, nhat, HAG = fwd
+        Abar = self._bend_bar(HAG, q2)
+        # h^{-1/2} is symmetric: the cotangent of nhat is h^{-1/2} nbar
+        nbar = component_major(jacobian_adjoint(node_major(Abar, 2), self.grid), 1)
+        nhat_bar = left_mul(core.Hsi, nbar)
+        cbar = (nhat_bar - nhat * np.add.reduce(nhat * nhat_bar, axis=0)) / nu
         Qbar = self._stretch_bar(dist2, Q, P) + _cross_adjoint(Q, cbar)
-        Jbar = core.Hs @ Qbar @ core.gsi + Abar @ self.SvT
-        return jacobian_adjoint(Jbar, self.grid)
+        return self._adjoint(right_mul(left_mul(core.Hs, Qbar), core.gsi), Abar)
 
     def _director_gradient(self, fwd):
         d = self.grid.dim
-        dist2, q2, B, proj, HC = fwd
-        T = self.core.Hs @ self._stretch_bar(dist2, B, proj)
-        Cbar = self._bend_bar(HC, q2)
-        Jxbar = T[..., :, :d] @ self.core.gsi + Cbar @ self.SvT
-        grad_foot = jacobian_adjoint(Jxbar, self.grid)
-        grad_vec = jacobian_adjoint(Cbar, self.grid) + T[..., :, d]
+        dist2, q2, B, proj, HCG = fwd
+        T = left_mul(self.core.Hs, self._stretch_bar(dist2, B, proj))
+        Cbar = self._bend_bar(HCG, q2)
+        grad_foot = self._adjoint(right_mul(T[:, :d], self.core.gsi), Cbar)
+        grad_vec = jacobian_adjoint(node_major(Cbar, 2), self.grid) + node_major(T[:, d], 1)
         return grad_foot, grad_vec
 
     def energy(self, x: np.ndarray):

@@ -30,7 +30,7 @@ from .errors import (AsymmetricShape, DegenerateCovariance, GridMismatch,
                      IncompatibleForms, NonSPDAnchor, is_int)
 from .fields import (CompatibilityReport, DiscreteImmersion, Grid, ShapeField,
                      atomic_write, axis_derivative, axis_second_derivative,
-                     fmt17, quadrature_weights)
+                     quadrature_weights)
 from .geometry import (MetricChart, chart, christoffel, christoffel_from_values,
                        riemann_from_values)
 
@@ -353,18 +353,11 @@ def save_obj(path, f: DiscreteImmersion) -> None:
     if f.grid.dim != 2:
         raise ValueError("OBJ export supports surfaces only")
     n1, n2 = f.grid.counts
-    verts = f.values.reshape(-1, 3)
-    lines = []
-    for v in verts:
-        lines.append("v " + " ".join(fmt17(c) for c in v))
-
-    def vid(i, j):
-        return i * n2 + j + 1
-
-    for i in range(n1 - 1):
-        for j in range(n2 - 1):
-            a, b = vid(i, j), vid(i + 1, j)
-            c, dd = vid(i + 1, j + 1), vid(i, j + 1)
-            lines.append(f"f {a} {b} {c}")
-            lines.append(f"f {a} {c} {dd}")
-    atomic_write(path, "\n".join(lines) + "\n")
+    # 1-based ids of each cell's corners (i, j), (i+1, j), (i+1, j+1), (i, j+1)
+    ids = np.arange(1, n1 * n2 + 1).reshape(n1, n2)
+    a, b, c, dd = ids[:-1, :-1], ids[1:, :-1], ids[1:, 1:], ids[:-1, 1:]
+    faces = np.stack([a, b, c, a, c, dd], axis=-1).ravel().tolist()
+    # one %-format of the whole file; "%.17g" % x == fmt17(x) for every float x
+    text = ("v %.17g %.17g %.17g\n" * (n1 * n2) + "f %d %d %d\n" * (len(faces) // 3)) \
+        % tuple(f.values.ravel().tolist() + faces)
+    atomic_write(path, text)

@@ -1,13 +1,21 @@
 """Shared test utilities: random rotations, convergence orders, symbolic oracles,
 the slicing finite-difference stencils that the library's difference
-matrices are checked against, and the per-stage RK4 frame march that the
-library's per-sweep march is checked against."""
+matrices are checked against, the per-stage RK4 frame march that the
+library's per-sweep march is checked against, and the node-major integrand
+forwards and reverse passes that the component-major core is checked
+against."""
+
+from collections import namedtuple
+from typing import Optional
 
 import numpy as np
 import sympy as sp
 
-from imlab.fields import Grid
-from imlab.geometry import christoffel
+from imlab import fields
+from imlab.errors import RankDeficient, UnsupportedExponent, UnsupportedTarget
+from imlab.fields import DiscreteImmersion, Grid, ShapeField, quadrature_weights
+from imlab.geometry import (RANK_RTOL, SIGMA_GUARD, MetricChart, chart_factors,
+                            christoffel, rotation_factors, stiefel_factors)
 from imlab.reconstruct import (_default_anchor_frame, _midpoint_values,
                                _validate_frame)
 
@@ -284,3 +292,243 @@ def integrate_frame(g, S, grid: Grid, anchor_index=None, frame=None):
 
     return tuple(np.stack([col_slots[j][c] for j in range(n2)], axis=1)
                  for c in range(3))
+
+
+# ---------------------------------------------------------------------------
+# reference integrand core: the node-major forwards and reverse passes (batched
+# matmuls on (..., d+1, d) stacks) that the component-major core of
+# imlab.energy and imlab.optimize replaced, kept verbatim but for the class
+# names and the library stencils being called through imlab.fields; the rank
+# check, the connector and the cross products are the node-major ones they
+# called
+
+
+def cross_columns(B):
+    """Euclidean normal direction to the column span, oriented positively.
+
+    B has shape (..., d+1, d) with d in {1, 2}.  det([B | result]) > 0 holds
+    automatically for these closed forms, and the length of the result is the
+    product of the singular values of B.
+    """
+    d = B.shape[-1]
+    if d == 1:
+        b = B[..., 0]
+        return np.stack([-b[..., 1], b[..., 0]], axis=-1)
+    if d == 2:
+        return cross3(B[..., 0], B[..., 1])
+    raise ValueError("generalized cross product implemented for d in {1, 2}")
+
+
+def cross3(a, b):
+    """a x b for (..., 3) arrays, written out by components.
+
+    Bit-identical to ``np.cross``, without its Python-level ``moveaxis``
+    overhead, which dominates at the grid sizes used here.
+    """
+    a0, a1, a2 = a[..., 0], a[..., 1], a[..., 2]
+    b0, b1, b2 = b[..., 0], b[..., 1], b[..., 2]
+    return np.stack([a1 * b2 - a2 * b1, a2 * b0 - a0 * b2, a0 * b1 - a1 * b0],
+                    axis=-1)
+
+
+def _frame_and_rank_check(B, c):
+    """Raise where sigma_min <= RANK_RTOL sigma_max, else return |c|; c is the
+    cross product of the columns of the (..., d+1, d) frame B, whose length
+    is sigma_1 ... sigma_d."""
+    s = np.linalg.norm(c, axis=-1)
+    _, smin, _ = stiefel_factors(B, s)
+    # sigma_max^2 = |B|^2 - (d - 1) sigma_min^2 for d in {1, 2}
+    smax2 = np.sum(B * B, axis=(-2, -1)) - (B.shape[-1] - 1) * smin ** 2
+    bad = smin <= RANK_RTOL * np.maximum(np.sqrt(np.maximum(smax2, 0.0)), 1e-300)
+    if np.any(bad):
+        idx = tuple(int(i) for i in np.argwhere(bad)[0])
+        raise RankDeficient(f"differential is rank deficient at node {idx}")
+    return s
+
+
+def connector(target, points, Dv, J, v):
+    """Derivative along a map, with differential J and values at ``points``,
+    of a target vector field v with raw derivative Dv:
+    Dv^a_i + Gamma^a_bc d_i f^b v^c (Dv itself for a constant target)."""
+    if target.is_constant:
+        return Dv
+    Gam = christoffel(target, points)
+    return Dv + np.einsum("...abc,...bi,...c->...ai", Gam, J, v)
+
+
+ImmersionNodes = namedtuple("ImmersionNodes", "dist2 q2 Q P nu nhat HA")
+DirectorNodes = namedtuple("DirectorNodes", "dist2 q2 B R HC")
+
+
+class ReferenceIntegrands:
+    """The stretching and bending integrands of one (grid, g, target, S) problem.
+
+    g^{-1/2}, g^{-1}, the quadrature weights times sqrt det g and the factors
+    of a constant target are computed once, here; a curved target is factored
+    at the state's points in each forward, which then also adds the connector
+    term Gamma(f) df v.  Without S the shape operator is zero.  With H = h,
+    the bending integrand g^{ij} h_ab A^a_i A^b_j is sum((H A) * (A g^{-1})).
+    """
+
+    def __init__(self, grid: Grid, g: MetricChart, target: MetricChart,
+                 S: Optional[ShapeField] = None):
+        self.grid = grid
+        self.target = target
+        self.Sv = np.zeros((grid.dim, grid.dim)) if S is None else S.values
+        # the square roots come out exactly symmetric, so they are their own
+        # transposes in the minimizer's adjoints
+        _, sdet, _, self.gsi = chart_factors(g, grid.nodes)
+        self.ginv = self.gsi @ self.gsi
+        self.wdet = quadrature_weights(grid) * sdet
+        if target.is_constant:
+            self.H, _, self.Hs, self.Hsi = chart_factors(target, None)
+
+    def _target(self, points):
+        """(h, h^{1/2}, h^{-1/2}): single matrices, or per node at the points."""
+        if self.target.is_constant:
+            return self.H, self.Hs, self.Hsi
+        H, _, Hs, Hsi = chart_factors(self.target, points)
+        return H, Hs, Hsi
+
+    def _bend_sq(self, H, A):
+        """(H A, max(|A|^2_{g,h}, 0)) per node."""
+        HA = H @ A
+        return HA, np.maximum(np.sum(HA * (A @ self.ginv), axis=(-2, -1)), 0.0)
+
+    def immersion(self, values, polar=False, guard=None):
+        """ImmersionNodes of the immersion with node values ``values``.
+
+        Without ``guard``, raises RankDeficient where h^{1/2} J is rank
+        deficient (:func:`imlab.immersion.unit_normal`'s rule); with it,
+        returns None where sigma_min(Q) < guard.
+        """
+        J = fields.jacobian_array(values, self.grid)
+        H, Hs, Hsi = self._target(values)
+        Q = Hs @ J @ self.gsi
+        # the cross product of the columns of Q is det(g^{-1/2}) > 0 times
+        # that of h^{1/2} J: same unit normal, and its length is sigma_1 sigma_2
+        c = cross_columns(Q)
+        nu = np.linalg.norm(c, axis=-1)
+        dist2, smin, P = stiefel_factors(Q, nu, polar)
+        if guard is None:
+            B = Hs @ J
+            _frame_and_rank_check(B, cross_columns(B))
+        elif np.min(smin) < guard:
+            return None
+        nhat = c / nu[..., None]
+        # n = h^{-1/2} nhat; a single (symmetric) h^{-1/2} multiplies from the
+        # right, the product the minimizer's bits were fixed with
+        n = nhat @ Hsi if Hsi.ndim == 2 else (Hsi @ nhat[..., None])[..., 0]
+        A = connector(self.target, values, fields.jacobian_array(n, self.grid), J, n) + J @ self.Sv
+        HA, q2 = self._bend_sq(H, A)
+        return ImmersionNodes(dist2, q2, Q, P, nu, nhat, HA)
+
+    def derivatives(self, foot, vec):
+        """The Jacobians (Jx, Jv) of a director field's foot and vector."""
+        return fields.jacobian_array(foot, self.grid), fields.jacobian_array(vec, self.grid)
+
+    def director(self, foot, vec, polar=False, guard=None, J=None):
+        """DirectorNodes of the director field (foot, vec); with ``guard``,
+        None where sigma_min(B) < guard.  ``J`` reuses the pair that
+        :meth:`derivatives` returned for this field."""
+        Jx, Jv = self.derivatives(foot, vec) if J is None else J
+        H, Hs, _ = self._target(foot)
+        B = Hs @ np.concatenate([Jx @ self.gsi, vec[..., None]], axis=-1)
+        dist2, smin, R = rotation_factors(B, polar)
+        if guard is not None and np.min(smin) < guard:
+            return None
+        HC, q2 = self._bend_sq(H, Jx @ self.Sv + connector(self.target, foot, Jv, Jx, vec))
+        return DirectorNodes(dist2, q2, B, R, HC)
+
+    def sasaki_sq(self, foot, vec, J=None):
+        """Squared Sasaki norm |Df_x|^2_{g,h} + |K o Dxi|^2_{g,h} per node;
+        ``J`` as in :meth:`director`."""
+        Jx, Jv = self.derivatives(foot, vec) if J is None else J
+        K = connector(self.target, foot, Jv, Jx, vec)
+        H, _, _ = self._target(foot)
+        return self._bend_sq(H, Jx)[1] + self._bend_sq(H, K)[1]
+
+
+def _cross_adjoint(B, cbar):
+    """Backpropagate through the oriented column cross product."""
+    d = B.shape[-1]
+    if d == 1:
+        b1 = np.stack([cbar[..., 1], -cbar[..., 0]], axis=-1)
+        return b1[..., None]
+    return np.stack([cross3(B[..., 1], cbar), cross3(cbar, B[..., 0])], axis=-1)
+
+
+class ReferenceEvaluator:
+    """Energy and gradient of one fixed (grid, g, S, p, target) problem.
+
+    Holds the problem's :class:`imlab.energy.Integrands`, whose forwards give
+    the energy and the intermediates of the reverse passes below; states
+    whose smallest frame singular value sits below the gradient guard
+    evaluate to +inf, so a line search never accepts a point where the
+    gradient would be undefined.  The derivative of the bending integrand
+    sum((H A) * (A g^{-1})) in A is 2 H A g^{-1}.
+    """
+
+    def __init__(self, template, g: MetricChart, S, p: float):
+        if p < 2:
+            raise UnsupportedExponent("gradients require p >= 2")
+        if not template.target.is_constant:
+            raise UnsupportedTarget("gradients support constant-metric targets only")
+        self.template = template
+        self.p = float(p)
+        self.grid = template.grid
+        self.core = ReferenceIntegrands(self.grid, g, template.target, S)
+        self.SvT = np.swapaxes(self.core.Sv, -1, -2)
+        self.is_immersion = isinstance(template, DiscreteImmersion)
+
+    def _stretch_bar(self, dist2, Q, proj):
+        """Weighted d(dist^p)/dQ = p dist^{p-2} (Q - proj)."""
+        p = self.p
+        coef = p * dist2 ** ((p - 2.0) / 2.0) if p != 2.0 else 2.0
+        return (self.core.wdet * coef)[..., None, None] * (Q - proj)
+
+    def _bend_bar(self, HA, q2):
+        """Weighted d(|A|^p)/dA = p |A|^{p-2} H A g^{-1}."""
+        p = self.p
+        coef = self.core.wdet * p * (q2 ** ((p - 2.0) / 2.0) if p != 2.0 else 1.0)
+        return coef[..., None, None] * (HA @ self.core.ginv)
+
+    def _forward(self, x, polar):
+        if self.is_immersion:
+            return self.core.immersion(x.reshape(self.template.values.shape),
+                                       polar, SIGMA_GUARD)
+        half = self.template.foot.size
+        return self.core.director(x[:half].reshape(self.template.foot.shape),
+                                  x[half:].reshape(self.template.vec.shape),
+                                  polar, SIGMA_GUARD)
+
+    def _immersion_gradient(self, fwd):
+        core = self.core
+        dist2, q2, Q, P, nu, nhat, HA = fwd
+        Abar = self._bend_bar(HA, q2)
+        nhat_bar = fields.jacobian_adjoint(Abar, self.grid) @ core.Hsi
+        cbar = (nhat_bar - nhat * np.sum(nhat * nhat_bar, axis=-1, keepdims=True)) \
+            / nu[..., None]
+        Qbar = self._stretch_bar(dist2, Q, P) + _cross_adjoint(Q, cbar)
+        Jbar = core.Hs @ Qbar @ core.gsi + Abar @ self.SvT
+        return fields.jacobian_adjoint(Jbar, self.grid)
+
+    def _director_gradient(self, fwd):
+        d = self.grid.dim
+        dist2, q2, B, proj, HC = fwd
+        T = self.core.Hs @ self._stretch_bar(dist2, B, proj)
+        Cbar = self._bend_bar(HC, q2)
+        Jxbar = T[..., :, :d] @ self.core.gsi + Cbar @ self.SvT
+        grad_foot = fields.jacobian_adjoint(Jxbar, self.grid)
+        grad_vec = fields.jacobian_adjoint(Cbar, self.grid) + T[..., :, d]
+        return grad_foot, grad_vec
+
+    def gradient_parts(self, x: np.ndarray):
+        """The gradient shaped like the state: the node values of an
+        immersion, or the pair (grad_foot, grad_vec) of a director field."""
+        fwd = self._forward(x, polar=True)
+        if fwd is None:
+            raise RankDeficient("frame singular value below gradient guard")
+        if self.is_immersion:
+            return self._immersion_gradient(fwd)
+        return self._director_gradient(fwd)

@@ -15,7 +15,7 @@ from imlab.errors import BadExponent, GridMismatch
 from imlab.fields import (DirectorField, DiscreteImmersion, Grid, JacobianField,
                           ShapeField, atomic_write, axis_derivative,
                           axis_derivative_adjoint, axis_second_derivative,
-                          difference_matrix, fd_jacobian, integrate_density,
+                          difference_matrix, fd_jacobian, fmt17, integrate_density,
                           jacobian_adjoint, jacobian_array, load_binary, load_node_csv,
                           lp_norm, quadrature_weights, save_binary, save_node_csv,
                           w1p_distance)
@@ -296,6 +296,45 @@ class TestSerialization:
             back = load_node_csv(path)
         assert back.shape == vals.shape
         assert back.tobytes() == vals.tobytes()
+
+    @settings(max_examples=60, deadline=None)
+    @given(_node_arrays(), st.sampled_from([np.nan, np.inf, -np.inf, -0.0, 5e-324]))
+    def test_csv_writer_formats_each_number_with_fmt17(self, vals, special):
+        """The one-format-per-file writers give the text of formatting every
+        number with fmt17, as the row-by-row writers did."""
+        vals = vals.copy()
+        vals.flat[0] = special
+        grid = Grid(vals.shape[:-1], (1.0,) * (vals.ndim - 1))
+        idx = np.stack(np.meshgrid(*[np.arange(c) for c in grid.counts], indexing="ij"),
+                       axis=-1).reshape(grid.num_nodes, grid.dim)
+        rows = [",".join([str(int(k)) for k in i] + [fmt17(v) for v in row])
+                for i, row in zip(idx, vals.reshape(grid.num_nodes, -1))]
+        header = ",".join([f"i{a}" for a in range(grid.dim)]
+                          + [f"c{k}" for k in range(vals.shape[-1])])
+        with tempfile.TemporaryDirectory() as tmp:
+            path = os.path.join(tmp, "field.csv")
+            save_node_csv(path, grid, vals)
+            with open(path, encoding="utf-8") as fh:
+                assert fh.read() == "\n".join([header] + rows) + "\n"
+
+    @settings(max_examples=40, deadline=None)
+    @given(hnp.arrays(np.float64, st.tuples(st.integers(4, 6), st.integers(4, 6),
+                                            st.just(3)),
+                      elements=st.floats(allow_nan=False, allow_infinity=False)))
+    def test_obj_writer_formats_each_number_with_fmt17(self, vals):
+        grid = Grid(vals.shape[:-1], (1.0, 1.0))
+        n2 = grid.counts[1]
+        lines = ["v " + " ".join(fmt17(c) for c in v) for v in vals.reshape(-1, 3)]
+        for i in range(grid.counts[0] - 1):
+            for j in range(n2 - 1):
+                a, b, c, d = (i * n2 + j + 1, (i + 1) * n2 + j + 1,
+                              (i + 1) * n2 + j + 2, i * n2 + j + 2)
+                lines += [f"f {a} {b} {c}", f"f {a} {c} {d}"]
+        with tempfile.TemporaryDirectory() as tmp:
+            path = os.path.join(tmp, "mesh.obj")
+            save_obj(path, DiscreteImmersion(grid, vals, chart("euclidean", 3)))
+            with open(path, encoding="utf-8") as fh:
+                assert fh.read() == "\n".join(lines) + "\n"
 
     def test_csv_rejects_missing_and_repeated_nodes(self, tmp_path):
         g = Grid((4, 5), (1.0, 1.0))

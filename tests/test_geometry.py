@@ -8,9 +8,9 @@ from helpers import (lambdify_tensor, random_rotation, symbolic_christoffel,
                      symbolic_riemann_lowered)
 from imlab.errors import NotSPD, RankDeficient, SingularMetric
 from imlab.geometry import (SPD_RTOL, MetricChart, chart, chart_factors, christoffel,
-                            cross3, cross_columns, dist_rotations, dist_stiefel,
-                            project_stiefel, riemann_curvature, rotation_factors,
-                            spd_factors, spd_sqrt_det, sqrt_and_inv_sqrt,
+                            component_major, cross3_cm, cross_columns_cm, dist_rotations,
+                            dist_stiefel, node_major, project_stiefel, riemann_curvature,
+                            rotation_factors, spd_factors, spd_sqrt_det, sqrt_and_inv_sqrt,
                             stiefel_factors)
 from imlab.optimize import SIGMA_GUARD
 
@@ -511,9 +511,10 @@ def test_cross_by_components_is_bit_identical_to_numpy():
     rng = np.random.default_rng(31)
     Q = rng.normal(size=(33, 33, 3, 2)) * 10.0 ** rng.uniform(-3, 3, size=(33, 33, 1, 1))
     a, b = Q[..., 0], Q[..., 1]
-    assert cross3(a, b).tobytes() == np.cross(a, b).tobytes()
-    assert cross3(b, a).tobytes() == np.cross(b, a).tobytes()
-    assert cross_columns(Q).tobytes() == np.cross(a, b).tobytes()
+    q = component_major(Q, 2)
+    assert node_major(cross3_cm(q[:, 0], q[:, 1]), 1).tobytes() == np.cross(a, b).tobytes()
+    assert node_major(cross3_cm(q[:, 1], q[:, 0]), 1).tobytes() == np.cross(b, a).tobytes()
+    assert node_major(cross_columns_cm(q), 1).tobytes() == np.cross(a, b).tobytes()
 
 
 class TestStiefelProjection:

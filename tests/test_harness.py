@@ -18,7 +18,8 @@ from imlab.fields import (DirectorField, DiscreteImmersion, Grid, fmt17, load_bi
                           load_node_csv, save_node_csv)
 from imlab.geometry import chart
 from imlab import harness
-from imlab.optimize import energy_gradient
+from imlab import energy as energy_module
+from imlab.optimize import energy_gradient, objective, unpack_like
 from imlab.harness import (ExperimentConfig, config_from_dict, load_config,
                            run_check, run_minimize, run_experiment,
                            run_stability_sweep, wrinkle_profile, write_json)
@@ -429,6 +430,33 @@ class TestGradientCheck:
         monkeypatch.setattr(harness, "energy_gradient", corrupted)
         bad = harness._fd_vs_analytic(state, g, S, 2.0, rng, 8)
         assert clean < 1e-7 and 5e-5 < bad < 2e-4
+
+    @pytest.mark.parametrize("kind", ["immersion", "director"])
+    def test_differences_the_objective_from_one_core(self, monkeypatch, kind):
+        """The function the check differences equals objective bit for bit,
+        and a whole check of one state builds one Integrands for it."""
+        grid = Grid((9, 9), (1.0, 1.0))
+        rng = np.random.default_rng(43)
+        if kind == "immersion":
+            state = harness.random_surface_immersion(grid, rng, amplitude=0.08)
+        else:
+            state = harness.random_director(grid, chart("euclidean", 3), rng)
+        S = harness.ShapeField(grid, 0.4 * harness._sym_field(grid, rng))
+        g = get_preset("flat").g
+        x = harness.pack_state(state)
+        for p in (2.0, 3.0):
+            total = harness._total_of(state, g, S, p)
+            for i, t in ((0, 0.0), (7, 1e-4), (x.size - 1, -3e-3)):
+                e = np.zeros_like(x)
+                e[i] = t
+                assert total(x + e) == objective(unpack_like(x + e, state), g, S, p)[0]
+
+        built = []
+        real = energy_module.Integrands
+        monkeypatch.setattr(energy_module, "Integrands",
+                            lambda *a: built.append(1) or real(*a))
+        harness._fd_vs_analytic(state, g, S, 2.0, rng, 4)
+        assert len(built) == 1
 
     def test_ridders_extrapolates_past_round_off(self):
         # f(t) = exp(3 t) / 3 + 1e3 has f'(0) = 1; round-off in f is about
