@@ -10,12 +10,13 @@ connector K o Dxi replaces the normal derivative.  Conjugating by the metric
 square roots realizes all metric distances as Euclidean matrix distances.
 :class:`Integrands` is the one implementation of both integrands, for the
 library functions here and for the minimizer (:mod:`imlab.optimize`), so
-both report the same numbers.  Its forwards keep per-node quantities
-component-major, matrix entries leading and node axes trailing
-(:func:`imlab.geometry.component_major`), so each small per-node product is
-a few elementwise operations on whole node arrays, or one matrix product for
-a single constant factor; only the Jacobians cross from the node-major
-layout of the stencils.
+both report the same numbers.  Its forwards take component-major states,
+(d+1, *counts), and keep every per-node quantity component-major, matrix
+entries leading and node axes trailing, as the stencils of
+:func:`imlab.fields.jacobian_array` return them; each small per-node product
+is then a few elementwise operations on whole node arrays, or one matrix
+product for a single constant factor.  The library functions here move the
+node-major arrays of their fields to that layout once, at entry.
 """
 
 from __future__ import annotations
@@ -80,9 +81,8 @@ class Integrands:
     left out.  With H = h, the bending integrand g^{ij} h_ab A^a_i A^b_j is
     sum((H A g^{-1}) * A).
 
-    The forwards take node-major states and return component-major
-    intermediates: each Jacobian is transposed once as it leaves
-    :func:`imlab.fields.jacobian_array`.
+    The forwards take component-major states (d+1, *counts) and return
+    component-major intermediates.
     """
 
     def __init__(self, grid: Grid, g: MetricChart, target: MetricChart,
@@ -99,10 +99,11 @@ class Integrands:
             self.H, self.Hs, self.Hsi = target_factors_cm(target, None)
 
     def _target(self, points):
-        """(h, h^{1/2}, h^{-1/2}): single matrices, or per node at the points."""
+        """(h, h^{1/2}, h^{-1/2}): single matrices, or per node at the
+        component-major points."""
         if self.target.is_constant:
             return self.H, self.Hs, self.Hsi
-        return target_factors_cm(self.target, points)
+        return target_factors_cm(self.target, node_major(points, 1))
 
     def _bend_sq(self, H, A):
         """(H A g^{-1}, max(|A|^2_{g,h}, 0)) per node."""
@@ -115,13 +116,14 @@ class Integrands:
         return K if self.S is None else right_mul(J, self.S) + K
 
     def immersion(self, values, polar=False, guard=None):
-        """ImmersionNodes of the immersion with node values ``values``.
+        """ImmersionNodes of the immersion with component-major node values
+        ``values`` (d+1, *counts).
 
         Without ``guard``, raises RankDeficient where h^{1/2} J is rank
         deficient (:func:`imlab.immersion.unit_normal`'s rule); with it,
         returns None where sigma_min(Q) < guard.
         """
-        J = component_major(jacobian_array(values, self.grid), 2)
+        J = jacobian_array(values, self.grid)
         H, Hs, Hsi = self._target(values)
         B = left_mul(Hs, J)
         Q = right_mul(B, self.gsi)
@@ -136,15 +138,13 @@ class Integrands:
             return None
         nhat = c / nu
         n = left_mul(Hsi, nhat[:, None])[:, 0]
-        Dn = component_major(jacobian_array(node_major(n, 1), self.grid), 2)
+        Dn = jacobian_array(n, self.grid)
         HAG, q2 = self._bend_sq(H, self._with_shape(J, connector(self.target, values, Dn, J, n)))
         return ImmersionNodes(dist2, q2, Q, P, nu, nhat, HAG)
 
     def derivatives(self, foot, vec):
-        """The component-major Jacobians (Jx, Jv) of a director field's foot
-        and vector."""
-        return (component_major(jacobian_array(foot, self.grid), 2),
-                component_major(jacobian_array(vec, self.grid), 2))
+        """The Jacobians (Jx, Jv) of a director field's foot and vector."""
+        return jacobian_array(foot, self.grid), jacobian_array(vec, self.grid)
 
     def director(self, foot, vec, polar=False, guard=None, J=None):
         """DirectorNodes of the director field (foot, vec); with ``guard``,
@@ -152,19 +152,18 @@ class Integrands:
         :meth:`derivatives` returned for this field."""
         Jx, Jv = self.derivatives(foot, vec) if J is None else J
         H, Hs, _ = self._target(foot)
-        v = component_major(vec, 1)
-        B = left_mul(Hs, np.concatenate([right_mul(Jx, self.gsi), v[:, None]], axis=1))
+        B = left_mul(Hs, np.concatenate([right_mul(Jx, self.gsi), vec[:, None]], axis=1))
         dist2, smin, R = rotation_factors_cm(B, polar)
         if guard is not None and np.min(smin) < guard:
             return None
-        HCG, q2 = self._bend_sq(H, self._with_shape(Jx, connector(self.target, foot, Jv, Jx, v)))
+        HCG, q2 = self._bend_sq(H, self._with_shape(Jx, connector(self.target, foot, Jv, Jx, vec)))
         return DirectorNodes(dist2, q2, B, R, HCG)
 
     def sasaki_sq(self, foot, vec, J=None):
         """Squared Sasaki norm |Df_x|^2_{g,h} + |K o Dxi|^2_{g,h} per node;
         ``J`` as in :meth:`director`."""
         Jx, Jv = self.derivatives(foot, vec) if J is None else J
-        K = connector(self.target, foot, Jv, Jx, component_major(vec, 1))
+        K = connector(self.target, foot, Jv, Jx, vec)
         H, _, _ = self._target(foot)
         return self._bend_sq(H, Jx)[1] + self._bend_sq(H, K)[1]
 
@@ -182,7 +181,7 @@ def total_energy(f: DiscreteImmersion, g: MetricChart, S: Optional[ShapeField],
     against dVol_g; densities retained for export."""
     _check_p(p)
     core = Integrands(f.grid, g, f.target, S)
-    return core.report(core.immersion(f.values), p)
+    return core.report(core.immersion(component_major(f.values, 1)), p)
 
 
 def stretching_energy(f: DiscreteImmersion, g: MetricChart, p: float):
@@ -201,19 +200,24 @@ def bending_energy(f: DiscreteImmersion, g: MetricChart, S: ShapeField, p: float
 # director-field (relaxed) energies
 
 
+def _director_cm(xi: DirectorField):
+    """The component-major (foot, vec) of a director field."""
+    return component_major(xi.foot, 1), component_major(xi.vec, 1)
+
+
 def connector_apply(xi: DirectorField) -> JacobianField:
     """Connector applied to the director derivative:
     (K o Dxi)_i^a = d_i v^a + Gamma^a_bc(x) d_i x^b v^c.
     """
-    Jx = component_major(jacobian_array(xi.foot, xi.grid), 2)
-    Jv = component_major(jacobian_array(xi.vec, xi.grid), 2)
-    K = connector(xi.target, xi.foot, Jv, Jx, component_major(xi.vec, 1))
+    foot, vec = _director_cm(xi)
+    Jx, Jv = jacobian_array(foot, xi.grid), jacobian_array(vec, xi.grid)
+    K = connector(xi.target, foot, Jv, Jx, vec)
     return JacobianField(xi.grid, np.ascontiguousarray(node_major(K, 2)))
 
 
 def director_frame(xi: DirectorField, g: MetricChart) -> np.ndarray:
     """Square frame matrix B = h^{1/2}(x) [df_x g^{-1/2} | v] per node."""
-    B = Integrands(xi.grid, g, xi.target).director(xi.foot, xi.vec).B
+    B = Integrands(xi.grid, g, xi.target).director(*_director_cm(xi)).B
     return np.ascontiguousarray(node_major(B, 2))
 
 
@@ -224,7 +228,7 @@ def relaxed_total(xi: DirectorField, g: MetricChart, S: Optional[ShapeField],
     |df_x S + K o Dxi|_{g,h}, against dVol_g."""
     _check_p(p)
     core = Integrands(xi.grid, g, xi.target, S)
-    return core.report(core.director(xi.foot, xi.vec), p)
+    return core.report(core.director(*_director_cm(xi)), p)
 
 
 def relaxed_stretching(xi: DirectorField, g: MetricChart, p: float):
@@ -243,7 +247,7 @@ def sasaki_norm_sq(xi: DirectorField, g: MetricChart) -> np.ndarray:
     """Squared Sasaki norm of the director derivative per node:
     |Dxi|^2 = |Df_x|^2_{g,h} + |K o Dxi|^2_{g,h}.
     """
-    return Integrands(xi.grid, g, xi.target).sasaki_sq(xi.foot, xi.vec)
+    return Integrands(xi.grid, g, xi.target).sasaki_sq(*_director_cm(xi))
 
 
 def sasaki_bound_margin(xi: DirectorField, g: MetricChart, S: ShapeField) -> np.ndarray:
@@ -255,9 +259,10 @@ def sasaki_bound_margin(xi: DirectorField, g: MetricChart, S: ShapeField) -> np.
     returned as an explicit not-applicable sentinel.
     """
     core = Integrands(xi.grid, g, xi.target, S)
-    J = core.derivatives(xi.foot, xi.vec)
-    lhs = np.sqrt(core.sasaki_sq(xi.foot, xi.vec, J))
-    nodes = core.director(xi.foot, xi.vec, J=J)
+    foot, vec = _director_cm(xi)
+    J = core.derivatives(foot, vec)
+    lhs = np.sqrt(core.sasaki_sq(foot, vec, J))
+    nodes = core.director(foot, vec, J=J)
     factor = 3.0 + 2.0 * S.sup_norm(g)
     rhs = factor * (np.sqrt(nodes.dist2) + np.sqrt(nodes.q2))
     applicable = lhs >= factor * np.sqrt(xi.grid.dim + 1.0)

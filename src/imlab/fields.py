@@ -1,12 +1,16 @@
 """Parameter-domain grids, discrete maps and tensor fields, derivatives, norms.
 
-Node arrays are laid out row-major with the grid axes leading, e.g. a map into
-R^3 on an n1 x n2 grid has shape (n1, n2, 3).  Derivatives use second-order
-central stencils at interior nodes and second-order one-sided stencils at the
-boundary, so they are exact on quadratics.  Each axis's stencil is a cached
-per-axis difference matrix applied by a matrix product; the adjoints apply
-its transpose.  Quadrature is tensor-product trapezoidal, collocated with the
-derivative nodes.
+The field classes hold node arrays row-major with the grid axes leading, e.g.
+a map into R^3 on an n1 x n2 grid has shape (n1, n2, 3).  The stencils work
+component-major, entries leading and grid axes trailing: :func:`jacobian_array`
+takes (comps, n1, n2) and returns (comps, dim, n1, n2), the layout of the
+integrand forwards and the minimizer's state vector; :func:`fd_jacobian` is
+the node-major entry point.  Derivatives use second-order central stencils at
+interior nodes and second-order one-sided stencils at the boundary, so they
+are exact on quadratics.  Each axis's stencil is a cached per-axis difference
+matrix applied by a matrix product, one product for the array's last axis;
+the adjoints apply its transpose.  Quadrature is tensor-product trapezoidal,
+collocated with the derivative nodes.
 """
 
 from __future__ import annotations
@@ -21,7 +25,7 @@ from typing import Optional, Sequence
 import numpy as np
 
 from .errors import BadExponent, GridMismatch, SingularMetric, UnsupportedTarget
-from .geometry import MetricChart, chart_factors
+from .geometry import MetricChart, chart_factors, component_major, node_major
 
 BINARY_MAGIC = b"IMLAB001"
 
@@ -232,13 +236,26 @@ def difference_matrix(count: int, spacing: float, order: int = 1) -> np.ndarray:
     return D
 
 
+@functools.lru_cache(maxsize=128)
+def _transposed_difference_matrix(count: int, spacing: float, order: int) -> np.ndarray:
+    """Contiguous read-only transpose of :func:`difference_matrix`: BLAS
+    multiplies by it from the right faster than by the transposed view."""
+    Dt = np.ascontiguousarray(difference_matrix(count, spacing, order).T)
+    Dt.setflags(write=False)
+    return Dt
+
+
 def _along_axis(values, axis: int, spacing: float, order=1, adjoint=False):
     """The axis's difference matrix, or its transpose, applied along ``axis``:
-    one product on axis 0, a product batched over the leading axes
-    otherwise, so the node array is never transposed."""
+    one product on the first or the last axis, a product batched over the
+    leading axes otherwise, so the array is never transposed."""
     v = np.asarray(values, dtype=float)
-    D = difference_matrix(v.shape[axis], spacing, order)
-    u = v.reshape(math.prod(v.shape[:axis]), v.shape[axis], -1)
+    n = v.shape[axis]
+    D = difference_matrix(n, spacing, order)
+    if axis == v.ndim - 1:
+        Dt = D if adjoint else _transposed_difference_matrix(n, spacing, order)
+        return (v.reshape(-1, n) @ Dt).reshape(v.shape)
+    u = v.reshape(math.prod(v.shape[:axis]), n, -1)
     return ((D.T if adjoint else D) @ (u[0] if axis == 0 else u)).reshape(v.shape)
 
 
@@ -260,32 +277,39 @@ def axis_derivative_adjoint(bar, axis: int, spacing: float) -> np.ndarray:
 
 
 def jacobian_array(values, grid: Grid) -> np.ndarray:
-    """Raw Jacobian d_i f^alpha of a node array, shape (*counts, comps, dim)."""
+    """Raw Jacobian d_i f^alpha of a component-major node array
+    (*comps, *counts): shape (*comps, dim, *counts)."""
     values = np.asarray(values, dtype=float)
+    k = values.ndim - grid.dim
     # filled column by column, so one product's temporary lives at a time
-    J = np.empty(values.shape + (grid.dim,))
+    J = np.empty(values.shape[:k] + (grid.dim,) + grid.counts)
     for i, h in enumerate(grid.spacing):
-        J[..., i] = axis_derivative(values, i, h)
+        J[(slice(None),) * k + (i,)] = axis_derivative(values, k + i, h)
     return J
 
 
 def jacobian_adjoint(bar, grid: Grid) -> np.ndarray:
-    """Adjoint of :func:`jacobian_array`: (*counts, comps, dim) back to nodes."""
+    """Adjoint of :func:`jacobian_array`: (*comps, dim, *counts) back to
+    (*comps, *counts)."""
     bar = np.asarray(bar, dtype=float)
-    out = axis_derivative_adjoint(bar[..., 0], 0, grid.spacing[0])
+    k = bar.ndim - grid.dim - 1
+    col = (slice(None),) * k
+    out = axis_derivative_adjoint(bar[col + (0,)], k, grid.spacing[0])
     for i in range(1, grid.dim):
-        out += axis_derivative_adjoint(bar[..., i], i, grid.spacing[i])
+        out += axis_derivative_adjoint(bar[col + (i,)], k + i, grid.spacing[i])
     return out
 
 
 def fd_jacobian(f, grid: Optional[Grid] = None) -> JacobianField:
-    """Jacobian field of a discrete map (immersion, normal field, or raw array)."""
+    """Node-major Jacobian field of a discrete map (immersion, normal field,
+    or raw node array (*counts, comps))."""
     if grid is None:
         grid = f.grid
         values = f.values
     else:
         values = f
-    return JacobianField(grid, jacobian_array(values, grid))
+    J = jacobian_array(component_major(values, 1), grid)
+    return JacobianField(grid, np.ascontiguousarray(node_major(J, 2)))
 
 
 # ---------------------------------------------------------------------------
@@ -342,7 +366,7 @@ def w1p_distance(f: DiscreteImmersion, f0: DiscreteImmersion, p: float,
     if not (f.target.is_constant and f0.target.is_constant):
         raise UnsupportedTarget("W^{1,p} distance needs a Euclidean target")
     diff = np.linalg.norm(f.values - f0.values, axis=-1)
-    jdiff = jacobian_array(f.values, f.grid) - jacobian_array(f0.values, f0.grid)
+    jdiff = fd_jacobian(f).values - fd_jacobian(f0).values
     jnorm = np.sqrt(np.sum(jdiff ** 2, axis=(-2, -1)))
     term0 = lp_norm(diff, p, g, f.grid) ** p
     term1 = lp_norm(jnorm, p, g, f.grid) ** p

@@ -12,8 +12,8 @@ set of orthonormal-column matrices (closed form for hypersurface frames),
 which are the building blocks of the stretching integrands.  The frame
 kernels work on component-major arrays, matrix entries leading and node axes
 trailing, where a per-node product is elementwise arithmetic on node arrays
-(:func:`left_mul`, :func:`right_mul`); ``stiefel_factors`` and
-``rotation_factors`` take node-major frames.
+(:func:`left_mul`, :func:`right_mul`); :func:`dist_stiefel` and
+:func:`dist_rotations` take node-major frames.
 """
 
 from __future__ import annotations
@@ -420,15 +420,14 @@ def right_mul(u, M):
 
 
 def dist_rotations(A) -> np.ndarray:
-    """Frobenius distance from a square matrix to the rotation group SO(n),
-    n in {2, 3} (see :func:`rotation_factors`).
+    """Frobenius distance from (..., n, n) matrices to the rotation group
+    SO(n), n in {2, 3} (see :func:`rotation_factors_cm`).
 
     With singular values s_1 >= ... >= s_n: sqrt(sum (s_i - 1)^2) when
     det A >= 0; when det A < 0 the smallest singular value flips sign in the
     nearest rotation, giving sqrt(sum_{i<n} (s_i - 1)^2 + (s_n + 1)^2).
     """
-    dist2, _, _ = rotation_factors(A)
-    return np.sqrt(dist2)
+    return np.sqrt(rotation_factors_cm(component_major(A, 2))[0])
 
 
 # Cofactor k = 3i + j of a flat row-major 3x3 matrix x is x[a] x[b] - x[c] x[d]
@@ -552,16 +551,6 @@ def rotation_factors_cm(b, polar=False):
     return dist2.reshape(nodes), smin.reshape(nodes), r.reshape(b.shape) if polar else None
 
 
-def rotation_factors(B, polar=False):
-    """:func:`rotation_factors_cm` of node-major (..., n, n) frames."""
-    dist2, smin, r = rotation_factors_cm(_frames_first(B), polar)
-    return dist2, smin, None if r is None else np.moveaxis(r, (0, 1), (-2, -1))
-
-
-def _frames_first(B):
-    return np.moveaxis(np.asarray(B, dtype=float), (-2, -1), (0, 1))
-
-
 def cross3_cm(a, b):
     """a x b for component-major (3, ...) arrays, written out by components:
     bit-identical to ``np.cross`` on the node-major arrays, without its
@@ -631,21 +620,14 @@ def stiefel_factors_cm(q, s=None, polar=False):
     return dist2, smin, P
 
 
-def stiefel_factors(Q, s=None, polar=False):
-    """:func:`stiefel_factors_cm` of node-major (..., d+1, d) frames."""
-    dist2, smin, P = stiefel_factors_cm(_frames_first(Q), s, polar)
-    return dist2, smin, None if P is None else np.moveaxis(P, (0, 1), (-2, -1))
-
-
 def _safe_reciprocal(x):
     return np.divide(1.0, x, out=np.zeros_like(x), where=x > 0)
 
 
 def dist_stiefel(Q) -> np.ndarray:
     """Frobenius distance from (..., d+1, d) frames, d in {1, 2}, to
-    orthonormal-column matrices (closed form, see :func:`stiefel_factors`)."""
-    dist2, _, _ = stiefel_factors(Q)
-    return np.sqrt(dist2)
+    orthonormal-column matrices (closed form, see :func:`stiefel_factors_cm`)."""
+    return np.sqrt(stiefel_factors_cm(component_major(Q, 2))[0])
 
 
 def project_stiefel(Q) -> np.ndarray:

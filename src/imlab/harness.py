@@ -23,9 +23,10 @@ from .errors import (AsymmetricShape, BadConfig, IncompatibleForms, is_finite,
 from .fields import (DirectorField, DiscreteImmersion, Grid, ShapeField,
                      atomic_write, fmt17, jacobian_array, load_node_csv,
                      save_binary, save_node_csv, w1p_distance)
-from .geometry import MetricChart, chart, christoffel, dist_stiefel
+from .geometry import (MetricChart, chart, christoffel, component_major, dist_stiefel,
+                       node_major)
 from .immersion import normal_director, pullback_metric, shape_operator, unit_normal
-from .optimize import OptimizeConfig, energy_gradient, minimize, pack_state
+from .optimize import OptimizeConfig, energy_gradient, minimize, pack_arrays, pack_state
 from .presets import PRESETS, get_preset
 from .reconstruct import align_rigid, gauss_codazzi_residual, integrate_frame, save_obj
 
@@ -222,10 +223,12 @@ def random_smooth_field(grid: Grid, ncomp: int, rng, modes: int = 3) -> np.ndarr
 
 
 def random_surface_immersion(grid: Grid, rng, amplitude: float = 0.05) -> DiscreteImmersion:
-    """Random full-rank graph-like surface in Euclidean 3-space."""
+    """Random full-rank graph-like hypersurface in Euclidean (d+1)-space: a
+    surface on a 2-D grid, a curve in the plane on a 1-D one."""
+    m = grid.dim + 1
     base = np.concatenate([grid.nodes(), np.zeros(grid.counts + (1,))], axis=-1)
-    values = base + amplitude * random_smooth_field(grid, 3, rng)
-    return DiscreteImmersion(grid, values, chart("euclidean", 3))
+    values = base + amplitude * random_smooth_field(grid, m, rng)
+    return DiscreteImmersion(grid, values, chart("euclidean", m))
 
 
 def random_curve_immersion(grid: Grid, target, rng) -> DiscreteImmersion:
@@ -283,8 +286,8 @@ def _sasaki_direct(xi: DirectorField, g) -> np.ndarray:
     Builds Dxi(e_i) = (x, v, d_i x, d_i v), applies the bundle projection and
     the connector map separately, and contracts with g^{ij} and h pairwise.
     """
-    Jx = jacobian_array(xi.foot, xi.grid)
-    Jv = jacobian_array(xi.vec, xi.grid)
+    Jx = node_major(jacobian_array(component_major(xi.foot, 1), xi.grid), 2)
+    Jv = node_major(jacobian_array(component_major(xi.vec, 1), xi.grid), 2)
     H = xi.target.eval(xi.foot)
     Gam = christoffel(xi.target, xi.foot)
     ginv, _ = en.parameter_factors(g, xi.grid)
@@ -431,8 +434,9 @@ def _distance_identity_violation(f: DiscreteImmersion, g) -> float:
     orthonormal columns and that of its normal director to the rotations."""
     core = en.Integrands(f.grid, g, f.target)
     xi = normal_director(f)
-    return float(np.max(np.abs(np.sqrt(core.director(xi.foot, xi.vec).dist2)
-                               - np.sqrt(core.immersion(f.values).dist2))))
+    nodes = core.director(component_major(xi.foot, 1), component_major(xi.vec, 1))
+    return float(np.max(np.abs(np.sqrt(nodes.dist2)
+                               - np.sqrt(core.immersion(component_major(f.values, 1)).dist2))))
 
 
 def _margin_sweep(cfg, rng, samples_needed: int):
@@ -486,8 +490,7 @@ def _fd_vs_analytic(state, g, S, p, rng, coords: int) -> float:
     differences of the total energy at ``coords`` coordinates drawn from rng."""
     x = pack_state(state)
     grad = energy_gradient(state, g, S, p)
-    grad = grad.ravel() if isinstance(grad, np.ndarray) else np.concatenate(
-        [grad[0].ravel(), grad[1].ravel()])
+    grad = pack_arrays(grad if isinstance(grad, tuple) else (grad,))
     floor = max(1e-6 * float(np.max(np.abs(grad))), 1e-12)
     total = _total_of(state, g, S, p)
     worst = 0.0
@@ -506,11 +509,9 @@ def _total_of(state, g, S, p):
     """x -> objective(unpack_like(x, state), g, S, p)[0], from one
     :class:`imlab.energy.Integrands` built here."""
     core = en.Integrands(state.grid, g, state.target, S)
-    if isinstance(state, DiscreteImmersion):
-        return lambda x: core.report(core.immersion(x.reshape(state.values.shape)), p).total
-    half = state.foot.size
-    return lambda x: core.report(core.director(x[:half].reshape(state.foot.shape),
-                                               x[half:].reshape(state.vec.shape)), p).total
+    shape = (-1, state.grid.dim + 1) + state.grid.counts
+    forward = core.immersion if isinstance(state, DiscreteImmersion) else core.director
+    return lambda x: core.report(forward(*x.reshape(shape)), p).total
 
 
 def _ridders(fn, h, target, shrink=1.4, columns=10):
@@ -685,7 +686,7 @@ def run_minimize(cfg: ExperimentConfig):
         save_node_csv(os.path.join(cfg.out, "terminal_vec.csv"), grid, state.vec)
         H = state.target.eval(state.foot)
         vnorm = np.sqrt(np.einsum("...ab,...a,...b->...", H, state.vec, state.vec))
-        J = jacobian_array(state.foot, grid)
+        J = node_major(jacobian_array(component_major(state.foot, 1), grid), 2)
         tangency = np.einsum("...ab,...ai,...b->...i", H, J, state.vec)
         report["vec_norm_max_error"] = float(np.max(np.abs(vnorm - 1.0)))
         report["tangency_max_error"] = float(np.max(np.abs(tangency)))

@@ -14,7 +14,7 @@ import numpy as np
 
 from .errors import RankDeficient
 from .fields import (DirectorField, DiscreteImmersion, JacobianField,
-                     NormalField, ShapeField, jacobian_array)
+                     NormalField, ShapeField, fd_jacobian, jacobian_array)
 from .geometry import (RANK_RTOL, christoffel, component_major, cross_columns_cm,
                        left_mul, node_major, stiefel_factors_cm, target_factors_cm)
 
@@ -37,7 +37,7 @@ def _frame_and_rank_check(b, c):
 
 def unit_normal(f: DiscreteImmersion) -> NormalField:
     """Oriented h-unit normal field of a full-rank discrete immersion."""
-    J = component_major(jacobian_array(f.values, f.grid), 2)
+    J = jacobian_array(component_major(f.values, 1), f.grid)
     _, Hs, Hsi = target_factors_cm(f.target, f.values)
     b = left_mul(Hs, J)
     c = cross_columns_cm(b)
@@ -48,7 +48,7 @@ def unit_normal(f: DiscreteImmersion) -> NormalField:
 
 def pullback_metric(f: DiscreteImmersion) -> np.ndarray:
     """First fundamental form (f*h)_ij at the nodes, shape (*counts, d, d)."""
-    J = jacobian_array(f.values, f.grid)
+    J = fd_jacobian(f).values
     H = f.target.eval(f.values)
     G = np.einsum("...ai,...ab,...bj->...ij", J, H, J)
     return 0.5 * (G + np.swapaxes(G, -1, -2))
@@ -58,11 +58,10 @@ def connector(target, points, Dv, J, v):
     """Derivative along a map, with differential J and values at ``points``,
     of a target vector field v with raw derivative Dv:
     Dv^a_i + Gamma^a_bc d_i f^b v^c (Dv itself for a constant target).
-    Dv, J (m, d, ...) and v (m, ...) are component-major, ``points``
-    node-major."""
+    Dv, J (m, d, ...), v and ``points`` (m, ...) are component-major."""
     if target.is_constant:
         return Dv
-    Gam = component_major(christoffel(target, points), 3)
+    Gam = component_major(christoffel(target, node_major(points, 1)), 3)
     Gv = Gam[:, :, 0] * v[0]
     for c in range(1, v.shape[0]):
         Gv = Gv + Gam[:, :, c] * v[c]
@@ -73,10 +72,8 @@ def covariant_normal_derivative(f: DiscreteImmersion, n: NormalField) -> Jacobia
     """Pullback-connection derivative of the normal:
     (grad n)_i^a = d_i n^a + Gamma^a_bc(f) d_i f^b n^c.
     """
-    J = jacobian_array(f.values, f.grid)
-    Dn = jacobian_array(n.values, f.grid)
-    K = connector(f.target, f.values, component_major(Dn, 2), component_major(J, 2),
-                  component_major(n.values, 1))
+    x, v = component_major(f.values, 1), component_major(n.values, 1)
+    K = connector(f.target, x, jacobian_array(v, f.grid), jacobian_array(x, f.grid), v)
     return JacobianField(f.grid, np.ascontiguousarray(node_major(K, 2)))
 
 
@@ -88,7 +85,7 @@ def shape_operator(f: DiscreteImmersion) -> ShapeField:
     """
     n = unit_normal(f)
     W = covariant_normal_derivative(f, n).values
-    J = jacobian_array(f.values, f.grid)
+    J = fd_jacobian(f).values
     H = f.target.eval(f.values)
     G = np.einsum("...ai,...ab,...bj->...ij", J, H, J)
     rhs = np.einsum("...ai,...ab,...bj->...ij", J, H, W)

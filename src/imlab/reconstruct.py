@@ -194,10 +194,13 @@ def _frame_rhs(coef, t: int, F, E, N, axis: int):
     """Right-hand side of the moving-frame system along one axis, with the
     coefficients at half-step ``t`` of the sweep's table: state work only."""
     Gam, II, Sa = (c[t] for c in coef)
-    dF = E[..., :, axis]
-    dE = np.einsum("...kj,...ck->...cj", Gam, E) + N[..., :, None] * II[..., None, :]
-    dN = -np.einsum("...ck,...k->...c", E, Sa)
-    return dF, dE, dN
+    # the sums over k of E Gam and E S, written out in index order
+    GE = E[..., :, 0, None] * Gam[..., None, 0, :]
+    SE = E[..., :, 0] * Sa[..., 0, None]
+    for k in range(1, E.shape[-1]):
+        GE = GE + E[..., :, k, None] * Gam[..., None, k, :]
+        SE = SE + E[..., :, k] * Sa[..., k, None]
+    return E[..., :, axis], GE + N[..., :, None] * II[..., None, :], -SE
 
 
 def _rk4_march(coef, axis, h, start, stop, F, E, N, out):

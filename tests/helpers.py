@@ -1,9 +1,11 @@
 """Shared test utilities: random rotations, convergence orders, symbolic oracles,
 the slicing finite-difference stencils that the library's difference
 matrices are checked against, the per-stage RK4 frame march that the
-library's per-sweep march is checked against, and the node-major integrand
+library's per-sweep march is checked against, the node-major integrand
 forwards and reverse passes that the component-major core is checked
-against."""
+against, and the node-major grid smoother and L-BFGS two-loop recursion that
+the minimizer's component-major smoother and compact L-BFGS direction are
+checked against."""
 
 from collections import namedtuple
 from typing import Optional
@@ -15,7 +17,9 @@ from imlab import fields
 from imlab.errors import RankDeficient, UnsupportedExponent, UnsupportedTarget
 from imlab.fields import DiscreteImmersion, Grid, ShapeField, quadrature_weights
 from imlab.geometry import (RANK_RTOL, SIGMA_GUARD, MetricChart, chart_factors,
-                            christoffel, rotation_factors, stiefel_factors)
+                            christoffel, component_major, node_major,
+                            rotation_factors_cm, stiefel_factors_cm)
+from imlab.optimize import SMOOTH_BETA, SMOOTH_POWER
 from imlab.reconstruct import (_default_anchor_frame, _midpoint_values,
                                _validate_frame)
 
@@ -298,9 +302,39 @@ def integrate_frame(g, S, grid: Grid, anchor_index=None, frame=None):
 # reference integrand core: the node-major forwards and reverse passes (batched
 # matmuls on (..., d+1, d) stacks) that the component-major core of
 # imlab.energy and imlab.optimize replaced, kept verbatim but for the class
-# names and the library stencils being called through imlab.fields; the rank
-# check, the connector and the cross products are the node-major ones they
-# called
+# names and the library stencils and frame kernels being called through the
+# node-major wrappers below; the rank check, the connector and the cross
+# products are the node-major ones they called
+
+
+def library_jacobian(values, grid: Grid) -> np.ndarray:
+    """The library Jacobian of a node-major array: (*counts, comps, dim)."""
+    return fields.fd_jacobian(values, grid).values
+
+
+def library_jacobian_adjoint(bar, grid: Grid) -> np.ndarray:
+    """The library stencil adjoint of a node-major (*counts, comps, dim)
+    cotangent: (*counts, comps)."""
+    out = fields.jacobian_adjoint(component_major(bar, 2), grid)
+    return np.ascontiguousarray(node_major(out, 1))
+
+
+def _frames_first(B):
+    return np.moveaxis(np.asarray(B, dtype=float), (-2, -1), (0, 1))
+
+
+def rotation_factors(B, polar=False):
+    """:func:`imlab.geometry.rotation_factors_cm` of node-major (..., n, n)
+    frames."""
+    dist2, smin, r = rotation_factors_cm(_frames_first(B), polar)
+    return dist2, smin, None if r is None else np.moveaxis(r, (0, 1), (-2, -1))
+
+
+def stiefel_factors(Q, s=None, polar=False):
+    """:func:`imlab.geometry.stiefel_factors_cm` of node-major (..., d+1, d)
+    frames."""
+    dist2, smin, P = stiefel_factors_cm(_frames_first(Q), s, polar)
+    return dist2, smin, None if P is None else np.moveaxis(P, (0, 1), (-2, -1))
 
 
 def cross_columns(B):
@@ -402,7 +436,7 @@ class ReferenceIntegrands:
         deficient (:func:`imlab.immersion.unit_normal`'s rule); with it,
         returns None where sigma_min(Q) < guard.
         """
-        J = fields.jacobian_array(values, self.grid)
+        J = library_jacobian(values, self.grid)
         H, Hs, Hsi = self._target(values)
         Q = Hs @ J @ self.gsi
         # the cross product of the columns of Q is det(g^{-1/2}) > 0 times
@@ -419,13 +453,13 @@ class ReferenceIntegrands:
         # n = h^{-1/2} nhat; a single (symmetric) h^{-1/2} multiplies from the
         # right, the product the minimizer's bits were fixed with
         n = nhat @ Hsi if Hsi.ndim == 2 else (Hsi @ nhat[..., None])[..., 0]
-        A = connector(self.target, values, fields.jacobian_array(n, self.grid), J, n) + J @ self.Sv
+        A = connector(self.target, values, library_jacobian(n, self.grid), J, n) + J @ self.Sv
         HA, q2 = self._bend_sq(H, A)
         return ImmersionNodes(dist2, q2, Q, P, nu, nhat, HA)
 
     def derivatives(self, foot, vec):
         """The Jacobians (Jx, Jv) of a director field's foot and vector."""
-        return fields.jacobian_array(foot, self.grid), fields.jacobian_array(vec, self.grid)
+        return library_jacobian(foot, self.grid), library_jacobian(vec, self.grid)
 
     def director(self, foot, vec, polar=False, guard=None, J=None):
         """DirectorNodes of the director field (foot, vec); with ``guard``,
@@ -506,12 +540,12 @@ class ReferenceEvaluator:
         core = self.core
         dist2, q2, Q, P, nu, nhat, HA = fwd
         Abar = self._bend_bar(HA, q2)
-        nhat_bar = fields.jacobian_adjoint(Abar, self.grid) @ core.Hsi
+        nhat_bar = library_jacobian_adjoint(Abar, self.grid) @ core.Hsi
         cbar = (nhat_bar - nhat * np.sum(nhat * nhat_bar, axis=-1, keepdims=True)) \
             / nu[..., None]
         Qbar = self._stretch_bar(dist2, Q, P) + _cross_adjoint(Q, cbar)
         Jbar = core.Hs @ Qbar @ core.gsi + Abar @ self.SvT
-        return fields.jacobian_adjoint(Jbar, self.grid)
+        return library_jacobian_adjoint(Jbar, self.grid)
 
     def _director_gradient(self, fwd):
         d = self.grid.dim
@@ -519,8 +553,8 @@ class ReferenceEvaluator:
         T = self.core.Hs @ self._stretch_bar(dist2, B, proj)
         Cbar = self._bend_bar(HC, q2)
         Jxbar = T[..., :, :d] @ self.core.gsi + Cbar @ self.SvT
-        grad_foot = fields.jacobian_adjoint(Jxbar, self.grid)
-        grad_vec = fields.jacobian_adjoint(Cbar, self.grid) + T[..., :, d]
+        grad_foot = library_jacobian_adjoint(Jxbar, self.grid)
+        grad_vec = library_jacobian_adjoint(Cbar, self.grid) + T[..., :, d]
         return grad_foot, grad_vec
 
     def gradient_parts(self, x: np.ndarray):
@@ -532,3 +566,70 @@ class ReferenceEvaluator:
         if self.is_immersion:
             return self._immersion_gradient(fwd)
         return self._director_gradient(fwd)
+
+
+# ---------------------------------------------------------------------------
+# reference L-BFGS pieces: the grid smoother on node-major state vectors,
+# with its permutations to and from component-major layout, and the two-loop
+# recursion over a list of pairs, that imlab.optimize's component-major
+# smoother and compact-representation direction replaced, kept verbatim
+
+
+class GridSmoother:
+    """M = (I + beta (h^2 L)^k)^{-1} on flat state vectors of one grid.
+
+    L is the separable Neumann second-difference Laplacian (boundary rows
+    (1, -1) / h^2), applied to each component of each node array of the
+    state.  Its eigenbasis is the orthonormal cosine (DCT-II) basis of each
+    axis, with eigenvalues (2 - 2 cos(pi k / n)) / h_axis^2, so M is one
+    basis change per axis on each side of a diagonal scaling.  M is symmetric
+    positive definite and leaves constant fields unchanged.
+    """
+
+    def __init__(self, grid):
+        h = min(grid.spacing)
+        self.bases = []
+        lam = np.zeros(())
+        for n, ha in zip(grid.counts, grid.spacing):
+            k = np.arange(n)
+            V = np.cos(np.pi * np.outer(k + 0.5, k) / n)
+            self.bases.append(V / np.linalg.norm(V, axis=0))
+            lam = np.add.outer(lam, (2.0 - 2.0 * np.cos(np.pi * k / n)) / ha ** 2)
+        self.scale = 1.0 / (1.0 + SMOOTH_BETA * (h * h * lam) ** SMOOTH_POWER)
+        # node arrays (immersion values, or director foot and vec) stacked,
+        # and the permutations to and from component-major layout
+        d = grid.dim
+        self.shape = (-1,) + grid.counts + (d + 1,)
+        self.to_fields = (0, d + 1) + tuple(range(1, d + 1))
+        self.to_nodes = (0,) + tuple(range(2, d + 2)) + (1,)
+
+    def __call__(self, x):
+        # grids have one or two axes: the last is transformed from the
+        # right, a first one from the left
+        *first, last = self.bases
+        u = x.reshape(self.shape).transpose(self.to_fields)
+        for V in first:
+            u = V.T @ u
+        u = (u @ last) * self.scale @ last.T
+        for V in first:
+            u = V @ u
+        return u.transpose(self.to_nodes).ravel()
+
+
+def two_loop(grad, pairs, smooth):
+    """L-BFGS direction H grad from the initial matrix H0 = gamma M, with
+    gamma = s^T y / y^T M y of the newest pair (M alone without pairs)."""
+    q = grad.copy()
+    alphas = []
+    for s, y, rho in reversed(pairs):
+        a = rho * (s @ q)
+        q -= a * y
+        alphas.append(a)
+    r = smooth(q)
+    if pairs:
+        s, y, _ = pairs[-1]
+        r *= (s @ y) / (y @ smooth(y))
+    for (s, y, rho), a in zip(pairs, reversed(alphas)):
+        b = rho * (y @ r)
+        r += s * (a - b)
+    return r

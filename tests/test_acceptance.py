@@ -8,10 +8,10 @@ import os
 
 import numpy as np
 
-from helpers import convergence_orders
+from helpers import convergence_orders, library_jacobian
 from imlab.energy import (director_frame, parameter_factors, relaxed_total,
                           sasaki_bound_margin, sasaki_norm_sq, total_energy)
-from imlab.fields import (DiscreteImmersion, Grid, ShapeField, jacobian_array,
+from imlab.fields import (DiscreteImmersion, Grid, ShapeField,
                           w1p_distance)
 from imlab.geometry import chart, chart_factors, christoffel, dist_rotations, dist_stiefel
 from imlab.harness import (ExperimentConfig, _fd_vs_analytic, _sym_field,
@@ -59,7 +59,7 @@ def _distance_violation(f, g):
     B = director_frame(xi, g)
     _, _, Hs, _ = chart_factors(f.target, f.values)
     _, gsi = parameter_factors(g, f.grid)
-    Q = Hs @ jacobian_array(f.values, f.grid) @ gsi
+    Q = Hs @ library_jacobian(f.values, f.grid) @ gsi
     return float(np.max(np.abs(dist_rotations(B) - dist_stiefel(Q))))
 
 
@@ -131,8 +131,8 @@ def test_criterion_04_sasaki_identity():
 
 def _sasaki_direct_oracle(xi, gparam):
     """Per-node assembly through the double-tangent coordinates."""
-    Jx = jacobian_array(xi.foot, xi.grid)
-    Jv = jacobian_array(xi.vec, xi.grid)
+    Jx = library_jacobian(xi.foot, xi.grid)
+    Jv = library_jacobian(xi.vec, xi.grid)
     H = xi.target.eval(xi.foot)
     Gam = christoffel(xi.target, xi.foot)
     ginv, _ = parameter_factors(gparam, xi.grid)

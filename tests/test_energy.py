@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 from scipy.integrate import solve_ivp
 
-from helpers import random_rotation
+from helpers import library_jacobian, random_rotation
 from imlab import energy as energy_module
 from imlab.energy import (Integrands, bending_energy, connector_apply, director_frame,
                           parameter_factors, relaxed_bending, relaxed_stretching,
@@ -12,8 +12,9 @@ from imlab.energy import (Integrands, bending_energy, connector_apply, director_
                           stretching_energy, total_energy)
 from imlab.errors import BadExponent
 from imlab.fields import (DirectorField, DiscreteImmersion, Grid, ShapeField,
-                          integrate_density, jacobian_array)
-from imlab.geometry import chart, chart_factors, christoffel, dist_rotations, dist_stiefel
+                          integrate_density)
+from imlab.geometry import (chart, chart_factors, christoffel, component_major,
+                            dist_rotations, dist_stiefel)
 from imlab.harness import (_sym_field, random_curve_immersion, random_director,
                            random_smooth_field, random_surface_immersion)
 from imlab.immersion import normal_director, unit_normal
@@ -126,7 +127,7 @@ class TestConnector:
         grid = _grid(9)
         xi = random_director(grid, E3, rng)
         K = connector_apply(xi)
-        assert np.array_equal(K.values, jacobian_array(xi.vec, grid))
+        assert np.array_equal(K.values, library_jacobian(xi.vec, grid))
 
     def test_parallel_transport_along_meridian(self):
         residuals = []
@@ -169,7 +170,7 @@ class TestConnector:
         xi = DirectorField(grid, foot, vec, chart("polar"))
         K = connector_apply(xi).values
         Gam = christoffel(chart("polar"), foot)
-        Jx = jacobian_array(foot, grid)
+        Jx = library_jacobian(foot, grid)
         expect = np.einsum("...abc,...bi,...c->...ai", Gam, Jx, vec)
         assert np.max(np.abs(K - expect)) < 1e-13
 
@@ -244,7 +245,7 @@ class TestRelaxationIdentity:
         B = director_frame(xi, E2)
         _, _, Hs, _ = chart_factors(f.target, f.values)
         _, gsi = parameter_factors(E2, grid)
-        Q = Hs @ jacobian_array(f.values, grid) @ gsi
+        Q = Hs @ library_jacobian(f.values, grid) @ gsi
         assert np.max(np.abs(dist_rotations(B) - dist_stiefel(Q))) < 1e-10
 
     def test_zero_relaxed_stretching_forces_unit_normal_director(self):
@@ -263,7 +264,7 @@ class TestRelaxationIdentity:
         H = xi.target.eval(xi.foot)
         vn = np.einsum("...ab,...a,...b->...", H, xi.vec, xi.vec)
         assert np.max(np.abs(vn - 1.0)) < 1e-6
-        J = jacobian_array(xi.foot, grid)
+        J = library_jacobian(xi.foot, grid)
         tang = np.einsum("...ab,...ai,...b->...i", H, J, xi.vec)
         assert np.max(np.abs(tang)) < 1e-6
 
@@ -293,8 +294,8 @@ class TestSasaki:
             xi = random_director(grid, tchart, rng)
             got = sasaki_norm_sq(xi, e1)
             # direct per-node assembly through the double-tangent coordinates
-            Jx = jacobian_array(xi.foot, grid)
-            Jv = jacobian_array(xi.vec, grid)
+            Jx = library_jacobian(xi.foot, grid)
+            Jv = library_jacobian(xi.vec, grid)
             Gam = christoffel(tchart, xi.foot)
             H = tchart.eval(xi.foot)
             expect = np.zeros(grid.counts)
@@ -351,8 +352,9 @@ class TestBoundMargin:
                              rng, vec_scale=30.0)
         S = ShapeField(grid, rng.normal(size=grid.counts + (dim, dim)))
         core = Integrands(grid, g, xi.target, S)
-        lhs = np.sqrt(core.sasaki_sq(xi.foot, xi.vec))
-        nodes = core.director(xi.foot, xi.vec)
+        foot, vec = component_major(xi.foot, 1), component_major(xi.vec, 1)
+        lhs = np.sqrt(core.sasaki_sq(foot, vec))
+        nodes = core.director(foot, vec)
         factor = 3.0 + 2.0 * S.sup_norm(g)
         rhs = factor * (np.sqrt(nodes.dist2) + np.sqrt(nodes.q2))
         expect = np.where(lhs >= factor * np.sqrt(dim + 1.0), rhs - lhs, np.nan)
@@ -415,12 +417,12 @@ def _reference_connector(target, points, Dv, J, v):
 
 
 def _reference_total(f, g, S, p):
-    J = jacobian_array(f.values, f.grid)
+    J = library_jacobian(f.values, f.grid)
     _, _, Hs, _ = chart_factors(f.target, f.values)
     _, gsi = parameter_factors(g, f.grid)
     stretch = integrate_density(dist_stiefel(Hs @ J @ gsi) ** p, f.grid, g)
     n = unit_normal(f).values
-    A = _reference_connector(f.target, f.values, jacobian_array(n, f.grid), J, n) \
+    A = _reference_connector(f.target, f.values, library_jacobian(n, f.grid), J, n) \
         + J @ S.values
     bend = integrate_density(_reference_hom_sq(A, g, f.grid, f.target, f.values)
                              ** (p / 2.0), f.grid, g)
@@ -428,13 +430,13 @@ def _reference_total(f, g, S, p):
 
 
 def _reference_relaxed(xi, g, S, p):
-    Jx = jacobian_array(xi.foot, xi.grid)
+    Jx = library_jacobian(xi.foot, xi.grid)
     _, _, Hs, _ = chart_factors(xi.target, xi.foot)
     _, gsi = parameter_factors(g, xi.grid)
     B = Hs @ np.concatenate([Jx @ gsi, xi.vec[..., None]], axis=-1)
     stretch = integrate_density(dist_rotations(B) ** p, xi.grid, g)
     C = Jx @ S.values + _reference_connector(
-        xi.target, xi.foot, jacobian_array(xi.vec, xi.grid), Jx, xi.vec)
+        xi.target, xi.foot, library_jacobian(xi.vec, xi.grid), Jx, xi.vec)
     bend = integrate_density(_reference_hom_sq(C, g, xi.grid, xi.target, xi.foot)
                              ** (p / 2.0), xi.grid, g)
     return stretch, bend

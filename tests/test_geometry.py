@@ -10,8 +10,8 @@ from imlab.errors import NotSPD, RankDeficient, SingularMetric
 from imlab.geometry import (SPD_RTOL, MetricChart, chart, chart_factors, christoffel,
                             component_major, cross3_cm, cross_columns_cm, dist_rotations,
                             dist_stiefel, node_major, project_stiefel, riemann_curvature,
-                            rotation_factors, spd_factors, spd_sqrt_det, sqrt_and_inv_sqrt,
-                            stiefel_factors)
+                            rotation_factors_cm, spd_factors, spd_sqrt_det,
+                            sqrt_and_inv_sqrt, stiefel_factors_cm)
 from imlab.optimize import SIGMA_GUARD
 
 
@@ -294,8 +294,23 @@ def _orthonormal_frames(rng, n, d):
     return U @ Vt
 
 
+def stiefel_cm(Q, polar=False):
+    """:func:`stiefel_factors_cm` of a node-major (..., d+1, d) corpus, the
+    polar factor moved back to node-major."""
+    dist2, smin, P = stiefel_factors_cm(component_major(Q, 2), polar=polar)
+    return dist2, smin, None if P is None else node_major(P, 2)
+
+
+def rotation_cm(B, polar=False):
+    """:func:`rotation_factors_cm` of a node-major (..., n, n) corpus, the
+    nearest rotation moved back to node-major."""
+    dist2, smin, R = rotation_factors_cm(component_major(B, 2), polar)
+    return dist2, smin, None if R is None else node_major(R, 2)
+
+
 class TestStiefelKernel:
-    """Closed-form kernel against the SVD on seeded (d+1) x d corpora.
+    """Closed-form component-major kernel against the SVD on seeded
+    (d+1) x d corpora.
 
     dist^2 agrees to 1e-14 absolute on O(1) frames (relative to |Q|^2 on
     badly scaled ones, where the reference itself carries that error), the
@@ -303,14 +318,14 @@ class TestStiefelKernel:
     """
 
     def _compare(self, Q, smin_rtol=1e-12):
-        dist2, smin, P = stiefel_factors(Q, polar=True)
+        dist2, smin, P = stiefel_cm(Q, polar=True)
         ref2, ref_smin, ref_P = _svd_stiefel(Q)
         scale = np.maximum(1.0, np.sum(Q * Q, axis=(-2, -1)))
         assert np.all(dist2 >= 0.0)
         assert np.max(np.abs(dist2 - ref2) / scale) <= 1e-14
         assert np.max(np.abs(P - ref_P)) <= 1e-12
         assert np.max(np.abs(smin - ref_smin) / ref_smin) <= smin_rtol
-        d2_only, smin_only, none = stiefel_factors(Q)
+        d2_only, smin_only, none = stiefel_cm(Q)
         assert none is None
         assert np.array_equal(d2_only, dist2) and np.array_equal(smin_only, smin)
         assert np.array_equal(dist_stiefel(Q), np.sqrt(dist2))
@@ -347,7 +362,7 @@ class TestStiefelKernel:
         side = np.where(np.arange(n) % 2 == 0, 1.001, 0.999)
         sigma[:, -1] = SIGMA_GUARD * side
         Q = (O * sigma[:, None, :]) @ V
-        _, smin, _ = stiefel_factors(Q)
+        _, smin, _ = stiefel_cm(Q)
         _, ref_smin, _ = _svd_stiefel(Q)
         assert np.array_equal(smin < SIGMA_GUARD, side < 1.0)
         assert np.array_equal(ref_smin < SIGMA_GUARD, side < 1.0)
@@ -357,16 +372,16 @@ class TestStiefelKernel:
         Q = np.zeros((2, 3, 2))
         Q[1, 0, 0] = 1.0
         with np.errstate(all="raise"):
-            dist2, smin, P = stiefel_factors(Q, polar=True)
+            dist2, smin, P = stiefel_cm(Q, polar=True)
         assert np.array_equal(smin, [0.0, 0.0])
         assert np.array_equal(dist2, [2.0, 1.0])
         assert np.array_equal(P, np.zeros_like(Q))
 
     def test_rejects_other_shapes(self):
         with pytest.raises(ValueError):
-            stiefel_factors(np.ones((4, 2)))
+            stiefel_cm(np.ones((4, 2)))
         with pytest.raises(ValueError):
-            stiefel_factors(np.ones((4, 3)))
+            stiefel_cm(np.ones((4, 3)))
 
 
 def _svd_rotation(B):
@@ -387,8 +402,8 @@ def _orthogonal(rng, m, n):
 
 
 class TestRotationKernel:
-    """Closed-form (n = 2) and Newton polar (n = 3) kernel against the SVD on
-    seeded n x n corpora with both signs of det.
+    """Closed-form (n = 2) and Newton polar (n = 3) component-major kernel
+    against the SVD on seeded n x n corpora with both signs of det.
 
     dist^2 agrees to 1e-14 relative to max(1, |B|^2).  R agrees to 1e-12
     where the nearest rotation is well separated, sigma_{n-1} + sign(det B)
@@ -400,7 +415,7 @@ class TestRotationKernel:
     """
 
     def _compare(self, B):
-        dist2, smin, R = rotation_factors(B, polar=True)
+        dist2, smin, R = rotation_cm(B, polar=True)
         ref2, ref_smin, ref_R, s, sign = _svd_rotation(B)
         n = B.shape[-1]
         scale = np.maximum(1.0, np.sum(B * B, axis=(-2, -1)))
@@ -416,7 +431,7 @@ class TestRotationKernel:
         slack = 1e-13 * s[..., 0]
         assert np.all(smin <= ref_smin + slack)
         assert np.all(smin >= (ref_smin if n == 2 else ref_smin / np.sqrt(3.0)) - slack)
-        d2_only, smin_only, none = rotation_factors(B)
+        d2_only, smin_only, none = rotation_cm(B)
         assert none is None
         assert np.array_equal(d2_only, dist2) and np.array_equal(smin_only, smin)
         assert np.array_equal(dist_rotations(B), np.sqrt(dist2))
@@ -459,7 +474,7 @@ class TestRotationKernel:
         side = np.where(np.arange(m) % 2 == 0, 1.001, 0.999)
         sigma[:, -1] = SIGMA_GUARD * side
         B = (_orthogonal(rng, m, n) * sigma[:, None, :]) @ _orthogonal(rng, m, n)
-        _, smin, _ = rotation_factors(B)
+        _, smin, _ = rotation_cm(B)
         _, ref_smin, _, _, sign = _svd_rotation(B)
         assert np.any(sign < 0) and np.any(sign > 0)
         assert np.array_equal(smin < SIGMA_GUARD, side < 1.0)
@@ -475,7 +490,7 @@ class TestRotationKernel:
             raise AssertionError("certified frames must not reach the SVD")
 
         monkeypatch.setattr(np.linalg, "svd", no_svd)
-        dist2, smin, R = rotation_factors(B, polar=True)
+        dist2, smin, R = rotation_cm(B, polar=True)
         assert np.max(np.abs(dist2 - ref2)) <= 1e-14
         assert np.max(np.abs(R - ref_R)) <= 1e-13
         assert np.all(smin <= ref_smin * (1.0 + 1e-13))
@@ -487,7 +502,7 @@ class TestRotationKernel:
         B2 = np.stack([np.zeros((2, 2)), np.ones((2, 2)), np.diag([1.0, -1.0])])
         for B in (B3, B2):
             with np.errstate(all="raise"):
-                dist2, smin, R = rotation_factors(B, polar=True)
+                dist2, smin, R = rotation_cm(B, polar=True)
             ref2, ref_smin, _, _, _ = _svd_rotation(B)
             assert np.max(np.abs(dist2 - ref2)) <= 1e-14
             assert np.array_equal(smin[:-1], [0.0] * (len(B) - 1))
@@ -496,15 +511,15 @@ class TestRotationKernel:
     def test_shape_and_rejects_other_shapes(self):
         rng = np.random.default_rng(121)
         B = rng.normal(size=(5, 4, 3, 3))
-        dist2, smin, R = rotation_factors(B, polar=True)
+        dist2, smin, R = rotation_cm(B, polar=True)
         assert dist2.shape == smin.shape == (5, 4) and R.shape == B.shape
-        flat2, _, flatR = rotation_factors(B.reshape(-1, 3, 3), polar=True)
+        flat2, _, flatR = rotation_cm(B.reshape(-1, 3, 3), polar=True)
         assert np.array_equal(dist2.ravel(), flat2)
         assert np.array_equal(R.reshape(-1, 3, 3), flatR)
-        assert rotation_factors(np.eye(3))[0].shape == ()
+        assert rotation_cm(np.eye(3))[0].shape == ()
         for shape in ((4, 4), (3, 2), (1, 1)):
             with pytest.raises(ValueError):
-                rotation_factors(np.ones(shape))
+                rotation_cm(np.ones(shape))
 
 
 def test_cross_by_components_is_bit_identical_to_numpy():

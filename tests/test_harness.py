@@ -19,7 +19,7 @@ from imlab.fields import (DirectorField, DiscreteImmersion, Grid, fmt17, load_bi
 from imlab.geometry import chart
 from imlab import harness
 from imlab import energy as energy_module
-from imlab.optimize import energy_gradient, objective, unpack_like
+from imlab.optimize import energy_gradient, objective, pack_arrays, unpack_like
 from imlab.harness import (ExperimentConfig, config_from_dict, load_config,
                            run_check, run_minimize, run_experiment,
                            run_stability_sweep, wrinkle_profile, write_json)
@@ -367,6 +367,23 @@ class TestDeterminism:
             assert filecmp.cmp(d1 / name, d2 / name, shallow=False), name
 
 
+@pytest.mark.parametrize("counts", [(9,), (9, 7)], ids=["curve", "surface"])
+def test_random_states_on_either_grid_dimension(counts):
+    """Graph-like immersions and directors into a constant (d+1)-dimensional
+    target, for curves (d = 1) and surfaces (d = 2)."""
+    grid = Grid(counts, (1.0,) * len(counts))
+    m = grid.dim + 1
+    target = harness.MetricChart(dim=m, domain=[[-np.inf, np.inf]] * m,
+                                 constant=np.eye(m) + 0.1)
+    rng = np.random.default_rng(5)
+    graph = np.concatenate([grid.nodes(), np.zeros(counts + (1,))], axis=-1)
+    field = harness.random_smooth_field(grid, m, copy.deepcopy(rng))
+    f = harness.random_surface_immersion(grid, rng, amplitude=0.1)
+    assert np.array_equal(f.values, graph + 0.1 * field) and f.target.dim == m
+    xi = harness.random_director(grid, target, rng)
+    assert xi.foot.shape == xi.vec.shape == counts + (m,) and xi.target is target
+
+
 def test_wrinkle_profile_mixes_frequencies():
     grid = Grid((33, 33), (1.0, 1.0))
     w = wrinkle_profile(grid, (2, 4, 8))
@@ -409,8 +426,8 @@ class TestGradientCheck:
         true_gradient = harness.energy_gradient
 
         def packed(grad):
-            parts = grad if isinstance(grad, tuple) else (grad,)
-            return np.concatenate([a.ravel() for a in parts])
+            """The gradient laid out like the state vector."""
+            return pack_arrays(grad if isinstance(grad, tuple) else (grad,))
 
         # the sampled coordinate with the largest gradient entry
         idx = copy.deepcopy(rng).choice(harness.pack_state(state).size, size=8,
@@ -421,10 +438,8 @@ class TestGradientCheck:
             grad = true_gradient(*args)
             flat = packed(grad)
             flat[i] *= 1.0 + 1e-4
-            if not isinstance(grad, tuple):
-                return flat.reshape(grad.shape)
-            return flat[:grad[0].size].reshape(grad[0].shape), \
-                flat[grad[0].size:].reshape(grad[1].shape)
+            back = unpack_like(flat, state)
+            return (back.foot, back.vec) if isinstance(grad, tuple) else back.values
 
         clean = harness._fd_vs_analytic(state, g, S, 2.0, copy.deepcopy(rng), 8)
         monkeypatch.setattr(harness, "energy_gradient", corrupted)

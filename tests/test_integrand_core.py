@@ -2,7 +2,9 @@
 
 ``tests/helpers.py`` keeps the node-major forwards and reverse passes that
 :class:`imlab.energy.Integrands` and :class:`imlab.optimize._Evaluator`
-replaced.  Seeded problems drawn by hypothesis cover immersions and
+replaced; the component-major forwards get the states moved to their
+layout, and the gradients come back node-major through
+:func:`imlab.optimize.energy_gradient`.  Seeded problems drawn by hypothesis cover immersions and
 director fields at d = 1 and d = 2; Euclidean, non-identity constant and
 (for the library forwards) curved target charts; constant, non-identity and
 varying parameter metrics g; and no, zero and varying shape operators S.
@@ -15,9 +17,10 @@ from hypothesis import strategies as st
 from helpers import ReferenceEvaluator, ReferenceIntegrands, random_rotation
 from imlab.energy import Integrands
 from imlab.fields import DirectorField, DiscreteImmersion, Grid, ShapeField
-from imlab.geometry import SIGMA_GUARD, MetricChart, chart, node_major
-from imlab.harness import random_curve_immersion, random_smooth_field
-from imlab.optimize import _Evaluator, pack_state
+from imlab.geometry import SIGMA_GUARD, MetricChart, chart, component_major, node_major
+from imlab.harness import (random_curve_immersion, random_director, random_smooth_field,
+                           random_surface_immersion)
+from imlab.optimize import _Evaluator, energy_gradient, pack_state
 
 INTEGRAND_RTOL = 1e-13
 GRADIENT_RTOL = 1e-12
@@ -64,15 +67,16 @@ def _shape(grid, name, rng):
 
 
 def _state(kind, grid, target, rng):
-    d = grid.dim
+    if kind == "director":
+        return random_director(grid, target, rng, foot_scale=1.6, vec_scale=2.0)
     if target.is_constant:
-        base = np.concatenate([grid.nodes(), np.zeros(grid.counts + (1,))], axis=-1)
-        foot = base + 0.08 * random_smooth_field(grid, d + 1, rng)
-    else:
-        foot = random_curve_immersion(grid, target, rng).values
-    if kind == "immersion":
-        return DiscreteImmersion(grid, foot, target)
-    return DirectorField(grid, foot, 2.0 * random_smooth_field(grid, d + 1, rng), target)
+        return DiscreteImmersion(grid, random_surface_immersion(grid, rng, 0.08).values,
+                                 target)
+    return random_curve_immersion(grid, target, rng)
+
+
+def _cm(*arrays):
+    return [component_major(a, 1) for a in arrays]
 
 
 def _close(got, ref, rtol):
@@ -106,16 +110,16 @@ class TestComponentMajorCore:
         core = Integrands(state.grid, g, target, S)
         ref = ReferenceIntegrands(state.grid, g, target, S)
         if isinstance(state, DiscreteImmersion):
-            got = core.immersion(state.values, polar)
+            got = core.immersion(*_cm(state.values), polar)
             want = ref.immersion(state.values, polar)
             pairs = [(got.Q, want.Q, 2), (got.P, want.P, 2), (got.nhat, want.nhat, 1),
                      (got.HAG, want.HA @ ref.ginv, 2)]
             assert _close(got.nu, want.nu, INTEGRAND_RTOL)
         else:
-            got = core.director(state.foot, state.vec, polar)
+            got = core.director(*_cm(state.foot, state.vec), polar)
             want = ref.director(state.foot, state.vec, polar)
             pairs = [(got.B, want.B, 2), (got.R, want.R, 2), (got.HCG, want.HC @ ref.ginv, 2)]
-            assert _close(core.sasaki_sq(state.foot, state.vec),
+            assert _close(core.sasaki_sq(*_cm(state.foot, state.vec)),
                           ref.sasaki_sq(state.foot, state.vec), INTEGRAND_RTOL)
         assert _close(got.dist2, want.dist2, INTEGRAND_RTOL)
         assert _close(got.q2, want.q2, INTEGRAND_RTOL)
@@ -134,9 +138,11 @@ class TestComponentMajorCore:
     @given(problems(curved=False), st.sampled_from([2.0, 3.0]))
     def test_gradients_match_reference(self, problem, p):
         state, g, _, S = problem
-        x = pack_state(state)
-        got = _Evaluator(state, g, S, p).gradient_parts(x)
-        want = ReferenceEvaluator(state, g, S, p).gradient_parts(x)
+        got = energy_gradient(state, g, S, p)
+        nodes = (state.values,) if isinstance(state, DiscreteImmersion) else (state.foot,
+                                                                              state.vec)
+        want = ReferenceEvaluator(state, g, S, p).gradient_parts(
+            np.concatenate([a.ravel() for a in nodes]))
         if isinstance(state, DiscreteImmersion):
             got, want = (got,), (want,)
         for a, b in zip(got, want):
@@ -171,10 +177,10 @@ class TestGuard:
         core = Integrands(state.grid, g, state.target)
         ref = ReferenceIntegrands(state.grid, g, state.target)
         if kind == "immersion":
-            got = core.immersion(state.values, True, SIGMA_GUARD)
+            got = core.immersion(*_cm(state.values), True, SIGMA_GUARD)
             want = ref.immersion(state.values, True, SIGMA_GUARD)
         else:
-            got = core.director(state.foot, state.vec, True, SIGMA_GUARD)
+            got = core.director(*_cm(state.foot, state.vec), True, SIGMA_GUARD)
             want = ref.director(state.foot, state.vec, True, SIGMA_GUARD)
         assert (got is None) == (want is None) == (side < 1.0)
         ev = _Evaluator(state, g, None, 2.0)

@@ -5,19 +5,20 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from helpers import random_rotation
+from helpers import (GridSmoother, library_jacobian, library_jacobian_adjoint,
+                     random_rotation, two_loop)
 from imlab.energy import relaxed_total, total_energy
 from imlab.errors import (BadConfig, RankDeficient, UnsupportedExponent,
                           UnsupportedTarget)
 from imlab.fields import (DirectorField, DiscreteImmersion, Grid, ShapeField,
-                          jacobian_adjoint, jacobian_array, quadrature_weights)
+                          quadrature_weights)
 from imlab.geometry import chart, sqrt_and_inv_sqrt
 from imlab.harness import (_sym_field, random_curve_immersion, random_director,
                            random_smooth_field, random_surface_immersion)
 from imlab.immersion import normal_director
 from imlab.optimize import (SMOOTH_BETA, SMOOTH_POWER, OptimizeConfig, _Evaluator,
-                            _GridSmoother, energy_gradient, minimize, objective,
-                            pack_state, unpack_like)
+                            _GridSmoother, _History, energy_gradient, minimize, objective,
+                            pack_arrays, pack_state, unpack_like)
 from imlab.presets import get_preset
 
 E2 = chart("euclidean", 2)
@@ -39,10 +40,9 @@ def _zero_shape(grid):
 
 
 def _flat_grad(state, g, S, p):
+    """The gradient laid out like the state vector."""
     grad = energy_gradient(state, g, S, p)
-    if isinstance(grad, np.ndarray):
-        return grad.ravel()
-    return np.concatenate([grad[0].ravel(), grad[1].ravel()])
+    return pack_arrays(grad if isinstance(grad, tuple) else (grad,))
 
 
 def _fd_check(state, g, S, p, rng, coords=12):
@@ -74,7 +74,7 @@ def _svd_reference(f, g, S, p):
     _, gsi = sqrt_and_inv_sqrt(gv)
     ginv = gsi @ gsi
     wdet = quadrature_weights(grid) * np.sqrt(np.linalg.det(gv))
-    J = jacobian_array(f.values, grid)
+    J = library_jacobian(f.values, grid)
     Q = Hs @ J @ gsi
     U, s, Vt = np.linalg.svd(Q, full_matrices=False)
     dist2 = np.sum((s - 1.0) ** 2, axis=-1)
@@ -83,19 +83,19 @@ def _svd_reference(f, g, S, p):
     nu = np.linalg.norm(c, axis=-1)
     nhat = c / nu[..., None]
     n = np.einsum("ab,...b->...a", Hsi, nhat)
-    A = jacobian_array(n, grid) + J @ S.values
+    A = library_jacobian(n, grid) + J @ S.values
     q2 = np.einsum("...ij,ab,...ai,...bj->...", ginv, H, A, A)
     energy = np.sum(wdet * dist2 ** (p / 2.0)) + np.sum(wdet * q2 ** (p / 2.0))
     Qbar = (wdet * p * dist2 ** ((p - 2.0) / 2.0))[..., None, None] * (Q - U @ Vt)
     Abar = (wdet * p * q2 ** ((p - 2.0) / 2.0))[..., None, None] * np.einsum(
         "ab,...bj,...ji->...ai", H, A, ginv)
-    nhat_bar = np.einsum("ab,...a->...b", Hsi, jacobian_adjoint(Abar, grid))
+    nhat_bar = np.einsum("ab,...a->...b", Hsi, library_jacobian_adjoint(Abar, grid))
     cbar = (nhat_bar - nhat * np.sum(nhat * nhat_bar, axis=-1, keepdims=True)) \
         / nu[..., None]
     Bbar = np.stack([np.cross(B[..., 1], cbar), np.cross(cbar, B[..., 0])], axis=-1)
     Jbar = (Hs.T @ Qbar @ np.swapaxes(gsi, -1, -2) + Hs.T @ Bbar
             + np.einsum("...ai,...ji->...aj", Abar, S.values))
-    return energy, jacobian_adjoint(Jbar, grid)
+    return energy, library_jacobian_adjoint(Jbar, grid)
 
 
 def _director_svd_reference(xi, g, S, p):
@@ -110,13 +110,13 @@ def _director_svd_reference(xi, g, S, p):
     _, gsi = sqrt_and_inv_sqrt(gv)
     ginv = gsi @ gsi
     wdet = quadrature_weights(grid) * np.sqrt(np.linalg.det(gv))
-    Jx = jacobian_array(xi.foot, grid)
+    Jx = library_jacobian(xi.foot, grid)
     B = Hs @ np.concatenate([Jx @ gsi, xi.vec[..., None]], axis=-1)
     U, s, Vt = np.linalg.svd(B)
     target = np.ones_like(s)
     target[..., -1] = np.sign(np.linalg.det(U) * np.linalg.det(Vt))
     dist2 = np.sum((s - target) ** 2, axis=-1)
-    C = np.einsum("...ai,...ij->...aj", Jx, S.values) + jacobian_array(xi.vec, grid)
+    C = np.einsum("...ai,...ij->...aj", Jx, S.values) + library_jacobian(xi.vec, grid)
     q2 = np.einsum("...ij,ab,...ai,...bj->...", ginv, H, C, C)
     energy = np.sum(wdet * dist2 ** (p / 2.0)) + np.sum(wdet * q2 ** (p / 2.0))
     Bbar = (wdet * p * dist2 ** ((p - 2.0) / 2.0))[..., None, None] * (
@@ -126,9 +126,9 @@ def _director_svd_reference(xi, g, S, p):
         "ab,...bj,...ji->...ai", H, C, ginv)
     Jxbar = (np.einsum("...ai,...ji->...aj", T[..., :d], gsi)
              + np.einsum("...ai,...ji->...aj", Cbar, S.values))
-    grad_foot = jacobian_adjoint(Jxbar, grid)
-    grad_vec = jacobian_adjoint(Cbar, grid) + T[..., d]
-    return energy, np.concatenate([grad_foot.ravel(), grad_vec.ravel()])
+    grad_foot = library_jacobian_adjoint(Jxbar, grid)
+    grad_vec = library_jacobian_adjoint(Cbar, grid) + T[..., d]
+    return energy, pack_arrays((grad_foot, grad_vec))
 
 
 class TestGradient:
@@ -173,7 +173,8 @@ class TestGradient:
                 ev = _Evaluator(start, pre.g, shape, p)
                 x = pack_state(start)
                 assert ev.energy(x)[0] == pytest.approx(ref_energy, rel=1e-13)
-                grad = ev.gradient(x).reshape(ref_grad.shape)
+                grad = ev.gradient(x)
+                ref_grad = pack_arrays((ref_grad,))
                 assert np.max(np.abs(grad - ref_grad)) <= 1e-12 * np.max(np.abs(ref_grad))
 
     def test_curve_matches_finite_differences(self):
@@ -413,7 +414,8 @@ class TestGridSmoother:
         n1, n2 = grid.counts
         L = (np.kron(_neumann_laplacian(n1, grid.spacing[0]), np.eye(n2))
              + np.kron(np.eye(n1), _neumann_laplacian(n2, grid.spacing[1])))
-        hL = min(grid.spacing) ** 2 * np.kron(L, np.eye(3))
+        # component-major: each of the 3 components is one block
+        hL = min(grid.spacing) ** 2 * np.kron(np.eye(3), L)
         ref = np.linalg.inv(np.eye(hL.shape[0])
                             + SMOOTH_BETA * np.linalg.matrix_power(hL, SMOOTH_POWER))
         M = _GridSmoother(grid)
@@ -426,11 +428,67 @@ class TestGridSmoother:
     def test_symmetric_positive_and_constant_preserving(self, grid, arrays, seed):
         M = _GridSmoother(grid)
         rng = np.random.default_rng(seed)
-        shape = (arrays,) + grid.counts + (grid.dim + 1,)
+        shape = (arrays, grid.dim + 1) + grid.counts
         x, y = rng.normal(size=(2,) + shape).reshape(2, -1)
         scale = np.linalg.norm(x) * np.linalg.norm(y)
         assert abs(x @ M(y) - y @ M(x)) <= 1e-13 * scale
         assert x @ M(x) > 0.0
-        const = np.broadcast_to(rng.normal(size=(arrays,) + (1,) * grid.dim
-                                           + (grid.dim + 1,)), shape).ravel()
+        const = np.broadcast_to(rng.normal(size=(arrays, grid.dim + 1) + (1,) * grid.dim),
+                                shape).ravel()
         assert np.allclose(M(const), const, rtol=0, atol=1e-13 * np.max(np.abs(const)))
+
+    @settings(max_examples=60, deadline=None)
+    @given(_grids, st.integers(1, 2), st.integers(0, 2 ** 32 - 1))
+    def test_matches_permuting_reference(self, grid, arrays, seed):
+        """The same products as the node-major smoother that permuted to
+        component-major layout and back, on the packed state vector."""
+        rng = np.random.default_rng(seed)
+        nodes = rng.normal(size=(arrays,) + grid.counts + (grid.dim + 1,))
+        want = GridSmoother(grid)(nodes.ravel()).reshape(nodes.shape)
+        got = _GridSmoother(grid)(pack_arrays(nodes))
+        assert np.max(np.abs(got - pack_arrays(want))) <= 1e-13 * np.max(np.abs(want))
+
+
+def _curvature_pairs(rng, n, count, skip):
+    """``count`` step pairs (s, y = A s) of one SPD matrix A, with pair
+    ``skip`` replaced by one whose s^T y is below the acceptance threshold."""
+    B = rng.normal(size=(n, n)) / np.sqrt(n)
+    A = np.eye(n) + B @ B.T
+    pairs = []
+    for k in range(count):
+        s = rng.normal(size=n)
+        y = A @ s
+        if k == skip:
+            y = y - (s @ y) / (s @ s) * s       # s^T y = 0 to rounding
+        pairs.append((s, y))
+    return pairs
+
+
+_small_grids = st.one_of(
+    st.builds(lambda n: Grid((n,), (1.0,)), st.integers(4, 16)),
+    st.builds(lambda n1, n2, e: Grid((n1, n2), (1.0, e)),
+              st.integers(4, 8), st.integers(4, 8), st.floats(0.2, 5.0)))
+
+
+class TestCompactDirection:
+    """The compact-representation direction against the two-loop recursion
+    it replaced, with the same H0 = gamma M and the same pair filter."""
+
+    @settings(max_examples=40, deadline=None)
+    @given(_small_grids, st.integers(1, 2), st.integers(1, 5), st.integers(0, 14),
+           st.integers(-1, 13), st.integers(0, 2 ** 32 - 1))
+    def test_matches_two_loop(self, grid, arrays, memory, count, skip, seed):
+        rng = np.random.default_rng(seed)
+        n = arrays * (grid.dim + 1) * grid.num_nodes
+        smooth = _GridSmoother(grid)
+        history = _History(memory, smooth, n)
+        pairs = []
+        for s, y in _curvature_pairs(rng, n, count, skip):
+            history.push(s, y)
+            if s @ y > 1e-10 * np.linalg.norm(s) * np.linalg.norm(y):
+                pairs = (pairs + [(s, y, 1.0 / (s @ y))])[-memory:]
+        assert len(history.slots) == len(pairs)
+        for g in rng.normal(size=(3, n)):
+            want = two_loop(g, pairs, smooth)
+            got = history.direction(g)
+            assert np.max(np.abs(got - want)) <= 1e-12 * np.max(np.abs(want))
