@@ -13,12 +13,14 @@ which are the building blocks of the stretching integrands.  The frame
 kernels work on component-major arrays, matrix entries leading and node axes
 trailing, where a per-node product is elementwise arithmetic on node arrays
 (:func:`left_mul`, :func:`right_mul`); :func:`dist_stiefel` and
-:func:`dist_rotations` take node-major frames.
+:func:`dist_rotations` take node-major frames.  The lowered curvature is
+component-major too, computed at the pairs k < l of its last two indices.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import combinations
 from typing import Callable, Optional
 
 import numpy as np
@@ -111,22 +113,15 @@ class MetricChart:
         if domain is None:
             domain = [[-np.inf, np.inf]] * dim
 
-        def batched(x):
-            x = np.asarray(x, dtype=float)
-            flat = x.reshape(-1, dim)
-            vals = np.stack([np.asarray(fn(p), dtype=float) for p in flat])
-            return vals.reshape(x.shape[:-1] + (dim, dim))
-
-        batched_deriv = None
-        if deriv is not None:
-            def batched_deriv(x):
+        def batched(fn, entries):
+            def call(x):
                 x = np.asarray(x, dtype=float)
-                flat = x.reshape(-1, dim)
-                vals = np.stack([np.asarray(deriv(p), dtype=float) for p in flat])
-                return vals.reshape(x.shape[:-1] + (dim, dim, dim))
+                vals = np.stack([np.asarray(fn(p), dtype=float) for p in x.reshape(-1, dim)])
+                return vals.reshape(x.shape[:-1] + entries)
+            return call
 
-        return MetricChart(dim=dim, domain=domain, matrix=batched,
-                           matrix_deriv=batched_deriv, name=name)
+        return MetricChart(dim=dim, domain=domain, matrix=batched(fn, (dim, dim)), name=name,
+                           matrix_deriv=None if deriv is None else batched(deriv, (dim,) * 3))
 
     @staticmethod
     def from_table(grid, values, name="tabulated"):
@@ -171,52 +166,28 @@ class MetricChart:
 # built-in chart catalogue
 
 
-def _sphere_matrix(x):
-    th = x[..., 0]
-    g = np.zeros(x.shape[:-1] + (2, 2))
-    g[..., 0, 0] = 1.0
-    g[..., 1, 1] = np.sin(th) ** 2
-    return g
+def _warped_product(phi, dphi):
+    """The metric diag(1, phi(x_0)^2) of a warped product and its partials,
+    whose only nonzero entry is d_0 g_11 = 2 phi phi'."""
+    def matrix(x):
+        g = np.zeros(x.shape[:-1] + (2, 2))
+        g[..., 0, 0] = 1.0
+        g[..., 1, 1] = phi(x[..., 0]) ** 2
+        return g
 
+    def deriv(x):
+        dg = np.zeros(x.shape[:-1] + (2, 2, 2))
+        dg[..., 0, 1, 1] = 2.0 * phi(x[..., 0]) * dphi(x[..., 0])
+        return dg
 
-def _sphere_deriv(x):
-    th = x[..., 0]
-    dg = np.zeros(x.shape[:-1] + (2, 2, 2))
-    dg[..., 0, 1, 1] = 2.0 * np.sin(th) * np.cos(th)
-    return dg
-
-
-def _hyperbolic_matrix(x):
-    th = x[..., 0]
-    g = np.zeros(x.shape[:-1] + (2, 2))
-    g[..., 0, 0] = 1.0
-    g[..., 1, 1] = np.sinh(th) ** 2
-    return g
-
-
-def _hyperbolic_deriv(x):
-    th = x[..., 0]
-    dg = np.zeros(x.shape[:-1] + (2, 2, 2))
-    dg[..., 0, 1, 1] = 2.0 * np.sinh(th) * np.cosh(th)
-    return dg
-
-
-def _polar_matrix(x):
-    r = x[..., 0]
-    g = np.zeros(x.shape[:-1] + (2, 2))
-    g[..., 0, 0] = 1.0
-    g[..., 1, 1] = r ** 2
-    return g
-
-
-def _polar_deriv(x):
-    r = x[..., 0]
-    dg = np.zeros(x.shape[:-1] + (2, 2, 2))
-    dg[..., 0, 1, 1] = 2.0 * r
-    return dg
+    return matrix, deriv
 
 
 _EPS_ANGLE = 1e-3
+# name: (phi, phi', upper end of the first axis), first axis from _EPS_ANGLE
+_WARPED = {"sphere": (np.sin, np.cos, np.pi - _EPS_ANGLE),
+           "hyperbolic": (np.sinh, np.cosh, np.inf),
+           "polar": (lambda r: r, lambda r: 1.0, np.inf)}
 
 
 def chart(name: str, dim: int | None = None) -> MetricChart:
@@ -229,19 +200,12 @@ def chart(name: str, dim: int | None = None) -> MetricChart:
                            constant=np.eye(dim))
     if dim is not None and dim != 2:
         raise ValueError(f"chart {name!r} is two-dimensional")
-    if name == "sphere":
-        dom = [[_EPS_ANGLE, np.pi - _EPS_ANGLE], [-np.inf, np.inf]]
-        return MetricChart(dim=2, domain=dom, matrix=_sphere_matrix,
-                           matrix_deriv=_sphere_deriv, name="sphere")
-    if name == "hyperbolic":
-        dom = [[_EPS_ANGLE, np.inf], [-np.inf, np.inf]]
-        return MetricChart(dim=2, domain=dom, matrix=_hyperbolic_matrix,
-                           matrix_deriv=_hyperbolic_deriv, name="hyperbolic")
-    if name == "polar":
-        dom = [[_EPS_ANGLE, np.inf], [-np.inf, np.inf]]
-        return MetricChart(dim=2, domain=dom, matrix=_polar_matrix,
-                           matrix_deriv=_polar_deriv, name="polar")
-    raise ValueError(f"unknown chart {name!r}")
+    if name not in _WARPED:
+        raise ValueError(f"unknown chart {name!r}")
+    phi, dphi, hi = _WARPED[name]
+    matrix, deriv = _warped_product(phi, dphi)
+    return MetricChart(dim=2, domain=[[_EPS_ANGLE, hi], [-np.inf, np.inf]], matrix=matrix,
+                       matrix_deriv=deriv, name=name)
 
 
 # ---------------------------------------------------------------------------
@@ -334,23 +298,25 @@ def christoffel(m: MetricChart, x) -> np.ndarray:
 
 
 def riemann_from_values(G, Gam, dGam) -> np.ndarray:
-    """Fully lowered curvature from Gamma and its partials dGam[..., k, a, b, c].
-
-    R_ijkl = g_im (d_k Gamma^m_lj - d_l Gamma^m_kj
-                   + Gamma^m_kn Gamma^n_lj - Gamma^m_ln Gamma^n_kj).
-    """
-    R_up = (np.einsum("...kmlj->...mjkl", dGam)
-            - np.einsum("...lmkj->...mjkl", dGam)
-            + np.einsum("...mkn,...nlj->...mjkl", Gam, Gam)
-            - np.einsum("...mln,...nkj->...mjkl", Gam, Gam))
-    return np.einsum("...im,...mjkl->...ijkl", G, R_up)
+    """Lowered curvature R_ijkl = g_im (A^m_jkl - A^m_jlk), A^m_jkl = d_k Gamma^m_lj
+    + Gamma^m_kn Gamma^n_lj, at the pairs k < l in ``combinations`` order:
+    component-major (d, d, pairs, ...) from G (d, d, ...), Gam[a, b, c] =
+    Gamma^a_bc and dGam[k, a, b, c] = d_k Gamma^a_bc, read only where b != k.
+    As a difference of A and its swap, R is exactly antisymmetric in (k, l)."""
+    pairs = list(combinations(range(G.shape[0]), 2))
+    R = np.empty(G.shape[:2] + (len(pairs),) + G.shape[2:])
+    for p, (k, l) in enumerate(pairs):
+        R[:, :, p] = left_mul(G, (dGam[k, :, l] + left_mul(Gam[:, k], Gam[:, l]))
+                              - (dGam[l, :, k] + left_mul(Gam[:, l], Gam[:, k])))
+    return R
 
 
 def riemann_curvature(m: MetricChart, x) -> np.ndarray:
     """Lowered curvature tensor R_ijkl of the Levi-Civita connection at x.
 
-    Antisymmetric in (i,j) and in (k,l), symmetric under pair exchange.
-    Partials of the Christoffel symbols are taken by central differences.
+    Antisymmetric in (i,j) and in (k,l), symmetric under pair exchange; the
+    (k, l) antisymmetry is exact (:func:`riemann_from_values`).  Partials of
+    the Christoffel symbols are taken by central differences.
     """
     x = _as_points(x, m.dim)
     n = m.dim
@@ -362,14 +328,15 @@ def riemann_curvature(m: MetricChart, x) -> np.ndarray:
     # to keep the nested-difference noise below truncation error
     rel = FD_STEP_REL if m.matrix_deriv is not None else 1e-4
     steps = m.extents() * rel
-    dGam = np.empty(x.shape[:-1] + (n,) * 4)
-    for k in range(n):
-        dx = np.zeros(n)
-        dx[k] = steps[k]
-        gp = christoffel(m, x + dx)
-        gm = christoffel(m, x - dx)
-        dGam[..., k, :, :, :] = (gp - gm) / (2.0 * steps[k])
-    return riemann_from_values(G, Gam, dGam)
+    dGam = np.empty((n,) * 4 + x.shape[:-1])
+    for k, dx in enumerate(steps * np.eye(n)):
+        dGam[k] = component_major((christoffel(m, x + dx) - christoffel(m, x - dx))
+                                  / (2.0 * steps[k]), 3)
+    Rp = riemann_from_values(component_major(G, 2), component_major(Gam, 3), dGam)
+    R = np.zeros((n,) * 4 + x.shape[:-1])     # zero where k = l
+    for p, (k, l) in enumerate(combinations(range(n), 2)):
+        R[:, :, k, l], R[:, :, l, k] = Rp[:, :, p], -Rp[:, :, p]
+    return np.ascontiguousarray(node_major(R, 4))
 
 
 # ---------------------------------------------------------------------------
@@ -456,7 +423,8 @@ def _rotation_factors_2(b):
     a, c = b[0] + b[3], b[2] - b[1]
     theta = np.arctan2(c, a)
     co, si = np.cos(theta), np.sin(theta)
-    r = np.stack([co, -si, si, co])
+    r = np.empty_like(b)
+    r[0], r[1], r[2], r[3] = co, -si, si, co
     smax = 0.5 * (np.hypot(a, c) + np.hypot(b[0] - b[3], b[1] + b[2]))
     smin = np.abs(b[0] * b[3] - b[1] * b[2]) / np.maximum(smax, np.finfo(float).tiny)
     return np.add.reduce((b - r) ** 2, axis=0), smin, r
@@ -551,12 +519,15 @@ def rotation_factors_cm(b, polar=False):
     return dist2.reshape(nodes), smin.reshape(nodes), r.reshape(b.shape) if polar else None
 
 
-def cross3_cm(a, b):
-    """a x b for component-major (3, ...) arrays, written out by components:
-    bit-identical to ``np.cross`` on the node-major arrays, without its
-    Python-level overhead."""
-    return np.stack([a[1] * b[2] - a[2] * b[1], a[2] * b[0] - a[0] * b[2],
-                     a[0] * b[1] - a[1] * b[0]])
+def cross3_cm(a, b, out=None):
+    """a x b for component-major (3, ...) arrays, written out by components
+    into ``out`` (a new array by default): bit-identical to ``np.cross`` on
+    the node-major arrays, without its Python-level overhead."""
+    out = np.empty(np.broadcast_shapes(a.shape, b.shape)) if out is None else out
+    np.subtract(a[1] * b[2], a[2] * b[1], out=out[0, ...])
+    np.subtract(a[2] * b[0], a[0] * b[2], out=out[1, ...])
+    np.subtract(a[0] * b[1], a[1] * b[0], out=out[2, ...])
+    return out
 
 
 def cross_columns_cm(q):
@@ -568,7 +539,9 @@ def cross_columns_cm(q):
     """
     d = q.shape[1]
     if d == 1:
-        return np.stack([-q[1, 0], q[0, 0]])
+        out = np.empty((2,) + q.shape[2:])
+        out[0], out[1] = -q[1, 0], q[0, 0]
+        return out
     if d == 2:
         return cross3_cm(q[:, 0], q[:, 1])
     raise ValueError("generalized cross product implemented for d in {1, 2}")
@@ -615,8 +588,9 @@ def stiefel_factors_cm(q, s=None, polar=False):
     g22 = np.add.reduce(q2 * q2, axis=0)
     g12 = np.add.reduce(q1 * q2, axis=0)
     inv = _safe_reciprocal(t * s)
-    P = np.stack([(q1 * (g22 + s) - q2 * g12) * inv,
-                  (q2 * (g11 + s) - q1 * g12) * inv], axis=1)
+    P = np.empty(q.shape)
+    np.multiply(q1 * (g22 + s) - q2 * g12, inv, out=P[:, 0])
+    np.multiply(q2 * (g11 + s) - q1 * g12, inv, out=P[:, 1])
     return dist2, smin, P
 
 

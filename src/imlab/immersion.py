@@ -14,9 +14,10 @@ import numpy as np
 
 from .errors import RankDeficient
 from .fields import (DirectorField, DiscreteImmersion, JacobianField,
-                     NormalField, ShapeField, fd_jacobian, jacobian_array)
+                     NormalField, ShapeField, jacobian_array)
 from .geometry import (RANK_RTOL, christoffel, component_major, cross_columns_cm,
-                       left_mul, node_major, stiefel_factors_cm, target_factors_cm)
+                       left_mul, node_major, right_mul, stiefel_factors_cm,
+                       target_factors_cm)
 
 
 def _frame_and_rank_check(b, c):
@@ -46,12 +47,20 @@ def unit_normal(f: DiscreteImmersion) -> NormalField:
     return NormalField(f.grid, np.ascontiguousarray(node_major(n, 1)))
 
 
+def _gram(f: DiscreteImmersion, *W) -> list:
+    """J^T h J, then J^T h B for each B (d+1, d, *counts) in W, component-major
+    (d, d, *counts), of an immersion with raw Jacobian J into a target h."""
+    J = jacobian_array(component_major(f.values, 1), f.grid)
+    H = (f.target.constant if f.target.is_constant
+         else component_major(f.target.eval(f.values), 2))
+    JtH = right_mul(np.swapaxes(J, 0, 1), H)
+    return [right_mul(JtH, B) for B in (J,) + W]
+
+
 def pullback_metric(f: DiscreteImmersion) -> np.ndarray:
     """First fundamental form (f*h)_ij at the nodes, shape (*counts, d, d)."""
-    J = fd_jacobian(f).values
-    H = f.target.eval(f.values)
-    G = np.einsum("...ai,...ab,...bj->...ij", J, H, J)
-    return 0.5 * (G + np.swapaxes(G, -1, -2))
+    G, = _gram(f)
+    return np.ascontiguousarray(node_major(0.5 * (G + np.swapaxes(G, 0, 1)), 2))
 
 
 def connector(target, points, Dv, J, v):
@@ -80,17 +89,21 @@ def covariant_normal_derivative(f: DiscreteImmersion, n: NormalField) -> Jacobia
 def shape_operator(f: DiscreteImmersion) -> ShapeField:
     """Shape operator extracted from grad n = -df o S by least squares.
 
-    Normal equations with the pullback Gram matrix: the discrete grad n is
-    never exactly tangential, so S is the minimizer of |grad n + df S|_h.
+    Normal equations with the pullback Gram matrix G = J^T h J: the discrete
+    grad n is never exactly tangential, so S is the minimizer of
+    |grad n + df S|_h, S = -(adj G / det G) J^T h grad n (d in {1, 2}, as
+    :func:`unit_normal` requires).
     """
-    n = unit_normal(f)
-    W = covariant_normal_derivative(f, n).values
-    J = fd_jacobian(f).values
-    H = f.target.eval(f.values)
-    G = np.einsum("...ai,...ab,...bj->...ij", J, H, J)
-    rhs = np.einsum("...ai,...ab,...bj->...ij", J, H, W)
-    S = -np.linalg.solve(G, rhs)
-    return ShapeField(f.grid, S)
+    W = covariant_normal_derivative(f, unit_normal(f)).values
+    G, rhs = _gram(f, component_major(W, 2))
+    if G.shape[0] == 1:
+        adj, det = np.ones_like(G), G[0, 0]
+    else:
+        adj = np.array([[G[1, 1], -G[0, 1]], [-G[1, 0], G[0, 0]]])
+        det = G[0, 0] * G[1, 1] - G[0, 1] * G[1, 0]
+    if not np.all(det > 0.0):
+        raise RankDeficient("singular pullback metric in the shape-operator equations")
+    return ShapeField(f.grid, np.ascontiguousarray(node_major(left_mul(adj, rhs) / -det, 2)))
 
 
 def normal_director(f: DiscreteImmersion) -> DirectorField:

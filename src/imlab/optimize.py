@@ -137,9 +137,13 @@ def objective(state: State, g: MetricChart, S, p: float):
 def _cross_adjoint(q, cbar):
     """Backpropagate through the oriented column cross product of
     component-major (d+1, d, ...) frames."""
+    out = np.empty(q.shape)
     if q.shape[1] == 1:
-        return np.stack([cbar[1], -cbar[0]])[:, None]
-    return np.stack([cross3_cm(q[:, 1], cbar), cross3_cm(cbar, q[:, 0])], axis=1)
+        out[0, 0], out[1, 0] = cbar[1], -cbar[0]
+    else:
+        cross3_cm(q[:, 1], cbar, out=out[:, 0])
+        cross3_cm(cbar, q[:, 0], out=out[:, 1])
+    return out
 
 
 class _Evaluator:

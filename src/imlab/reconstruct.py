@@ -7,7 +7,12 @@ Codazzi identities (with II = g S):
     grad_i II_jk = grad_j II_ik
 
 Both residuals are evaluated with the same grid stencils used everywhere else,
-so they converge at second order for smooth compatible data.  Reconstruction
+so they converge at second order for smooth compatible data.  The curvature
+path is component-major, (entries, *counts), with every contraction an
+elementwise sum over the contracted index, and it computes only the
+independent index pairs: R_ijkl at k < l and the Codazzi tensor at i < j.
+Their other entries are exact negations or zeros in floating point, so the
+maxima over the pairs are the maxima over all entries.  Reconstruction
 integrates the moving-frame system
 
     d_i f = E_i,   d_i E_j = Gamma^k_ij E_k + II_ij n,   d_i n = -E_j S^j_i
@@ -22,17 +27,18 @@ them from that table and does only the state-dependent work.
 
 from __future__ import annotations
 
+from itertools import combinations
 from typing import Optional
 
 import numpy as np
 
 from .errors import (AsymmetricShape, DegenerateCovariance, GridMismatch,
-                     IncompatibleForms, NonSPDAnchor, is_int)
+                     IncompatibleForms, NonSPDAnchor, SingularMetric, is_int)
 from .fields import (CompatibilityReport, DiscreteImmersion, Grid, ShapeField,
                      atomic_write, axis_derivative, axis_second_derivative,
-                     quadrature_weights)
-from .geometry import (MetricChart, chart, christoffel, christoffel_from_values,
-                       riemann_from_values)
+                     jacobian_array, quadrature_weights)
+from .geometry import (MetricChart, chart, christoffel, component_major, left_mul,
+                       node_major, riemann_from_values, right_mul, spd_factors)
 
 COMPAT_SAFETY = 10.0
 
@@ -47,84 +53,83 @@ def _metric_node_values(g, grid: Grid) -> np.ndarray:
     return gv
 
 
-def _grid_partials(values, grid: Grid) -> np.ndarray:
-    """Stack of axis derivatives with the derivative index leading the tensor axes."""
-    der = [axis_derivative(values, i, grid.spacing[i]) for i in range(grid.dim)]
-    return np.stack(der, axis=grid.dim)
+def _first_kind(D, b: int) -> np.ndarray:
+    """2 Gamma_ebc = d_b g_ec + d_c g_eb - d_e g_bc at lower index b, indexed
+    [e, c], from component-major partials D[i, j, x] = d_x g_ij (or d_k D)."""
+    return (D[:, :, b] + D[:, b]) - np.swapaxes(D[b], 0, 1)
 
 
-def _grid_second_partials(values, grid: Grid) -> np.ndarray:
-    """Second partials d_k d_l with two leading derivative indices.
-
-    Same-axis entries use direct second-derivative stencils; mixed entries
-    nest first-derivative stencils along distinct axes (which commute and
-    keep second-order accuracy up to the boundary).
-    """
+def _christoffel_terms(G, grid: Grid) -> tuple:
+    """Gamma^a_bc and, at b != k, d_k Gamma^a_bc, component-major, from the
+    stencils of the metric values G (d, d, *counts), whose error coefficients,
+    unlike Gamma's, do not jump between boundary and interior stencils.
+    G^{-1} = (G^{-1/2})^2 past the SPD gate, d_k G^{-1} = -G^{-1} d_k G G^{-1}."""
     d, h = grid.dim, grid.spacing
-    P = [[None] * d for _ in range(d)]
+    Gsi = component_major(spd_factors(node_major(G, 2), SingularMetric)[2], 2)
+    Ginv = left_mul(Gsi, Gsi)
+    dG = jacobian_array(G, grid)                    # [i, j, k] = d_k g_ij
+    # [i, j, k, l] = d_k d_l g_ij: same-axis stencils, mixed ones nested
+    # along distinct axes (second order up to the boundary)
+    d2G = np.empty((d,) * 4 + grid.counts)
     for k in range(d):
-        P[k][k] = axis_second_derivative(values, k, h[k])
+        d2G[:, :, k, k] = axis_second_derivative(G, 2 + k, h[k])
         for l in range(k + 1, d):
-            P[k][l] = P[l][k] = axis_derivative(axis_derivative(values, l, h[l]), k, h[k])
-    return np.stack([np.stack(row, axis=d) for row in P], axis=d)
-
-
-def _christoffel_partials(gv, dG, d2G) -> np.ndarray:
-    """Partials d_k Gamma^a_bc assembled from metric derivatives.
-
-    Avoids differencing the Christoffel field itself, whose error
-    coefficients jump between boundary and interior stencils.
-    """
-    Ginv = np.linalg.inv(gv)
-    dGinv = -np.einsum("...am,...kmn,...nd->...kad", Ginv, dG, Ginv)
-    T = np.swapaxes(dG, -3, -2) + np.moveaxis(dG, -3, -1) - dG
-    dT = np.swapaxes(d2G, -3, -2) + np.moveaxis(d2G, -3, -1) - d2G
-    return 0.5 * (np.einsum("...kad,...dbc->...kabc", dGinv, T)
-                  + np.einsum("...ad,...kdbc->...kabc", Ginv, dT))
+            d2G[:, :, k, l] = d2G[:, :, l, k] = axis_derivative(dG[:, :, l], 2 + k, h[k])
+    T = [_first_kind(dG, b) for b in range(d)]
+    Gam, dGam = np.empty((d,) * 3 + grid.counts), np.empty((d,) * 4 + grid.counts)
+    for k in range(d):
+        Gam[:, k] = 0.5 * left_mul(Ginv, T[k])
+        dGinv = -right_mul(left_mul(Ginv, dG[:, :, k]), Ginv)
+        for l in set(range(d)) - {k}:
+            dGam[k, :, l] = 0.5 * (left_mul(dGinv, T[l])
+                                   + left_mul(Ginv, _first_kind(d2G[:, :, k], l)))
+    return Gam, dGam
 
 
 def gauss_codazzi_residual(g, S: ShapeField, grid: Grid) -> CompatibilityReport:
     """Node-wise residuals of the Gauss and Codazzi identities for (g, S).
 
     ``g`` may be a metric chart (sampled at the nodes) or a node array of
-    metric matrices.  The pass tolerance is 10 h^2 scaled by the local
-    curvature magnitude, so discretized-but-compatible inputs pass while
-    genuinely incompatible ones fail.
+    metric matrices; ``S`` must live on ``grid`` (GridMismatch otherwise).
+    The pass tolerance is 10 h^2 scaled by the local curvature magnitude, so
+    discretized-but-compatible inputs pass while genuinely incompatible ones
+    fail.  Both tensors are computed at their independent pairs, k < l of
+    R_ijkl and i < j of the Codazzi tensor; the other entries are exact
+    negations or zeros, so the maxima over all entries are the same.
     """
-    d = grid.dim
+    if not S.grid.same_as(grid):
+        raise GridMismatch("shape field and metric live on different grids")
     gv = _metric_node_values(g, grid)
-    Sv = S.values
-    II = gv @ Sv
+    II = gv @ S.values
     h = max(grid.spacing)
     # same h^2 scaling as the compatibility gate: forms extracted from a
     # discrete immersion carry O(h^2) asymmetry that must pass
     asym = np.max(np.abs(II - np.swapaxes(II, -1, -2)))
     if asym > COMPAT_SAFETY * h * h * (1.0 + np.max(np.abs(II))):
         raise AsymmetricShape(f"g*S asymmetry {asym:.3e} exceeds tolerance")
-    II = 0.5 * (II + np.swapaxes(II, -1, -2))
-    if d == 1:
+    if grid.dim == 1:
         zeros = np.zeros(grid.counts)
         tol = np.full(grid.counts, COMPAT_SAFETY * h * h)
         return CompatibilityReport(zeros, zeros.copy(), tol, True)
+    II = component_major(0.5 * (II + np.swapaxes(II, -1, -2)), 2)
+    G = component_major(gv, 2)
+    Gam, dGam = _christoffel_terms(G, grid)
+    R = riemann_from_values(G, Gam, dGam)
+    # II_ik II_jl - II_il II_jk over the pairs k < l, indexed [i, j, pair]
+    k, l = np.array(list(combinations(range(grid.dim), 2))).T
+    Ik, Il = II[:, k], II[:, l]
+    gauss_res = np.max(np.abs(R - (Ik[:, None] * Il[None] - Il[:, None] * Ik[None])),
+                       axis=(0, 1, 2))
 
-    dG = _grid_partials(gv, grid)
-    Gam = christoffel_from_values(gv, dG)
-    dGam = _christoffel_partials(gv, dG, _grid_second_partials(gv, grid))
-    R = riemann_from_values(gv, Gam, dGam)
-    gauss_tensor = R - (np.einsum("...ik,...jl->...ijkl", II, II)
-                        - np.einsum("...il,...jk->...ijkl", II, II))
-    gauss_res = np.max(np.abs(gauss_tensor), axis=(-4, -3, -2, -1))
+    def cov(i, j):
+        # grad_i II_jk = d_i II_jk - Gam^m_ij II_mk - Gam^m_ik II_jm, over k
+        return ((axis_derivative(II[j], 1 + i, grid.spacing[i])
+                 - left_mul(Gam[None, :, i, j], II)[0]) - left_mul(II[None, j], Gam[:, i])[0])
 
-    # grad_i II_jk = d_i II_jk - Gam^m_ij II_mk - Gam^m_ik II_jm
-    dII = _grid_partials(II, grid)
-    covII = (dII
-             - np.einsum("...mij,...mk->...ijk", Gam, II)
-             - np.einsum("...mik,...jm->...ijk", Gam, II))
-    cod_tensor = covII - np.swapaxes(covII, -3, -2)
-    codazzi_res = np.max(np.abs(cod_tensor), axis=(-3, -2, -1))
-
-    local_scale = 1.0 + np.max(np.abs(R), axis=(-4, -3, -2, -1)) \
-        + np.max(np.abs(II), axis=(-2, -1)) ** 2
+    codazzi_res = np.max([np.abs(cov(i, j) - cov(j, i))
+                          for i, j in combinations(range(grid.dim), 2)], axis=(0, 1))
+    local_scale = 1.0 + np.max(np.abs(R), axis=(0, 1, 2)) \
+        + np.max(np.abs(II), axis=(0, 1)) ** 2
     tol = COMPAT_SAFETY * h * h * local_scale
     passed = bool(np.all(gauss_res <= tol) and np.all(codazzi_res <= tol))
     return CompatibilityReport(gauss_res, codazzi_res, tol, passed)

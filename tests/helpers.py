@@ -3,9 +3,11 @@ the slicing finite-difference stencils that the library's difference
 matrices are checked against, the per-stage RK4 frame march that the
 library's per-sweep march is checked against, the node-major integrand
 forwards and reverse passes that the component-major core is checked
-against, and the node-major grid smoother and L-BFGS two-loop recursion that
+against, the node-major grid smoother and L-BFGS two-loop recursion that
 the minimizer's component-major smoother and compact L-BFGS direction are
-checked against."""
+checked against, and the einsum Gauss-Codazzi residual, curvature and
+fundamental forms that the component-major compatibility path is checked
+against."""
 
 from collections import namedtuple
 from typing import Optional
@@ -14,14 +16,17 @@ import numpy as np
 import sympy as sp
 
 from imlab import fields
-from imlab.errors import RankDeficient, UnsupportedExponent, UnsupportedTarget
-from imlab.fields import DiscreteImmersion, Grid, ShapeField, quadrature_weights
+from imlab.errors import (AsymmetricShape, RankDeficient, UnsupportedExponent,
+                          UnsupportedTarget)
+from imlab.fields import (CompatibilityReport, DiscreteImmersion, Grid, ShapeField,
+                          quadrature_weights)
 from imlab.geometry import (RANK_RTOL, SIGMA_GUARD, MetricChart, chart_factors,
-                            christoffel, component_major, node_major,
-                            rotation_factors_cm, stiefel_factors_cm)
+                            christoffel, christoffel_from_values, component_major,
+                            node_major, rotation_factors_cm, stiefel_factors_cm)
+from imlab.immersion import covariant_normal_derivative, unit_normal
 from imlab.optimize import SMOOTH_BETA, SMOOTH_POWER
-from imlab.reconstruct import (_default_anchor_frame, _midpoint_values,
-                               _validate_frame)
+from imlab.reconstruct import (COMPAT_SAFETY, _default_anchor_frame,
+                               _metric_node_values, _midpoint_values, _validate_frame)
 
 
 def random_rotation(rng, n):
@@ -633,3 +638,119 @@ def two_loop(grad, pairs, smooth):
         b = rho * (y @ r)
         r += s * (a - b)
     return r
+
+
+# ---------------------------------------------------------------------------
+# reference compatibility path: the node-major einsum contractions and the
+# LAPACK inverse that the component-major curvature of imlab.geometry and
+# imlab.reconstruct replaced, kept verbatim but for the function names; and
+# the einsum and np.linalg.solve fundamental forms of imlab.immersion
+
+
+def _grid_partials(values, grid: Grid) -> np.ndarray:
+    """Stack of axis derivatives with the derivative index leading the tensor axes."""
+    der = [fields.axis_derivative(values, i, grid.spacing[i]) for i in range(grid.dim)]
+    return np.stack(der, axis=grid.dim)
+
+
+def _grid_second_partials(values, grid: Grid) -> np.ndarray:
+    """Second partials d_k d_l with two leading derivative indices.
+
+    Same-axis entries use direct second-derivative stencils; mixed entries
+    nest first-derivative stencils along distinct axes (which commute and
+    keep second-order accuracy up to the boundary).
+    """
+    d, h = grid.dim, grid.spacing
+    P = [[None] * d for _ in range(d)]
+    for k in range(d):
+        P[k][k] = fields.axis_second_derivative(values, k, h[k])
+        for l in range(k + 1, d):
+            P[k][l] = P[l][k] = fields.axis_derivative(
+                fields.axis_derivative(values, l, h[l]), k, h[k])
+    return np.stack([np.stack(row, axis=d) for row in P], axis=d)
+
+
+def _christoffel_partials(gv, dG, d2G) -> np.ndarray:
+    """Partials d_k Gamma^a_bc assembled from metric derivatives.
+
+    Avoids differencing the Christoffel field itself, whose error
+    coefficients jump between boundary and interior stencils.
+    """
+    Ginv = np.linalg.inv(gv)
+    dGinv = -np.einsum("...am,...kmn,...nd->...kad", Ginv, dG, Ginv)
+    T = np.swapaxes(dG, -3, -2) + np.moveaxis(dG, -3, -1) - dG
+    dT = np.swapaxes(d2G, -3, -2) + np.moveaxis(d2G, -3, -1) - d2G
+    return 0.5 * (np.einsum("...kad,...dbc->...kabc", dGinv, T)
+                  + np.einsum("...ad,...kdbc->...kabc", Ginv, dT))
+
+
+def riemann_from_values(G, Gam, dGam) -> np.ndarray:
+    """Fully lowered curvature from Gamma and its partials dGam[..., k, a, b, c].
+
+    R_ijkl = g_im (d_k Gamma^m_lj - d_l Gamma^m_kj
+                   + Gamma^m_kn Gamma^n_lj - Gamma^m_ln Gamma^n_kj).
+    """
+    R_up = (np.einsum("...kmlj->...mjkl", dGam)
+            - np.einsum("...lmkj->...mjkl", dGam)
+            + np.einsum("...mkn,...nlj->...mjkl", Gam, Gam)
+            - np.einsum("...mln,...nkj->...mjkl", Gam, Gam))
+    return np.einsum("...im,...mjkl->...ijkl", G, R_up)
+
+
+def gauss_codazzi_residual(g, S: ShapeField, grid: Grid) -> CompatibilityReport:
+    """Node-wise residuals of the Gauss and Codazzi identities for (g, S)."""
+    d = grid.dim
+    gv = _metric_node_values(g, grid)
+    Sv = S.values
+    II = gv @ Sv
+    h = max(grid.spacing)
+    asym = np.max(np.abs(II - np.swapaxes(II, -1, -2)))
+    if asym > COMPAT_SAFETY * h * h * (1.0 + np.max(np.abs(II))):
+        raise AsymmetricShape(f"g*S asymmetry {asym:.3e} exceeds tolerance")
+    II = 0.5 * (II + np.swapaxes(II, -1, -2))
+    if d == 1:
+        zeros = np.zeros(grid.counts)
+        tol = np.full(grid.counts, COMPAT_SAFETY * h * h)
+        return CompatibilityReport(zeros, zeros.copy(), tol, True)
+
+    dG = _grid_partials(gv, grid)
+    Gam = christoffel_from_values(gv, dG)
+    dGam = _christoffel_partials(gv, dG, _grid_second_partials(gv, grid))
+    R = riemann_from_values(gv, Gam, dGam)
+    gauss_tensor = R - (np.einsum("...ik,...jl->...ijkl", II, II)
+                        - np.einsum("...il,...jk->...ijkl", II, II))
+    gauss_res = np.max(np.abs(gauss_tensor), axis=(-4, -3, -2, -1))
+
+    # grad_i II_jk = d_i II_jk - Gam^m_ij II_mk - Gam^m_ik II_jm
+    dII = _grid_partials(II, grid)
+    covII = (dII
+             - np.einsum("...mij,...mk->...ijk", Gam, II)
+             - np.einsum("...mik,...jm->...ijk", Gam, II))
+    cod_tensor = covII - np.swapaxes(covII, -3, -2)
+    codazzi_res = np.max(np.abs(cod_tensor), axis=(-3, -2, -1))
+
+    local_scale = 1.0 + np.max(np.abs(R), axis=(-4, -3, -2, -1)) \
+        + np.max(np.abs(II), axis=(-2, -1)) ** 2
+    tol = COMPAT_SAFETY * h * h * local_scale
+    passed = bool(np.all(gauss_res <= tol) and np.all(codazzi_res <= tol))
+    return CompatibilityReport(gauss_res, codazzi_res, tol, passed)
+
+
+def pullback_metric(f: DiscreteImmersion) -> np.ndarray:
+    """First fundamental form (f*h)_ij at the nodes, shape (*counts, d, d)."""
+    J = fields.fd_jacobian(f).values
+    H = f.target.eval(f.values)
+    G = np.einsum("...ai,...ab,...bj->...ij", J, H, J)
+    return 0.5 * (G + np.swapaxes(G, -1, -2))
+
+
+def shape_operator(f: DiscreteImmersion) -> ShapeField:
+    """Shape operator extracted from grad n = -df o S by least squares."""
+    n = unit_normal(f)
+    W = covariant_normal_derivative(f, n).values
+    J = fields.fd_jacobian(f).values
+    H = f.target.eval(f.values)
+    G = np.einsum("...ai,...ab,...bj->...ij", J, H, J)
+    rhs = np.einsum("...ai,...ab,...bj->...ij", J, H, W)
+    S = -np.linalg.solve(G, rhs)
+    return ShapeField(f.grid, S)

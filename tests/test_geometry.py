@@ -4,12 +4,14 @@ import numpy as np
 import pytest
 import sympy as sp
 
+import helpers
 from helpers import (lambdify_tensor, random_rotation, symbolic_christoffel,
                      symbolic_riemann_lowered)
 from imlab.errors import NotSPD, RankDeficient, SingularMetric
 from imlab.geometry import (SPD_RTOL, MetricChart, chart, chart_factors, christoffel,
                             component_major, cross3_cm, cross_columns_cm, dist_rotations,
                             dist_stiefel, node_major, project_stiefel, riemann_curvature,
+                            riemann_from_values,
                             rotation_factors_cm, spd_factors, spd_sqrt_det,
                             sqrt_and_inv_sqrt, stiefel_factors_cm)
 from imlab.optimize import SIGMA_GUARD
@@ -111,6 +113,29 @@ class TestRiemannCurvature:
         assert np.allclose(R, -np.swapaxes(R, 0, 1), atol=1e-12)
         assert np.allclose(R, -np.swapaxes(R, 2, 3), atol=1e-12)
         assert np.allclose(R, np.moveaxis(R, [0, 1, 2, 3], [2, 3, 0, 1]), atol=1e-9)
+
+    @pytest.mark.parametrize("name", ["sphere", "hyperbolic", "polar"])
+    def test_exactly_antisymmetric_in_the_last_pair(self, name):
+        rng = np.random.default_rng(7)
+        x = np.stack([rng.uniform(0.4, 1.4, 12), rng.uniform(-2.0, 2.0, 12)], axis=-1)
+        R = riemann_curvature(chart(name), x)
+        assert R.shape == (12, 2, 2, 2, 2)
+        assert np.all(R == -np.swapaxes(R, -1, -2))
+        assert np.all(R[..., [0, 1], [0, 1]] == 0.0)
+        assert np.any(R != 0.0)
+
+    @pytest.mark.parametrize("name", ["sphere", "hyperbolic", "polar"])
+    def test_matches_einsum_reference(self, name):
+        m = chart(name)
+        x = np.array([[0.7, 0.2], [1.3, -0.5]])
+        G, Gam = m.eval(x), christoffel(m, x)
+        dGam = np.random.default_rng(3).normal(size=(2, 2, 2, 2, 2))
+        want = helpers.riemann_from_values(G, Gam, dGam)
+        got = riemann_from_values(component_major(G, 2), component_major(Gam, 3),
+                                  component_major(dGam, 4))
+        assert got.shape == (2, 2, 1, 2)
+        want_pairs = component_major(want, 4)[:, :, 0, 1]
+        assert np.allclose(got[:, :, 0], want_pairs, rtol=1e-13, atol=1e-13)
 
 
 class TestMetricSqrt:
@@ -530,6 +555,20 @@ def test_cross_by_components_is_bit_identical_to_numpy():
     assert node_major(cross3_cm(q[:, 0], q[:, 1]), 1).tobytes() == np.cross(a, b).tobytes()
     assert node_major(cross3_cm(q[:, 1], q[:, 0]), 1).tobytes() == np.cross(b, a).tobytes()
     assert node_major(cross_columns_cm(q), 1).tobytes() == np.cross(a, b).tobytes()
+
+
+def test_cross_kernels_write_into_out_and_take_single_frames():
+    rng = np.random.default_rng(37)
+    q = rng.normal(size=(3, 2, 5))
+    out = np.full((3, 5), np.nan)
+    assert cross3_cm(q[:, 0], q[:, 1], out=out) is out
+    assert out.tobytes() == cross3_cm(q[:, 0], q[:, 1]).tobytes()
+    # one frame, no node axes
+    Q = rng.normal(size=(3, 2))
+    assert cross_columns_cm(Q).tobytes() == np.cross(Q[:, 0], Q[:, 1]).tobytes()
+    c = rng.normal(size=(2, 1))
+    assert cross_columns_cm(c).tobytes() == np.array([-c[1, 0], c[0, 0]]).tobytes()
+    assert dist_stiefel(Q).shape == ()
 
 
 class TestStiefelProjection:

@@ -5,10 +5,12 @@ import re
 import numpy as np
 import pytest
 
+import helpers
 from helpers import convergence_orders, library_jacobian, random_rotation
 from imlab.energy import total_energy
 from imlab.errors import RankDeficient
 from imlab.fields import DiscreteImmersion, Grid, ShapeField, lp_norm
+from imlab.harness import random_smooth_field, random_surface_immersion
 from imlab.geometry import (RANK_RTOL, MetricChart, chart, component_major,
                             cross_columns_cm)
 from imlab.immersion import (_frame_and_rank_check, covariant_normal_derivative,
@@ -250,3 +252,35 @@ class TestShapeOperator:
             rnorm = np.sqrt(np.sum(resid ** 2, axis=(-2, -1)))
             errs.append(lp_norm(rnorm, 2.0, pre.g, grid))
         assert np.all(convergence_orders(errs) >= 1.9)
+
+
+def _form_cases():
+    """Immersions on which the closed-form fundamental forms are compared
+    with the einsum and np.linalg.solve reference: the presets, random
+    graph-like surfaces and curves, a constant non-identity target metric
+    and a curve in the round-sphere chart."""
+    rng = np.random.default_rng(23)
+    cases = [get_preset(name).reference_immersion(get_preset(name).grid((n, n)))
+             for name in ("flat", "cylinder", "sphere-cap") for n in (9, 33)]
+    for counts in ((17, 17), (9, 24), (33,)):
+        grid = Grid(counts, (1.0,) * len(counts))
+        cases.append(random_surface_immersion(grid, rng, amplitude=0.3))
+    A = np.eye(3) + 0.2 * rng.normal(size=(3, 3))
+    skew = MetricChart(dim=3, domain=[[-np.inf, np.inf]] * 3, constant=A.T @ A)
+    cases.append(DiscreteImmersion(cases[-3].grid, cases[-3].values, skew))
+    grid = Grid((33,), (1.0,))
+    t = grid.nodes()[..., 0]
+    curve = np.stack([1.0 + 0.3 * t + 0.05 * random_smooth_field(grid, 1, rng)[..., 0],
+                      2.0 * t], axis=-1)
+    cases.append(DiscreteImmersion(grid, curve, chart("sphere")))
+    return cases
+
+
+class TestFormsAgainstReference:
+    def test_within_1e12_relative(self):
+        for f in _form_cases():
+            for got, want in ((pullback_metric(f), helpers.pullback_metric(f)),
+                              (shape_operator(f).values,
+                               helpers.shape_operator(f).values)):
+                assert got.shape == want.shape
+                assert np.max(np.abs(got - want)) <= 1e-12 * np.max(np.abs(want))

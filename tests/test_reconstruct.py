@@ -2,14 +2,17 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import helpers
 from helpers import convergence_orders, random_rotation
 from imlab import reconstruct
-from imlab.errors import (AsymmetricShape, DegenerateCovariance,
-                          IncompatibleForms, NonSPDAnchor)
+from imlab.errors import (AsymmetricShape, DegenerateCovariance, GridMismatch,
+                          IncompatibleForms, NonSPDAnchor, SingularMetric)
 from imlab.fields import DiscreteImmersion, Grid, ShapeField, quadrature_weights
 from imlab.geometry import MetricChart, chart
+from imlab.harness import random_smooth_field
 from imlab.immersion import pullback_metric, shape_operator
 from imlab.presets import get_preset
 from imlab.reconstruct import (align_rigid, alignment_residual,
@@ -63,6 +66,104 @@ class TestGaussCodazzi:
             rep = gauss_codazzi_residual(pullback_metric(f), shape_operator(f), grid)
             errs.append(max(rep.max_gauss, rep.max_codazzi))
         assert np.all(convergence_orders(errs) >= 1.9)
+
+
+def _random_forms(counts, extents, seed):
+    """A varying non-diagonal SPD metric table A^T A + I and a shape field
+    S = g^{-1} B with B random symmetric, so that II = g S passes the
+    symmetry gate."""
+    grid = Grid(counts, extents)
+    rng = np.random.default_rng(seed)
+    A = random_smooth_field(grid, 4, rng).reshape(counts + (2, 2))
+    gv = np.swapaxes(A, -1, -2) @ A + np.eye(2)
+    B = random_smooth_field(grid, 3, rng)[..., [0, 1, 1, 2]].reshape(counts + (2, 2))
+    return gv, ShapeField(grid, np.linalg.solve(gv, B)), grid
+
+
+class TestComponentMajorResidual:
+    """The component-major residual against the einsum reference."""
+
+    @settings(max_examples=30, deadline=None)
+    @given(counts=st.tuples(st.integers(5, 65), st.integers(5, 65)),
+           extents=st.tuples(st.floats(0.2, 3.0), st.floats(0.2, 3.0)),
+           seed=st.integers(0, 2 ** 32 - 1))
+    def test_matches_einsum_reference(self, counts, extents, seed):
+        gv, S, grid = _random_forms(counts, extents, seed)
+        got = gauss_codazzi_residual(gv, S, grid)
+        want = helpers.gauss_codazzi_residual(gv, S, grid)
+        scale = 1e-8 * np.max(want.tolerance)
+        for a, b in ((got.gauss_residual, want.gauss_residual),
+                     (got.codazzi_residual, want.codazzi_residual),
+                     (got.tolerance, want.tolerance)):
+            assert a.shape == b.shape == grid.counts
+            assert np.max(np.abs(a - b)) <= scale
+        assert got.passed == want.passed
+
+    @pytest.mark.parametrize("name", ["flat", "cylinder", "sphere-cap",
+                                      "sphere-incompatible"])
+    def test_presets_match_einsum_reference(self, name):
+        pre = get_preset(name)
+        for n in (9, 33):
+            grid = pre.grid((n, n))
+            got = gauss_codazzi_residual(pre.g, pre.shape_field(grid), grid)
+            want = helpers.gauss_codazzi_residual(pre.g, pre.shape_field(grid), grid)
+            scale = 1e-8 * np.max(want.tolerance)
+            assert np.max(np.abs(got.gauss_residual - want.gauss_residual)) <= scale
+            assert np.max(np.abs(got.codazzi_residual - want.codazzi_residual)) <= scale
+            assert np.max(np.abs(got.tolerance - want.tolerance)) <= scale
+            assert got.passed == want.passed
+
+    def test_no_einsum_and_no_lapack_inverse(self, monkeypatch):
+        calls = []
+
+        def counting(name, fn):
+            def wrapper(*args, **kwargs):
+                calls.append(name)
+                return fn(*args, **kwargs)
+            return wrapper
+
+        monkeypatch.setattr(np, "einsum", counting("einsum", np.einsum))
+        monkeypatch.setattr(np.linalg, "inv", counting("inv", np.linalg.inv))
+        pre = get_preset("sphere-cap")
+        grid = pre.grid((17, 17))
+        rep = gauss_codazzi_residual(pre.g, pre.shape_field(grid), grid)
+        assert rep.passed and calls == []
+
+    def test_non_spd_tabulated_metric_raises(self):
+        gv, S, grid = _random_forms((9, 9), (1.0, 1.0), 4)
+        gv[4, 4] = np.array([[1.0, 2.0], [2.0, 1.0]])
+        with pytest.raises(SingularMetric):
+            gauss_codazzi_residual(gv, ShapeField(grid, np.zeros(grid.counts + (2, 2))),
+                                   grid)
+
+
+class TestShapeFieldGrid:
+    """A shape field on another grid is rejected where it enters."""
+
+    def test_other_counts(self):
+        pre = get_preset("sphere-cap")
+        with pytest.raises(GridMismatch):
+            gauss_codazzi_residual(pre.g, pre.shape_field(pre.grid((9, 9))),
+                                   pre.grid((9, 11)))
+
+    def test_same_counts_other_extents(self, monkeypatch):
+        pre = get_preset("cylinder")
+        grid = pre.grid((9, 9))
+        other = Grid(grid.counts, (2.0 * grid.extents[0], grid.extents[1]), grid.origin)
+
+        def no_work(*args):
+            raise AssertionError("the metric was evaluated before the grid check")
+
+        monkeypatch.setattr(reconstruct, "_metric_node_values", no_work)
+        with pytest.raises(GridMismatch):
+            gauss_codazzi_residual(pre.g, pre.shape_field(other), grid)
+
+    def test_through_integrate_frame(self):
+        pre = get_preset("cylinder")
+        grid = pre.grid((9, 9))
+        other = Grid(grid.counts, grid.extents, (0.5, 0.0))
+        with pytest.raises(GridMismatch):
+            integrate_frame(pre.g, pre.shape_field(other), grid)
 
 
 class TestIntegrateFrame:
