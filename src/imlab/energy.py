@@ -178,22 +178,10 @@ class Integrands:
 def total_energy(f: DiscreteImmersion, g: MetricChart, S: Optional[ShapeField],
                  p: float) -> EnergyReport:
     """Integrals of dist^p(Q, orthonormal columns) and |grad n + df S|^p_{g,h}
-    against dVol_g; densities retained for export."""
+    against dVol_g, each with its per-node density; S = None drops df S."""
     _check_p(p)
     core = Integrands(f.grid, g, f.target, S)
     return core.report(core.immersion(component_major(f.values, 1)), p)
-
-
-def stretching_energy(f: DiscreteImmersion, g: MetricChart, p: float):
-    """(value, per-node density) of the stretching term."""
-    rep = total_energy(f, g, None, p)
-    return rep.stretch, rep.stretch_density
-
-
-def bending_energy(f: DiscreteImmersion, g: MetricChart, S: ShapeField, p: float):
-    """(value, per-node density) of the bending term."""
-    rep = total_energy(f, g, S, p)
-    return rep.bend, rep.bend_density
 
 
 # ---------------------------------------------------------------------------
@@ -225,22 +213,10 @@ def relaxed_total(xi: DirectorField, g: MetricChart, S: Optional[ShapeField],
                   p: float) -> EnergyReport:
     """Integrals of the p-th powers of the distance of the extended frame
     [df_x | v] to the rotations of the product metric and of
-    |df_x S + K o Dxi|_{g,h}, against dVol_g."""
+    |df_x S + K o Dxi|_{g,h}, against dVol_g, as :func:`total_energy`."""
     _check_p(p)
     core = Integrands(xi.grid, g, xi.target, S)
     return core.report(core.director(*_director_cm(xi)), p)
-
-
-def relaxed_stretching(xi: DirectorField, g: MetricChart, p: float):
-    """(value, per-node density) of the relaxed stretching term."""
-    rep = relaxed_total(xi, g, None, p)
-    return rep.stretch, rep.stretch_density
-
-
-def relaxed_bending(xi: DirectorField, g: MetricChart, S: ShapeField, p: float):
-    """(value, per-node density) of the relaxed bending term."""
-    rep = relaxed_total(xi, g, S, p)
-    return rep.bend, rep.bend_density
 
 
 def sasaki_norm_sq(xi: DirectorField, g: MetricChart) -> np.ndarray:

@@ -140,15 +140,6 @@ class DirectorField:
 
 
 @dataclass(frozen=True)
-class NormalField:
-    grid: Grid
-    values: np.ndarray
-
-    def __post_init__(self):
-        object.__setattr__(self, "values", np.asarray(self.values, dtype=float))
-
-
-@dataclass(frozen=True)
 class JacobianField:
     """Node array of (d+1) x d matrices d_i f^alpha."""
 
@@ -404,6 +395,14 @@ def atomic_write(path, data) -> None:
 def fmt17(x) -> str:
     """The number format of every text artifact: 17 significant digits."""
     return format(float(x), ".17g")
+
+
+def write_csv(path, header: Sequence[str], rows) -> None:
+    """A CSV table: the header, then one line per row, strings as they are
+    and numbers in :func:`fmt17`."""
+    lines = [",".join(header)] + [",".join(c if isinstance(c, str) else fmt17(c)
+                                           for c in row) for row in rows]
+    atomic_write(path, "\n".join(lines) + "\n")
 
 
 def save_node_csv(path, grid: Grid, values, names: Optional[Sequence[str]] = None) -> None:

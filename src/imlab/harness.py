@@ -13,7 +13,7 @@ import json
 import math
 import os
 from dataclasses import dataclass, field
-from typing import List, Optional
+from typing import Optional
 
 import numpy as np
 
@@ -22,11 +22,11 @@ from .errors import (AsymmetricShape, BadConfig, IncompatibleForms, is_finite,
                      is_int, require)
 from .fields import (DirectorField, DiscreteImmersion, Grid, ShapeField,
                      atomic_write, fmt17, jacobian_array, load_node_csv,
-                     save_binary, save_node_csv, w1p_distance)
+                     save_binary, save_node_csv, w1p_distance, write_csv)
 from .geometry import (MetricChart, chart, christoffel, component_major, dist_stiefel,
                        node_major)
 from .immersion import normal_director, pullback_metric, shape_operator, unit_normal
-from .optimize import OptimizeConfig, energy_gradient, minimize, pack_arrays, pack_state
+from .optimize import OptimizeConfig, _Evaluator, energy_gradient, minimize, pack_state
 from .presets import PRESETS, get_preset
 from .reconstruct import align_rigid, gauss_codazzi_residual, integrate_frame, save_obj
 
@@ -144,12 +144,6 @@ def write_json(path, obj) -> None:
     anything is written, since JSON has no such numbers."""
     atomic_write(path, json.dumps(obj, sort_keys=True, indent=2, allow_nan=False)
                  + "\n")
-
-
-def write_csv(path, header: List[str], rows: List[List]) -> None:
-    lines = [",".join(header)] + [",".join(c if isinstance(c, str) else fmt17(c)
-                                           for c in row) for row in rows]
-    atomic_write(path, "\n".join(lines) + "\n")
 
 
 def write_svg_loglog(path, xs, ys, xlabel, ylabel, title) -> None:
@@ -272,7 +266,7 @@ def wrinkle_profile(grid: Grid, frequencies) -> np.ndarray:
 def wrinkled_immersion(f0: DiscreteImmersion, eps: float, frequencies) -> DiscreteImmersion:
     n0 = unit_normal(f0)
     w = wrinkle_profile(f0.grid, frequencies)
-    values = f0.values + eps * w[..., None] * n0.values
+    values = f0.values + eps * w[..., None] * n0
     return DiscreteImmersion(f0.grid, values, f0.target)
 
 
@@ -488,30 +482,19 @@ def _gradient_fd_violation(rng, p: float, coords: int, seeds: int = 3):
 def _fd_vs_analytic(state, g, S, p, rng, coords: int) -> float:
     """Max relative mismatch between the analytic gradient and Ridders'
     differences of the total energy at ``coords`` coordinates drawn from rng."""
-    x = pack_state(state)
-    grad = energy_gradient(state, g, S, p)
-    grad = pack_arrays(grad if isinstance(grad, tuple) else (grad,))
+    ev, x = _Evaluator(state, g, S, p), pack_state(state)
+    grad = ev.gradient(x)
     floor = max(1e-6 * float(np.max(np.abs(grad))), 1e-12)
-    total = _total_of(state, g, S, p)
     worst = 0.0
     idx = rng.choice(x.size, size=min(coords, x.size), replace=False)
     for i in idx:
         e = np.zeros_like(x)
         e[i] = 1.0
         # an error estimate of 1 % of the 1e-5 tolerance is accurate enough
-        fd = _ridders(lambda t: total(x + t * e),
+        fd = _ridders(lambda t: ev.energy(x + t * e)[0],
                       1e-4 * max(1.0, abs(x[i])), 1e-7 * max(abs(grad[i]), floor))
         worst = max(worst, abs(grad[i] - fd) / max(abs(fd), abs(grad[i]), floor))
     return worst
-
-
-def _total_of(state, g, S, p):
-    """x -> objective(unpack_like(x, state), g, S, p)[0], from one
-    :class:`imlab.energy.Integrands` built here."""
-    core = en.Integrands(state.grid, g, state.target, S)
-    shape = (-1, state.grid.dim + 1) + state.grid.counts
-    forward = core.immersion if isinstance(state, DiscreteImmersion) else core.director
-    return lambda x: core.report(forward(*x.reshape(shape)), p).total
 
 
 def _ridders(fn, h, target, shrink=1.4, columns=10):
@@ -592,17 +575,22 @@ def run_energy(cfg: ExperimentConfig):
     return report, True
 
 
+def _form_errors(f: DiscreteImmersion, g: MetricChart, S: ShapeField) -> dict:
+    """Max-norm errors of the pullback metric and the shape operator of f
+    against the prescribed (g, S)."""
+    pb = pullback_metric(f) - g.eval(f.grid.nodes())
+    so = shape_operator(f).values - S.values
+    return {"pullback_max_error": float(np.max(np.abs(pb))),
+            "shape_operator_max_error": float(np.max(np.abs(so)))}
+
+
 def run_reconstruct(cfg: ExperimentConfig):
     """Reconstruct the immersion carrying the preset's forms; report errors."""
     os.makedirs(cfg.out, exist_ok=True)
     g, grid, S, ref = _problem_context(cfg)
     f = integrate_frame(g, S, grid)
-    gv = g.eval(grid.nodes())
-    pb_err = float(np.max(np.abs(pullback_metric(f) - gv)))
-    so_err = float(np.max(np.abs(shape_operator(f).values - S.values)))
     report = {"imlab_config": CONFIG_VERSION, "experiment": "reconstruct",
-              "preset": cfg.preset, "grid_meta": _grid_meta(grid),
-              "pullback_max_error": pb_err, "shape_operator_max_error": so_err}
+              "preset": cfg.preset, "grid_meta": _grid_meta(grid), **_form_errors(f, g, S)}
     if ref is not None:
         _, _, aligned = align_rigid(ref, f)
         report["aligned_max_distance"] = float(
@@ -674,13 +662,10 @@ def run_minimize(cfg: ExperimentConfig):
               "terminal_bend": float(trace.records[-1]["bend"])}
     if not report["converged"]:
         report.update(_stall_diagnostics(state, g, S, cfg.p, trace))
-    gv = g.eval(grid.nodes())
     if isinstance(state, DiscreteImmersion):
         save_node_csv(os.path.join(cfg.out, "terminal.csv"), grid, state.values)
         save_binary(os.path.join(cfg.out, "terminal.bin"), state.values)
-        report["pullback_max_error"] = float(np.max(np.abs(pullback_metric(state) - gv)))
-        report["shape_operator_max_error"] = float(
-            np.max(np.abs(shape_operator(state).values - S.values)))
+        report.update(_form_errors(state, g, S))
     else:
         save_node_csv(os.path.join(cfg.out, "terminal_foot.csv"), grid, state.foot)
         save_node_csv(os.path.join(cfg.out, "terminal_vec.csv"), grid, state.vec)
@@ -712,8 +697,8 @@ def run_stability_sweep(cfg: ExperimentConfig):
         R, b, f0_aligned = align_rigid(feps, f0)
         dist_map = w1p_distance(feps, f0_aligned, cfg.p, g)
         neps = unit_normal(feps)
-        n_rot = DiscreteImmersion(grid, n0.values @ R.T, feps.target)
-        n_eps_field = DiscreteImmersion(grid, neps.values, feps.target)
+        n_rot = DiscreteImmersion(grid, n0 @ R.T, feps.target)
+        n_eps_field = DiscreteImmersion(grid, neps, feps.target)
         dist_normal = w1p_distance(n_eps_field, n_rot, cfg.p, g)
         denom = rep.total ** (1.0 / cfg.p) if rep.total > 0 else 0.0
         # eps = 0 is degenerate by construction (0/0 in the continuum): the

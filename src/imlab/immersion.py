@@ -13,8 +13,8 @@ from __future__ import annotations
 import numpy as np
 
 from .errors import RankDeficient
-from .fields import (DirectorField, DiscreteImmersion, JacobianField,
-                     NormalField, ShapeField, jacobian_array)
+from .fields import (DirectorField, DiscreteImmersion, JacobianField, ShapeField,
+                     jacobian_array)
 from .geometry import (RANK_RTOL, christoffel, component_major, cross_columns_cm,
                        left_mul, node_major, right_mul, stiefel_factors_cm,
                        target_factors_cm)
@@ -36,15 +36,16 @@ def _frame_and_rank_check(b, c):
     return s
 
 
-def unit_normal(f: DiscreteImmersion) -> NormalField:
-    """Oriented h-unit normal field of a full-rank discrete immersion."""
+def unit_normal(f: DiscreteImmersion) -> np.ndarray:
+    """Oriented h-unit normal of a full-rank discrete immersion, as a node
+    array (*counts, d+1)."""
     J = jacobian_array(component_major(f.values, 1), f.grid)
     _, Hs, Hsi = target_factors_cm(f.target, f.values)
     b = left_mul(Hs, J)
     c = cross_columns_cm(b)
     c = c / _frame_and_rank_check(b, c)
     n = left_mul(Hsi, c[:, None])[:, 0]
-    return NormalField(f.grid, np.ascontiguousarray(node_major(n, 1)))
+    return np.ascontiguousarray(node_major(n, 1))
 
 
 def _gram(f: DiscreteImmersion, *W) -> list:
@@ -77,11 +78,11 @@ def connector(target, points, Dv, J, v):
     return Dv + left_mul(Gv, J)
 
 
-def covariant_normal_derivative(f: DiscreteImmersion, n: NormalField) -> JacobianField:
-    """Pullback-connection derivative of the normal:
+def covariant_normal_derivative(f: DiscreteImmersion, n: np.ndarray) -> JacobianField:
+    """Pullback-connection derivative of the normal node array n (*counts, d+1):
     (grad n)_i^a = d_i n^a + Gamma^a_bc(f) d_i f^b n^c.
     """
-    x, v = component_major(f.values, 1), component_major(n.values, 1)
+    x, v = component_major(f.values, 1), component_major(n, 1)
     K = connector(f.target, x, jacobian_array(v, f.grid), jacobian_array(x, f.grid), v)
     return JacobianField(f.grid, np.ascontiguousarray(node_major(K, 2)))
 
@@ -108,5 +109,4 @@ def shape_operator(f: DiscreteImmersion) -> ShapeField:
 
 def normal_director(f: DiscreteImmersion) -> DirectorField:
     """Director field with foot f and vector the oriented unit normal of f."""
-    n = unit_normal(f)
-    return DirectorField(f.grid, f.values, n.values, f.target)
+    return DirectorField(f.grid, f.values, unit_normal(f), f.target)

@@ -34,13 +34,13 @@ from typing import List, Optional, Union
 
 import numpy as np
 
-from .energy import Integrands, relaxed_total, total_energy
+from .energy import Integrands
 from .errors import (BadConfig, RankDeficient, UnsupportedExponent, UnsupportedTarget,
                      is_finite, is_int, require)
 # jacobian_array is unused here but stays bound: perfbench/spans.py traces
 # the stencil calls through every imlab module's binding
-from .fields import (DirectorField, DiscreteImmersion, atomic_write, fmt17,  # noqa: F401
-                     jacobian_adjoint, jacobian_array)
+from .fields import (DirectorField, DiscreteImmersion, jacobian_adjoint,  # noqa: F401
+                     jacobian_array, write_csv)
 from .geometry import (SIGMA_GUARD, MetricChart, component_major, cross3_cm, left_mul,
                        node_major, right_mul)
 
@@ -53,15 +53,17 @@ class OptimizeConfig:
     grad_tol: float = 1e-8
     step_tol: float = 1e-14
     memory: int = 10
-    seed: int = 0
 
     def __post_init__(self):
-        require(all(map(is_int, (self.max_iters, self.memory, self.seed))),
-                "max_iters, memory and seed must be integers")
+        require(is_int(self.max_iters) and is_int(self.memory),
+                "max_iters and memory must be integers")
         require(self.max_iters >= 1 and self.memory >= 1,
                 "max_iters and memory must be >= 1")
         require(all(is_finite(t) and t > 0 for t in (self.grad_tol, self.step_tol)),
                 "tolerances must be positive finite numbers")
+
+
+TRACE_COLUMNS = ("iter", "energy", "stretch", "bend", "grad_norm", "step")
 
 
 @dataclass
@@ -76,19 +78,15 @@ class OptimizeTrace:
     ngev: int = 0
     backtracks: int = 0
 
-    def append(self, it, energy, stretch, bend, grad_norm, step):
-        self.records.append({"iter": it, "energy": energy, "stretch": stretch,
-                             "bend": bend, "grad_norm": grad_norm, "step": step})
+    def append(self, *row):
+        """Record (iter, energy, stretch, bend, grad_norm, step)."""
+        self.records.append(dict(zip(TRACE_COLUMNS, row)))
 
     def energies(self):
         return np.array([r["energy"] for r in self.records])
 
     def to_csv(self, path):
-        lines = ["iter,energy,stretch,bend,grad_norm,step"]
-        for r in self.records:
-            lines.append(",".join([str(r["iter"])] + [
-                fmt17(r[k]) for k in ("energy", "stretch", "bend", "grad_norm", "step")]))
-        atomic_write(path, "\n".join(lines) + "\n")
+        write_csv(path, TRACE_COLUMNS, [[r[k] for k in TRACE_COLUMNS] for r in self.records])
 
 
 # ---------------------------------------------------------------------------
@@ -119,15 +117,6 @@ def unpack_like(x: np.ndarray, template: State) -> State:
     if isinstance(template, DiscreteImmersion):
         return DiscreteImmersion(template.grid, arrays[0], template.target)
     return DirectorField(template.grid, *arrays, template.target)
-
-
-def objective(state: State, g: MetricChart, S, p: float):
-    """(total, stretch, bend) of the energy the optimizer descends."""
-    if isinstance(state, DiscreteImmersion):
-        rep = total_energy(state, g, S, p)
-    else:
-        rep = relaxed_total(state, g, S, p)
-    return rep.total, rep.stretch, rep.bend
 
 
 # ---------------------------------------------------------------------------

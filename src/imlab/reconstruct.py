@@ -267,8 +267,11 @@ def integrate_frame(g: MetricChart, S: ShapeField, grid: Grid,
     pass ``frame=(E0, n0)`` for a custom admissible frame.  ``anchor_index``
     must be d integers 0 <= i < n_a (ValueError otherwise).  With
     ``return_frame`` the integrated tangent frame and normal node arrays are
-    returned alongside the immersion.
+    returned alongside the immersion.  ``g`` must be a chart (TypeError
+    otherwise): the march evaluates it between the nodes.
     """
+    if not isinstance(g, MetricChart):
+        raise TypeError(f"integrate_frame needs a MetricChart g, not {type(g).__name__}")
     anchor_index = _anchor(anchor_index, grid)
     report = gauss_codazzi_residual(g, S, grid)
     if not report.passed:
@@ -343,13 +346,6 @@ def align_rigid(f: DiscreteImmersion, f0: DiscreteImmersion):
     b = mu - R @ mu0
     aligned = DiscreteImmersion(f0.grid, f0.values @ R.T + b, f0.target)
     return R, b, aligned
-
-
-def alignment_residual(f: DiscreteImmersion, aligned: DiscreteImmersion) -> float:
-    """Weighted L2 residual of an alignment."""
-    w = quadrature_weights(f.grid)
-    diff = np.sum((f.values - aligned.values) ** 2, axis=-1)
-    return float(np.sqrt(np.sum(w * diff)))
 
 
 # ---------------------------------------------------------------------------

@@ -6,10 +6,8 @@ from scipy.integrate import solve_ivp
 
 from helpers import library_jacobian, random_rotation
 from imlab import energy as energy_module
-from imlab.energy import (Integrands, bending_energy, connector_apply, director_frame,
-                          parameter_factors, relaxed_bending, relaxed_stretching,
-                          relaxed_total, sasaki_bound_margin, sasaki_norm_sq,
-                          stretching_energy, total_energy)
+from imlab.energy import (Integrands, connector_apply, director_frame, parameter_factors,
+                          relaxed_total, sasaki_bound_margin, sasaki_norm_sq, total_energy)
 from imlab.errors import BadExponent
 from imlab.fields import (DirectorField, DiscreteImmersion, Grid, ShapeField,
                           integrate_density)
@@ -48,15 +46,15 @@ class TestStretchingEnergy:
             pre = get_preset(name)
             grid = pre.grid((33, 33))
             f = pre.reference_immersion(grid)
-            val, dens = stretching_energy(f, pre.g, 2.0)
-            assert val < 1e-7
-            assert np.all(dens >= 0)
+            rep = total_energy(f, pre.g, None, 2.0)
+            assert rep.stretch < 1e-7
+            assert np.all(rep.stretch_density >= 0)
 
     def test_scaled_plane_closed_form(self):
         grid = _grid()
         for lam in (0.7, 1.3):
             for p in (2.0, 3.0):
-                val, _ = stretching_energy(_plane(grid, lam), E2, p)
+                val = total_energy(_plane(grid, lam), E2, None, p).stretch
                 expect = (np.sqrt(2.0) * abs(lam - 1.0)) ** p
                 assert val == pytest.approx(expect, rel=1e-12)
 
@@ -66,13 +64,13 @@ class TestStretchingEnergy:
         x = grid.nodes()
         vals = np.stack([x[..., 0], x[..., 1], eps * x[..., 0]], axis=-1)
         f = DiscreteImmersion(grid, vals, E3)
-        val, _ = stretching_energy(f, E2, 2.0)
+        val = total_energy(f, E2, None, 2.0).stretch
         expect = (np.sqrt(1 + eps ** 2) - 1.0) ** 2
         assert val == pytest.approx(expect, abs=1e-8)
 
     def test_bad_exponent(self):
         with pytest.raises(BadExponent):
-            stretching_energy(_plane(_grid(5)), E2, 0.7)
+            total_energy(_plane(_grid(5)), E2, None, 0.7)
 
 
 class TestBendingEnergy:
@@ -80,12 +78,13 @@ class TestBendingEnergy:
         pre = get_preset("sphere-cap")
         grid = pre.grid((33, 33))
         f = pre.reference_immersion(grid)
-        val, _ = bending_energy(f, pre.g, _id_shape(grid), 2.0)
+        val = total_energy(f, pre.g, _id_shape(grid), 2.0).bend
         assert val < 1e-6
 
     def test_flat_plane_identity_target(self):
         grid = _grid()
-        val, dens = bending_energy(_plane(grid), E2, _id_shape(grid), 2.0)
+        rep = total_energy(_plane(grid), E2, _id_shape(grid), 2.0)
+        val, dens = rep.bend, rep.bend_density
         assert val == pytest.approx(2.0, rel=1e-12)
         assert np.allclose(dens, 2.0, atol=1e-12)
 
@@ -93,7 +92,7 @@ class TestBendingEnergy:
         pre = get_preset("cylinder")
         grid = pre.grid((33, 33))
         f = pre.reference_immersion(grid)
-        val, _ = bending_energy(f, pre.g, _zero_shape(grid), 2.0)
+        val = total_energy(f, pre.g, _zero_shape(grid), 2.0).bend
         assert val == pytest.approx(1.0, abs=2e-3)
 
 
@@ -115,10 +114,9 @@ class TestTotalEnergy:
         f = random_surface_immersion(grid, rng, amplitude=0.1)
         S = ShapeField(grid, 0.5 * _sym_field(grid, rng))
         rep = total_energy(f, E2, S, 2.0)
-        s, _ = stretching_energy(f, E2, 2.0)
-        b, _ = bending_energy(f, E2, S, 2.0)
         assert rep.total == rep.stretch + rep.bend
-        assert rep.stretch == s and rep.bend == b
+        # the stretching term does not depend on S
+        assert total_energy(f, E2, None, 2.0).stretch == rep.stretch
 
 
 class TestConnector:
@@ -180,7 +178,7 @@ class TestRelaxedEnergies:
         pre = get_preset("sphere-cap")
         grid = pre.grid((33, 33))
         xi = normal_director(pre.reference_immersion(grid))
-        val, _ = relaxed_stretching(xi, pre.g, 2.0)
+        val = relaxed_total(xi, pre.g, None, 2.0).stretch
         assert val < 1e-7
 
     def test_flat_plane_long_director(self):
@@ -188,7 +186,8 @@ class TestRelaxedEnergies:
         f = _plane(grid)
         vec = np.broadcast_to(np.array([0.0, 0.0, 2.0]), grid.counts + (3,)).copy()
         xi = DirectorField(grid, f.values, vec, E3)
-        val, dens = relaxed_stretching(xi, E2, 2.0)
+        rep = relaxed_total(xi, E2, None, 2.0)
+        val, dens = rep.stretch, rep.stretch_density
         assert np.allclose(dens, 1.0, atol=1e-12)
         assert val == pytest.approx(1.0, rel=1e-12)
 
@@ -197,20 +196,20 @@ class TestRelaxedEnergies:
         f = _plane(grid)
         vec = np.broadcast_to(np.array([0.0, 0.0, -1.0]), grid.counts + (3,)).copy()
         xi = DirectorField(grid, f.values, vec, E3)
-        _, dens = relaxed_stretching(xi, E2, 2.0)
+        dens = relaxed_total(xi, E2, None, 2.0).stretch_density
         assert np.allclose(dens, 4.0, atol=1e-12)  # dist = 2 per node
 
     def test_relaxed_bending_zero_cases(self):
         pre = get_preset("sphere-cap")
         grid = pre.grid((33, 33))
         xi = normal_director(pre.reference_immersion(grid))
-        val, _ = relaxed_bending(xi, pre.g, _id_shape(grid), 2.0)
+        val = relaxed_total(xi, pre.g, _id_shape(grid), 2.0).bend
         assert val < 1e-6
         cgrid = _grid(9)
         const = DirectorField(cgrid, np.broadcast_to(
             np.array([0.2, 0.3, 0.4]), cgrid.counts + (3,)).copy(),
             np.broadcast_to(np.array([1.0, 0.0, 0.0]), cgrid.counts + (3,)).copy(), E3)
-        val, _ = relaxed_bending(const, E2, _zero_shape(cgrid), 2.0)
+        val = relaxed_total(const, E2, _zero_shape(cgrid), 2.0).bend
         assert val == 0.0
 
     def test_relaxed_bending_matches_immersion_bending(self):
@@ -219,8 +218,8 @@ class TestRelaxedEnergies:
         f = random_surface_immersion(grid, rng, amplitude=0.07)
         S = ShapeField(grid, 0.6 * _sym_field(grid, rng))
         for p in (2.0, 3.0):
-            vb, _ = bending_energy(f, E2, S, p)
-            vr, _ = relaxed_bending(normal_director(f), E2, S, p)
+            vb = total_energy(f, E2, S, p).bend
+            vr = relaxed_total(normal_director(f), E2, S, p).bend
             assert abs(vb - vr) <= 1e-10 * (1.0 + vb)
 
 
@@ -253,13 +252,13 @@ class TestRelaxationIdentity:
         flat = get_preset("flat")
         fgrid = flat.grid((17, 17))
         xi0 = normal_director(flat.reference_immersion(fgrid))
-        val0, _ = relaxed_stretching(xi0, flat.g, 2.0)
+        val0 = relaxed_total(xi0, flat.g, None, 2.0).stretch
         assert val0 <= 1e-12
         assert np.max(np.abs(np.linalg.norm(xi0.vec, axis=-1) - 1.0)) < 1e-12
         pre = get_preset("cylinder")
         grid = pre.grid((33, 33))
         xi = normal_director(pre.reference_immersion(grid))
-        val, _ = relaxed_stretching(xi, pre.g, 2.0)
+        val = relaxed_total(xi, pre.g, None, 2.0).stretch
         assert val < 1e-7
         H = xi.target.eval(xi.foot)
         vn = np.einsum("...ab,...a,...b->...", H, xi.vec, xi.vec)
@@ -421,7 +420,7 @@ def _reference_total(f, g, S, p):
     _, _, Hs, _ = chart_factors(f.target, f.values)
     _, gsi = parameter_factors(g, f.grid)
     stretch = integrate_density(dist_stiefel(Hs @ J @ gsi) ** p, f.grid, g)
-    n = unit_normal(f).values
+    n = unit_normal(f)
     A = _reference_connector(f.target, f.values, library_jacobian(n, f.grid), J, n) \
         + J @ S.values
     bend = integrate_density(_reference_hom_sq(A, g, f.grid, f.target, f.values)

@@ -18,9 +18,9 @@ from imlab.fields import (DirectorField, DiscreteImmersion, Grid, JacobianField,
                           difference_matrix, fd_jacobian, fmt17, integrate_density,
                           jacobian_adjoint, jacobian_array, load_binary, load_node_csv,
                           lp_norm, quadrature_weights, save_binary, save_node_csv,
-                          w1p_distance)
+                          w1p_distance, write_csv)
 from imlab.geometry import chart, component_major, node_major
-from imlab.harness import write_csv, write_json, write_svg_loglog
+from imlab.harness import write_json, write_svg_loglog
 from imlab.optimize import OptimizeTrace
 from imlab.reconstruct import save_obj
 

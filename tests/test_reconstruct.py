@@ -10,15 +10,19 @@ from helpers import convergence_orders, random_rotation
 from imlab import reconstruct
 from imlab.errors import (AsymmetricShape, DegenerateCovariance, GridMismatch,
                           IncompatibleForms, NonSPDAnchor, SingularMetric)
-from imlab.fields import DiscreteImmersion, Grid, ShapeField, quadrature_weights
+from imlab.fields import DiscreteImmersion, Grid, ShapeField, lp_norm, quadrature_weights
 from imlab.geometry import MetricChart, chart
 from imlab.harness import random_smooth_field
 from imlab.immersion import pullback_metric, shape_operator
 from imlab.presets import get_preset
-from imlab.reconstruct import (align_rigid, alignment_residual,
-                               gauss_codazzi_residual, integrate_frame, save_obj)
+from imlab.reconstruct import align_rigid, gauss_codazzi_residual, integrate_frame, save_obj
 
 E3 = chart("euclidean", 3)
+
+
+def _l2_gap(f, aligned):
+    """Weighted L2 norm of the pointwise distance of two maps."""
+    return lp_norm(np.linalg.norm(f.values - aligned.values, axis=-1), 2.0, None, f.grid)
 
 
 class TestGaussCodazzi:
@@ -226,7 +230,7 @@ class TestIntegrateFrame:
         n0 = np.array([0.0, 0.0, 1.0])
         f2 = integrate_frame(pre.g, S, grid, frame=(R @ E0, R @ n0))
         _, _, aligned = align_rigid(f1, f2)
-        assert alignment_residual(f1, aligned) < 1e-8
+        assert _l2_gap(f1, aligned) < 1e-8
 
     def test_frame_gram_matches_metric(self):
         pre = get_preset("sphere-cap")
@@ -341,6 +345,20 @@ class TestAnchorValidation:
         with pytest.raises(ValueError, match="anchor_index"):
             integrate_frame(pre.g, pre.shape_field(grid), grid, anchor_index=anchor)
 
+    def test_node_array_metric_rejected_before_any_work(self, monkeypatch):
+        # gauss_codazzi_residual accepts node arrays, the march needs a chart
+        pre = get_preset("cylinder")
+        grid = pre.grid((9, 9))
+        calls = []
+        real = reconstruct.gauss_codazzi_residual
+        monkeypatch.setattr(reconstruct, "gauss_codazzi_residual",
+                            lambda *a: calls.append(1) or real(*a))
+        with pytest.raises(TypeError, match="MetricChart"):
+            integrate_frame(pre.g.eval(grid.nodes()), pre.shape_field(grid), grid)
+        assert calls == []
+        integrate_frame(pre.g, pre.shape_field(grid), grid)
+        assert calls == [1]
+
     def test_curve_anchor_bounds(self):
         grid = Grid((9,), (1.0,))
         S = ShapeField(grid, np.ones(grid.counts + (1, 1)))
@@ -376,7 +394,7 @@ class TestAlignRigid:
         R, t, aligned = align_rigid(f, f0)
         assert np.max(np.abs(R - Q)) < 1e-10
         assert np.max(np.abs(t - b)) < 1e-10
-        assert alignment_residual(f, aligned) < 1e-10
+        assert _l2_gap(f, aligned) < 1e-10
 
     def test_identity(self):
         _, f0 = self._cap()
@@ -392,7 +410,7 @@ class TestAlignRigid:
         f = DiscreteImmersion(grid, f0.values + noise, E3)
         _, _, aligned = align_rigid(f, f0)
         vol = float(np.sum(quadrature_weights(grid)))
-        assert alignment_residual(f, aligned) <= np.sqrt(3.0) * eps * np.sqrt(vol) * (1 + 1e-6)
+        assert _l2_gap(f, aligned) <= np.sqrt(3.0) * eps * np.sqrt(vol) * (1 + 1e-6)
 
     def test_degenerate_covariance(self):
         grid = Grid((9, 9), (1.0, 1.0))
