@@ -5,14 +5,14 @@ energy, reconstruction of reference immersions from prescribed first and
 second fundamental forms, and desk-scale verification experiments.
 """
 
-from .energy import (EnergyReport, Integrands, connector_apply, relaxed_total,
-                     sasaki_bound_margin, sasaki_norm_sq, total_energy)
+from .energy import (EnergyReport, Integrands, relaxed_total, sasaki_bound_margin,
+                     sasaki_norm_sq, total_energy)
 from .errors import (AsymmetricShape, BadConfig, BadExponent,
                      DegenerateCovariance, GridMismatch, ImlabError,
                      IncompatibleForms, NonSPDAnchor, NotSPD, RankDeficient,
                      SingularMetric, UnsupportedExponent, UnsupportedTarget)
-from .fields import (DirectorField, DiscreteImmersion, Grid, JacobianField,
-                     ShapeField, fd_jacobian, lp_norm, w1p_distance)
+from .fields import (DirectorField, DiscreteImmersion, Grid, ShapeField, fd_jacobian,
+                     lp_norm, w1p_distance)
 from .geometry import (MetricChart, chart, christoffel, dist_rotations,
                        dist_stiefel, project_stiefel, riemann_curvature,
                        sqrt_and_inv_sqrt)

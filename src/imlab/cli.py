@@ -3,8 +3,9 @@
     imlab <energy|check|reconstruct|minimize|stability-sweep|ratio-study>
           [--config path] [--out dir] [--grid NxM] [--p f] [--seed i]
 
-Flags override the corresponding config fields.  Exit code 0 on success,
-2 when the check suite reports a failure, 1 on error.  A minimization that
+Flags override the corresponding config fields.  Exit code 0 on success
+(and for ``--help``), 2 when the check suite reports a failure, 1 on any
+error, a command-line argument error included.  A minimization that
 stops on anything but the gradient tolerance warns on stderr, naming its
 largest residual gradient component and its recent energy decrease, and
 exits 0.
@@ -21,19 +22,32 @@ from .errors import ImlabError
 from .harness import (EXPERIMENTS, ExperimentConfig, load_config, run_experiment)
 
 
+class _Parser(argparse.ArgumentParser):
+    """Exits 1 on an argument error, where argparse exits 2: exit code 2
+    means a failed check suite."""
+
+    def error(self, message):
+        self.print_usage(sys.stderr)
+        self.exit(1, f"{self.prog}: error: {message}\n")
+
+
 def _parse_grid(text):
-    return tuple(int(p) for p in text.lower().split("x"))
+    try:
+        return tuple(int(p) for p in text.lower().split("x"))
+    except ValueError:
+        raise argparse.ArgumentTypeError(
+            f"expected node counts such as 33x33 or 65, got {text!r}") from None
 
 
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(prog="imlab",
-                                     description="stretching/bending energy lab")
+    parser = _Parser(prog="imlab", description="stretching/bending energy lab")
     sub = parser.add_subparsers(dest="experiment", required=True)
     for name in EXPERIMENTS:
         sp = sub.add_parser(name)
         sp.add_argument("--config", default=None, help="JSON experiment config")
         sp.add_argument("--out", default=None, help="output directory")
-        sp.add_argument("--grid", default=None, help="node counts, e.g. 33x33")
+        sp.add_argument("--grid", type=_parse_grid, default=None,
+                        help="node counts, e.g. 33x33")
         sp.add_argument("--p", type=float, default=None, help="energy exponent")
         sp.add_argument("--seed", type=int, default=None, help="random seed")
         sp.add_argument("--preset", default=None, help="preset name")
@@ -51,8 +65,6 @@ def main(argv=None) -> int:
             cfg = ExperimentConfig(experiment=args.experiment)
         overrides = {k: getattr(args, k) for k in ("out", "grid", "p", "seed", "preset")
                      if getattr(args, k) is not None}
-        if "grid" in overrides:
-            overrides["grid"] = _parse_grid(args.grid)
         if overrides:
             cfg = dataclasses.replace(cfg, **overrides)
         report, passed = run_experiment(cfg)

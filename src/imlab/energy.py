@@ -6,8 +6,10 @@ the bending integrand is the (g,h)-norm of the shape-operator discrepancy
 A_i^a = d_i n^a + Gamma^a_bc(f) d_i f^b n^c + d_j f^a S^j_i.  The relaxed
 counterparts act on arbitrary director fields xi = (x, v): the square matrix
 h^{1/2} [df_x g^{-1/2} | v] is measured against the rotation group, and the
-connector K o Dxi replaces the normal derivative.  Conjugating by the metric
-square roots realizes all metric distances as Euclidean matrix distances.
+connector K o Dxi replaces the normal derivative (its node-major entry point
+is :func:`imlab.immersion.covariant_normal_derivative` of the foot and the
+vector).  Conjugating by the metric square roots realizes all metric
+distances as Euclidean matrix distances.
 :class:`Integrands` is the one implementation of both integrands, for the
 library functions here and for the minimizer (:mod:`imlab.optimize`), so
 both report the same numbers.  Its forwards take component-major states,
@@ -28,8 +30,8 @@ from typing import Optional
 import numpy as np
 
 from .errors import BadExponent
-from .fields import (DirectorField, DiscreteImmersion, Grid, JacobianField,
-                     ShapeField, jacobian_array, quadrature_weights)
+from .fields import (DirectorField, DiscreteImmersion, Grid, ShapeField, jacobian_array,
+                     quadrature_weights)
 from .geometry import (MetricChart, chart_factors, component_major, cross_columns_cm,
                        left_mul, node_major, right_mul, rotation_factors_cm,
                        stiefel_factors_cm, target_factors_cm)
@@ -191,22 +193,6 @@ def total_energy(f: DiscreteImmersion, g: MetricChart, S: Optional[ShapeField],
 def _director_cm(xi: DirectorField):
     """The component-major (foot, vec) of a director field."""
     return component_major(xi.foot, 1), component_major(xi.vec, 1)
-
-
-def connector_apply(xi: DirectorField) -> JacobianField:
-    """Connector applied to the director derivative:
-    (K o Dxi)_i^a = d_i v^a + Gamma^a_bc(x) d_i x^b v^c.
-    """
-    foot, vec = _director_cm(xi)
-    Jx, Jv = jacobian_array(foot, xi.grid), jacobian_array(vec, xi.grid)
-    K = connector(xi.target, foot, Jv, Jx, vec)
-    return JacobianField(xi.grid, np.ascontiguousarray(node_major(K, 2)))
-
-
-def director_frame(xi: DirectorField, g: MetricChart) -> np.ndarray:
-    """Square frame matrix B = h^{1/2}(x) [df_x g^{-1/2} | v] per node."""
-    B = Integrands(xi.grid, g, xi.target).director(*_director_cm(xi)).B
-    return np.ascontiguousarray(node_major(B, 2))
 
 
 def relaxed_total(xi: DirectorField, g: MetricChart, S: Optional[ShapeField],

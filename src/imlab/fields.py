@@ -5,7 +5,8 @@ a map into R^3 on an n1 x n2 grid has shape (n1, n2, 3).  The stencils work
 component-major, entries leading and grid axes trailing: :func:`jacobian_array`
 takes (comps, n1, n2) and returns (comps, dim, n1, n2), the layout of the
 integrand forwards and the minimizer's state vector; :func:`fd_jacobian` is
-the node-major entry point.  Derivatives use second-order central stencils at
+the node-major entry point, from a node array (n1, n2, comps) and its grid to
+(n1, n2, comps, dim).  Derivatives use second-order central stencils at
 interior nodes and second-order one-sided stencils at the boundary, so they
 are exact on quadratics.  Each axis's stencil is a cached per-axis difference
 matrix applied by a matrix product, one product for the array's last axis;
@@ -137,23 +138,6 @@ class DirectorField:
         _check_in_domain(f, self.target, "director foot")
         object.__setattr__(self, "foot", f)
         object.__setattr__(self, "vec", v)
-
-
-@dataclass(frozen=True)
-class JacobianField:
-    """Node array of (d+1) x d matrices d_i f^alpha."""
-
-    grid: Grid
-    values: np.ndarray
-
-    def __post_init__(self):
-        v = np.asarray(self.values, dtype=float)
-        expected = self.grid.counts + (self.grid.dim + 1, self.grid.dim)
-        if v.shape != expected:
-            raise ValueError(f"jacobian values have shape {v.shape}, expected {expected}")
-        if not np.all(np.isfinite(v)):
-            raise ValueError("jacobian entries must be finite")
-        object.__setattr__(self, "values", v)
 
 
 @dataclass(frozen=True)
@@ -291,16 +275,11 @@ def jacobian_adjoint(bar, grid: Grid) -> np.ndarray:
     return out
 
 
-def fd_jacobian(f, grid: Optional[Grid] = None) -> JacobianField:
-    """Node-major Jacobian field of a discrete map (immersion, normal field,
-    or raw node array (*counts, comps))."""
-    if grid is None:
-        grid = f.grid
-        values = f.values
-    else:
-        values = f
+def fd_jacobian(values, grid: Grid) -> np.ndarray:
+    """Raw Jacobian d_i f^alpha of a node-major array (*counts, comps):
+    the contiguous node array (*counts, comps, dim)."""
     J = jacobian_array(component_major(values, 1), grid)
-    return JacobianField(grid, np.ascontiguousarray(node_major(J, 2)))
+    return np.ascontiguousarray(node_major(J, 2))
 
 
 # ---------------------------------------------------------------------------
@@ -357,7 +336,7 @@ def w1p_distance(f: DiscreteImmersion, f0: DiscreteImmersion, p: float,
     if not (f.target.is_constant and f0.target.is_constant):
         raise UnsupportedTarget("W^{1,p} distance needs a Euclidean target")
     diff = np.linalg.norm(f.values - f0.values, axis=-1)
-    jdiff = fd_jacobian(f).values - fd_jacobian(f0).values
+    jdiff = fd_jacobian(f.values, f.grid) - fd_jacobian(f0.values, f0.grid)
     jnorm = np.sqrt(np.sum(jdiff ** 2, axis=(-2, -1)))
     term0 = lp_norm(diff, p, g, f.grid) ** p
     term1 = lp_norm(jnorm, p, g, f.grid) ** p

@@ -108,22 +108,6 @@ class MetricChart:
         return out
 
     @staticmethod
-    def from_function(dim, fn, domain=None, deriv=None, name="custom"):
-        """Wrap a single-point metric function (looped over batches)."""
-        if domain is None:
-            domain = [[-np.inf, np.inf]] * dim
-
-        def batched(fn, entries):
-            def call(x):
-                x = np.asarray(x, dtype=float)
-                vals = np.stack([np.asarray(fn(p), dtype=float) for p in x.reshape(-1, dim)])
-                return vals.reshape(x.shape[:-1] + entries)
-            return call
-
-        return MetricChart(dim=dim, domain=domain, matrix=batched(fn, (dim, dim)), name=name,
-                           matrix_deriv=None if deriv is None else batched(deriv, (dim,) * 3))
-
-    @staticmethod
     def from_table(grid, values, name="tabulated"):
         """Multilinear interpolant of node-sampled metric values on a grid.
 
@@ -188,6 +172,7 @@ _EPS_ANGLE = 1e-3
 _WARPED = {"sphere": (np.sin, np.cos, np.pi - _EPS_ANGLE),
            "hyperbolic": (np.sinh, np.cosh, np.inf),
            "polar": (lambda r: r, lambda r: 1.0, np.inf)}
+CHART_NAMES = ("euclidean",) + tuple(_WARPED)
 
 
 def chart(name: str, dim: int | None = None) -> MetricChart:
@@ -250,14 +235,15 @@ def spd_factors(G, err=NotSPD):
             np.stack([(c + s) * v, -b * v, -b * v, (a + s) * v], -1).reshape(G.shape))
 
 
-def sqrt_and_inv_sqrt(G, err=NotSPD):
+def sqrt_and_inv_sqrt(G):
     """(G^{1/2}, G^{-1/2}) of SPD matrices (see :func:`spd_factors`)."""
-    return spd_factors(G, err)[1:]
+    return spd_factors(G)[1:]
 
 
-def spd_sqrt_det(G, err=SingularMetric) -> np.ndarray:
-    """sqrt(det G) for SPD matrices (the Riemannian volume density)."""
-    return spd_factors(G, err)[0]
+def spd_sqrt_det(G) -> np.ndarray:
+    """sqrt(det G) for SPD matrices (the Riemannian volume density); raises
+    SingularMetric where :func:`spd_factors` rejects G."""
+    return spd_factors(G, SingularMetric)[0]
 
 
 def chart_factors(m: MetricChart, x, err=NotSPD):

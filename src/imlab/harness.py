@@ -20,21 +20,22 @@ import numpy as np
 from . import energy as en
 from .errors import (AsymmetricShape, BadConfig, IncompatibleForms, is_finite,
                      is_int, require)
-from .fields import (DirectorField, DiscreteImmersion, Grid, ShapeField,
-                     atomic_write, fmt17, jacobian_array, load_node_csv,
+# jacobian_array is unused here but stays bound: perfbench/spans.py traces
+# the stencil calls through every imlab module's binding
+from .fields import (DirectorField, DiscreteImmersion, Grid, ShapeField,  # noqa: F401
+                     atomic_write, fd_jacobian, fmt17, jacobian_array, load_node_csv,
                      save_binary, save_node_csv, w1p_distance, write_csv)
-from .geometry import (MetricChart, chart, christoffel, component_major, dist_stiefel,
-                       node_major)
+from .geometry import (CHART_NAMES, MetricChart, chart, christoffel, component_major,
+                       dist_stiefel)
 from .immersion import normal_director, pullback_metric, shape_operator, unit_normal
 from .optimize import OptimizeConfig, _Evaluator, energy_gradient, minimize, pack_state
-from .presets import PRESETS, get_preset
+from .presets import PRESETS, _const_shape, _flat_reference, get_preset
 from .reconstruct import align_rigid, gauss_codazzi_residual, integrate_frame, save_obj
 
 CONFIG_VERSION = 1
 EXPERIMENTS = ("energy", "check", "reconstruct", "minimize",
                "stability-sweep", "ratio-study")
 RATIO_GUARD = 1e-12
-CHART_NAMES = ("euclidean", "sphere", "hyperbolic", "polar")
 
 
 @dataclass(frozen=True)
@@ -220,8 +221,7 @@ def random_surface_immersion(grid: Grid, rng, amplitude: float = 0.05) -> Discre
     """Random full-rank graph-like hypersurface in Euclidean (d+1)-space: a
     surface on a 2-D grid, a curve in the plane on a 1-D one."""
     m = grid.dim + 1
-    base = np.concatenate([grid.nodes(), np.zeros(grid.counts + (1,))], axis=-1)
-    values = base + amplitude * random_smooth_field(grid, m, rng)
+    values = _flat_reference(grid.nodes()) + amplitude * random_smooth_field(grid, m, rng)
     return DiscreteImmersion(grid, values, chart("euclidean", m))
 
 
@@ -263,8 +263,9 @@ def wrinkle_profile(grid: Grid, frequencies) -> np.ndarray:
     return acc / max(len(tuple(frequencies)), 1)
 
 
-def wrinkled_immersion(f0: DiscreteImmersion, eps: float, frequencies) -> DiscreteImmersion:
-    n0 = unit_normal(f0)
+def wrinkled_immersion(f0: DiscreteImmersion, n0: np.ndarray, eps: float,
+                       frequencies) -> DiscreteImmersion:
+    """f0 moved by eps times the wrinkle profile along n0, the unit normal of f0."""
     w = wrinkle_profile(f0.grid, frequencies)
     values = f0.values + eps * w[..., None] * n0
     return DiscreteImmersion(f0.grid, values, f0.target)
@@ -280,8 +281,8 @@ def _sasaki_direct(xi: DirectorField, g) -> np.ndarray:
     Builds Dxi(e_i) = (x, v, d_i x, d_i v), applies the bundle projection and
     the connector map separately, and contracts with g^{ij} and h pairwise.
     """
-    Jx = node_major(jacobian_array(component_major(xi.foot, 1), xi.grid), 2)
-    Jv = node_major(jacobian_array(component_major(xi.vec, 1), xi.grid), 2)
+    Jx = fd_jacobian(xi.foot, xi.grid)
+    Jv = fd_jacobian(xi.vec, xi.grid)
     H = xi.target.eval(xi.foot)
     Gam = christoffel(xi.target, xi.foot)
     ginv, _ = en.parameter_factors(g, xi.grid)
@@ -360,9 +361,7 @@ def run_check(cfg: ExperimentConfig):
         pgrid = preset.grid(cfg.grid)
         S = preset.shape_field(pgrid)
         if cfg.s_override is not None:
-            S = ShapeField(pgrid, np.broadcast_to(
-                np.asarray(cfg.s_override, dtype=float),
-                pgrid.counts + (2, 2)).copy())
+            S = ShapeField(pgrid, _const_shape(cfg.s_override)(pgrid))
         try:
             rep = gauss_codazzi_residual(preset.g, S, pgrid)
             entry = _check_entry(f"gauss_codazzi:{name}",
@@ -540,7 +539,7 @@ def _custom_context(cfg: ExperimentConfig):
     g = (chart(gspec, grid.dim) if isinstance(gspec, str)
          else MetricChart.from_table(grid, _load_tensor_table(gspec["csv"], grid)))
     Sv = (_load_tensor_table(sspec["csv"], grid) if isinstance(sspec, dict)
-          else np.broadcast_to(np.asarray(sspec, dtype=float), grid.counts + (2, 2)).copy())
+          else _const_shape(sspec)(grid))
     return g, grid, ShapeField(grid, Sv), None
 
 
@@ -634,9 +633,7 @@ def run_minimize(cfg: ExperimentConfig):
             f0 = integrate_frame(g, S, grid)
         except IncompatibleForms:
             # incompatible forms have no reference: start from the flat chart graph
-            f0 = DiscreteImmersion(grid, np.concatenate(
-                [grid.nodes(), np.zeros(grid.counts + (1,))], axis=-1),
-                chart("euclidean", 3))
+            f0 = DiscreteImmersion(grid, _flat_reference(grid.nodes()), chart("euclidean", 3))
 
     if cfg.start == "immersion":
         start = DiscreteImmersion(
@@ -671,7 +668,7 @@ def run_minimize(cfg: ExperimentConfig):
         save_node_csv(os.path.join(cfg.out, "terminal_vec.csv"), grid, state.vec)
         H = state.target.eval(state.foot)
         vnorm = np.sqrt(np.einsum("...ab,...a,...b->...", H, state.vec, state.vec))
-        J = node_major(jacobian_array(component_major(state.foot, 1), grid), 2)
+        J = fd_jacobian(state.foot, grid)
         tangency = np.einsum("...ab,...ai,...b->...i", H, J, state.vec)
         report["vec_norm_max_error"] = float(np.max(np.abs(vnorm - 1.0)))
         report["tangency_max_error"] = float(np.max(np.abs(tangency)))
@@ -692,7 +689,7 @@ def run_stability_sweep(cfg: ExperimentConfig):
     records = []
     field_files = []
     for k, eps in enumerate(cfg.amplitudes):
-        feps = wrinkled_immersion(f0, eps, cfg.frequencies)
+        feps = wrinkled_immersion(f0, n0, eps, cfg.frequencies)
         rep = en.total_energy(feps, g, S, cfg.p)
         R, b, f0_aligned = align_rigid(feps, f0)
         dist_map = w1p_distance(feps, f0_aligned, cfg.p, g)

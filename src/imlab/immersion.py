@@ -13,8 +13,7 @@ from __future__ import annotations
 import numpy as np
 
 from .errors import RankDeficient
-from .fields import (DirectorField, DiscreteImmersion, JacobianField, ShapeField,
-                     jacobian_array)
+from .fields import DirectorField, DiscreteImmersion, ShapeField, jacobian_array
 from .geometry import (RANK_RTOL, christoffel, component_major, cross_columns_cm,
                        left_mul, node_major, right_mul, stiefel_factors_cm,
                        target_factors_cm)
@@ -78,13 +77,15 @@ def connector(target, points, Dv, J, v):
     return Dv + left_mul(Gv, J)
 
 
-def covariant_normal_derivative(f: DiscreteImmersion, n: np.ndarray) -> JacobianField:
-    """Pullback-connection derivative of the normal node array n (*counts, d+1):
-    (grad n)_i^a = d_i n^a + Gamma^a_bc(f) d_i f^b n^c.
+def covariant_normal_derivative(f: DiscreteImmersion, n: np.ndarray) -> np.ndarray:
+    """Pullback-connection derivative of a vector field n (*counts, d+1)
+    along f, the connector K o Dxi of the director field xi = (f, n):
+    (grad n)_i^a = d_i n^a + Gamma^a_bc(f) d_i f^b n^c, as the node array
+    (*counts, d+1, d).  With n the unit normal of f it is grad n.
     """
     x, v = component_major(f.values, 1), component_major(n, 1)
     K = connector(f.target, x, jacobian_array(v, f.grid), jacobian_array(x, f.grid), v)
-    return JacobianField(f.grid, np.ascontiguousarray(node_major(K, 2)))
+    return np.ascontiguousarray(node_major(K, 2))
 
 
 def shape_operator(f: DiscreteImmersion) -> ShapeField:
@@ -95,7 +96,7 @@ def shape_operator(f: DiscreteImmersion) -> ShapeField:
     |grad n + df S|_h, S = -(adj G / det G) J^T h grad n (d in {1, 2}, as
     :func:`unit_normal` requires).
     """
-    W = covariant_normal_derivative(f, unit_normal(f)).values
+    W = covariant_normal_derivative(f, unit_normal(f))
     G, rhs = _gram(f, component_major(W, 2))
     if G.shape[0] == 1:
         adj, det = np.ones_like(G), G[0, 0]

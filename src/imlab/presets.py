@@ -52,6 +52,8 @@ class Preset:
 
 
 def _const_shape(matrix):
+    """The function of a grid that gives the shape-field values equal to
+    ``matrix`` at every node, (*counts, d, d)."""
     matrix = np.asarray(matrix, dtype=float)
 
     def build(grid):
@@ -63,6 +65,7 @@ def _const_shape(matrix):
 
 
 def _flat_reference(x):
+    """The flat graph (x, 0) of node coordinates x (..., d): (..., d+1)."""
     return np.concatenate([x, np.zeros(x.shape[:-1] + (1,))], axis=-1)
 
 

@@ -314,7 +314,7 @@ def integrate_frame(g, S, grid: Grid, anchor_index=None, frame=None):
 
 def library_jacobian(values, grid: Grid) -> np.ndarray:
     """The library Jacobian of a node-major array: (*counts, comps, dim)."""
-    return fields.fd_jacobian(values, grid).values
+    return fields.fd_jacobian(values, grid)
 
 
 def library_jacobian_adjoint(bar, grid: Grid) -> np.ndarray:
@@ -738,7 +738,7 @@ def gauss_codazzi_residual(g, S: ShapeField, grid: Grid) -> CompatibilityReport:
 
 def pullback_metric(f: DiscreteImmersion) -> np.ndarray:
     """First fundamental form (f*h)_ij at the nodes, shape (*counts, d, d)."""
-    J = fields.fd_jacobian(f).values
+    J = fields.fd_jacobian(f.values, f.grid)
     H = f.target.eval(f.values)
     G = np.einsum("...ai,...ab,...bj->...ij", J, H, J)
     return 0.5 * (G + np.swapaxes(G, -1, -2))
@@ -747,8 +747,8 @@ def pullback_metric(f: DiscreteImmersion) -> np.ndarray:
 def shape_operator(f: DiscreteImmersion) -> ShapeField:
     """Shape operator extracted from grad n = -df o S by least squares."""
     n = unit_normal(f)
-    W = covariant_normal_derivative(f, n).values
-    J = fields.fd_jacobian(f).values
+    W = covariant_normal_derivative(f, n)
+    J = fields.fd_jacobian(f.values, f.grid)
     H = f.target.eval(f.values)
     G = np.einsum("...ai,...ab,...bj->...ij", J, H, J)
     rhs = np.einsum("...ai,...ab,...bj->...ij", J, H, W)

@@ -9,11 +9,12 @@ import os
 import numpy as np
 
 from helpers import convergence_orders, library_jacobian
-from imlab.energy import (director_frame, parameter_factors, relaxed_total,
+from imlab.energy import (Integrands, parameter_factors, relaxed_total,
                           sasaki_bound_margin, sasaki_norm_sq, total_energy)
 from imlab.fields import (DiscreteImmersion, Grid, ShapeField,
                           w1p_distance)
-from imlab.geometry import chart, chart_factors, christoffel, dist_rotations, dist_stiefel
+from imlab.geometry import (chart, chart_factors, christoffel, component_major,
+                            dist_rotations, dist_stiefel, node_major)
 from imlab.harness import (ExperimentConfig, _fd_vs_analytic, _sym_field,
                            random_curve_immersion, random_director,
                            random_surface_immersion, run_check,
@@ -56,7 +57,8 @@ def test_criterion_01_relaxation_identity():
 
 def _distance_violation(f, g):
     xi = normal_director(f)
-    B = director_frame(xi, g)
+    B = node_major(Integrands(f.grid, g, f.target).director(
+        component_major(xi.foot, 1), component_major(xi.vec, 1)).B, 2)
     _, _, Hs, _ = chart_factors(f.target, f.values)
     _, gsi = parameter_factors(g, f.grid)
     Q = Hs @ library_jacobian(f.values, f.grid) @ gsi
@@ -222,7 +224,7 @@ def test_criterion_08_stability_probe(tmp_path):
     pre = get_preset("cylinder")
     grid = pre.grid((33, 33))
     f0 = integrate_frame(pre.g, pre.shape_field(grid), grid)
-    f_last = wrinkled_immersion(f0, 0.01, (2, 4, 8))
+    f_last = wrinkled_immersion(f0, unit_normal(f0), 0.01, (2, 4, 8))
     wrinkle_norm = w1p_distance(f_last, f0, 2.0, pre.g)
     assert dists[-1] <= 2.0 * wrinkle_norm
     _report(8, f"energies strictly decreasing {np.round(energies, 4)}, "

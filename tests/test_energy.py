@@ -6,16 +6,16 @@ from scipy.integrate import solve_ivp
 
 from helpers import library_jacobian, random_rotation
 from imlab import energy as energy_module
-from imlab.energy import (Integrands, connector_apply, director_frame, parameter_factors,
-                          relaxed_total, sasaki_bound_margin, sasaki_norm_sq, total_energy)
+from imlab.energy import (Integrands, parameter_factors, relaxed_total, sasaki_bound_margin,
+                          sasaki_norm_sq, total_energy)
 from imlab.errors import BadExponent
 from imlab.fields import (DirectorField, DiscreteImmersion, Grid, ShapeField,
                           integrate_density)
 from imlab.geometry import (chart, chart_factors, christoffel, component_major,
-                            dist_rotations, dist_stiefel)
+                            dist_rotations, dist_stiefel, node_major)
 from imlab.harness import (_sym_field, random_curve_immersion, random_director,
                            random_smooth_field, random_surface_immersion)
-from imlab.immersion import normal_director, unit_normal
+from imlab.immersion import covariant_normal_derivative, normal_director, unit_normal
 from imlab.presets import get_preset
 
 E2 = chart("euclidean", 2)
@@ -124,8 +124,8 @@ class TestConnector:
         rng = np.random.default_rng(3)
         grid = _grid(9)
         xi = random_director(grid, E3, rng)
-        K = connector_apply(xi)
-        assert np.array_equal(K.values, library_jacobian(xi.vec, grid))
+        K = covariant_normal_derivative(DiscreteImmersion(grid, xi.foot, E3), xi.vec)
+        assert np.array_equal(K, library_jacobian(xi.vec, grid))
 
     def test_parallel_transport_along_meridian(self):
         residuals = []
@@ -135,9 +135,8 @@ class TestConnector:
             th = 0.7 + 0.6 * t
             foot = np.stack([th, np.full(n, 0.7)], axis=-1)
             vec = np.stack([np.full(n, 0.4), 1.3 / np.sin(th)], axis=-1)
-            xi = DirectorField(grid, foot, vec, chart("sphere"))
-            K = connector_apply(xi)
-            residuals.append(np.max(np.abs(K.values)))
+            K = covariant_normal_derivative(DiscreteImmersion(grid, foot, chart("sphere")), vec)
+            residuals.append(np.max(np.abs(K)))
         assert residuals[0] < 1e-3          # FD-level residual
         assert residuals[1] < residuals[0] / 3.0  # second-order decay
 
@@ -155,9 +154,8 @@ class TestConnector:
         sol = solve_ivp(rhs, (0.0, 1.0), [1.0, 0.5], t_eval=t, rtol=1e-12,
                         atol=1e-12, dense_output=False)
         foot = np.stack([np.full(n, th0), om * t], axis=-1)
-        xi = DirectorField(grid, foot, sol.y.T, chart("sphere"))
-        K = connector_apply(xi)
-        assert np.max(np.abs(K.values)) < 2e-3
+        K = covariant_normal_derivative(DiscreteImmersion(grid, foot, chart("sphere")), sol.y.T)
+        assert np.max(np.abs(K)) < 2e-3
 
     def test_polar_constant_vector_gamma_term(self):
         n = 33
@@ -165,8 +163,7 @@ class TestConnector:
         t = grid.nodes()[..., 0]
         foot = np.stack([1.5 + 0.3 * t, 0.8 * t], axis=-1)
         vec = np.broadcast_to(np.array([0.7, -0.2]), (n, 2)).copy()
-        xi = DirectorField(grid, foot, vec, chart("polar"))
-        K = connector_apply(xi).values
+        K = covariant_normal_derivative(DiscreteImmersion(grid, foot, chart("polar")), vec)
         Gam = christoffel(chart("polar"), foot)
         Jx = library_jacobian(foot, grid)
         expect = np.einsum("...abc,...bi,...c->...ai", Gam, Jx, vec)
@@ -241,7 +238,8 @@ class TestRelaxationIdentity:
         grid = _grid(17)
         f = random_surface_immersion(grid, rng, amplitude=0.1)
         xi = normal_director(f)
-        B = director_frame(xi, E2)
+        B = node_major(Integrands(grid, E2, f.target).director(
+            component_major(xi.foot, 1), component_major(xi.vec, 1)).B, 2)
         _, _, Hs, _ = chart_factors(f.target, f.values)
         _, gsi = parameter_factors(E2, grid)
         Q = Hs @ library_jacobian(f.values, grid) @ gsi

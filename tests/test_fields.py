@@ -12,13 +12,12 @@ from hypothesis.extra import numpy as hnp
 import helpers as ref
 from helpers import convergence_orders
 from imlab.errors import BadExponent, GridMismatch
-from imlab.fields import (DirectorField, DiscreteImmersion, Grid, JacobianField,
-                          ShapeField, atomic_write, axis_derivative,
-                          axis_derivative_adjoint, axis_second_derivative,
-                          difference_matrix, fd_jacobian, fmt17, integrate_density,
-                          jacobian_adjoint, jacobian_array, load_binary, load_node_csv,
-                          lp_norm, quadrature_weights, save_binary, save_node_csv,
-                          w1p_distance, write_csv)
+from imlab.fields import (DirectorField, DiscreteImmersion, Grid, ShapeField,
+                          atomic_write, axis_derivative, axis_derivative_adjoint,
+                          axis_second_derivative, difference_matrix, fd_jacobian,
+                          fmt17, integrate_density, jacobian_adjoint, jacobian_array,
+                          load_binary, load_node_csv, lp_norm, quadrature_weights,
+                          save_binary, save_node_csv, w1p_distance, write_csv)
 from imlab.geometry import chart, component_major, node_major
 from imlab.harness import write_json, write_svg_loglog
 from imlab.optimize import OptimizeTrace
@@ -56,18 +55,17 @@ def _field(kind, value):
     E3 = chart("euclidean", 3)
     x = np.concatenate([grid.nodes(), np.zeros(grid.counts + (1,))], axis=-1)
     e3 = np.broadcast_to([0.0, 0.0, 1.0], x.shape).copy()
-    eye = np.broadcast_to(np.eye(3, 2), grid.counts + (3, 2)).copy()
     zero = np.zeros(grid.counts + (2, 2))
-    {"immersion": x, "foot": x, "vec": e3, "jacobian": eye, "shape": zero}[kind][2, 1, -1] = value
+    {"immersion": x, "foot": x, "vec": e3, "shape": zero}[kind][2, 1, -1] = value
     if kind == "immersion":
         return DiscreteImmersion(grid, x, E3)
     if kind in ("foot", "vec"):
         return DirectorField(grid, x, e3, E3)
-    return JacobianField(grid, eye) if kind == "jacobian" else ShapeField(grid, zero)
+    return ShapeField(grid, zero)
 
 
 class TestFieldValues:
-    @pytest.mark.parametrize("kind", ["immersion", "foot", "vec", "jacobian", "shape"])
+    @pytest.mark.parametrize("kind", ["immersion", "foot", "vec", "shape"])
     @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
     def test_rejects_non_finite(self, kind, bad):
         _field(kind, 0.5)
@@ -208,8 +206,23 @@ class TestStencils:
         g = Grid((5, 5), (1.0, 1.0))
         f = DiscreteImmersion(g, np.concatenate([g.nodes(), np.zeros((5, 5, 1))],
                                                 axis=-1), chart("euclidean", 3))
-        J = fd_jacobian(f)
-        assert J.values.shape == (5, 5, 3, 2)
+        J = fd_jacobian(f.values, g)
+        assert J.shape == (5, 5, 3, 2)
+
+    @settings(max_examples=60, deadline=None)
+    @given(_stencil_cases(), st.integers(1, 3))
+    def test_fd_jacobian_is_the_node_major_stencil(self, case, comps):
+        """fd_jacobian of a node array (*counts, comps) is the component-major
+        Jacobian moved to (*counts, comps, dim), bit for bit and C-contiguous;
+        the grid is required."""
+        grid, _, rng = case
+        v = rng.normal(size=grid.counts + (comps,))
+        J = fd_jacobian(v, grid)
+        assert J.shape == grid.counts + (comps, grid.dim)
+        assert J.flags["C_CONTIGUOUS"]
+        assert np.array_equal(J, node_major(jacobian_array(component_major(v, 1), grid), 2))
+        with pytest.raises(TypeError):
+            fd_jacobian(v)
 
 
 class TestQuadrature:

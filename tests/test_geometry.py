@@ -79,8 +79,8 @@ class TestChristoffel:
         assert np.allclose(G, np.swapaxes(G, -1, -2), atol=0)
 
     def test_singular_metric_raises(self):
-        m = MetricChart.from_function(2, lambda x: np.diag([1.0, 0.0]),
-                                      domain=[[-1, 1], [-1, 1]])
+        m = MetricChart(dim=2, domain=[[-1, 1], [-1, 1]], matrix=lambda x: np.broadcast_to(
+            np.diag([1.0, 0.0]), x.shape[:-1] + (2, 2)))
         with pytest.raises(SingularMetric):
             christoffel(m, [0.0, 0.0])
 

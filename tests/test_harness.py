@@ -141,6 +141,17 @@ class TestSweep:
         h = 1.0 / 16.0
         assert last["energy"] <= 10.0 * h * h
 
+    def test_reference_normal_computed_once(self, tmp_path, monkeypatch):
+        """One unit normal of the reference immersion, shared by every
+        wrinkled immersion, plus one of each wrinkled immersion."""
+        calls = []
+        real = harness.unit_normal
+        monkeypatch.setattr(harness, "unit_normal", lambda f: calls.append(f) or real(f))
+        cfg = ExperimentConfig(experiment="stability-sweep", preset="cylinder",
+                               grid=(33, 33), seed=7, out=str(tmp_path))
+        run_stability_sweep(cfg)
+        assert len(cfg.amplitudes) == 4 and len(calls) == 5
+
 
 class TestRunMinimize:
     def test_flat_immersion_run(self, tmp_path):
@@ -253,6 +264,24 @@ class TestCli:
         bad = tmp_path / "bad.json"
         bad.write_text("{\"imlab_config\": 2}")
         assert cli_main(["energy", "--config", str(bad)]) == 1
+
+    @pytest.mark.parametrize("argv, name", [
+        (["check", "--p", "abc"], "--p"), (["energy", "--seed", "x"], "--seed"),
+        (["bogus"], "experiment"), (["check", "--grid", "9x"], "--grid")])
+    def test_argument_errors_exit_1(self, argv, name, capsys):
+        """A bad flag value or experiment name is an error (exit 1), not a
+        failed check suite (exit 2), and the message names the argument."""
+        with pytest.raises(SystemExit) as exc:
+            cli_main(argv)
+        assert exc.value.code == 1
+        assert f"error: argument {name}:" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("argv", [["--help"], ["check", "--help"]])
+    def test_help_exits_0(self, argv, capsys):
+        with pytest.raises(SystemExit) as exc:
+            cli_main(argv)
+        assert exc.value.code == 0
+        assert "usage: imlab" in capsys.readouterr().out
 
     def test_non_finite_exponent_exits_1(self, tmp_path, capsys):
         assert cli_main(["energy", "--p", "nan", "--out", str(tmp_path)]) == 1

@@ -184,7 +184,7 @@ class TestCovariantNormalDerivative:
     def test_flat_plane_zero(self):
         f = _plane(_grid())
         W = covariant_normal_derivative(f, unit_normal(f))
-        assert np.max(np.abs(W.values)) < 1e-13
+        assert np.max(np.abs(W)) < 1e-13
 
     def test_unit_sphere_inward_normal(self):
         pre = get_preset("sphere-cap")
@@ -195,7 +195,7 @@ class TestCovariantNormalDerivative:
         assert np.max(np.abs(n + f.values)) < 1e-4
         W = covariant_normal_derivative(f, n)
         J = library_jacobian(f.values, grid)
-        assert np.max(np.abs(W.values + J)) < 1e-3
+        assert np.max(np.abs(W + J)) < 1e-3
 
     def test_cylinder_weingarten(self):
         pre = get_preset("cylinder")
@@ -204,8 +204,8 @@ class TestCovariantNormalDerivative:
         W = covariant_normal_derivative(f, unit_normal(f))
         J = library_jacobian(f.values, grid)
         r = 1.0
-        assert np.max(np.abs(W.values[..., 0] + J[..., 0] / r)) < 1e-3
-        assert np.max(np.abs(W.values[..., 1])) < 1e-10
+        assert np.max(np.abs(W[..., 0] + J[..., 0] / r)) < 1e-3
+        assert np.max(np.abs(W[..., 1])) < 1e-10
 
 
 class TestShapeOperator:
@@ -249,7 +249,7 @@ class TestShapeOperator:
             n_field = unit_normal(f)
             W = covariant_normal_derivative(f, n_field)
             S = shape_operator(f)
-            resid = W.values + library_jacobian(f.values, grid) @ S.values
+            resid = W + library_jacobian(f.values, grid) @ S.values
             rnorm = np.sqrt(np.sum(resid ** 2, axis=(-2, -1)))
             errs.append(lp_norm(rnorm, 2.0, pre.g, grid))
         assert np.all(convergence_orders(errs) >= 1.9)

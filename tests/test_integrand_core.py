@@ -43,7 +43,8 @@ def _parameter_metric(d, name, rng):
         return MetricChart(dim=d, domain=[[-np.inf, np.inf]] * d, constant=_spd(rng, d))
     if d == 2:
         return chart("polar")
-    return MetricChart.from_function(1, lambda x: np.array([[1.0 + 0.5 * np.sin(3.0 * x[0])]]))
+    return MetricChart(dim=1, domain=[[-np.inf, np.inf]],
+                       matrix=lambda x: (1.0 + 0.5 * np.sin(3.0 * x))[..., None])
 
 
 def _target(d, name, rng):

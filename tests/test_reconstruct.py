@@ -308,8 +308,8 @@ class TestPerSweepMarch:
     @pytest.mark.parametrize("anchor", [None, (7,), (16,)])
     def test_bytes_match_on_a_curve(self, anchor):
         grid = Grid((17,), (1.0,))
-        g1 = MetricChart.from_function(1, lambda p: np.array([[1.0 + 0.3 * p[0] ** 2]]),
-                                       domain=[[0.0, 1.0]])
+        g1 = MetricChart(dim=1, domain=[[0.0, 1.0]],
+                         matrix=lambda p: (1.0 + 0.3 * p ** 2)[..., None])
         x = grid.nodes()[..., 0]
         S = ShapeField(grid, (np.sin(3.0 * x) + 1.5)[:, None, None])
         self._assert_same_bits(g1, S, grid, anchor)
