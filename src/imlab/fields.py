@@ -384,8 +384,9 @@ def write_csv(path, header: Sequence[str], rows) -> None:
     atomic_write(path, "\n".join(lines) + "\n")
 
 
-def save_node_csv(path, grid: Grid, values, names: Optional[Sequence[str]] = None) -> None:
-    """One row per node: index tuple, then components, 17 significant digits.
+def save_node_csv(path, grid: Grid, values) -> None:
+    """One row per node: index tuple, then components, 17 significant digits,
+    under the header i0, ..., c0, c1, ....
 
     Trailing (non-grid) axes of ``values`` are flattened into components.
     """
@@ -394,11 +395,7 @@ def save_node_csv(path, grid: Grid, values, names: Optional[Sequence[str]] = Non
         raise ValueError("values do not live on the given grid")
     flat = values.reshape(grid.num_nodes, -1)
     comp = flat.shape[1]
-    if names is None:
-        names = [f"c{k}" for k in range(comp)]
-    if len(names) != comp:
-        raise ValueError("wrong number of component names")
-    header = ",".join([f"i{a}" for a in range(grid.dim)] + list(names))
+    header = ",".join([f"i{a}" for a in range(grid.dim)] + [f"c{k}" for k in range(comp)])
     idx = np.stack(np.meshgrid(*[np.arange(c) for c in grid.counts],
                                indexing="ij"), axis=-1).reshape(grid.num_nodes, grid.dim)
     # one %-format of the whole table: Python ints and floats, and

@@ -13,8 +13,10 @@ which are the building blocks of the stretching integrands.  The frame
 kernels work on component-major arrays, matrix entries leading and node axes
 trailing, where a per-node product is elementwise arithmetic on node arrays
 (:func:`left_mul`, :func:`right_mul`); :func:`dist_stiefel` and
-:func:`dist_rotations` take node-major frames.  The lowered curvature is
-component-major too, computed at the pairs k < l of its last two indices.
+:func:`dist_rotations` take node-major frames.  Christoffel symbols have one
+component-major formula, :func:`christoffel_from_values`, for chart points and
+grid nodes; the lowered curvature is component-major too, at the pairs k < l
+of its last two indices.
 """
 
 from __future__ import annotations
@@ -127,20 +129,14 @@ class MetricChart:
             t = (x - origin) / spacing
             t = np.clip(t, 0.0, np.array(counts) - 1.0)
             i0 = np.minimum(t.astype(int), np.array(counts) - 2)
-            w = t - i0
-            if d == 1:
-                v0 = values[i0[..., 0]]
-                v1 = values[i0[..., 0] + 1]
-                w0 = w[..., 0][..., None, None]
-                return (1 - w0) * v0 + w0 * v1
-            v00 = values[i0[..., 0], i0[..., 1]]
-            v10 = values[i0[..., 0] + 1, i0[..., 1]]
-            v01 = values[i0[..., 0], i0[..., 1] + 1]
-            v11 = values[i0[..., 0] + 1, i0[..., 1] + 1]
-            w0 = w[..., 0][..., None, None]
-            w1 = w[..., 1][..., None, None]
-            return ((1 - w0) * (1 - w1) * v00 + w0 * (1 - w1) * v10
-                    + (1 - w0) * w1 * v01 + w0 * w1 * v11)
+            w = (t - i0)[..., None, None]
+            for c in range(2 ** d):     # cell corners, first axis fastest
+                up = [(c >> a) & 1 for a in range(d)]
+                weight = np.multiply.reduce([w[..., a, :, :] if up[a] else 1 - w[..., a, :, :]
+                                             for a in range(d)])   # in axis order
+                term = weight * values[tuple(i0[..., a] + up[a] for a in range(d))]
+                out = term if c == 0 else out + term
+            return out
 
         domain = np.stack([origin, origin + np.asarray(grid.extents)], axis=1)
         return MetricChart(dim=d, domain=domain, matrix=interp, name=name)
@@ -265,22 +261,36 @@ def target_factors_cm(m: MetricChart, x):
 # Christoffel symbols and curvature
 
 
-def christoffel_from_values(G, dG) -> np.ndarray:
-    """Gamma^a_bc from metric values and partials dG[..., k, i, j] = d_k g_ij."""
-    _, _, Gsi = spd_factors(G, SingularMetric)
-    t1 = np.swapaxes(dG, -3, -2)        # [d,b,c] = dG[b,d,c]
-    t2 = np.moveaxis(dG, -3, -1)        # [d,b,c] = dG[c,d,b]
-    term = t1 + t2 - dG                 # contracted with G^{-1} as a matmul
-    return 0.5 * ((Gsi @ Gsi) @ term.reshape(term.shape[:-2] + (-1,))).reshape(term.shape)
+def first_kind(D, b: int) -> np.ndarray:
+    """2 Gamma_ebc = d_b g_ec + d_c g_eb - d_e g_bc at lower index b, indexed
+    [e, c], from component-major partials D[i, j, x] = d_x g_ij (or d_k D)."""
+    return (D[:, :, b] + D[:, b]) - np.swapaxes(D[b], 0, 1)
+
+
+def christoffel_from_values(G, dG) -> tuple:
+    """(Gamma, G^{-1}) from component-major metric values G (d, d, *nodes) and
+    partials dG[i, j, k] = d_k g_ij, the jacobian_array layout: Gamma^a_bc =
+    G^{ae} Gamma_ebc (:func:`first_kind`) as an elementwise sum over e, with
+    G^{-1} = (G^{-1/2})^2 past the SingularMetric gate of :func:`spd_factors`."""
+    Gsi = component_major(spd_factors(node_major(G, 2), SingularMetric)[2], 2)
+    Ginv = left_mul(Gsi, Gsi)
+    Gam = np.empty(dG.shape)
+    for b in range(G.shape[0]):
+        Gam[:, b] = 0.5 * left_mul(Ginv, first_kind(dG, b))
+    return Gam, Ginv
 
 
 def christoffel(m: MetricChart, x) -> np.ndarray:
     """Levi-Civita Christoffel symbols [..., a, b, c] = Gamma^a_bc of a metric
     chart at point(s) x (..., dim)."""
     x = _as_points(x, m.dim)
+    shape = x.shape[:-1] + (m.dim,) * 3
     if m.is_constant:
-        return np.zeros(x.shape[:-1] + (m.dim,) * 3)
-    return christoffel_from_values(m.eval(x), m.eval_deriv(x))
+        return np.zeros(shape)
+    p = x.reshape(-1, m.dim)     # one node axis, so every product is elementwise
+    Gam, _ = christoffel_from_values(component_major(m.eval(p), 2),
+                                     component_major(m.eval_deriv(p), 3).transpose(1, 2, 0, 3))
+    return np.ascontiguousarray(node_major(Gam, 3)).reshape(shape)
 
 
 def riemann_from_values(G, Gam, dGam) -> np.ndarray:

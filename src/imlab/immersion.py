@@ -35,31 +35,36 @@ def _frame_and_rank_check(b, c):
     return s
 
 
-def unit_normal(f: DiscreteImmersion) -> np.ndarray:
-    """Oriented h-unit normal of a full-rank discrete immersion, as a node
-    array (*counts, d+1)."""
-    J = jacobian_array(component_major(f.values, 1), f.grid)
-    _, Hs, Hsi = target_factors_cm(f.target, f.values)
+def _normal_pass(f: DiscreteImmersion) -> tuple:
+    """Component-major (x, J, h, n) of an immersion: node values, raw Jacobian,
+    target metric (one matrix if constant), rank-checked oriented h-unit normal."""
+    x = component_major(f.values, 1)
+    J = jacobian_array(x, f.grid)
+    H, Hs, Hsi = target_factors_cm(f.target, f.values)
     b = left_mul(Hs, J)
     c = cross_columns_cm(b)
     c = c / _frame_and_rank_check(b, c)
-    n = left_mul(Hsi, c[:, None])[:, 0]
-    return np.ascontiguousarray(node_major(n, 1))
+    return x, J, H, left_mul(Hsi, c[:, None])[:, 0]
 
 
-def _gram(f: DiscreteImmersion, *W) -> list:
+def unit_normal(f: DiscreteImmersion) -> np.ndarray:
+    """Oriented h-unit normal of a full-rank discrete immersion, as a node
+    array (*counts, d+1)."""
+    return np.ascontiguousarray(node_major(_normal_pass(f)[3], 1))
+
+
+def _gram(J, H, *W) -> list:
     """J^T h J, then J^T h B for each B (d+1, d, *counts) in W, component-major
-    (d, d, *counts), of an immersion with raw Jacobian J into a target h."""
-    J = jacobian_array(component_major(f.values, 1), f.grid)
-    H = (f.target.constant if f.target.is_constant
-         else component_major(f.target.eval(f.values), 2))
+    (d, d, *counts), from the raw Jacobian J and the target metric h."""
     JtH = right_mul(np.swapaxes(J, 0, 1), H)
     return [right_mul(JtH, B) for B in (J,) + W]
 
 
 def pullback_metric(f: DiscreteImmersion) -> np.ndarray:
     """First fundamental form (f*h)_ij at the nodes, shape (*counts, d, d)."""
-    G, = _gram(f)
+    H = (f.target.constant if f.target.is_constant
+         else component_major(f.target.eval(f.values), 2))
+    G, = _gram(jacobian_array(component_major(f.values, 1), f.grid), H)
     return np.ascontiguousarray(node_major(0.5 * (G + np.swapaxes(G, 0, 1)), 2))
 
 
@@ -96,8 +101,8 @@ def shape_operator(f: DiscreteImmersion) -> ShapeField:
     |grad n + df S|_h, S = -(adj G / det G) J^T h grad n (d in {1, 2}, as
     :func:`unit_normal` requires).
     """
-    W = covariant_normal_derivative(f, unit_normal(f))
-    G, rhs = _gram(f, component_major(W, 2))
+    x, J, H, n = _normal_pass(f)
+    G, rhs = _gram(J, H, connector(f.target, x, jacobian_array(n, f.grid), J, n))
     if G.shape[0] == 1:
         adj, det = np.ones_like(G), G[0, 0]
     else:

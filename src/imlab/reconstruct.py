@@ -9,7 +9,8 @@ Codazzi identities (with II = g S):
 Both residuals are evaluated with the same grid stencils used everywhere else,
 so they converge at second order for smooth compatible data.  The curvature
 path is component-major, (entries, *counts), with every contraction an
-elementwise sum over the contracted index, and it computes only the
+elementwise sum over the contracted index, Gamma and g^{-1} from the
+Christoffel formula of :mod:`imlab.geometry`, and it computes only the
 independent index pairs: R_ijkl at k < l and the Codazzi tensor at i < j.
 Their other entries are exact negations or zeros in floating point, so the
 maxima over the pairs are the maxima over all entries.  Reconstruction
@@ -22,7 +23,7 @@ axis through the anchor, then along the second axis per column.  The discrete
 integration path is fixed (path independence holds only in the continuum).
 The coefficients Gamma, II and S depend on the point only, so each sweep
 evaluates them once, batched over its nodes and midpoints; an RK4 stage reads
-them from that table and does only the state-dependent work.
+them from that table and updates only the frame (E, n); f follows their E.
 """
 
 from __future__ import annotations
@@ -33,12 +34,13 @@ from typing import Optional
 import numpy as np
 
 from .errors import (AsymmetricShape, DegenerateCovariance, GridMismatch,
-                     IncompatibleForms, NonSPDAnchor, SingularMetric, is_int)
+                     IncompatibleForms, NonSPDAnchor, is_int)
 from .fields import (CompatibilityReport, DiscreteImmersion, Grid, ShapeField,
                      atomic_write, axis_derivative, axis_second_derivative,
                      jacobian_array, quadrature_weights)
-from .geometry import (MetricChart, chart, christoffel, component_major, left_mul,
-                       node_major, riemann_from_values, right_mul, spd_factors)
+from .geometry import (MetricChart, chart, christoffel, christoffel_from_values,
+                       component_major, first_kind, left_mul, riemann_from_values,
+                       right_mul)
 
 COMPAT_SAFETY = 10.0
 
@@ -53,20 +55,12 @@ def _metric_node_values(g, grid: Grid) -> np.ndarray:
     return gv
 
 
-def _first_kind(D, b: int) -> np.ndarray:
-    """2 Gamma_ebc = d_b g_ec + d_c g_eb - d_e g_bc at lower index b, indexed
-    [e, c], from component-major partials D[i, j, x] = d_x g_ij (or d_k D)."""
-    return (D[:, :, b] + D[:, b]) - np.swapaxes(D[b], 0, 1)
-
-
 def _christoffel_terms(G, grid: Grid) -> tuple:
     """Gamma^a_bc and, at b != k, d_k Gamma^a_bc, component-major, from the
     stencils of the metric values G (d, d, *counts), whose error coefficients,
     unlike Gamma's, do not jump between boundary and interior stencils.
-    G^{-1} = (G^{-1/2})^2 past the SPD gate, d_k G^{-1} = -G^{-1} d_k G G^{-1}."""
+    Gamma, G^{-1} from christoffel_from_values, d_k G^{-1} = -G^{-1} d_k G G^{-1}."""
     d, h = grid.dim, grid.spacing
-    Gsi = component_major(spd_factors(node_major(G, 2), SingularMetric)[2], 2)
-    Ginv = left_mul(Gsi, Gsi)
     dG = jacobian_array(G, grid)                    # [i, j, k] = d_k g_ij
     # [i, j, k, l] = d_k d_l g_ij: same-axis stencils, mixed ones nested
     # along distinct axes (second order up to the boundary)
@@ -75,14 +69,13 @@ def _christoffel_terms(G, grid: Grid) -> tuple:
         d2G[:, :, k, k] = axis_second_derivative(G, 2 + k, h[k])
         for l in range(k + 1, d):
             d2G[:, :, k, l] = d2G[:, :, l, k] = axis_derivative(dG[:, :, l], 2 + k, h[k])
-    T = [_first_kind(dG, b) for b in range(d)]
-    Gam, dGam = np.empty((d,) * 3 + grid.counts), np.empty((d,) * 4 + grid.counts)
+    Gam, Ginv = christoffel_from_values(G, dG)
+    dGam = np.empty((d,) * 4 + grid.counts)
     for k in range(d):
-        Gam[:, k] = 0.5 * left_mul(Ginv, T[k])
         dGinv = -right_mul(left_mul(Ginv, dG[:, :, k]), Ginv)
         for l in set(range(d)) - {k}:
-            dGam[k, :, l] = 0.5 * (left_mul(dGinv, T[l])
-                                   + left_mul(Ginv, _first_kind(d2G[:, :, k], l)))
+            dGam[k, :, l] = 0.5 * (left_mul(dGinv, first_kind(dG, l))
+                                   + left_mul(Ginv, first_kind(d2G[:, :, k], l)))
     return Gam, dGam
 
 
@@ -140,20 +133,15 @@ def gauss_codazzi_residual(g, S: ShapeField, grid: Grid) -> CompatibilityReport:
 
 
 def _midpoint_values(arr, axis: int) -> np.ndarray:
-    """Cubic 4-point interpolation of node values at interval midpoints.
-
-    Exact for cubic polynomials; one-sided at the first and last interval.
-    """
+    """Cubic 4-point interpolation of node values at interval midpoints: exact
+    for cubics, one-sided at the first and last interval of the axis, which
+    has at least 4 nodes like every grid axis."""
     a = np.moveaxis(np.asarray(arr, dtype=float), axis, 0)
-    n = a.shape[0]
-    mid = np.empty((n - 1,) + a.shape[1:])
-    if n >= 4:
-        mid[1:-1] = (-a[:-3] + 9.0 * a[1:-2] + 9.0 * a[2:-1] - a[3:]) / 16.0
-        c = np.array([0.3125, 0.9375, -0.3125, 0.0625])
-        mid[0] = np.tensordot(c, a[:4], axes=(0, 0))
-        mid[-1] = np.tensordot(c[::-1], a[-4:], axes=(0, 0))
-    else:
-        mid[:] = 0.5 * (a[:-1] + a[1:])
+    mid = np.empty((a.shape[0] - 1,) + a.shape[1:])
+    mid[1:-1] = (-a[:-3] + 9.0 * a[1:-2] + 9.0 * a[2:-1] - a[3:]) / 16.0
+    c = np.array([0.3125, 0.9375, -0.3125, 0.0625])
+    mid[0] = np.tensordot(c, a[:4], axes=(0, 0))
+    mid[-1] = np.tensordot(c[::-1], a[-4:], axes=(0, 0))
     return np.moveaxis(mid, 0, axis)
 
 
@@ -195,9 +183,10 @@ def _sweep_coefficients(g: MetricChart, X, Snode, Smid, axis: int) -> tuple:
     return Gam, II, S[..., :, axis]
 
 
-def _frame_rhs(coef, t: int, F, E, N, axis: int):
+def _frame_rhs(coef, t: int, E, N, axis: int):
     """Right-hand side of the moving-frame system along one axis, with the
-    coefficients at half-step ``t`` of the sweep's table: state work only."""
+    coefficients at half-step ``t`` of the sweep's table: state work only.
+    It does not depend on the position F, so the RK4 stages carry none."""
     Gam, II, Sa = (c[t] for c in coef)
     # the sums over k of E Gam and E S, written out in index order
     GE = E[..., :, 0, None] * Gam[..., None, 0, :]
@@ -218,13 +207,10 @@ def _rk4_march(coef, axis, h, start, stop, F, E, N, out):
     step = 1 if stop > start else -1
     hh = h * step
     for j in range(start, stop, step):
-        k1 = _frame_rhs(coef, 2 * j, F, E, N, axis)
-        F1, E1, N1 = F + 0.5 * hh * k1[0], E + 0.5 * hh * k1[1], N + 0.5 * hh * k1[2]
-        k2 = _frame_rhs(coef, 2 * j + step, F1, E1, N1, axis)
-        F2, E2, N2 = F + 0.5 * hh * k2[0], E + 0.5 * hh * k2[1], N + 0.5 * hh * k2[2]
-        k3 = _frame_rhs(coef, 2 * j + step, F2, E2, N2, axis)
-        F3, E3, N3 = F + hh * k3[0], E + hh * k3[1], N + hh * k3[2]
-        k4 = _frame_rhs(coef, 2 * (j + step), F3, E3, N3, axis)
+        k1 = _frame_rhs(coef, 2 * j, E, N, axis)
+        k2 = _frame_rhs(coef, 2 * j + step, E + 0.5 * hh * k1[1], N + 0.5 * hh * k1[2], axis)
+        k3 = _frame_rhs(coef, 2 * j + step, E + 0.5 * hh * k2[1], N + 0.5 * hh * k2[2], axis)
+        k4 = _frame_rhs(coef, 2 * (j + step), E + hh * k3[1], N + hh * k3[2], axis)
 
         F = F + hh / 6.0 * (k1[0] + 2 * k2[0] + 2 * k3[0] + k4[0])
         E = E + hh / 6.0 * (k1[1] + 2 * k2[1] + 2 * k3[1] + k4[1])

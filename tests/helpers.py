@@ -5,9 +5,9 @@ library's per-sweep march is checked against, the node-major integrand
 forwards and reverse passes that the component-major core is checked
 against, the node-major grid smoother and L-BFGS two-loop recursion that
 the minimizer's component-major smoother and compact L-BFGS direction are
-checked against, and the einsum Gauss-Codazzi residual, curvature and
-fundamental forms that the component-major compatibility path is checked
-against."""
+checked against, and the einsum Gauss-Codazzi residual, batched-matmul
+Christoffel formula, curvature and fundamental forms that the
+component-major compatibility path is checked against."""
 
 from collections import namedtuple
 from typing import Optional
@@ -16,13 +16,13 @@ import numpy as np
 import sympy as sp
 
 from imlab import fields
-from imlab.errors import (AsymmetricShape, RankDeficient, UnsupportedExponent,
-                          UnsupportedTarget)
+from imlab.errors import (AsymmetricShape, RankDeficient, SingularMetric,
+                          UnsupportedExponent, UnsupportedTarget)
 from imlab.fields import (CompatibilityReport, DiscreteImmersion, Grid, ShapeField,
                           quadrature_weights)
 from imlab.geometry import (RANK_RTOL, SIGMA_GUARD, MetricChart, chart_factors,
-                            christoffel, christoffel_from_values, component_major,
-                            node_major, rotation_factors_cm, stiefel_factors_cm)
+                            christoffel, component_major, node_major,
+                            rotation_factors_cm, spd_factors, stiefel_factors_cm)
 from imlab.immersion import covariant_normal_derivative, unit_normal
 from imlab.optimize import SMOOTH_BETA, SMOOTH_POWER
 from imlab.reconstruct import (COMPAT_SAFETY, _default_anchor_frame,
@@ -641,10 +641,20 @@ def two_loop(grad, pairs, smooth):
 
 
 # ---------------------------------------------------------------------------
-# reference compatibility path: the node-major einsum contractions and the
-# LAPACK inverse that the component-major curvature of imlab.geometry and
-# imlab.reconstruct replaced, kept verbatim but for the function names; and
-# the einsum and np.linalg.solve fundamental forms of imlab.immersion
+# reference compatibility path: the node-major einsum contractions, the
+# batched-matmul Christoffel formula and the LAPACK inverse that the
+# component-major curvature of imlab.geometry and imlab.reconstruct replaced,
+# kept verbatim but for the function names; and the einsum and
+# np.linalg.solve fundamental forms of imlab.immersion
+
+
+def christoffel_from_values(G, dG) -> np.ndarray:
+    """Gamma^a_bc from metric values and partials dG[..., k, i, j] = d_k g_ij."""
+    _, _, Gsi = spd_factors(G, SingularMetric)
+    t1 = np.swapaxes(dG, -3, -2)        # [d,b,c] = dG[b,d,c]
+    t2 = np.moveaxis(dG, -3, -1)        # [d,b,c] = dG[c,d,b]
+    term = t1 + t2 - dG                 # contracted with G^{-1} as a matmul
+    return 0.5 * ((Gsi @ Gsi) @ term.reshape(term.shape[:-2] + (-1,))).reshape(term.shape)
 
 
 def _grid_partials(values, grid: Grid) -> np.ndarray:

@@ -3,11 +3,14 @@
 import numpy as np
 import pytest
 import sympy as sp
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import helpers
 from helpers import (lambdify_tensor, random_rotation, symbolic_christoffel,
                      symbolic_riemann_lowered)
 from imlab.errors import NotSPD, RankDeficient, SingularMetric
+from imlab.fields import Grid
 from imlab.geometry import (SPD_RTOL, MetricChart, chart, chart_factors, christoffel,
                             component_major, cross3_cm, cross_columns_cm, dist_rotations,
                             dist_stiefel, node_major, project_stiefel, riemann_curvature,
@@ -26,7 +29,60 @@ def _symbolic_charts():
     }
 
 
+def _linear_factor_chart(d, rng):
+    """g(x) = M(x)^T M(x) + I with M(x) = A + sum_k x_k B_k on the unit box: a
+    non-diagonal SPD metric with partials d_k g = B_k^T M + M^T B_k."""
+    A = np.eye(d) + 0.5 * rng.normal(size=(d, d))
+    B = 0.5 * rng.normal(size=(d, d, d))
+
+    def factor(x):
+        return A + np.tensordot(x, B, axes=(-1, 0))
+
+    def matrix(x):
+        M = factor(x)
+        return np.swapaxes(M, -1, -2) @ M + np.eye(d)
+
+    def deriv(x):
+        M = factor(x)
+        out = np.empty(x.shape[:-1] + (d, d, d))
+        for k in range(d):
+            T = B[k].T @ M
+            out[..., k, :, :] = T + np.swapaxes(T, -1, -2)
+        return out
+
+    return MetricChart(dim=d, domain=[[0.0, 1.0]] * d, matrix=matrix, matrix_deriv=deriv)
+
+
+def _random_table_chart(d, rng):
+    """Multilinear interpolant of a random non-diagonal SPD table A^T A + I
+    on the unit box (finite-difference partials)."""
+    grid = Grid((9,) * d, (1.0,) * d)
+    A = rng.normal(size=grid.counts + (d, d))
+    return MetricChart.from_table(grid, np.swapaxes(A, -1, -2) @ A + np.eye(d))
+
+
 class TestChristoffel:
+    @settings(max_examples=60, deadline=None)
+    @given(seed=st.integers(0, 2 ** 32 - 1), d=st.sampled_from([1, 2]),
+           table=st.booleans(), batch=st.sampled_from([(), (1,), (7,), (3, 5)]))
+    def test_matches_batched_matmul_reference(self, seed, d, table, batch):
+        rng = np.random.default_rng(seed)
+        m = (_random_table_chart if table else _linear_factor_chart)(d, rng)
+        x = rng.uniform(0.0, 1.0, size=batch + (d,))
+        got = christoffel(m, x)
+        want = helpers.christoffel_from_values(m.eval(x), m.eval_deriv(x))
+        assert got.shape == want.shape == batch + (d, d, d)
+        assert np.max(np.abs(got - want)) <= 1e-14 * np.max(np.abs(want))
+
+    @pytest.mark.parametrize("name", ["sphere", "hyperbolic", "polar"])
+    def test_diagonal_charts_equal_reference_bitwise(self, name):
+        rng = np.random.default_rng(17)
+        m = chart(name)
+        x = np.stack([rng.uniform(0.4, 1.4, 200), rng.uniform(-2.0, 2.0, 200)], axis=-1)
+        for pts in (x, x[0], x.reshape(10, 20, 2)):
+            want = helpers.christoffel_from_values(m.eval(pts), m.eval_deriv(pts))
+            assert np.array_equal(christoffel(m, pts), want)
+
     def test_euclidean_is_zero(self):
         m = chart("euclidean", 3)
         G = christoffel(m, [0.3, -1.2, 4.0])
@@ -83,6 +139,26 @@ class TestChristoffel:
             np.diag([1.0, 0.0]), x.shape[:-1] + (2, 2)))
         with pytest.raises(SingularMetric):
             christoffel(m, [0.0, 0.0])
+
+
+class TestFromTable:
+    """The multilinear interpolant on 1-D and 2-D grids; node coordinates are
+    exact binary fractions, so the nodes themselves come back exactly."""
+
+    @pytest.mark.parametrize("d", [1, 2])
+    def test_node_values_exact_and_linear_reproduced(self, d):
+        rng = np.random.default_rng(40 + d)
+        grid = Grid((9,) * d, (1.0,) * d)
+        C, D = rng.normal(size=(d, d)), rng.normal(size=(d, d, d))
+
+        def linear(x):
+            return C + np.tensordot(x, D, axes=(-1, 0))
+
+        m = MetricChart.from_table(grid, linear(grid.nodes()))
+        assert np.array_equal(m.eval(grid.nodes()), linear(grid.nodes()))
+        x = rng.uniform(0.0, 1.0, size=(300, d))
+        want = linear(x)
+        assert np.max(np.abs(m.eval(x) - want)) <= 1e-15 * np.max(np.abs(want))
 
 
 class TestRiemannCurvature:

@@ -7,6 +7,7 @@ import pytest
 
 import helpers
 from helpers import convergence_orders, library_jacobian, random_rotation
+from imlab import fields, immersion
 from imlab.energy import total_energy
 from imlab.errors import RankDeficient
 from imlab.fields import DiscreteImmersion, Grid, ShapeField, lp_norm
@@ -278,6 +279,21 @@ def _form_cases():
 
 
 class TestFormsAgainstReference:
+    def test_shape_operator_differentiates_twice(self, monkeypatch):
+        """One stencil pass on f (normal, connector, Gram matrices share it)
+        and one on the normal."""
+        calls = []
+
+        def counting(values, grid):
+            calls.append(np.shape(values))
+            return fields.jacobian_array(values, grid)
+
+        monkeypatch.setattr(immersion, "jacobian_array", counting)
+        for f in _form_cases():
+            calls.clear()
+            shape_operator(f)
+            assert len(calls) == 2
+
     def test_within_1e12_relative(self):
         for f in _form_cases():
             for got, want in ((pullback_metric(f), helpers.pullback_metric(f)),

@@ -11,7 +11,7 @@ from imlab import reconstruct
 from imlab.errors import (AsymmetricShape, DegenerateCovariance, GridMismatch,
                           IncompatibleForms, NonSPDAnchor, SingularMetric)
 from imlab.fields import DiscreteImmersion, Grid, ShapeField, lp_norm, quadrature_weights
-from imlab.geometry import MetricChart, chart
+from imlab.geometry import MetricChart, chart, christoffel
 from imlab.harness import random_smooth_field
 from imlab.immersion import pullback_metric, shape_operator
 from imlab.presets import get_preset
@@ -134,11 +134,17 @@ class TestComponentMajorResidual:
         assert rep.passed and calls == []
 
     def test_non_spd_tabulated_metric_raises(self):
+        """As a node array and as the chart interpolating it, at chart points
+        and on the grid: the one gate of the Christoffel formula."""
         gv, S, grid = _random_forms((9, 9), (1.0, 1.0), 4)
         gv[4, 4] = np.array([[1.0, 2.0], [2.0, 1.0]])
+        table = MetricChart.from_table(grid, gv)
         with pytest.raises(SingularMetric):
-            gauss_codazzi_residual(gv, ShapeField(grid, np.zeros(grid.counts + (2, 2))),
-                                   grid)
+            christoffel(table, grid.nodes()[3:6, 3:6])
+        for g in (gv, table):
+            with pytest.raises(SingularMetric):
+                gauss_codazzi_residual(g, ShapeField(grid, np.zeros(grid.counts + (2, 2))),
+                                       grid)
 
 
 class TestShapeFieldGrid:
