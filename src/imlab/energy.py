@@ -25,7 +25,7 @@ from __future__ import annotations
 
 from collections import namedtuple
 from dataclasses import dataclass
-from typing import Optional
+from typing import Optional, Sequence
 
 import numpy as np
 
@@ -84,18 +84,23 @@ class Integrands:
     sum((H A g^{-1}) * A).
 
     The forwards take component-major states (d+1, *counts) and return
-    component-major intermediates.
+    component-major intermediates.  With a list of k shape fields, they take
+    a batch of k states (d+1, k, *counts).
     """
 
-    def __init__(self, grid: Grid, g: MetricChart, target: MetricChart,
-                 S: Optional[ShapeField] = None):
+    def __init__(self, grid: Grid, g: MetricChart, target: MetricChart, S=None):
         self.grid = grid
         self.target = target
         # the square roots come out exactly symmetric, so they are their own
         # transposes in the minimizer's adjoints
         _, sdet, _, gsi = chart_factors(g, grid.nodes)
         self.gsi, self.ginv = component_major(gsi, 2), component_major(gsi @ gsi, 2)
-        self.S = None if S is None or not S.values.any() else component_major(S.values, 2)
+        batch = isinstance(S, list)
+        Sv = np.stack([s.values for s in S]) if batch else None if S is None else S.values
+        self.S = None if Sv is None or not Sv.any() else component_major(Sv, 2)
+        if batch:   # per-node factors broadcast over the states' batch axis
+            self.gsi, self.ginv = (F if F.ndim == 2 else F[:, :, None]
+                                   for F in (self.gsi, self.ginv))
         self.wdet = quadrature_weights(grid) * sdet
         if target.is_constant:
             self.H, self.Hs, self.Hsi = target_factors_cm(target, None)
@@ -107,10 +112,15 @@ class Integrands:
             return self.H, self.Hs, self.Hsi
         return target_factors_cm(self.target, node_major(points, 1))
 
+    def _jacobian(self, x):
+        """jacobian_array of a state, (m, d, *counts) or (m, d, k, *counts)."""
+        J = jacobian_array(x, self.grid)
+        return J if x.ndim == self.grid.dim + 1 else np.moveaxis(J, 2, 1)
+
     def _bend_sq(self, H, A):
         """(H A g^{-1}, max(|A|^2_{g,h}, 0)) per node."""
         HAG = left_mul(H, right_mul(A, self.ginv))
-        sq = (HAG * A).reshape((-1,) + self.grid.counts)
+        sq = (HAG * A).reshape((-1,) + A.shape[2:])
         return HAG, np.maximum(np.add.reduce(sq, axis=0), 0.0)
 
     def _with_shape(self, J, K):
@@ -125,7 +135,7 @@ class Integrands:
         deficient (:func:`imlab.immersion.unit_normal`'s rule); with it,
         returns None where sigma_min(Q) < guard.
         """
-        J = jacobian_array(values, self.grid)
+        J = self._jacobian(values)
         H, Hs, Hsi = self._target(values)
         B = left_mul(Hs, J)
         Q = right_mul(B, self.gsi)
@@ -140,33 +150,33 @@ class Integrands:
             return None
         nhat = c / nu
         n = left_mul(Hsi, nhat[:, None])[:, 0]
-        Dn = jacobian_array(n, self.grid)
+        Dn = self._jacobian(n)
         HAG, q2 = self._bend_sq(H, self._with_shape(J, connector(self.target, values, Dn, J, n)))
         return ImmersionNodes(dist2, q2, Q, P, nu, nhat, HAG)
 
-    def derivatives(self, foot, vec):
-        """The Jacobians (Jx, Jv) of a director field's foot and vector."""
-        return jacobian_array(foot, self.grid), jacobian_array(vec, self.grid)
-
-    def director(self, foot, vec, polar=False, guard=None, J=None):
-        """DirectorNodes of the director field (foot, vec); with ``guard``,
-        None where sigma_min(B) < guard.  ``J`` reuses the pair that
-        :meth:`derivatives` returned for this field."""
-        Jx, Jv = self.derivatives(foot, vec) if J is None else J
+    def director_terms(self, foot, vec):
+        """(Jx, K o Dxi, h, h^{1/2}) of the director field (foot, vec), shared
+        by :meth:`director` and :meth:`sasaki_sq`."""
+        Jx, Jv = self._jacobian(foot), self._jacobian(vec)
         H, Hs, _ = self._target(foot)
+        return Jx, connector(self.target, foot, Jv, Jx, vec), H, Hs
+
+    def director(self, foot, vec, polar=False, guard=None, terms=None):
+        """DirectorNodes of the director field (foot, vec); with ``guard``,
+        None where sigma_min(B) < guard.  ``terms`` reuses what
+        :meth:`director_terms` returned for this field."""
+        Jx, K, H, Hs = self.director_terms(foot, vec) if terms is None else terms
         B = left_mul(Hs, np.concatenate([right_mul(Jx, self.gsi), vec[:, None]], axis=1))
         dist2, smin, R = rotation_factors_cm(B, polar)
         if guard is not None and np.min(smin) < guard:
             return None
-        HCG, q2 = self._bend_sq(H, self._with_shape(Jx, connector(self.target, foot, Jv, Jx, vec)))
+        HCG, q2 = self._bend_sq(H, self._with_shape(Jx, K))
         return DirectorNodes(dist2, q2, B, R, HCG)
 
-    def sasaki_sq(self, foot, vec, J=None):
+    def sasaki_sq(self, foot, vec, terms=None):
         """Squared Sasaki norm |Df_x|^2_{g,h} + |K o Dxi|^2_{g,h} per node;
-        ``J`` as in :meth:`director`."""
-        Jx, Jv = self.derivatives(foot, vec) if J is None else J
-        K = connector(self.target, foot, Jv, Jx, vec)
-        H, _, _ = self._target(foot)
+        ``terms`` as in :meth:`director`."""
+        Jx, K, H, _ = self.director_terms(foot, vec) if terms is None else terms
         return self._bend_sq(H, Jx)[1] + self._bend_sq(H, K)[1]
 
     def report(self, nodes, p: float) -> EnergyReport:
@@ -212,20 +222,29 @@ def sasaki_norm_sq(xi: DirectorField, g: MetricChart) -> np.ndarray:
     return Integrands(xi.grid, g, xi.target).sasaki_sq(*_director_cm(xi))
 
 
-def sasaki_bound_margin(xi: DirectorField, g: MetricChart, S: ShapeField) -> np.ndarray:
-    """Margin of the pointwise bound of |Dxi| by the energy integrands.
+def sasaki_bound_margin(xis: Sequence[DirectorField], g: MetricChart,
+                        Ss: Sequence[ShapeField]) -> np.ndarray:
+    """Margins (k, *counts) of the pointwise bound of |Dxi| by the energy
+    integrands of k director fields on one grid and target, each with its
+    shape field, from one batched forward.
 
     Where |Dxi| >= (3 + 2M) sqrt(d+1), with M the sup of the g-operator norm
-    of S, returns (3 + 2M) (dist + |df S + K o Dxi|) - |Dxi|, which must be
-    nonnegative.  Below the threshold the bound does not apply and NaN is
-    returned as an explicit not-applicable sentinel.
+    of S, the margin is (3 + 2M) (dist + |df S + K o Dxi|) - |Dxi|, which
+    must be nonnegative.  Below the threshold the bound does not apply and
+    NaN is returned as an explicit not-applicable sentinel.
     """
-    core = Integrands(xi.grid, g, xi.target, S)
-    foot, vec = _director_cm(xi)
-    J = core.derivatives(foot, vec)
-    lhs = np.sqrt(core.sasaki_sq(foot, vec, J))
-    nodes = core.director(foot, vec, J=J)
-    factor = 3.0 + 2.0 * S.sup_norm(g)
+    grid, target = xis[0].grid, xis[0].target
+    if len(Ss) != len(xis) or any(x.target is not target or not x.grid.same_as(grid) for x in xis):
+        raise ValueError("a margin batch needs one grid, one target and one S per field")
+    core = Integrands(grid, g, target, list(Ss))
+    foot, vec = (component_major(np.stack([getattr(x, a) for x in xis]), 1)
+                 for a in ("foot", "vec"))
+    terms = core.director_terms(foot, vec)
+    lhs = np.sqrt(core.sasaki_sq(foot, vec, terms))
+    nodes = core.director(foot, vec, terms=terms)
+    _, _, gs, gsi = chart_factors(g, grid.nodes)
+    s = np.linalg.svd(gs @ np.stack([S.values for S in Ss]) @ gsi, compute_uv=False)
+    factor = 3.0 + 2.0 * np.max(s[..., 0], axis=tuple(range(1, s.ndim - 1)), keepdims=True)
     rhs = factor * (np.sqrt(nodes.dist2) + np.sqrt(nodes.q2))
-    applicable = lhs >= factor * np.sqrt(xi.grid.dim + 1.0)
+    applicable = lhs >= factor * np.sqrt(grid.dim + 1.0)
     return np.where(applicable, rhs - lhs, np.nan)

@@ -157,15 +157,6 @@ class ShapeField:
             raise ValueError("shape-field values must be finite")
         object.__setattr__(self, "values", v)
 
-    def sup_norm(self, g: Optional[MetricChart] = None) -> float:
-        """Max over nodes of the operator norm (g-weighted when g is given)."""
-        S = self.values
-        if g is not None:
-            _, _, gs, gsi = chart_factors(g, self.grid.nodes)
-            S = gs @ S @ gsi
-        s = np.linalg.svd(S, compute_uv=False)
-        return float(np.max(s[..., 0]))
-
 
 @dataclass(frozen=True)
 class CompatibilityReport:

@@ -205,6 +205,13 @@ def spd_factors(G, err=NotSPD):
     and det G > SPD_RTOL lambda_max^2.  n = 1 is the scalar root, n > 2 eigh.
     """
     G = np.asarray(G, dtype=float)
+    pre = _spd_prelude(G, err)
+    return pre[0], _spd_root(G, pre, False), _spd_root(G, pre, True)
+
+
+def _spd_prelude(G, err):
+    """The gate of :func:`spd_factors` and the scalars both roots share: (s,
+    sqrt(w), V) of eigh for n > 2, (s, a, b, c, 1 / t, 1 / (st)) for n = 2."""
     n, ok = G.shape[-1], np.isfinite(G).all()
     if ok and n > 2:
         w, V = np.linalg.eigh(0.5 * (G + np.swapaxes(G, -1, -2)))
@@ -220,15 +227,24 @@ def spd_factors(G, err=NotSPD):
         raise err("matrix is not positive definite to working precision")
     s = np.sqrt(det)
     if n > 2:
-        r, Vt = np.sqrt(w)[..., None, :], np.swapaxes(V, -1, -2)
-        R, Ri = (V * r) @ Vt, (V / r) @ Vt
-        return s, 0.5 * (R + np.swapaxes(R, -1, -2)), 0.5 * (Ri + np.swapaxes(Ri, -1, -2))
+        return s, np.sqrt(w)[..., None, :], V
     if n == 1:
-        return s, s[..., None, None], 1.0 / s[..., None, None]
-    u = 1.0 / np.sqrt(a + c + 2.0 * s)     # 1 / t, and v = 1 / (s t)
-    v = u / s
-    return (s, np.stack([(a + s) * u, b * u, b * u, (c + s) * u], -1).reshape(G.shape),
-            np.stack([(c + s) * v, -b * v, -b * v, (a + s) * v], -1).reshape(G.shape))
+        return (s,)
+    u = 1.0 / np.sqrt(a + c + 2.0 * s)
+    return s, a, b, c, u, u / s
+
+
+def _spd_root(G, pre, inverse):
+    """G^{1/2}, or G^{-1/2} if ``inverse``, from the :func:`_spd_prelude` of G."""
+    n, s = G.shape[-1], pre[0]
+    if n > 2:
+        R = (pre[2] / pre[1] if inverse else pre[2] * pre[1]) @ np.swapaxes(pre[2], -1, -2)
+        return 0.5 * (R + np.swapaxes(R, -1, -2))
+    if n == 1:
+        return 1.0 / s[..., None, None] if inverse else s[..., None, None]
+    _, a, b, c, u, v = pre    # (adj G + sI) v, or (G + sI) u
+    p, q, m, w = (c, a, -b, v) if inverse else (a, c, b, u)
+    return np.stack([(p + s) * w, m * w, m * w, (q + s) * w], -1).reshape(G.shape)
 
 
 def sqrt_and_inv_sqrt(G):
@@ -271,8 +287,9 @@ def christoffel_from_values(G, dG) -> tuple:
     """(Gamma, G^{-1}) from component-major metric values G (d, d, *nodes) and
     partials dG[i, j, k] = d_k g_ij, the jacobian_array layout: Gamma^a_bc =
     G^{ae} Gamma_ebc (:func:`first_kind`) as an elementwise sum over e, with
-    G^{-1} = (G^{-1/2})^2 past the SingularMetric gate of :func:`spd_factors`."""
-    Gsi = component_major(spd_factors(node_major(G, 2), SingularMetric)[2], 2)
+    G^{-1} = (G^{-1/2})^2, the one root built, past the SingularMetric gate."""
+    Gn = node_major(G, 2)
+    Gsi = component_major(_spd_root(Gn, _spd_prelude(Gn, SingularMetric), True), 2)
     Ginv = left_mul(Gsi, Gsi)
     Gam = np.empty(dG.shape)
     for b in range(G.shape[0]):

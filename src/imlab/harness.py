@@ -4,7 +4,8 @@ Every driver consumes an :class:`ExperimentConfig`, writes its artifacts
 (CSV with 17 significant digits, JSON with sorted keys, optional OBJ/SVG)
 atomically into the output directory, and returns the report dictionary.
 Identical (config, seed) pairs produce byte-identical outputs: all randomness
-flows through the config seed and summation orders are fixed.
+flows through the config seed and summation orders are fixed.  The check
+suite's margin sweep makes one batched margin call per batch of draws.
 """
 
 from __future__ import annotations
@@ -192,16 +193,19 @@ def write_svg_loglog(path, xs, ys, xlabel, ylabel, title) -> None:
 # random smooth fields and corpora (all randomness through explicit seeds)
 
 
-def unit_coordinates(grid: Grid):
-    x = grid.nodes()
-    o = np.asarray(grid.origin)
-    e = np.asarray(grid.extents)
-    return (x - o) / e
+def unit_axes(grid: Grid) -> list:
+    """The node coordinates of each axis mapped to [0, 1]."""
+    return [(x - o) / e for x, o, e in zip(grid.axes(), grid.origin, grid.extents)]
+
+
+def _tensor_mode(amp, sines) -> np.ndarray:
+    """amp times the outer product of the per-axis sines: (amp s_0)[:, None] s_1."""
+    return amp * sines[0] if len(sines) == 1 else (amp * sines[0])[:, None] * sines[1]
 
 
 def random_smooth_field(grid: Grid, ncomp: int, rng, modes: int = 3) -> np.ndarray:
     """Superposition of a few low-frequency tensor modes, O(1) amplitude."""
-    xh = unit_coordinates(grid)
+    xh = unit_axes(grid)
     out = np.zeros(grid.counts + (ncomp,))
     for c in range(ncomp):
         acc = np.zeros(grid.counts)
@@ -209,10 +213,8 @@ def random_smooth_field(grid: Grid, ncomp: int, rng, modes: int = 3) -> np.ndarr
             k = rng.integers(1, 4, size=grid.dim)
             phase = rng.uniform(0.0, 2.0 * np.pi, size=grid.dim)
             amp = rng.normal()
-            term = np.full(grid.counts, amp)
-            for a in range(grid.dim):
-                term = term * np.sin(np.pi * k[a] * xh[..., a] + phase[a])
-            acc += term
+            acc += _tensor_mode(amp, [np.sin(np.pi * k[a] * xh[a] + phase[a])
+                                      for a in range(grid.dim)])
         out[..., c] = acc / modes
     return out
 
@@ -227,7 +229,7 @@ def random_surface_immersion(grid: Grid, rng, amplitude: float = 0.05) -> Discre
 
 def random_curve_immersion(grid: Grid, target, rng) -> DiscreteImmersion:
     """Random full-rank curve staying inside a 2-dimensional target chart."""
-    t = unit_coordinates(grid)[..., 0]
+    t = unit_axes(grid)[0]
     lo, hi = target.domain[:, 0], target.domain[:, 1]
     mid0 = 0.5 * (max(lo[0], 0.3) + min(hi[0], 1.3))
     span0 = min(hi[0], 1.3) - max(lo[0], 0.3)
@@ -253,13 +255,10 @@ def random_director(grid: Grid, target, rng, foot_scale=1.0, vec_scale=1.0) -> D
 
 def wrinkle_profile(grid: Grid, frequencies) -> np.ndarray:
     """Mixed sinusoidal bump, vanishing-free interior oscillation in [0,1]^d coords."""
-    xh = unit_coordinates(grid)
+    xh = unit_axes(grid)
     acc = np.zeros(grid.counts)
     for q in frequencies:
-        term = np.ones(grid.counts)
-        for a in range(grid.dim):
-            term = term * np.sin(np.pi * q * xh[..., a])
-        acc += term
+        acc += _tensor_mode(1.0, [np.sin(np.pi * q * x) for x in xh])
     return acc / max(len(tuple(frequencies)), 1)
 
 
@@ -313,25 +312,24 @@ def run_check(cfg: ExperimentConfig):
     grid2 = Grid((cfg.grid[0], cfg.grid[-1]), (1.0, 1.0))
     grid1 = Grid((max(cfg.grid),), (1.0,))
 
-    # relaxation identity and node-wise distance identity on random surfaces
+    # relaxation identity and node-wise distance identity on random surfaces,
+    # from one pair of forwards each: the frame distances do not depend on S
     relax_viol = 0.0
     dist_viol = 0.0
     for _ in range(cfg.num_random):
         f = random_surface_immersion(grid2, rng)
         Sf = ShapeField(grid2, 0.3 * _sym_field(grid2, rng))
-        xi = normal_director(f)
+        core, imm, dirn, gap = _identity_forwards(f, get_preset("flat").g, Sf)
         for p in (2.0, 3.0):
-            rep = en.total_energy(f, get_preset("flat").g, Sf, p)
-            rel = en.relaxed_total(xi, get_preset("flat").g, Sf, p)
+            rep, rel = core.report(imm, p), core.report(dirn, p)
             relax_viol = max(relax_viol,
                              abs(rep.total - rel.total) / (1.0 + rep.total))
-        dist_viol = max(dist_viol, _distance_identity_violation(f, get_preset("flat").g))
+        dist_viol = max(dist_viol, gap)
     for name in ("sphere", "hyperbolic"):
         tchart = chart(name)
         for _ in range(cfg.num_random):
             fc = random_curve_immersion(grid1, tchart, rng)
-            dist_viol = max(dist_viol,
-                            _distance_identity_violation(fc, chart("euclidean", 1)))
+            dist_viol = max(dist_viol, _identity_forwards(fc, chart("euclidean", 1))[3])
     checks.append(_check_entry("relaxation_identity", relax_viol, 1e-10,
                                2 * cfg.num_random))
     checks.append(_check_entry("distance_identity", dist_viol, 1e-10,
@@ -422,14 +420,15 @@ def _sym_field(grid, rng):
     return 0.5 * (M + np.swapaxes(M, -1, -2))
 
 
-def _distance_identity_violation(f: DiscreteImmersion, g) -> float:
-    """Max node-wise gap between the distance of the frame of f to the
-    orthonormal columns and that of its normal director to the rotations."""
-    core = en.Integrands(f.grid, g, f.target)
+def _identity_forwards(f: DiscreteImmersion, g, S=None):
+    """The Integrands of (f, g, S), its forwards of f and of the normal
+    director of f, and the max node-wise gap between their frame distances
+    (to the orthonormal columns and to the rotations)."""
+    core = en.Integrands(f.grid, g, f.target, S)
     xi = normal_director(f)
-    nodes = core.director(component_major(xi.foot, 1), component_major(xi.vec, 1))
-    return float(np.max(np.abs(np.sqrt(nodes.dist2)
-                               - np.sqrt(core.immersion(component_major(f.values, 1)).dist2))))
+    imm = core.immersion(component_major(f.values, 1))
+    dirn = core.director(component_major(xi.foot, 1), component_major(xi.vec, 1))
+    return core, imm, dirn, float(np.max(np.abs(np.sqrt(dirn.dist2) - np.sqrt(imm.dist2))))
 
 
 def _margin_sweep(cfg, rng, samples_needed: int):
@@ -447,13 +446,17 @@ def _margin_sweep(cfg, rng, samples_needed: int):
         applicable = 0
         draws = 0
         while applicable < samples_needed and draws < 200:
-            draws += 1
-            amp = 10.0 ** rng.uniform(0.7, 2.0)
-            xi = random_director(pgrid, tchart, rng, vec_scale=amp)
-            # amplify footpoint oscillation too (keeps feet in-domain for curves)
-            Sv = rng.uniform(0.0, 2.0) * _sym_field(pgrid, rng)
-            S = ShapeField(pgrid, Sv)
-            m = en.sasaki_bound_margin(xi, gparam, S)
+            # a draw adds at most num_nodes applicable samples, so the loop is
+            # certain to make this many more: one batch, the same draws
+            batch = min(-(-(samples_needed - applicable) // pgrid.num_nodes), 200 - draws)
+            draws += batch
+            xis, Ss = [], []
+            for _ in range(batch):
+                amp = 10.0 ** rng.uniform(0.7, 2.0)
+                xis.append(random_director(pgrid, tchart, rng, vec_scale=amp))
+                # amplify footpoint oscillation too (keeps feet in-domain for curves)
+                Ss.append(ShapeField(pgrid, rng.uniform(0.0, 2.0) * _sym_field(pgrid, rng)))
+            m = en.sasaki_bound_margin(xis, gparam, Ss)
             mask = np.isfinite(m)
             applicable += int(np.sum(mask))
             if np.any(mask):

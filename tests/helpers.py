@@ -5,9 +5,11 @@ library's per-sweep march is checked against, the node-major integrand
 forwards and reverse passes that the component-major core is checked
 against, the node-major grid smoother and L-BFGS two-loop recursion that
 the minimizer's component-major smoother and compact L-BFGS direction are
-checked against, and the einsum Gauss-Codazzi residual, batched-matmul
+checked against, the einsum Gauss-Codazzi residual, batched-matmul
 Christoffel formula, curvature and fundamental forms that the
-component-major compatibility path is checked against."""
+component-major compatibility path is checked against, and the per-field
+bound margin, per-draw margin sweep and tensor-product random fields that
+the check suite's batched margins and separable fields are checked against."""
 
 from collections import namedtuple
 from typing import Optional
@@ -16,15 +18,18 @@ import numpy as np
 import sympy as sp
 
 from imlab import fields
+from imlab.energy import Integrands
 from imlab.errors import (AsymmetricShape, RankDeficient, SingularMetric,
                           UnsupportedExponent, UnsupportedTarget)
 from imlab.fields import (CompatibilityReport, DiscreteImmersion, Grid, ShapeField,
                           quadrature_weights)
-from imlab.geometry import (RANK_RTOL, SIGMA_GUARD, MetricChart, chart_factors,
+from imlab.geometry import (RANK_RTOL, SIGMA_GUARD, MetricChart, chart, chart_factors,
                             christoffel, component_major, node_major,
                             rotation_factors_cm, spd_factors, stiefel_factors_cm)
+from imlab.harness import _sym_field, random_director
 from imlab.immersion import covariant_normal_derivative, unit_normal
 from imlab.optimize import SMOOTH_BETA, SMOOTH_POWER
+from imlab.presets import get_preset
 from imlab.reconstruct import (COMPAT_SAFETY, _default_anchor_frame,
                                _metric_node_values, _midpoint_values, _validate_frame)
 
@@ -764,3 +769,105 @@ def shape_operator(f: DiscreteImmersion) -> ShapeField:
     rhs = np.einsum("...ai,...ab,...bj->...ij", J, H, W)
     S = -np.linalg.solve(G, rhs)
     return ShapeField(f.grid, S)
+
+
+# ---------------------------------------------------------------------------
+# reference check-suite path: the per-field bound margin with the sup norm of
+# ShapeField, the per-draw margin sweep, and the node-wise tensor-product
+# random fields on the meshgrid unit coordinates, that the batched margin and
+# the separable fields of imlab.energy and imlab.harness replaced, kept
+# verbatim but for the function names
+
+
+def sup_norm(S: ShapeField, g: Optional[MetricChart] = None) -> float:
+    """Max over nodes of the operator norm (g-weighted when g is given)."""
+    Sv = S.values
+    if g is not None:
+        _, _, gs, gsi = chart_factors(g, S.grid.nodes)
+        Sv = gs @ Sv @ gsi
+    s = np.linalg.svd(Sv, compute_uv=False)
+    return float(np.max(s[..., 0]))
+
+
+def sasaki_bound_margin(xi, g: MetricChart, S: ShapeField) -> np.ndarray:
+    """Margin of the pointwise bound of |Dxi| by the energy integrands of one
+    field: NaN where |Dxi| < (3 + 2M) sqrt(d+1)."""
+    core = Integrands(xi.grid, g, xi.target, S)
+    foot, vec = component_major(xi.foot, 1), component_major(xi.vec, 1)
+    lhs = np.sqrt(core.sasaki_sq(foot, vec))
+    nodes = core.director(foot, vec)
+    factor = 3.0 + 2.0 * sup_norm(S, g)
+    rhs = factor * (np.sqrt(nodes.dist2) + np.sqrt(nodes.q2))
+    applicable = lhs >= factor * np.sqrt(xi.grid.dim + 1.0)
+    return np.where(applicable, rhs - lhs, np.nan)
+
+
+def margin_sweep_setups():
+    """(name, target chart, grid, parameter metric) of the check suite's sweep."""
+    return [("euclidean3", chart("euclidean", 3),
+             Grid((17, 17), (1.0, 1.0)), get_preset("flat").g),
+            ("sphere", chart("sphere"), Grid((64,), (1.0,)), chart("euclidean", 1)),
+            ("hyperbolic", chart("hyperbolic"), Grid((64,), (1.0,)),
+             chart("euclidean", 1)),
+            ("polar-param", chart("euclidean", 3), Grid((17, 17), (1.0, 1.0), (1.0, 0.0)),
+             chart("polar"))]
+
+
+def margin_sweep(rng, samples_needed: int):
+    """Minimum margin and applicable-sample count across target charts, one
+    draw and one margin call at a time."""
+    margin_min = np.inf
+    total_applicable = 0
+    for _, tchart, pgrid, gparam in margin_sweep_setups():
+        applicable = 0
+        draws = 0
+        while applicable < samples_needed and draws < 200:
+            draws += 1
+            amp = 10.0 ** rng.uniform(0.7, 2.0)
+            xi = random_director(pgrid, tchart, rng, vec_scale=amp)
+            Sv = rng.uniform(0.0, 2.0) * _sym_field(pgrid, rng)
+            S = ShapeField(pgrid, Sv)
+            m = sasaki_bound_margin(xi, gparam, S)
+            mask = np.isfinite(m)
+            applicable += int(np.sum(mask))
+            if np.any(mask):
+                margin_min = min(margin_min, float(np.min(m[mask])))
+        total_applicable += applicable
+    return margin_min, total_applicable
+
+
+def unit_coordinates(grid: Grid):
+    x = grid.nodes()
+    o = np.asarray(grid.origin)
+    e = np.asarray(grid.extents)
+    return (x - o) / e
+
+
+def random_smooth_field(grid: Grid, ncomp: int, rng, modes: int = 3) -> np.ndarray:
+    """Superposition of a few low-frequency tensor modes, O(1) amplitude."""
+    xh = unit_coordinates(grid)
+    out = np.zeros(grid.counts + (ncomp,))
+    for c in range(ncomp):
+        acc = np.zeros(grid.counts)
+        for _ in range(modes):
+            k = rng.integers(1, 4, size=grid.dim)
+            phase = rng.uniform(0.0, 2.0 * np.pi, size=grid.dim)
+            amp = rng.normal()
+            term = np.full(grid.counts, amp)
+            for a in range(grid.dim):
+                term = term * np.sin(np.pi * k[a] * xh[..., a] + phase[a])
+            acc += term
+        out[..., c] = acc / modes
+    return out
+
+
+def wrinkle_profile(grid: Grid, frequencies) -> np.ndarray:
+    """Mixed sinusoidal bump, vanishing-free interior oscillation in [0,1]^d coords."""
+    xh = unit_coordinates(grid)
+    acc = np.zeros(grid.counts)
+    for q in frequencies:
+        term = np.ones(grid.counts)
+        for a in range(grid.dim):
+            term = term * np.sin(np.pi * q * xh[..., a])
+        acc += term
+    return acc / max(len(tuple(frequencies)), 1)

@@ -99,7 +99,7 @@ def test_criterion_03_pointwise_bound_margin():
             amp = 10.0 ** rng.uniform(0.7, 2.0)
             xi = random_director(pgrid, tchart, rng, vec_scale=amp)
             S = ShapeField(pgrid, rng.uniform(0.0, 2.0) * _sym_field(pgrid, rng))
-            m = sasaki_bound_margin(xi, gparam, S)
+            m = sasaki_bound_margin([xi], gparam, [S])
             mask = np.isfinite(m)
             applicable += int(mask.sum())
             if mask.any():

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 from scipy.integrate import solve_ivp
 
+import helpers
 from helpers import library_jacobian, random_rotation
 from imlab import energy as energy_module
 from imlab.energy import (Integrands, parameter_factors, relaxed_total, sasaki_bound_margin,
@@ -307,8 +308,8 @@ class TestBoundMargin:
     def test_below_threshold_not_applicable(self):
         grid = _grid(9)
         xi = normal_director(_plane(grid))
-        m = sasaki_bound_margin(xi, E2, _zero_shape(grid))
-        assert np.all(np.isnan(m))
+        m = sasaki_bound_margin([xi], E2, [_zero_shape(grid)])
+        assert m.shape == (1,) + grid.counts and np.all(np.isnan(m))
 
     def test_scaled_plane_applicable_and_nonnegative(self):
         grid = _grid(9)
@@ -316,7 +317,7 @@ class TestBoundMargin:
         f = _plane(grid, lam)
         vec = np.broadcast_to(np.array([0.0, 0.0, 1.0]), grid.counts + (3,)).copy()
         xi = DirectorField(grid, f.values, vec, E3)
-        m = sasaki_bound_margin(xi, E2, _zero_shape(grid))
+        m = sasaki_bound_margin([xi], E2, [_zero_shape(grid)])[0]
         assert np.all(np.isfinite(m))
         expect = 3.0 * np.sqrt(2.0) * (lam - 1.0) - np.sqrt(2.0) * lam
         assert np.allclose(m, expect, atol=1e-10)
@@ -329,7 +330,7 @@ class TestBoundMargin:
             amp = 10.0 ** rng.uniform(0.8, 2.0)
             xi = random_director(grid, E3, rng, vec_scale=amp)
             S = ShapeField(grid, rng.uniform(0, 2) * _sym_field(grid, rng))
-            m = sasaki_bound_margin(xi, E2, S)
+            m = sasaki_bound_margin([xi], E2, [S])
             mask = np.isfinite(m)
             count += int(mask.sum())
             if mask.any():
@@ -339,30 +340,72 @@ class TestBoundMargin:
 
     @pytest.mark.parametrize("dim, target", [(2, "euclidean"), (1, "sphere")])
     def test_shares_jacobians_and_keeps_bits(self, monkeypatch, dim, target):
-        """Two jacobian_array calls per evaluation (foot and vec, shared by the
-        Sasaki norm and the integrands), and the margins of evaluating the
-        two separately, bit for bit."""
+        """Two jacobian_array calls per batch (foot and vec, shared by the
+        Sasaki norm and the integrands), and the margins of evaluating each
+        field's two separately: bit for bit for a batch of one and for the
+        curves, within 1e-14 for a batch of five 3x3 frames, whose Newton
+        polar iteration runs until every row of the batch has converged."""
         rng = np.random.default_rng(41)
         grid = Grid((13,) * dim, (1.0,) * dim)
         g = chart("euclidean", dim)
-        xi = random_director(grid, chart(target, 3 if target == "euclidean" else None),
-                             rng, vec_scale=30.0)
-        S = ShapeField(grid, rng.normal(size=grid.counts + (dim, dim)))
-        core = Integrands(grid, g, xi.target, S)
-        foot, vec = component_major(xi.foot, 1), component_major(xi.vec, 1)
-        lhs = np.sqrt(core.sasaki_sq(foot, vec))
-        nodes = core.director(foot, vec)
-        factor = 3.0 + 2.0 * S.sup_norm(g)
-        rhs = factor * (np.sqrt(nodes.dist2) + np.sqrt(nodes.q2))
-        expect = np.where(lhs >= factor * np.sqrt(dim + 1.0), rhs - lhs, np.nan)
+        tchart = chart(target, 3 if target == "euclidean" else None)
+        xis = [random_director(grid, tchart, rng, vec_scale=30.0) for _ in range(5)]
+        Ss = [ShapeField(grid, rng.normal(size=grid.counts + (dim, dim))) for _ in range(5)]
+        expect = np.stack([helpers.sasaki_bound_margin(xi, g, S) for xi, S in zip(xis, Ss)])
 
         calls = []
         real = energy_module.jacobian_array
         monkeypatch.setattr(energy_module, "jacobian_array",
                             lambda *a: calls.append(1) or real(*a))
-        m = sasaki_bound_margin(xi, g, S)
-        assert len(calls) == 2
-        assert np.isfinite(m).any() and m.tobytes() == expect.tobytes()
+        for k in (1, 5):
+            m = sasaki_bound_margin(xis[:k], g, Ss[:k])
+            assert len(calls) == 2
+            assert np.isfinite(m).any()
+            if k == 1 or dim == 1:
+                assert m.tobytes() == expect[:k].tobytes()
+            else:
+                assert np.allclose(m, expect, rtol=1e-14, atol=0.0, equal_nan=True)
+            calls.clear()
+
+    @pytest.mark.parametrize("setup", range(4),
+                             ids=[s[0] for s in helpers.margin_sweep_setups()])
+    def test_batch_matches_one_call_per_field(self, setup):
+        """A batch of the check suite's draws against the per-field reference:
+        bit for bit on the curves, whose 2x2 frames have the closed-form
+        rotation; within 1e-14 on the surfaces, where the Newton polar
+        iteration runs until every row of the batch has converged.  The
+        applicability masks are equal, and a batch of one is the reference."""
+        name, tchart, pgrid, gparam = helpers.margin_sweep_setups()[setup]
+        rng = np.random.default_rng(42)
+        xis, Ss = [], []
+        for _ in range(6):
+            xis.append(random_director(pgrid, tchart, rng,
+                                       vec_scale=10.0 ** rng.uniform(0.7, 2.0)))
+            Ss.append(ShapeField(pgrid, rng.uniform(0.0, 2.0) * _sym_field(pgrid, rng)))
+        got = sasaki_bound_margin(xis, gparam, Ss)
+        want = np.stack([helpers.sasaki_bound_margin(xi, gparam, S)
+                         for xi, S in zip(xis, Ss)])
+        mask = np.isfinite(want)
+        assert got.shape == (6,) + pgrid.counts and mask.sum() > 100
+        assert np.array_equal(np.isfinite(got), mask)
+        if pgrid.dim == 1:
+            assert np.array_equal(got, want, equal_nan=True)
+        else:
+            assert np.all(np.abs(got[mask] - want[mask]) <= 1e-14 * np.abs(want[mask]))
+        one = sasaki_bound_margin(xis[:1], gparam, Ss[:1])
+        assert one.tobytes() == want[:1].tobytes()
+
+    def test_batch_needs_one_grid_target_and_shape_per_field(self):
+        grid = _grid(9)
+        xi = normal_director(_plane(grid))
+        other = normal_director(_plane(_grid(11)))
+        with pytest.raises(ValueError):
+            sasaki_bound_margin([xi, other], E2, [_zero_shape(grid)] * 2)
+        with pytest.raises(ValueError):
+            sasaki_bound_margin([xi, xi], E2, [_zero_shape(grid)])
+        moved = DirectorField(grid, xi.foot, xi.vec, chart("euclidean", 3))
+        with pytest.raises(ValueError):
+            sasaki_bound_margin([xi, moved], E2, [_zero_shape(grid)] * 2)
 
 
 class TestInvariances:

@@ -12,8 +12,9 @@ from helpers import (lambdify_tensor, random_rotation, symbolic_christoffel,
 from imlab.errors import NotSPD, RankDeficient, SingularMetric
 from imlab.fields import Grid
 from imlab.geometry import (SPD_RTOL, MetricChart, chart, chart_factors, christoffel,
-                            component_major, cross3_cm, cross_columns_cm, dist_rotations,
-                            dist_stiefel, node_major, project_stiefel, riemann_curvature,
+                            christoffel_from_values, component_major, cross3_cm,
+                            cross_columns_cm, dist_rotations, dist_stiefel, left_mul,
+                            node_major, project_stiefel, riemann_curvature,
                             riemann_from_values,
                             rotation_factors_cm, spd_factors, spd_sqrt_det,
                             sqrt_and_inv_sqrt, stiefel_factors_cm)
@@ -82,6 +83,21 @@ class TestChristoffel:
         for pts in (x, x[0], x.reshape(10, 20, 2)):
             want = helpers.christoffel_from_values(m.eval(pts), m.eval_deriv(pts))
             assert np.array_equal(christoffel(m, pts), want)
+
+    @pytest.mark.parametrize("d", [1, 2, 3])
+    def test_inverse_squares_the_spd_kernel_root(self, d):
+        """christoffel_from_values assembles only G^{-1/2}: the root of
+        spd_factors, bit for bit, past the same SingularMetric gate."""
+        rng = np.random.default_rng(70 + d)
+        A = rng.normal(size=(40, d, d))
+        G = A @ np.swapaxes(A, -1, -2) + 0.1 * np.eye(d)
+        dG = rng.normal(size=(d, d, d, 40))
+        _, Ginv = christoffel_from_values(component_major(G, 2), dG)
+        Gsi = component_major(spd_factors(G)[2], 2)
+        assert np.array_equal(Ginv, left_mul(Gsi, Gsi))
+        G[7] = 0.0
+        with pytest.raises(SingularMetric):
+            christoffel_from_values(component_major(G, 2), dG)
 
     def test_euclidean_is_zero(self):
         m = chart("euclidean", 3)

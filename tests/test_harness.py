@@ -11,6 +11,7 @@ import pytest
 from hypothesis import HealthCheck, assume, given, settings
 from hypothesis import strategies as st
 
+import helpers
 from imlab.cli import main as cli_main
 from imlab.energy import relaxed_total, total_energy
 from imlab.errors import BadConfig
@@ -411,6 +412,36 @@ def test_random_states_on_either_grid_dimension(counts):
     assert np.array_equal(f.values, graph + 0.1 * field) and f.target.dim == m
     xi = harness.random_director(grid, target, rng)
     assert xi.foot.shape == xi.vec.shape == counts + (m,) and xi.target is target
+
+
+@pytest.mark.parametrize("grid", [Grid((13,), (2.5,), (-0.7,)), Grid((9, 12), (0.6, 3.0), (1.0, -2.0)),
+                                  Grid((64,), (1.0,)), Grid((17, 17), (1.0, 1.0), (1.0, 0.0))],
+                         ids=["curve", "surface", "curve64", "polar-box"])
+def test_separable_fields_equal_the_tensor_product_reference(grid):
+    """The per-axis sines and their outer product: the node-wise tensor
+    modes bit for bit, drawing the same numbers from the generator."""
+    for seed in range(5):
+        rng, ref = np.random.default_rng(seed), np.random.default_rng(seed)
+        for ncomp in (1, 3, 4):
+            assert np.array_equal(harness.random_smooth_field(grid, ncomp, rng),
+                                  helpers.random_smooth_field(grid, ncomp, ref))
+        assert rng.bit_generator.state == ref.bit_generator.state
+    for freqs in ((2, 4, 8), (1.5,), (3.0, 7.0)):
+        assert np.array_equal(wrinkle_profile(grid, freqs), helpers.wrinkle_profile(grid, freqs))
+
+
+@pytest.mark.parametrize("seed", range(5))
+def test_batched_margin_sweep_matches_per_draw_loop(seed):
+    """The same draws as one margin call per draw: the same applicable count,
+    the minimum margin within 1e-14, and the generator left where the
+    per-draw loop leaves it."""
+    cfg = ExperimentConfig(experiment="check", grid=(9, 9), seed=seed)
+    rng, ref = np.random.default_rng(seed), np.random.default_rng(seed)
+    margin, applicable = harness._margin_sweep(cfg, rng, samples_needed=2000)
+    want_margin, want_applicable = helpers.margin_sweep(ref, samples_needed=2000)
+    assert applicable == want_applicable >= 4 * 2000
+    assert 0.0 < want_margin and abs(margin - want_margin) <= 1e-14 * want_margin
+    assert rng.random() == ref.random()
 
 
 def test_wrinkle_profile_mixes_frequencies():
