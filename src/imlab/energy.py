@@ -29,9 +29,8 @@ from typing import Optional, Sequence
 
 import numpy as np
 
-from .errors import BadExponent
-from .fields import (DirectorField, DiscreteImmersion, Grid, ShapeField, jacobian_array,
-                     quadrature_weights)
+from .fields import (DirectorField, DiscreteImmersion, Grid, ShapeField, check_exponent,
+                     jacobian_array, quadrature_weights)
 from .geometry import (MetricChart, chart_factors, component_major, cross_columns_cm,
                        left_mul, node_major, right_mul, rotation_factors_cm,
                        stiefel_factors_cm, target_factors_cm)
@@ -53,11 +52,6 @@ class EnergyReport:
         return self.stretch + self.bend
 
 
-def _check_p(p):
-    if p < 1:
-        raise BadExponent("p must be >= 1")
-
-
 def parameter_factors(g: MetricChart, grid: Grid):
     """(g^{-1}, g^{-1/2}) at the grid nodes, single matrices for a constant g."""
     _, _, _, gsi = chart_factors(g, grid.nodes)
@@ -76,12 +70,13 @@ DirectorNodes = namedtuple("DirectorNodes", "dist2 q2 B R HCG")
 class Integrands:
     """The stretching and bending integrands of one (grid, g, target, S) problem.
 
-    g^{-1/2}, g^{-1}, the quadrature weights times sqrt det g and the factors
-    of a constant target are computed once, here; a curved target is factored
-    at the state's points in each forward, which then also adds the connector
-    term Gamma(f) df v.  Without S, or with S = 0, the shape operator is
-    left out.  With H = h, the bending integrand g^{ij} h_ab A^a_i A^b_j is
-    sum((H A g^{-1}) * A).
+    g^{+-1/2} and g^{-1} = (g^{-1/2})^2 (as christoffel_from_values forms
+    it) from one factorization of g, the quadrature weights times sqrt det g
+    and the factors of a constant target are computed once, here; a curved
+    target is factored at the state's points in each forward, which then also
+    adds the connector term Gamma(f) df v.  Without S, or with S = 0, the
+    shape operator is left out.  With H = h, the bending integrand
+    g^{ij} h_ab A^a_i A^b_j is sum((H A g^{-1}) * A).
 
     The forwards take component-major states (d+1, *counts) and return
     component-major intermediates.  With a list of k shape fields, they take
@@ -93,14 +88,15 @@ class Integrands:
         self.target = target
         # the square roots come out exactly symmetric, so they are their own
         # transposes in the minimizer's adjoints
-        _, sdet, _, gsi = chart_factors(g, grid.nodes)
-        self.gsi, self.ginv = component_major(gsi, 2), component_major(gsi @ gsi, 2)
+        _, sdet, gs, gsi = chart_factors(g, grid.nodes)
+        self.gs, self.gsi = component_major(gs, 2), component_major(gsi, 2)
+        self.ginv = left_mul(self.gsi, self.gsi)
         batch = isinstance(S, list)
         Sv = np.stack([s.values for s in S]) if batch else None if S is None else S.values
         self.S = None if Sv is None or not Sv.any() else component_major(Sv, 2)
         if batch:   # per-node factors broadcast over the states' batch axis
-            self.gsi, self.ginv = (F if F.ndim == 2 else F[:, :, None]
-                                   for F in (self.gsi, self.ginv))
+            self.gs, self.gsi, self.ginv = (F if F.ndim == 2 else F[:, :, None]
+                                            for F in (self.gs, self.gsi, self.ginv))
         self.wdet = quadrature_weights(grid) * sdet
         if target.is_constant:
             self.H, self.Hs, self.Hsi = target_factors_cm(target, None)
@@ -191,7 +187,7 @@ def total_energy(f: DiscreteImmersion, g: MetricChart, S: Optional[ShapeField],
                  p: float) -> EnergyReport:
     """Integrals of dist^p(Q, orthonormal columns) and |grad n + df S|^p_{g,h}
     against dVol_g, each with its per-node density; S = None drops df S."""
-    _check_p(p)
+    check_exponent(p)
     core = Integrands(f.grid, g, f.target, S)
     return core.report(core.immersion(component_major(f.values, 1)), p)
 
@@ -210,7 +206,7 @@ def relaxed_total(xi: DirectorField, g: MetricChart, S: Optional[ShapeField],
     """Integrals of the p-th powers of the distance of the extended frame
     [df_x | v] to the rotations of the product metric and of
     |df_x S + K o Dxi|_{g,h}, against dVol_g, as :func:`total_energy`."""
-    _check_p(p)
+    check_exponent(p)
     core = Integrands(xi.grid, g, xi.target, S)
     return core.report(core.director(*_director_cm(xi)), p)
 
@@ -234,7 +230,7 @@ def sasaki_bound_margin(xis: Sequence[DirectorField], g: MetricChart,
     NaN is returned as an explicit not-applicable sentinel.
     """
     grid, target = xis[0].grid, xis[0].target
-    if len(Ss) != len(xis) or any(x.target is not target or not x.grid.same_as(grid) for x in xis):
+    if len(Ss) != len(xis) or any(x.target is not target or x.grid != grid for x in xis):
         raise ValueError("a margin batch needs one grid, one target and one S per field")
     core = Integrands(grid, g, target, list(Ss))
     foot, vec = (component_major(np.stack([getattr(x, a) for x in xis]), 1)
@@ -242,7 +238,7 @@ def sasaki_bound_margin(xis: Sequence[DirectorField], g: MetricChart,
     terms = core.director_terms(foot, vec)
     lhs = np.sqrt(core.sasaki_sq(foot, vec, terms))
     nodes = core.director(foot, vec, terms=terms)
-    _, _, gs, gsi = chart_factors(g, grid.nodes)
+    gs, gsi = (np.ascontiguousarray(node_major(F, 2)) for F in (core.gs, core.gsi))
     s = np.linalg.svd(gs @ np.stack([S.values for S in Ss]) @ gsi, compute_uv=False)
     factor = 3.0 + 2.0 * np.max(s[..., 0], axis=tuple(range(1, s.ndim - 1)), keepdims=True)
     rhs = factor * (np.sqrt(nodes.dist2) + np.sqrt(nodes.q2))

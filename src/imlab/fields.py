@@ -85,10 +85,6 @@ class Grid:
         mesh = np.meshgrid(*self.axes(), indexing="ij")
         return np.stack(mesh, axis=-1)
 
-    def same_as(self, other) -> bool:
-        return (self.counts == other.counts and self.extents == other.extents
-                and self.origin == other.origin)
-
 
 def _check_in_domain(values, target: MetricChart, what: str):
     lo = target.domain[:, 0] - 1e-12
@@ -305,10 +301,15 @@ def integrate_density(density, grid: Grid, g: Optional[MetricChart] = None) -> f
     return float(np.sum(quadrature_weights(grid) * density * sdet))
 
 
-def lp_norm(values, p: float, g: Optional[MetricChart], grid: Grid) -> float:
-    """(integral of |values|^p dVol_g)^(1/p) with trapezoidal weights."""
+def check_exponent(p) -> None:
+    """Raise BadExponent unless the integrability exponent p is >= 1."""
     if p < 1:
         raise BadExponent("p must be >= 1")
+
+
+def lp_norm(values, p: float, g: Optional[MetricChart], grid: Grid) -> float:
+    """(integral of |values|^p dVol_g)^(1/p) with trapezoidal weights."""
+    check_exponent(p)
     values = np.asarray(values, dtype=float)
     return integrate_density(np.abs(values) ** p, grid, g) ** (1.0 / p)
 
@@ -320,9 +321,8 @@ def w1p_distance(f: DiscreteImmersion, f0: DiscreteImmersion, p: float,
     (||f - f0||_p^p + ||Df - Df0||_p^p)^(1/p), with pointwise Euclidean /
     Frobenius norms and quadrature against dVol_g.
     """
-    if p < 1:
-        raise BadExponent("p must be >= 1")
-    if not f.grid.same_as(f0.grid):
+    check_exponent(p)
+    if f.grid != f0.grid:
         raise GridMismatch("fields live on different grids")
     if not (f.target.is_constant and f0.target.is_constant):
         raise UnsupportedTarget("W^{1,p} distance needs a Euclidean target")

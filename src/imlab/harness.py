@@ -21,13 +21,14 @@ import numpy as np
 from . import energy as en
 from .errors import (AsymmetricShape, BadConfig, IncompatibleForms, is_finite,
                      is_int, require)
-# jacobian_array is unused here but stays bound: perfbench/spans.py traces
-# the stencil calls through every imlab module's binding
+# no call here goes through jacobian_array; the binding stays because
+# perfbench/test_perfbench.py::_bindings asserts that imlab.harness.jacobian_array
+# exists and that the tracer wraps it
 from .fields import (DirectorField, DiscreteImmersion, Grid, ShapeField,  # noqa: F401
                      atomic_write, fd_jacobian, fmt17, jacobian_array, load_node_csv,
                      save_binary, save_node_csv, w1p_distance, write_csv)
 from .geometry import (CHART_NAMES, MetricChart, chart, christoffel, component_major,
-                       dist_stiefel)
+                       dist_stiefel, project_stiefel)
 from .immersion import normal_director, pullback_metric, shape_operator, unit_normal
 from .optimize import OptimizeConfig, _Evaluator, energy_gradient, minimize, pack_state
 from .presets import PRESETS, _const_shape, _flat_reference, get_preset
@@ -37,6 +38,13 @@ CONFIG_VERSION = 1
 EXPERIMENTS = ("energy", "check", "reconstruct", "minimize",
                "stability-sweep", "ratio-study")
 RATIO_GUARD = 1e-12
+# tensor modes per component of a random smooth field
+SMOOTH_MODES = 3
+# random states per kind in the check suite's gradient check
+GRADIENT_STATES = 3
+# Ridders' step ratio and most columns (orders) of its tableau
+RIDDERS_SHRINK = 1.4
+RIDDERS_COLUMNS = 10
 
 
 @dataclass(frozen=True)
@@ -203,19 +211,19 @@ def _tensor_mode(amp, sines) -> np.ndarray:
     return amp * sines[0] if len(sines) == 1 else (amp * sines[0])[:, None] * sines[1]
 
 
-def random_smooth_field(grid: Grid, ncomp: int, rng, modes: int = 3) -> np.ndarray:
+def random_smooth_field(grid: Grid, ncomp: int, rng) -> np.ndarray:
     """Superposition of a few low-frequency tensor modes, O(1) amplitude."""
     xh = unit_axes(grid)
     out = np.zeros(grid.counts + (ncomp,))
     for c in range(ncomp):
         acc = np.zeros(grid.counts)
-        for _ in range(modes):
+        for _ in range(SMOOTH_MODES):
             k = rng.integers(1, 4, size=grid.dim)
             phase = rng.uniform(0.0, 2.0 * np.pi, size=grid.dim)
             amp = rng.normal()
             acc += _tensor_mode(amp, [np.sin(np.pi * k[a] * xh[a] + phase[a])
                                       for a in range(grid.dim)])
-        out[..., c] = acc / modes
+        out[..., c] = acc / SMOOTH_MODES
     return out
 
 
@@ -399,7 +407,6 @@ def run_check(cfg: ExperimentConfig):
 
     # SVD projection consistency
     proj_viol = 0.0
-    from .geometry import project_stiefel
     for _ in range(cfg.num_random):
         Q = rng.normal(size=(3, 2))
         proj_viol = max(proj_viol,
@@ -465,20 +472,20 @@ def _margin_sweep(cfg, rng, samples_needed: int):
     return margin_min, total_applicable
 
 
-def _gradient_fd_violation(rng, p: float, coords: int, seeds: int = 3):
+def _gradient_fd_violation(rng, p: float, coords: int):
     """Max relative mismatch between analytic and finite-difference gradients,
     and the number of coordinates compared."""
     worst = 0.0
     flat = get_preset("flat")
     grid = Grid((9, 9), (1.0, 1.0))
-    for _ in range(seeds):
+    for _ in range(GRADIENT_STATES):
         f = random_surface_immersion(grid, rng, amplitude=0.08)
         S = ShapeField(grid, 0.4 * _sym_field(grid, rng))
         worst = max(worst, _fd_vs_analytic(f, flat.g, S, p, rng, coords))
         xi = random_director(grid, chart("euclidean", 3), rng,
                              vec_scale=1.0)
         worst = max(worst, _fd_vs_analytic(xi, flat.g, S, p, rng, coords))
-    return worst, 2 * seeds * coords   # every state has 243 coordinates or more
+    return worst, 2 * GRADIENT_STATES * coords   # every state has 243 coordinates or more
 
 
 def _fd_vs_analytic(state, g, S, p, rng, coords: int) -> float:
@@ -499,23 +506,23 @@ def _fd_vs_analytic(state, g, S, p, rng, coords: int) -> float:
     return worst
 
 
-def _ridders(fn, h, target, shrink=1.4, columns=10):
+def _ridders(fn, h, target):
     """d fn / dt at t = 0 by Ridders' extrapolation of central differences
-    with steps h, h / shrink, ... (Numerical Recipes, 3rd ed., Sec. 5.7,
+    with steps h, h / RIDDERS_SHRINK, ... (Numerical Recipes, 3rd ed., Sec. 5.7,
     dfridr).  Stops as soon as the error estimate stops improving, reaches
     ``target``, or the highest order moves by more than twice it."""
     prev, best, err = [], 0.0, np.inf
-    for _ in range(columns):
+    for _ in range(RIDDERS_COLUMNS):
         row, last = [(fn(h) - fn(-h)) / (2.0 * h)], err
         for j, q in enumerate(prev):
-            fac = shrink ** (2 * j + 2)
+            fac = RIDDERS_SHRINK ** (2 * j + 2)
             row.append((fac * row[j] - q) / (fac - 1.0))
             e = max(abs(row[-1] - row[-2]), abs(row[-1] - q))
             if e <= err:
                 best, err = row[-1], e
         if prev and (err >= last or err <= target or abs(row[-1] - prev[-1]) >= 2 * err):
             break
-        prev, h = row, h / shrink
+        prev, h = row, h / RIDDERS_SHRINK
     return best
 
 

@@ -62,8 +62,7 @@ def _gram(J, H, *W) -> list:
 
 def pullback_metric(f: DiscreteImmersion) -> np.ndarray:
     """First fundamental form (f*h)_ij at the nodes, shape (*counts, d, d)."""
-    H = (f.target.constant if f.target.is_constant
-         else component_major(f.target.eval(f.values), 2))
+    H = target_factors_cm(f.target, f.values)[0]
     G, = _gram(jacobian_array(component_major(f.values, 1), f.grid), H)
     return np.ascontiguousarray(node_major(0.5 * (G + np.swapaxes(G, 0, 1)), 2))
 

@@ -37,8 +37,9 @@ import numpy as np
 from .energy import Integrands
 from .errors import (BadConfig, RankDeficient, UnsupportedExponent, UnsupportedTarget,
                      is_finite, is_int, require)
-# jacobian_array is unused here but stays bound: perfbench/spans.py traces
-# the stencil calls through every imlab module's binding
+# no call here goes through jacobian_array; the binding stays because
+# perfbench/test_perfbench.py::_bindings asserts that imlab.optimize.jacobian_array
+# exists and that the tracer wraps it
 from .fields import (DirectorField, DiscreteImmersion, jacobian_adjoint,  # noqa: F401
                      jacobian_array, write_csv)
 from .geometry import (SIGMA_GUARD, MetricChart, component_major, cross3_cm, left_mul,

@@ -90,7 +90,7 @@ def gauss_codazzi_residual(g, S: ShapeField, grid: Grid) -> CompatibilityReport:
     R_ijkl and i < j of the Codazzi tensor; the other entries are exact
     negations or zeros, so the maxima over all entries are the same.
     """
-    if not S.grid.same_as(grid):
+    if S.grid != grid:
         raise GridMismatch("shape field and metric live on different grids")
     gv = _metric_node_values(g, grid)
     II = gv @ S.values
@@ -313,7 +313,7 @@ def align_rigid(f: DiscreteImmersion, f0: DiscreteImmersion):
     rotations via the SVD of the cross-covariance.  Returns (R, b, aligned f0)
     with aligned values R f0 + b.
     """
-    if not f.grid.same_as(f0.grid):
+    if f.grid != f0.grid:
         raise GridMismatch("alignment requires a common grid")
     w = quadrature_weights(f.grid).reshape(-1)
     A = f.values.reshape(-1, f.values.shape[-1])

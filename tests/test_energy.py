@@ -11,9 +11,10 @@ from imlab.energy import (Integrands, parameter_factors, relaxed_total, sasaki_b
                           sasaki_norm_sq, total_energy)
 from imlab.errors import BadExponent
 from imlab.fields import (DirectorField, DiscreteImmersion, Grid, ShapeField,
-                          integrate_density)
-from imlab.geometry import (chart, chart_factors, christoffel, component_major,
-                            dist_rotations, dist_stiefel, node_major)
+                          integrate_density, jacobian_array)
+from imlab.geometry import (MetricChart, chart, chart_factors, christoffel,
+                            christoffel_from_values, component_major, dist_rotations,
+                            dist_stiefel, node_major)
 from imlab.harness import (_sym_field, random_curve_immersion, random_director,
                            random_smooth_field, random_surface_immersion)
 from imlab.immersion import covariant_normal_derivative, normal_director, unit_normal
@@ -395,6 +396,23 @@ class TestBoundMargin:
         one = sasaki_bound_margin(xis[:1], gparam, Ss[:1])
         assert one.tobytes() == want[:1].tobytes()
 
+    def test_factors_g_once(self, monkeypatch):
+        """The g^{+-1/2} that conjugate S come from the Integrands the call
+        builds: one chart_factors call on g per batch."""
+        rng = np.random.default_rng(43)
+        grid = Grid((9, 9), (1.0, 1.0), (1.0, 0.0))
+        g = chart("polar")
+        xis = [random_director(grid, E3, rng, vec_scale=30.0) for _ in range(3)]
+        Ss = [ShapeField(grid, _sym_field(grid, rng)) for _ in range(3)]
+        want = np.stack([helpers.sasaki_bound_margin(xi, g, S) for xi, S in zip(xis, Ss)])
+        calls = []
+        real = energy_module.chart_factors
+        monkeypatch.setattr(energy_module, "chart_factors",
+                            lambda m, *a: calls.append(m) or real(m, *a))
+        got = sasaki_bound_margin(xis, g, Ss)
+        assert sum(m is g for m in calls) == 1
+        assert np.array_equal(np.isfinite(got), np.isfinite(want))
+
     def test_batch_needs_one_grid_target_and_shape_per_field(self):
         grid = _grid(9)
         xi = normal_director(_plane(grid))
@@ -406,6 +424,19 @@ class TestBoundMargin:
         moved = DirectorField(grid, xi.foot, xi.vec, chart("euclidean", 3))
         with pytest.raises(ValueError):
             sasaki_bound_margin([xi, moved], E2, [_zero_shape(grid)] * 2)
+
+
+def test_integrand_inverse_metric_is_the_christoffel_one():
+    """Integrands forms g^{-1} as christoffel_from_values does, bit for bit,
+    on a tabulated non-diagonal metric whose interpolated values vary in the
+    last bits from node to node."""
+    grid = _grid(33)
+    A = np.eye(2) + 0.2 * np.random.default_rng(3).normal(size=(2, 2))
+    g = MetricChart.from_table(grid, np.broadcast_to(A.T @ A, grid.counts + (2, 2)))
+    G = component_major(g.eval(grid.nodes()), 2)
+    _, Ginv = christoffel_from_values(G, jacobian_array(G, grid))
+    ginv = Integrands(grid, g, E3).ginv
+    assert ginv.shape == Ginv.shape and ginv.tobytes() == Ginv.tobytes()
 
 
 class TestInvariances:
