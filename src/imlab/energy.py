@@ -78,9 +78,11 @@ class Integrands:
     shape operator is left out.  With H = h, the bending integrand
     g^{ij} h_ab A^a_i A^b_j is sum((H A g^{-1}) * A).
 
-    The forwards take component-major states (d+1, *counts) and return
-    component-major intermediates.  With a list of k shape fields, they take
-    a batch of k states (d+1, k, *counts).
+    The forwards take component-major states (d+1, *counts), or a batch of k
+    states (d+1, k, *counts), and return component-major intermediates; a
+    batch is read from the state's shape, and the per-node factors of g and
+    S broadcast over its axis.  With a list of k shape fields, S is a batch
+    itself, one field per state.
     """
 
     def __init__(self, grid: Grid, g: MetricChart, target: MetricChart, S=None):
@@ -91,12 +93,9 @@ class Integrands:
         _, sdet, gs, gsi = chart_factors(g, grid.nodes)
         self.gs, self.gsi = component_major(gs, 2), component_major(gsi, 2)
         self.ginv = left_mul(self.gsi, self.gsi)
-        batch = isinstance(S, list)
-        Sv = np.stack([s.values for s in S]) if batch else None if S is None else S.values
+        Sv = (np.stack([s.values for s in S]) if isinstance(S, list)
+              else None if S is None else S.values)
         self.S = None if Sv is None or not Sv.any() else component_major(Sv, 2)
-        if batch:   # per-node factors broadcast over the states' batch axis
-            self.gs, self.gsi, self.ginv = (F if F.ndim == 2 else F[:, :, None]
-                                            for F in (self.gs, self.gsi, self.ginv))
         self.wdet = quadrature_weights(grid) * sdet
         if target.is_constant:
             self.H, self.Hs, self.Hsi = target_factors_cm(target, None)
@@ -181,6 +180,13 @@ class Integrands:
         return EnergyReport(p=p, stretch=float(np.sum(self.wdet * sd)),
                             bend=float(np.sum(self.wdet * bd)),
                             stretch_density=sd, bend_density=bd)
+
+    def totals(self, nodes, p: float) -> np.ndarray:
+        """The total energies (k,) of a batch of k states, each summed as
+        :meth:`report` sums one state's."""
+        axes = tuple(range(1, nodes.dist2.ndim))
+        return (np.sum(self.wdet * nodes.dist2 ** (p / 2.0), axis=axes)
+                + np.sum(self.wdet * nodes.q2 ** (p / 2.0), axis=axes))
 
 
 def total_energy(f: DiscreteImmersion, g: MetricChart, S: Optional[ShapeField],

@@ -369,10 +369,13 @@ def left_mul(M, u):
 def right_mul(u, M):
     """u M per node for component-major u (m, k, ...): M is one (k, j)
     matrix, applied as a single stacked product, or component-major
-    (k, j, ...)."""
+    (k, j, ...), whose node axes meet the trailing node axes of u, so one
+    per-node M serves a batch of states (m, k, batch, *counts)."""
     if M.ndim == 2:
         out = np.matmul(M.T, u.reshape(u.shape[0], M.shape[0], -1))
         return out.reshape(u.shape[:1] + M.shape[1:] + u.shape[2:])
+    if M.ndim < u.ndim:
+        M = M.reshape(M.shape[:2] + (1,) * (u.ndim - M.ndim) + M.shape[2:])
     out = u[:, 0, None] * M[None, 0]
     for i in range(1, M.shape[0]):
         out = out + u[:, i, None] * M[None, i]

@@ -5,7 +5,9 @@ Every driver consumes an :class:`ExperimentConfig`, writes its artifacts
 atomically into the output directory, and returns the report dictionary.
 Identical (config, seed) pairs produce byte-identical outputs: all randomness
 flows through the config seed and summation orders are fixed.  The check
-suite's margin sweep makes one batched margin call per batch of draws.
+suite's margin sweep makes one batched margin call per batch of draws, and
+its gradient check one batched energy call per column of its Ridders
+tableaus.
 """
 
 from __future__ import annotations
@@ -212,19 +214,24 @@ def _tensor_mode(amp, sines) -> np.ndarray:
 
 
 def random_smooth_field(grid: Grid, ncomp: int, rng) -> np.ndarray:
-    """Superposition of a few low-frequency tensor modes, O(1) amplitude."""
-    xh = unit_axes(grid)
-    out = np.zeros(grid.counts + (ncomp,))
-    for c in range(ncomp):
-        acc = np.zeros(grid.counts)
-        for _ in range(SMOOTH_MODES):
-            k = rng.integers(1, 4, size=grid.dim)
-            phase = rng.uniform(0.0, 2.0 * np.pi, size=grid.dim)
-            amp = rng.normal()
-            acc += _tensor_mode(amp, [np.sin(np.pi * k[a] * xh[a] + phase[a])
-                                      for a in range(grid.dim)])
-        out[..., c] = acc / SMOOTH_MODES
-    return out
+    """Superposition of a few low-frequency tensor modes, O(1) amplitude.
+
+    Each mode draws (k, phase, amp) from rng, component by component; then
+    all modes are evaluated as whole arrays, the mode axes trailing the node
+    axes, and summed in index order."""
+    shape = (ncomp, SMOOTH_MODES)
+    k, phase = np.empty(shape + (grid.dim,), int), np.empty(shape + (grid.dim,))
+    amp = np.empty(shape)
+    for c, m in np.ndindex(shape):
+        k[c, m] = rng.integers(1, 4, size=grid.dim)
+        phase[c, m] = rng.uniform(0.0, 2.0 * np.pi, size=grid.dim)
+        amp[c, m] = rng.normal()
+    modes = _tensor_mode(amp, [np.sin(np.pi * k[..., a] * x[:, None, None] + phase[..., a])
+                               for a, x in enumerate(unit_axes(grid))])
+    acc = np.zeros(grid.counts + (ncomp,))
+    for m in range(SMOOTH_MODES):
+        acc += modes[..., m]
+    return acc / SMOOTH_MODES
 
 
 def random_surface_immersion(grid: Grid, rng, amplitude: float = 0.05) -> DiscreteImmersion:
@@ -494,36 +501,63 @@ def _fd_vs_analytic(state, g, S, p, rng, coords: int) -> float:
     ev, x = _Evaluator(state, g, S, p), pack_state(state)
     grad = ev.gradient(x)
     floor = max(1e-6 * float(np.max(np.abs(grad))), 1e-12)
-    worst = 0.0
     idx = rng.choice(x.size, size=min(coords, x.size), replace=False)
-    for i in idx:
-        e = np.zeros_like(x)
-        e[i] = 1.0
-        # an error estimate of 1 % of the 1e-5 tolerance is accurate enough
-        fd = _ridders(lambda t: ev.energy(x + t * e)[0],
-                      1e-4 * max(1.0, abs(x[i])), 1e-7 * max(abs(grad[i]), floor))
-        worst = max(worst, abs(grad[i] - fd) / max(abs(fd), abs(grad[i]), floor))
-    return worst
+    gi = grad[idx]
+    # an error estimate of 1 % of the 1e-5 tolerance is accurate enough
+    fd = _ridders(ev.energies, x, idx, 1e-4 * np.maximum(1.0, np.abs(x[idx])),
+                  1e-7 * np.maximum(np.abs(gi), floor))
+    scale = np.maximum(np.maximum(np.abs(fd), np.abs(gi)), floor)
+    return float(np.max(np.abs(gi - fd) / scale))
 
 
-def _ridders(fn, h, target):
-    """d fn / dt at t = 0 by Ridders' extrapolation of central differences
-    with steps h, h / RIDDERS_SHRINK, ... (Numerical Recipes, 3rd ed., Sec. 5.7,
-    dfridr).  Stops as soon as the error estimate stops improving, reaches
-    ``target``, or the highest order moves by more than twice it."""
-    prev, best, err = [], 0.0, np.inf
-    for _ in range(RIDDERS_COLUMNS):
-        row, last = [(fn(h) - fn(-h)) / (2.0 * h)], err
-        for j, q in enumerate(prev):
+class _Tableau:
+    """One coordinate's Ridders tableau (Numerical Recipes, 3rd ed., Sec. 5.7,
+    dfridr): central differences with steps h, h / RIDDERS_SHRINK, ...,
+    extrapolated column by column.  ``best`` is the estimate with the
+    smallest error estimate so far."""
+
+    def __init__(self, h, target):
+        self.h, self.target = h, target
+        self.prev, self.best, self.err = [], 0.0, np.inf
+
+    def add(self, central) -> bool:
+        """Add the column of the central difference at step ``h``; False once
+        the error estimate stops improving, reaches ``target``, or the
+        highest order moves by more than twice it."""
+        row, last = [central], self.err
+        for j, q in enumerate(self.prev):
             fac = RIDDERS_SHRINK ** (2 * j + 2)
             row.append((fac * row[j] - q) / (fac - 1.0))
             e = max(abs(row[-1] - row[-2]), abs(row[-1] - q))
-            if e <= err:
-                best, err = row[-1], e
-        if prev and (err >= last or err <= target or abs(row[-1] - prev[-1]) >= 2 * err):
+            if e <= self.err:
+                self.best, self.err = row[-1], e
+        if self.prev and (self.err >= last or self.err <= self.target
+                          or abs(row[-1] - self.prev[-1]) >= 2 * self.err):
+            return False
+        self.prev, self.h = row, self.h / RIDDERS_SHRINK
+        return True
+
+
+def _ridders(energies, x, idx, h, target) -> np.ndarray:
+    """dE/dx_i at x for each coordinate i of ``idx`` by Ridders' extrapolation
+    (:class:`_Tableau`), from first steps ``h`` to error estimates ``target``.
+
+    The tableaus run in lockstep, at most RIDDERS_COLUMNS columns: each
+    column evaluates E(x + h_i e_i) and E(x - h_i e_i) of every coordinate
+    still running with one call of ``energies`` on the (2 k, n) stack of
+    those states, so each coordinate evaluates the points it would alone."""
+    tableaus = [_Tableau(hi, ti) for hi, ti in zip(h, target)]
+    live = list(range(len(tableaus)))
+    for _ in range(RIDDERS_COLUMNS):
+        steps = np.array([tableaus[j].h for j in live])
+        X = np.repeat(x[None], 2 * len(live), axis=0)
+        X[np.arange(X.shape[0]), np.repeat(idx[live], 2)] += np.stack([steps, -steps], 1).ravel()
+        E = energies(X)
+        live = [j for j, ep, em in zip(live, E[0::2], E[1::2])
+                if tableaus[j].add((ep - em) / (2.0 * tableaus[j].h))]
+        if not live:
             break
-        prev, h = row, h / RIDDERS_SHRINK
-    return best
+    return np.array([t.best for t in tableaus])
 
 
 # ---------------------------------------------------------------------------

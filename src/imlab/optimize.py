@@ -178,8 +178,12 @@ class _Evaluator:
         return jacobian_adjoint(Jbar, self.grid)
 
     def _forward(self, x, polar):
+        """The guarded forward of a state vector, or of a (k, n) stack of
+        them as one batch of component-major (d+1, k, *counts) arrays."""
+        arrays = x.reshape(self.shape) if x.ndim == 1 else np.ascontiguousarray(
+            np.moveaxis(x.reshape((len(x),) + self.shape), 0, 2))
         forward = self.core.immersion if self.is_immersion else self.core.director
-        return forward(*x.reshape(self.shape), polar, SIGMA_GUARD)
+        return forward(*arrays, polar, SIGMA_GUARD)
 
     def _immersion_gradient(self, fwd):
         core = self.core
@@ -206,6 +210,15 @@ class _Evaluator:
             return np.inf, np.inf, np.inf
         rep = self.core.report(fwd, self.p)
         return rep.total, rep.stretch, rep.bend
+
+    def energies(self, X: np.ndarray) -> np.ndarray:
+        """The total energies (k,) of a (k, n) stack of state vectors, from
+        one batched forward.  A batch with a state below the gradient guard
+        is evaluated state by state, so that state alone reads +inf."""
+        fwd = self._forward(X, polar=False)
+        if fwd is None:
+            return np.array([self.energy(x)[0] for x in X])
+        return self.core.totals(fwd, self.p)
 
     def gradient(self, x: np.ndarray) -> np.ndarray:
         """The gradient, laid out like the state vector."""

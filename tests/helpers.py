@@ -8,8 +8,9 @@ the minimizer's component-major smoother and compact L-BFGS direction are
 checked against, the einsum Gauss-Codazzi residual, batched-matmul
 Christoffel formula, curvature and fundamental forms that the
 component-major compatibility path is checked against, and the per-field
-bound margin, per-draw margin sweep and tensor-product random fields that
-the check suite's batched margins and separable fields are checked against."""
+bound margin, per-draw margin sweep, one-coordinate-at-a-time Ridders
+differences and tensor-product random fields that the check suite's batched
+margins, lockstep gradient check and separable fields are checked against."""
 
 from collections import namedtuple
 from typing import Optional
@@ -26,9 +27,9 @@ from imlab.fields import (CompatibilityReport, DiscreteImmersion, Grid, ShapeFie
 from imlab.geometry import (RANK_RTOL, SIGMA_GUARD, MetricChart, chart, chart_factors,
                             christoffel, component_major, node_major,
                             rotation_factors_cm, spd_factors, stiefel_factors_cm)
-from imlab.harness import _sym_field, random_director
+from imlab.harness import RIDDERS_COLUMNS, RIDDERS_SHRINK, _sym_field, random_director
 from imlab.immersion import covariant_normal_derivative, unit_normal
-from imlab.optimize import SMOOTH_BETA, SMOOTH_POWER
+from imlab.optimize import SMOOTH_BETA, SMOOTH_POWER, _Evaluator, pack_state
 from imlab.presets import get_preset
 from imlab.reconstruct import (COMPAT_SAFETY, _default_anchor_frame,
                                _metric_node_values, _midpoint_values, _validate_frame)
@@ -834,6 +835,51 @@ def margin_sweep(rng, samples_needed: int):
                 margin_min = min(margin_min, float(np.min(m[mask])))
         total_applicable += applicable
     return margin_min, total_applicable
+
+
+def fd_vs_analytic(state, g, S, p, rng, coords: int, points=None) -> float:
+    """Max relative mismatch between the analytic gradient and Ridders'
+    differences of the total energy at ``coords`` coordinates drawn from rng,
+    one coordinate and one energy at a time; ``points`` collects, per
+    coordinate, the values of that coordinate at which the energy ran."""
+    ev, x = _Evaluator(state, g, S, p), pack_state(state)
+    grad = ev.gradient(x)
+    floor = max(1e-6 * float(np.max(np.abs(grad))), 1e-12)
+    worst = 0.0
+    idx = rng.choice(x.size, size=min(coords, x.size), replace=False)
+    for i in idx:
+        e = np.zeros_like(x)
+        e[i] = 1.0
+
+        def fn(t):
+            y = x + t * e
+            if points is not None:
+                points.setdefault(int(i), []).append(y[i])
+            return ev.energy(y)[0]
+
+        fd = ridders(fn, 1e-4 * max(1.0, abs(x[i])), 1e-7 * max(abs(grad[i]), floor))
+        worst = max(worst, abs(grad[i] - fd) / max(abs(fd), abs(grad[i]), floor))
+    return worst
+
+
+def ridders(fn, h, target):
+    """d fn / dt at t = 0 by Ridders' extrapolation of central differences
+    with steps h, h / RIDDERS_SHRINK, ... (Numerical Recipes, 3rd ed., Sec. 5.7,
+    dfridr).  Stops as soon as the error estimate stops improving, reaches
+    ``target``, or the highest order moves by more than twice it."""
+    prev, best, err = [], 0.0, np.inf
+    for _ in range(RIDDERS_COLUMNS):
+        row, last = [(fn(h) - fn(-h)) / (2.0 * h)], err
+        for j, q in enumerate(prev):
+            fac = RIDDERS_SHRINK ** (2 * j + 2)
+            row.append((fac * row[j] - q) / (fac - 1.0))
+            e = max(abs(row[-1] - row[-2]), abs(row[-1] - q))
+            if e <= err:
+                best, err = row[-1], e
+        if prev and (err >= last or err <= target or abs(row[-1] - prev[-1]) >= 2 * err):
+            break
+        prev, h = row, h / RIDDERS_SHRINK
+    return best
 
 
 def unit_coordinates(grid: Grid):

@@ -530,18 +530,80 @@ class TestGradientCheck:
         harness._fd_vs_analytic(state, g, S, 2.0, rng, 4)
         assert len(built) == 1
 
+    @staticmethod
+    def _problem(seed, kind):
+        grid = Grid((9, 9), (1.0, 1.0))
+        rng = np.random.default_rng(seed)
+        if kind == "immersion":
+            state = harness.random_surface_immersion(grid, rng, amplitude=0.08)
+        else:
+            state = harness.random_director(grid, chart("euclidean", 3), rng)
+        return state, harness.ShapeField(grid, 0.4 * harness._sym_field(grid, rng)), rng
+
+    @pytest.mark.parametrize("kind", ["immersion", "director"])
+    @pytest.mark.parametrize("p", [2.0, 3.0])
+    def test_lockstep_check_evaluates_the_one_coordinate_points(self, monkeypatch, kind, p):
+        """The lockstep tableaus evaluate, per coordinate, the points of the
+        one-coordinate-at-a-time loop, and leave the generator where it does;
+        on immersion states they return its value bit for bit."""
+        g = get_preset("flat").g
+        batched = harness._Evaluator.energies
+        for seed in range(10):
+            state, S, rng = self._problem(seed, kind)
+            ref_rng, x = copy.deepcopy(rng), harness.pack_state(state)
+            want_points, points = {}, {}
+
+            def recording(self, X):
+                for row in X:
+                    (i,) = np.flatnonzero(row != x)
+                    points.setdefault(int(i), []).append(row[i])
+                return batched(self, X)
+
+            want = helpers.fd_vs_analytic(state, g, S, p, ref_rng, 8, want_points)
+            with monkeypatch.context() as m:
+                m.setattr(harness._Evaluator, "energies", recording)
+                got = harness._fd_vs_analytic(state, g, S, p, rng, 8)
+            assert points == want_points and len(points) == 8
+            assert rng.random() == ref_rng.random()
+            # director energies agree within 1e-14 only (see the next test)
+            assert got == want if kind == "immersion" else abs(got - want) <= 1e-9
+
+    @pytest.mark.parametrize("kind", ["immersion", "director"])
+    def test_batched_energies_match_one_state_energies(self, kind):
+        """One batched forward gives each state's energy within 1e-14 of
+        the one-state forward (the Newton polar iteration runs until every row
+        of the batch has converged), and a state below the gradient guard
+        reads +inf without touching the others."""
+        g = get_preset("flat").g
+        for seed in range(5):
+            state, S, rng = self._problem(seed, kind)
+            x = harness.pack_state(state)
+            X = x + 1e-3 * rng.normal(size=(12, x.size))
+            for p in (2.0, 3.0):
+                ev = harness._Evaluator(state, g, S, p)
+                want = np.array([ev.energy(row)[0] for row in X])
+                got = ev.energies(X)
+                assert got.shape == (12,)
+                assert np.all(np.abs(got - want) <= 1e-14 * want)
+                guarded = X.copy()
+                guarded[5] = 0.0
+                got = ev.energies(guarded)
+                assert got[5] == np.inf == ev.energy(guarded[5])[0]
+                assert np.array_equal(np.delete(got, 5), np.delete(want, 5))
+
     def test_ridders_extrapolates_past_round_off(self):
         # f(t) = exp(3 t) / 3 + 1e3 has f'(0) = 1; round-off in f is about
         # 1e-13, which a central difference with step 1e-6 divides by 1e-6
         calls = []
 
-        def fn(t):
-            calls.append(t)
-            return np.exp(3.0 * t) / 3.0 + 1e3
+        def energies(X):
+            calls.extend(X[:, 0])
+            return np.exp(3.0 * X[:, 0]) / 3.0 + 1e3
 
-        central = (fn(1e-6) - fn(-1e-6)) / 2e-6
+        central = (energies(np.array([[1e-6]]))[0] - energies(np.array([[-1e-6]]))[0]) / 2e-6
         calls.clear()
-        assert abs(harness._ridders(fn, 1e-2, 1e-13) - 1.0) < 1e-9 < abs(central - 1.0)
+        fd = harness._ridders(energies, np.zeros(1), np.array([0]), [1e-2], [1e-13])[0]
+        assert abs(fd - 1.0) < 1e-9 < abs(central - 1.0)
         assert len(calls) <= 2 * 10
 
 
