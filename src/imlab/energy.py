@@ -33,7 +33,7 @@ from .fields import (DirectorField, DiscreteImmersion, Grid, ShapeField, check_e
                      jacobian_array, quadrature_weights)
 from .geometry import (MetricChart, chart_factors, component_major, cross_columns_cm,
                        left_mul, node_major, right_mul, rotation_factors_cm,
-                       stiefel_factors_cm, target_factors_cm)
+                       sigma_max_cm, stiefel_factors_cm, target_factors_cm)
 from .immersion import _frame_and_rank_check, connector
 
 
@@ -231,9 +231,11 @@ def sasaki_bound_margin(xis: Sequence[DirectorField], g: MetricChart,
     shape field, from one batched forward.
 
     Where |Dxi| >= (3 + 2M) sqrt(d+1), with M the sup of the g-operator norm
-    of S, the margin is (3 + 2M) (dist + |df S + K o Dxi|) - |Dxi|, which
-    must be nonnegative.  Below the threshold the bound does not apply and
-    NaN is returned as an explicit not-applicable sentinel.
+    of S (the largest singular value of g^{1/2} S g^{-1/2}, in closed form:
+    :func:`imlab.geometry.sigma_max_cm`), the margin is
+    (3 + 2M) (dist + |df S + K o Dxi|) - |Dxi|, which must be nonnegative.
+    Below the threshold the bound does not apply and NaN is returned as an
+    explicit not-applicable sentinel.
     """
     grid, target = xis[0].grid, xis[0].target
     if len(Ss) != len(xis) or any(x.target is not target or x.grid != grid for x in xis):
@@ -244,9 +246,9 @@ def sasaki_bound_margin(xis: Sequence[DirectorField], g: MetricChart,
     terms = core.director_terms(foot, vec)
     lhs = np.sqrt(core.sasaki_sq(foot, vec, terms))
     nodes = core.director(foot, vec, terms=terms)
-    gs, gsi = (np.ascontiguousarray(node_major(F, 2)) for F in (core.gs, core.gsi))
-    s = np.linalg.svd(gs @ np.stack([S.values for S in Ss]) @ gsi, compute_uv=False)
-    factor = 3.0 + 2.0 * np.max(s[..., 0], axis=tuple(range(1, s.ndim - 1)), keepdims=True)
+    smax = (0.0 if core.S is None     # every S is zero
+            else sigma_max_cm(right_mul(left_mul(core.gs, core.S), core.gsi)))
+    factor = 3.0 + 2.0 * np.max(smax, axis=tuple(range(1, np.ndim(smax))), keepdims=True)
     rhs = factor * (np.sqrt(nodes.dist2) + np.sqrt(nodes.q2))
     applicable = lhs >= factor * np.sqrt(grid.dim + 1.0)
     return np.where(applicable, rhs - lhs, np.nan)

@@ -7,7 +7,8 @@ batched: a point argument of shape ``(..., n)`` yields matrices of shape
 square root) come from one kernel, closed form for 2x2 and 1x1 matrices,
 and a constant chart is factored once.  The module also provides the
 Frobenius distances to the rotation group (closed form for 2x2 frames,
-scaled Newton polar iteration with an SVD fallback for 3x3 ones) and to the
+scaled Newton polar iteration for 3x3 ones of either sign of det, with an
+SVD fallback for the rows it cannot certify) and to the
 set of orthonormal-column matrices (closed form for hypersurface frames),
 which are the building blocks of the stretching integrands.  The frame
 kernels work on component-major arrays, matrix entries leading and node axes
@@ -357,9 +358,12 @@ def node_major(a, k):
 
 def left_mul(M, u):
     """M u per node for component-major u (m, k, ...): M is one (m, m)
-    matrix, applied as a single product, or component-major (m, m, ...)."""
+    matrix, applied as a single product, or component-major (m, m, ...),
+    whose node axes meet the trailing node axes of u, as in :func:`right_mul`."""
     if M.ndim == 2:
         return (M @ u.reshape(M.shape[1], -1)).reshape((M.shape[0],) + u.shape[1:])
+    if M.ndim < u.ndim:
+        M = M.reshape(M.shape[:2] + (1,) * (u.ndim - M.ndim) + M.shape[2:])
     out = M[:, 0, None] * u[None, 0]
     for b in range(1, M.shape[1]):
         out = out + M[:, b, None] * u[None, b]
@@ -408,6 +412,16 @@ _COF = np.array([[3 * ((i + 1) % 3) + (j + 1) % 3, 3 * ((i + 2) % 3) + (j + 2) %
 # suffice for condition numbers up to 1e11) go to the SVD.
 NEWTON_TOL = 1e-9
 NEWTON_MAX_STEPS = 20
+# DET_ROUNDING |B|_F^3 bounds the rounding error of det B from the cofactor
+# expansion (at most 0.06 eps |B|_F^3 measured on near rank-1 frames).  A
+# smaller |det B| certifies nothing: on frames with two tiny singular values
+# it is noise, and |det B| / |cof B|_F with it.
+DET_ROUNDING = 4.0 * np.finfo(float).eps
+# det < 0 frames whose two smallest singular values differ by less than this
+# fraction of the mean singular value take the SVD: there the flipped
+# direction is not determined to working precision
+FLIP_GAP_RTOL = 1e-3
+_EYE9 = np.eye(3).reshape(9, 1)
 
 
 def _cofactors(x):
@@ -418,14 +432,24 @@ def _cofactors(x):
     return c, np.add.reduce(x[:3] * c[:3], axis=0)
 
 
+def sigma_max_cm(m):
+    """Largest singular value of component-major (n, n, ...) matrices, n in
+    {1, 2}, in closed form: |m| for n = 1 and, for n = 2,
+    (hypot(m00 + m11, m10 - m01) + hypot(m00 - m11, m01 + m10)) / 2, the half
+    sum and half difference of the two singular values."""
+    if m.shape[0] == 1:
+        return np.abs(m[0, 0])
+    return 0.5 * (np.hypot(m[0, 0] + m[1, 1], m[1, 0] - m[0, 1])
+                  + np.hypot(m[0, 0] - m[1, 1], m[0, 1] + m[1, 0]))
+
+
 def _rotation_factors_2(b):
     """(dist^2, sigma_min, R) of component-major (4, N) 2x2 frames."""
-    a, c = b[0] + b[3], b[2] - b[1]
-    theta = np.arctan2(c, a)
+    theta = np.arctan2(b[2] - b[1], b[0] + b[3])
     co, si = np.cos(theta), np.sin(theta)
     r = np.empty_like(b)
     r[0], r[1], r[2], r[3] = co, -si, si, co
-    smax = 0.5 * (np.hypot(a, c) + np.hypot(b[0] - b[3], b[1] + b[2]))
+    smax = sigma_max_cm(b.reshape(2, 2, -1))
     smin = np.abs(b[0] * b[3] - b[1] * b[2]) / np.maximum(smax, np.finfo(float).tiny)
     return np.add.reduce((b - r) ** 2, axis=0), smin, r
 
@@ -457,13 +481,57 @@ def _newton_polar(x, c, det):
     return x, step <= NEWTON_TOL
 
 
+def _flip_smallest(b, p, adet):
+    """(dist^2, R, separated) of component-major (9, N) frames B with det B
+    = -adet < 0 and orthogonal polar factor P (det P = -1): R = P (I - 2 v v^T)
+    with v the unit eigenvector of the smallest eigenvalue of H = sym(P^T B).
+
+    The eigenvalues of H (the singular values of B) come from the
+    trigonometric solution of its characteristic cubic (Smith, Eigenvalues of
+    a symmetric 3x3 matrix, CACM 4(4), 1961); the smallest one is refined by
+    two Newton steps on lambda^3 - tr H lambda^2 + c_2 lambda - |det B|.  v is
+    the largest column of adj(H - lambda I), whose columns are the cross
+    products of its rows, times adj(H - lambda I) once more (one step of
+    inverse iteration).  ``separated`` holds where the two smallest
+    eigenvalues differ by at least FLIP_GAP_RTOL times their mean tr H / 3,
+    so v is determined; elsewhere, degenerate rows included, the results are
+    not used."""
+    p3, b3 = p.reshape(3, 3, -1), b.reshape(3, 3, -1)
+    ptb = p3[0, :, None] * b3[0] + p3[1, :, None] * b3[1] + p3[2, :, None] * b3[2]
+    h = 0.5 * (ptb + ptb.transpose(1, 0, 2)).reshape(9, -1)
+    tr = h[0] + h[4] + h[8]
+    q = tr / 3.0
+    with np.errstate(all="ignore"):
+        a = h - q * _EYE9
+        w = np.sqrt(np.add.reduce(a * a, axis=0) / 6.0)
+        phi = np.arccos(np.clip(0.5 * _cofactors(a / w)[1], -1.0, 1.0)) / 3.0
+        top = q + 2.0 * w * np.cos(phi)
+        lam = q + 2.0 * w * np.cos(phi + 2.0 * np.pi / 3.0)
+        separated = (tr - top - 2.0 * lam) >= FLIP_GAP_RTOL * q
+        c2 = np.add.reduce(_cofactors(h)[0][::4], axis=0)
+        for _ in range(2):
+            lam = lam - ((((lam - tr) * lam + c2) * lam - adet)
+                         / ((3.0 * lam - 2.0 * tr) * lam + c2))
+        adj = _cofactors(h - lam * _EYE9)[0].reshape(3, 3, -1)
+        col = adj[np.argmax(np.add.reduce(adj * adj, axis=1), axis=0), :,
+                  np.arange(adj.shape[2])].T
+        v = np.add.reduce(adj * col, axis=1)
+        v = v / np.sqrt(np.add.reduce(v * v, axis=0))
+    pv = np.add.reduce(p3 * v, axis=1)
+    r = (p3 - 2.0 * pv[:, None] * v).reshape(9, -1)
+    return np.add.reduce((b - r) ** 2, axis=0), r, separated
+
+
 def _rotation_factors_3(b):
     """(dist^2, sigma_min, R) of component-major (9, N) 3x3 frames."""
     c, det = _cofactors(b)
     cnorm = np.sqrt(np.add.reduce(c * c, axis=0))
+    n2 = np.add.reduce(b * b, axis=0)
     # |det B| / |cof B|_F = 1 / |B^{-1}|_F lies in [sigma_3 / sqrt(3), sigma_3]:
-    # at or above the guard, with det B > 0, the guard cannot fire
-    ok = (det > 0.0) & (det >= SIGMA_GUARD * cnorm) & (det < np.inf)
+    # at or above the guard, past the rounding error of det, the guard
+    # cannot fire
+    floor = SIGMA_GUARD * cnorm + DET_ROUNDING * n2 * np.sqrt(n2)
+    ok = (det > 0.0) & (det >= floor) & (det < np.inf)
     # boolean gathers cost as much as a Newton step: skip them when every
     # row is certified, as in descent runs
     every = bool(ok.all())
@@ -478,6 +546,19 @@ def _rotation_factors_3(b):
     r[:, ok] = x[:, done]
     dist2[ok] = np.add.reduce((b[:, ok] - r[:, ok]) ** 2, axis=0)
     smin[ok] = det[ok] / cnorm[ok]
+    # det B < 0: cof(-B) = cof B and det(-B) > 0, so the iteration on -B
+    # returns -P, the negated orthogonal polar factor of B
+    neg = (det < 0.0) & (-det >= floor) & (-det < np.inf)
+    if neg.any():
+        bn = b[:, neg]
+        x, done = _newton_polar(-bn, c[:, neg], -det[neg])
+        d2, rn, separated = _flip_smallest(bn, -x, -det[neg])
+        done &= separated
+        neg[neg] = done
+        r[:, neg] = rn[:, done]
+        dist2[neg] = d2[done]
+        smin[neg] = -det[neg] / cnorm[neg]
+        ok |= neg
     rest = ~ok
     if rest.any():
         dist2[rest], smin[rest], R = _rotation_factors_svd(b[:, rest].T.reshape(-1, 3, 3))
@@ -499,12 +580,16 @@ def rotation_factors_cm(b, polar=False):
     gamma = (|X^{-1}|_F / |X|_F)^{1/2} and X^{-T} = cof X / det X from cross
     products of the columns (Higham, Computing the polar decomposition - with
     applications, SIAM J. Sci. Stat. Comput. 7, 1986), on the rows it
-    certifies: det B > 0 and |det B| / |cof B|_F >= SIGMA_GUARD.  That ratio
-    lies in [sigma_3 / sqrt(3), sigma_3]; it is returned as sigma_min of those
-    rows, which is all the guard needs, since it is at least SIGMA_GUARD.
-    The other rows (det B <= 0, singular, or not certified) take the SVD,
-    whose nearest rotation flips the smallest singular direction when
-    det B < 0, and return the exact sigma_min.
+    certifies: |det B| / |cof B|_F >= SIGMA_GUARD, with |det B| past its
+    rounding error (DET_ROUNDING |B|_F^3).  That ratio lies in
+    [sigma_3 / sqrt(3), sigma_3]; it is returned as sigma_min of those rows,
+    which is all the guard needs, since it is at least SIGMA_GUARD.  Rows
+    with det B > 0 take the polar factor as R, in one batch.  Rows with
+    det B < 0 iterate from -B in a second batch and flip the smallest
+    singular direction of the polar factor (:func:`_flip_smallest`), where
+    the two smallest singular values are separated.  The other rows
+    (det B = 0, not certified, not converged or not separated) take the SVD
+    and return the exact sigma_min.
 
     dist^2 = |B - R|_F^2 is formed directly, with no |B|^2 - 2 tr + n
     cancellation.  R is None unless ``polar`` is set.

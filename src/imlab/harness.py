@@ -216,16 +216,19 @@ def _tensor_mode(amp, sines) -> np.ndarray:
 def random_smooth_field(grid: Grid, ncomp: int, rng) -> np.ndarray:
     """Superposition of a few low-frequency tensor modes, O(1) amplitude.
 
-    Each mode draws (k, phase, amp) from rng, component by component; then
-    all modes are evaluated as whole arrays, the mode axes trailing the node
-    axes, and summed in index order."""
-    shape = (ncomp, SMOOTH_MODES)
-    k, phase = np.empty(shape + (grid.dim,), int), np.empty(shape + (grid.dim,))
-    amp = np.empty(shape)
-    for c, m in np.ndindex(shape):
-        k[c, m] = rng.integers(1, 4, size=grid.dim)
-        phase[c, m] = rng.uniform(0.0, 2.0 * np.pi, size=grid.dim)
-        amp[c, m] = rng.normal()
+    Each mode draws (k, phase, amp) from rng, component by component, as
+    scalars: the numbers and generator state of integers(1, 4, size=dim),
+    uniform(0, 2 pi, size=dim) and normal(), without their per-call array
+    overhead.  Then all modes are evaluated as whole arrays, the mode axes
+    trailing the node axes, and summed in index order."""
+    shape, d = (ncomp, SMOOTH_MODES), grid.dim
+    k, phase, amp = [], [], []
+    for _ in range(ncomp * SMOOTH_MODES):
+        k += [rng.integers(1, 4) for _ in range(d)]
+        phase += [2.0 * np.pi * rng.random() for _ in range(d)]
+        amp.append(rng.standard_normal())
+    k, phase = np.array(k).reshape(shape + (d,)), np.array(phase).reshape(shape + (d,))
+    amp = np.array(amp).reshape(shape)
     modes = _tensor_mode(amp, [np.sin(np.pi * k[..., a] * x[:, None, None] + phase[..., a])
                                for a, x in enumerate(unit_axes(grid))])
     acc = np.zeros(grid.counts + (ncomp,))

@@ -10,7 +10,9 @@ Christoffel formula, curvature and fundamental forms that the
 component-major compatibility path is checked against, and the per-field
 bound margin, per-draw margin sweep, one-coordinate-at-a-time Ridders
 differences and tensor-product random fields that the check suite's batched
-margins, lockstep gradient check and separable fields are checked against."""
+margins, lockstep gradient check and separable fields (and their scalar
+generator draws, against its per-mode array draws) are checked against, and
+the two-stencil Sobolev distance."""
 
 from collections import namedtuple
 from typing import Optional
@@ -917,3 +919,15 @@ def wrinkle_profile(grid: Grid, frequencies) -> np.ndarray:
             term = term * np.sin(np.pi * q * xh[..., a])
         acc += term
     return acc / max(len(tuple(frequencies)), 1)
+
+
+def w1p_distance(f: DiscreteImmersion, f0: DiscreteImmersion, p: float,
+                 g: Optional[MetricChart] = None) -> float:
+    """(||f - f0||_p^p + ||Df - Df0||_p^p)^(1/p) from two stencil passes and
+    two quadratures."""
+    diff = np.linalg.norm(f.values - f0.values, axis=-1)
+    jdiff = fields.fd_jacobian(f.values, f.grid) - fields.fd_jacobian(f0.values, f0.grid)
+    jnorm = np.sqrt(np.sum(jdiff ** 2, axis=(-2, -1)))
+    term0 = fields.lp_norm(diff, p, g, f.grid) ** p
+    term1 = fields.lp_norm(jnorm, p, g, f.grid) ** p
+    return (term0 + term1) ** (1.0 / p)

@@ -11,6 +11,7 @@ from hypothesis.extra import numpy as hnp
 
 import helpers as ref
 from helpers import convergence_orders
+from imlab import fields
 from imlab.errors import BadExponent, GridMismatch
 from imlab.fields import (DirectorField, DiscreteImmersion, Grid, ShapeField,
                           atomic_write, axis_derivative, axis_derivative_adjoint,
@@ -19,7 +20,7 @@ from imlab.fields import (DirectorField, DiscreteImmersion, Grid, ShapeField,
                           load_binary, load_node_csv, lp_norm, quadrature_weights,
                           save_binary, save_node_csv, w1p_distance, write_csv)
 from imlab.geometry import chart, component_major, node_major
-from imlab.harness import write_json, write_svg_loglog
+from imlab.harness import random_surface_immersion, write_json, write_svg_loglog
 from imlab.optimize import OptimizeTrace
 from imlab.reconstruct import save_obj
 
@@ -285,6 +286,30 @@ class TestSobolevDistance:
             [np.zeros(n), np.sin(2 * np.pi * k * t)], axis=-1), e2)
         exact = np.sqrt(eps ** 2 / 2 + eps ** 2 * (2 * np.pi * k) ** 2 / 2)
         assert abs(w1p_distance(f, f0, 2.0) - exact) < 1e-6
+
+    @pytest.mark.parametrize("counts, metric", [((33,), None), ((17, 17), None),
+                                                ((17, 17), "polar")],
+                             ids=["curve", "surface", "polar-box"])
+    def test_one_stencil_and_one_quadrature(self, monkeypatch, counts, metric):
+        """One stencil pass on f - f0 and one factorization of g per call,
+        within 1e-12 relative of the two-stencil, two-quadrature reference."""
+        grid = Grid(counts, (1.0,) * len(counts), (1.0,) * len(counts))
+        g = None if metric is None else chart(metric)
+        calls = {"jacobian_array": 0, "chart_factors": 0}
+        for name in calls:
+            real = getattr(fields, name)
+            monkeypatch.setattr(fields, name, lambda *a, _r=real, _n=name:
+                                calls.__setitem__(_n, calls[_n] + 1) or _r(*a))
+        for seed in range(5):
+            rng = np.random.default_rng(seed)
+            f, f0 = (random_surface_immersion(grid, rng, amplitude=0.3) for _ in range(2))
+            for p in (1.0, 1.5, 2.0, 3.0):
+                want = ref.w1p_distance(f, f0, p, g)
+                for name in calls:
+                    calls[name] = 0
+                got = w1p_distance(f, f0, p, g)
+                assert calls == {"jacobian_array": 1, "chart_factors": int(g is not None)}
+                assert abs(got - want) <= 1e-12 * want
 
     def test_grid_mismatch(self):
         _, e2, f0 = self._pair(33)

@@ -15,8 +15,8 @@ from imlab.geometry import (SPD_RTOL, MetricChart, chart, chart_factors, christo
                             christoffel_from_values, component_major, cross3_cm,
                             cross_columns_cm, dist_rotations, dist_stiefel, left_mul,
                             node_major, project_stiefel, riemann_curvature,
-                            riemann_from_values,
-                            rotation_factors_cm, spd_factors, spd_sqrt_det,
+                            riemann_from_values, right_mul,
+                            rotation_factors_cm, sigma_max_cm, spd_factors, spd_sqrt_det,
                             sqrt_and_inv_sqrt, stiefel_factors_cm)
 from imlab.optimize import SIGMA_GUARD
 
@@ -613,6 +613,94 @@ class TestRotationKernel:
         assert np.all(smin <= ref_smin * (1.0 + 1e-13))
         assert np.all(smin >= ref_smin / np.sqrt(3.0) * (1.0 - 1e-13))
 
+    @staticmethod
+    def _reflections(rng, sigma):
+        """U diag(sigma) V^T with det U V^T = -1, one per row of sigma."""
+        m = len(sigma)
+        U, V = _orthogonal(rng, m, 3), _orthogonal(rng, m, 3)
+        U[..., 0] *= -(np.sign(np.linalg.det(U)) * np.sign(np.linalg.det(V)))[:, None]
+        return (U * sigma[:, None, :]) @ np.swapaxes(V, -1, -2)
+
+    def _no_svd(self, monkeypatch):
+        def no_svd(*args, **kwargs):
+            raise AssertionError("separated det < 0 frames must not reach the SVD")
+
+        monkeypatch.setattr(np.linalg, "svd", no_svd)
+
+    def test_separated_reflections_take_no_svd(self, monkeypatch):
+        """det < 0 frames whose two smallest singular values are separated,
+        from O(1) to near-singular, badly scaled and relax-like: R within
+        1e-12 and dist^2 within 1e-14 of the SVD's, with no SVD call."""
+        rng = np.random.default_rng(130)
+        m = 2000
+        sigma = np.sort(rng.uniform(0.2, 3.0, size=(m, 3)), axis=1)[:, ::-1].copy()
+        sigma[:, 2] = np.minimum(sigma[:, 2], 0.9 * sigma[:, 1])
+        tiny = sigma.copy()
+        tiny[:, 2] = 10.0 ** rng.uniform(-7.0, -2.0, size=m)
+        wide = sigma * 10.0 ** rng.uniform(-2.0, 2.0, size=(m, 1))
+        O = _orthogonal(rng, m, 3)
+        O[..., 0] *= -np.sign(np.linalg.det(O))[:, None]
+        kicked = O * rng.uniform(0.5, 2.5, size=(m, 1, 1)) + 0.2 * rng.normal(size=O.shape)
+        kicked = kicked[np.linalg.det(kicked) < 0]
+        s_kicked = np.linalg.svd(kicked, compute_uv=False)
+        kicked = kicked[s_kicked[:, 1] - s_kicked[:, 2] >= 1e-2 * s_kicked.mean(axis=1)]
+        for B in (self._reflections(rng, sigma), self._reflections(rng, tiny),
+                  self._reflections(rng, wide), kicked):
+            ref2, ref_smin, ref_R, s, sign = _svd_rotation(B)
+            assert np.all(sign < 0)
+            with monkeypatch.context() as patch:
+                self._no_svd(patch)
+                dist2, smin, R = rotation_cm(B, polar=True)
+            scale = np.maximum(1.0, np.sum(B * B, axis=(-2, -1)))
+            assert np.max(np.abs(dist2 - ref2) / scale) <= 1e-14
+            assert np.max(np.abs(R - ref_R)) <= 1e-12
+            slack = 1e-13 * s[..., 0]
+            assert np.all(smin <= ref_smin + slack)
+            assert np.all(smin >= ref_smin / np.sqrt(3.0) - slack)
+
+    @pytest.mark.parametrize("gap", [1e-9, 1e-12])
+    def test_reflections_with_clustered_singular_values(self, gap):
+        """det < 0 frames with sigma_2 ~ sigma_3, with all three clustered,
+        and near-singular: the SVD's dist^2 within 1e-14, and a rotation."""
+        rng = np.random.default_rng(131)
+        m = 1000
+        top = rng.uniform(1.2, 3.0, size=m)
+        low = rng.uniform(0.2, 1.0, size=m)
+        tiny = 10.0 ** rng.uniform(-12.0, -6.0, size=m)
+        corpora = [np.stack([top, low * (1.0 + gap), low], axis=1),
+                   np.stack([low * (1.0 + 2 * gap), low * (1.0 + gap), low], axis=1),
+                   np.stack([top, low, tiny], axis=1),
+                   np.stack([top, tiny * (1.0 + gap), tiny], axis=1)]
+        for sigma in corpora:
+            B = self._reflections(rng, sigma)
+            ref2, ref_smin, _, _, sign = _svd_rotation(B)
+            assert np.all(sign < 0)
+            dist2, smin, R = rotation_cm(B, polar=True)
+            scale = np.maximum(1.0, np.sum(B * B, axis=(-2, -1)))
+            assert np.max(np.abs(dist2 - ref2) / scale) <= 1e-14
+            assert np.max(np.abs(np.swapaxes(R, -1, -2) @ R - np.eye(3))) <= 1e-14
+            assert np.all(np.linalg.det(R) > 0.0)
+            assert np.array_equal(smin < SIGMA_GUARD, ref_smin < SIGMA_GUARD)
+
+    def test_near_rank_one_frames_are_not_certified(self):
+        """Frames with two singular values far below the guard, both signs of
+        det: the computed det B is rounding noise there, so no row is
+        certified on it; the guard decides as on the SVD, dist^2 agrees to
+        1e-14, and no floating-point exception is raised."""
+        rng = np.random.default_rng(132)
+        m = 4000
+        tiny = 10.0 ** rng.uniform(-16.0, -6.0, size=m)
+        sigma = np.stack([rng.uniform(1.0, 3.0, m), tiny * rng.uniform(1.0, 2.0, m), tiny], 1)
+        B = (_orthogonal(rng, m, 3) * sigma[:, None, :]) @ _orthogonal(rng, m, 3)
+        ref2, ref_smin, _, _, sign = _svd_rotation(B)
+        assert np.any(sign < 0) and np.any(sign > 0)
+        with np.errstate(all="raise"):
+            dist2, smin, R = rotation_cm(B, polar=True)
+        assert np.array_equal(smin < SIGMA_GUARD, ref_smin < SIGMA_GUARD)
+        scale = np.maximum(1.0, np.sum(B * B, axis=(-2, -1)))
+        assert np.max(np.abs(dist2 - ref2) / scale) <= 1e-14
+        assert np.all(np.linalg.det(R) > 0.0)
+
     def test_singular_is_quiet(self):
         B3 = np.stack([np.zeros((3, 3)), np.diag([1.0, 0.0, 0.0]),
                        np.diag([2.0, 1.0, 0.0]), np.diag([1.0, 1.0, -1.0])])
@@ -637,6 +725,32 @@ class TestRotationKernel:
         for shape in ((4, 4), (3, 2), (1, 1)):
             with pytest.raises(ValueError):
                 rotation_cm(np.ones(shape))
+
+
+@pytest.mark.parametrize("n", [1, 2])
+def test_closed_form_sigma_max(n):
+    """The largest singular value of 1x1 and 2x2 stacks, random and
+    badly scaled, within 1e-14 relative of the SVD's."""
+    rng = np.random.default_rng(140 + n)
+    M = rng.normal(size=(4000, n, n)) * 10.0 ** rng.uniform(-3.0, 3.0, size=(4000, 1, 1))
+    want = np.linalg.svd(M, compute_uv=False)[:, 0]
+    got = sigma_max_cm(component_major(M, 2))
+    assert got.shape == (4000,)
+    assert np.max(np.abs(got - want) / want) <= 1e-14
+
+
+def test_closed_form_sigma_max_on_the_polar_param_metric():
+    """sigma_max of g^{1/2} S g^{-1/2} on the polar-parameter box of the
+    check suite's margin sweep, as a batch of shape fields, against the SVD."""
+    grid = Grid((17, 17), (1.0, 1.0), (1.0, 0.0))
+    rng = np.random.default_rng(142)
+    _, _, gs, gsi = chart_factors(chart("polar"), grid.nodes)
+    S = rng.normal(size=(5,) + grid.counts + (2, 2))
+    want = np.linalg.svd(gs @ S @ gsi, compute_uv=False)[..., 0]
+    Scm = component_major(S, 2)
+    got = sigma_max_cm(right_mul(left_mul(component_major(gs, 2), Scm), component_major(gsi, 2)))
+    assert got.shape == (5,) + grid.counts
+    assert np.max(np.abs(got - want) / want) <= 1e-14
 
 
 def test_cross_by_components_is_bit_identical_to_numpy():
