@@ -17,8 +17,11 @@ both report the same numbers.  Its forwards take component-major states,
 entries leading and node axes trailing, as the stencils of
 :func:`imlab.fields.jacobian_array` return them; each small per-node product
 is then a few elementwise operations on whole node arrays, or one matrix
-product for a single constant factor.  The library functions here move the
-node-major arrays of their fields to that layout once, at entry.
+product for a single constant factor.  Each factor of g and h is held in
+its exact form (:func:`imlab.geometry.factor_form`): the Euclidean target's
+factors are dropped, and a per-node diagonal one, as on the warped-product
+charts, is applied as one elementwise product.  The library functions here
+move the node-major arrays of their fields to that layout once, at entry.
 """
 
 from __future__ import annotations
@@ -32,7 +35,7 @@ import numpy as np
 from .fields import (DirectorField, DiscreteImmersion, Grid, ShapeField, check_exponent,
                      jacobian_array, quadrature_weights)
 from .geometry import (MetricChart, chart_factors, component_major, cross_columns_cm,
-                       left_mul, node_major, right_mul, rotation_factors_cm,
+                       factor_form, left_mul, node_major, right_mul, rotation_factors_cm,
                        sigma_max_cm, stiefel_factors_cm, target_factors_cm)
 from .immersion import _frame_and_rank_check, connector
 
@@ -72,7 +75,8 @@ class Integrands:
 
     g^{+-1/2} and g^{-1} = (g^{-1/2})^2 (as christoffel_from_values forms
     it) from one factorization of g, the quadrature weights times sqrt det g
-    and the factors of a constant target are computed once, here; a curved
+    and the factors of a constant target are computed once, here, each in its
+    exact form (:func:`imlab.geometry.factor_form`); a curved
     target is factored at the state's points in each forward, which then also
     adds the connector term Gamma(f) df v.  Without S, or with S = 0, the
     shape operator is left out.  With H = h, the bending integrand
@@ -91,8 +95,9 @@ class Integrands:
         # the square roots come out exactly symmetric, so they are their own
         # transposes in the minimizer's adjoints
         _, sdet, gs, gsi = chart_factors(g, grid.nodes)
-        self.gs, self.gsi = component_major(gs, 2), component_major(gsi, 2)
-        self.ginv = left_mul(self.gsi, self.gsi)
+        gs, gsi = component_major(gs, 2), component_major(gsi, 2)
+        self.gs, self.gsi, self.ginv = (factor_form(M)
+                                        for M in (gs, gsi, left_mul(gsi, gsi)))
         Sv = (np.stack([s.values for s in S]) if isinstance(S, list)
               else None if S is None else S.values)
         self.S = None if Sv is None or not Sv.any() else component_major(Sv, 2)
@@ -101,8 +106,8 @@ class Integrands:
             self.H, self.Hs, self.Hsi = target_factors_cm(target, None)
 
     def _target(self, points):
-        """(h, h^{1/2}, h^{-1/2}): single matrices, or per node at the
-        component-major points."""
+        """(h, h^{1/2}, h^{-1/2}) in their exact forms: single matrices, or
+        per node at the component-major points."""
         if self.target.is_constant:
             return self.H, self.Hs, self.Hsi
         return target_factors_cm(self.target, node_major(points, 1))

@@ -13,7 +13,9 @@ set of orthonormal-column matrices (closed form for hypersurface frames),
 which are the building blocks of the stretching integrands.  The frame
 kernels work on component-major arrays, matrix entries leading and node axes
 trailing, where a per-node product is elementwise arithmetic on node arrays
-(:func:`left_mul`, :func:`right_mul`); :func:`dist_stiefel` and
+(:func:`left_mul`, :func:`right_mul`), and a metric factor is applied in its
+exact form (:func:`factor_form`: an exact identity is dropped, a per-node
+diagonal is one elementwise product); :func:`dist_stiefel` and
 :func:`dist_rotations` take node-major frames.  Christoffel symbols have one
 component-major formula, :func:`christoffel_from_values`, for chart points and
 grid nodes; the lowered curvature is component-major too, at the pairs k < l
@@ -24,7 +26,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from itertools import combinations
-from typing import Callable, Optional
+from typing import Callable, NamedTuple, Optional
 
 import numpy as np
 
@@ -253,10 +255,11 @@ def chart_factors(m: MetricChart, x, err=NotSPD):
 
 
 def target_factors_cm(m: MetricChart, x):
-    """(m, m^{1/2}, m^{-1/2}) of a chart at points x (..., n), component-major:
-    (n, n, ...), or the single (n, n) matrices of a constant chart."""
+    """(m, m^{1/2}, m^{-1/2}) of a chart at points x (..., n), component-major
+    (n, n, ...), or the single (n, n) matrices of a constant chart, each in
+    its exact form (:func:`factor_form`): None for the Euclidean target."""
     H, _, Hs, Hsi = chart_factors(m, x)
-    return component_major(H, 2), component_major(Hs, 2), component_major(Hsi, 2)
+    return tuple(factor_form(component_major(M, 2)) for M in (H, Hs, Hsi))
 
 
 # ---------------------------------------------------------------------------
@@ -356,34 +359,74 @@ def node_major(a, k):
     return a.transpose(tuple(range(k, a.ndim)) + tuple(range(k)))
 
 
+class Diagonal(NamedTuple):
+    """A per-node factor whose off-diagonal entries are all exactly +-0,
+    held as its component-major diagonal (n, *nodes)."""
+
+    entries: np.ndarray
+
+
+def factor_form(M):
+    """The exact form of a component-major factor M, one (n, n) matrix or
+    (n, n, *nodes) per node, as :func:`left_mul` and :func:`right_mul` take
+    it: None where every M is exactly the identity, the :class:`Diagonal` of
+    a per-node M whose off-diagonal entries are all exactly +-0, else M.
+    The dropped terms are products by exact zeros, so a product by the form
+    has the bits of the product by M, up to the sign of a zero result."""
+    n = M.shape[0]
+    if not np.all(M[~np.eye(n, dtype=bool)] == 0.0):
+        return M
+    diag = M[np.arange(n), np.arange(n)]
+    if np.all(diag == 1.0):
+        return None
+    return Diagonal(diag) if M.ndim > 2 else M
+
+
+def _lined_up(a, lead, ndim):
+    """a with unit axes after its ``lead`` entry axes, up to ``ndim`` axes, so
+    its node axes meet the trailing node axes of an array of that rank."""
+    return a.reshape(a.shape[:lead] + (1,) * (ndim - a.ndim) + a.shape[lead:])
+
+
+def _node_product(x, y):
+    """sum_i x[:, i] y[i] per node, x (m, k, ...) and y (k, j, ...) with their
+    node axes lined up: the dense per-node product."""
+    out = x[:, 0, None] * y[None, 0]
+    for i in range(1, x.shape[1]):
+        out = out + x[:, i, None] * y[None, i]
+    return out
+
+
 def left_mul(M, u):
-    """M u per node for component-major u (m, k, ...): M is one (m, m)
-    matrix, applied as a single product, or component-major (m, m, ...),
-    whose node axes meet the trailing node axes of u, as in :func:`right_mul`."""
+    """M u per node for component-major u (m, k, ...) and M in a form of
+    :func:`factor_form`: None returns u itself, a Diagonal scales the rows of
+    u elementwise, one (m, m) matrix is a single product, and a
+    component-major (m, m, ...) M is a sum over its columns, its node axes
+    meeting the trailing node axes of u, as in :func:`right_mul`."""
+    if M is None:
+        return u
+    if isinstance(M, Diagonal):
+        return _lined_up(M.entries, 1, u.ndim) * u
     if M.ndim == 2:
         return (M @ u.reshape(M.shape[1], -1)).reshape((M.shape[0],) + u.shape[1:])
-    if M.ndim < u.ndim:
-        M = M.reshape(M.shape[:2] + (1,) * (u.ndim - M.ndim) + M.shape[2:])
-    out = M[:, 0, None] * u[None, 0]
-    for b in range(1, M.shape[1]):
-        out = out + M[:, b, None] * u[None, b]
-    return out
+    return _node_product(_lined_up(M, 2, u.ndim), u)
 
 
 def right_mul(u, M):
-    """u M per node for component-major u (m, k, ...): M is one (k, j)
-    matrix, applied as a single stacked product, or component-major
-    (k, j, ...), whose node axes meet the trailing node axes of u, so one
-    per-node M serves a batch of states (m, k, batch, *counts)."""
+    """u M per node for component-major u (m, k, ...) and M in a form of
+    :func:`factor_form`: None returns u itself, a Diagonal scales the
+    columns of u elementwise, one (k, j) matrix is a single stacked product,
+    and a component-major (k, j, ...) M is a sum over its rows.  The node
+    axes of a per-node M meet the trailing node axes of u, so one per-node
+    M serves a batch of states (m, k, batch, *counts)."""
+    if M is None:
+        return u
+    if isinstance(M, Diagonal):
+        return u * _lined_up(M.entries, 1, u.ndim - 1)
     if M.ndim == 2:
         out = np.matmul(M.T, u.reshape(u.shape[0], M.shape[0], -1))
         return out.reshape(u.shape[:1] + M.shape[1:] + u.shape[2:])
-    if M.ndim < u.ndim:
-        M = M.reshape(M.shape[:2] + (1,) * (u.ndim - M.ndim) + M.shape[2:])
-    out = u[:, 0, None] * M[None, 0]
-    for i in range(1, M.shape[0]):
-        out = out + u[:, i, None] * M[None, i]
-    return out
+    return _node_product(u, _lined_up(M, 2, u.ndim))
 
 
 # ---------------------------------------------------------------------------

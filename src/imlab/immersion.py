@@ -37,7 +37,8 @@ def _frame_and_rank_check(b, c):
 
 def _normal_pass(f: DiscreteImmersion) -> tuple:
     """Component-major (x, J, h, n) of an immersion: node values, raw Jacobian,
-    target metric (one matrix if constant), rank-checked oriented h-unit normal."""
+    target metric in its exact form (None if Euclidean, see
+    :func:`imlab.geometry.factor_form`), rank-checked oriented h-unit normal."""
     x = component_major(f.values, 1)
     J = jacobian_array(x, f.grid)
     H, Hs, Hsi = target_factors_cm(f.target, f.values)

@@ -48,6 +48,12 @@ from .geometry import (SIGMA_GUARD, MetricChart, component_major, cross3_cm, lef
 State = Union[DiscreteImmersion, DirectorField]
 
 
+# Most curvature pairs the L-BFGS history keeps.  Compact L-BFGS uses 3-20;
+# the history holds 2 memory rows of the state's length, so an unbounded
+# value is an allocation of any size.
+MAX_MEMORY = 100
+
+
 @dataclass(frozen=True)
 class OptimizeConfig:
     max_iters: int = 500
@@ -60,6 +66,7 @@ class OptimizeConfig:
                 "max_iters and memory must be integers")
         require(self.max_iters >= 1 and self.memory >= 1,
                 "max_iters and memory must be >= 1")
+        require(self.memory <= MAX_MEMORY, f"memory must be <= {MAX_MEMORY}")
         require(all(is_finite(t) and t > 0 for t in (self.grad_tol, self.step_tol)),
                 "tolerances must be positive finite numbers")
 

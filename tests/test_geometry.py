@@ -13,11 +13,12 @@ from imlab.errors import NotSPD, RankDeficient, SingularMetric
 from imlab.fields import Grid
 from imlab.geometry import (SPD_RTOL, MetricChart, chart, chart_factors, christoffel,
                             christoffel_from_values, component_major, cross3_cm,
-                            cross_columns_cm, dist_rotations, dist_stiefel, left_mul,
+                            cross_columns_cm, Diagonal, dist_rotations, dist_stiefel,
+                            factor_form, left_mul,
                             node_major, project_stiefel, riemann_curvature,
                             riemann_from_values, right_mul,
                             rotation_factors_cm, sigma_max_cm, spd_factors, spd_sqrt_det,
-                            sqrt_and_inv_sqrt, stiefel_factors_cm)
+                            sqrt_and_inv_sqrt, stiefel_factors_cm, target_factors_cm)
 from imlab.optimize import SIGMA_GUARD
 
 
@@ -775,6 +776,98 @@ def test_cross_kernels_write_into_out_and_take_single_frames():
     c = rng.normal(size=(2, 1))
     assert cross_columns_cm(c).tobytes() == np.array([-c[1, 0], c[0, 0]]).tobytes()
     assert dist_stiefel(Q).shape == ()
+
+
+def _diagonal_factor(rng, n, nodes, one=False):
+    """A per-node (n, n, *nodes) factor with off-diagonal entries +0 or -0 at
+    random, and diagonal entries uniform in [0.2, 3] (exactly 1 with ``one``)."""
+    M = np.where(rng.random((n, n) + nodes) < 0.5, -0.0, 0.0)
+    diag = np.ones((n,) + nodes) if one else rng.uniform(0.2, 3.0, (n,) + nodes)
+    M[np.arange(n), np.arange(n)] = diag
+    return M
+
+
+def _operand(rng, shape):
+    """Normal entries, about a tenth of them replaced by +0 or -0."""
+    u = rng.normal(size=shape)
+    zeros = rng.random(shape) < 0.1
+    u[zeros] = np.where(rng.random(shape) < 0.5, -0.0, 0.0)[zeros]
+    return u
+
+
+def _equal_to_zero_signs(got, want):
+    """Equal values, and equal bits wherever the value is not zero: the
+    dropped terms are exact zeros, which can flip only the sign of a zero."""
+    nonzero = want != 0.0
+    return (got.shape == want.shape and np.array_equal(got, want)
+            and got[nonzero].tobytes() == want[nonzero].tobytes())
+
+
+class TestFactorForms:
+    """Each factor form (factor_form) against the dense product of the
+    factor it came from."""
+
+    @settings(max_examples=80, deadline=None)
+    @given(seed=st.integers(0, 2 ** 32 - 1), d=st.sampled_from([1, 2]),
+           side=st.sampled_from(["g", "h"]),
+           kind=st.sampled_from(["diagonal", "identity", "constant identity"]),
+           batch=st.sampled_from([(), (1,), (3,)]),
+           counts=st.lists(st.integers(1, 5), min_size=2, max_size=2))
+    def test_structured_products_match_dense(self, seed, d, side, kind, batch, counts):
+        rng = np.random.default_rng(seed)
+        nodes = tuple(counts[:d])
+        n = d if side == "g" else d + 1     # g^{+-1/2}, g^{-1} or a factor of h
+        if kind == "constant identity":
+            M = np.where(np.eye(n) == 1.0, 1.0, np.where(rng.random((n, n)) < 0.5, -0.0, 0.0))
+        else:
+            M = _diagonal_factor(rng, n, nodes, one=kind != "diagonal")
+        form = factor_form(M)
+        if kind == "diagonal":
+            assert isinstance(form, Diagonal) and form.entries.shape == (n,) + nodes
+        else:
+            assert form is None
+        u = _operand(rng, (3, n) + batch + nodes)     # u M: (m, k, *batch, *nodes)
+        assert _equal_to_zero_signs(right_mul(u, form), right_mul(u, M))
+        v = _operand(rng, (n, 2) + batch + nodes)     # M v: (m, k, *batch, *nodes)
+        assert _equal_to_zero_signs(left_mul(form, v), left_mul(M, v))
+
+    @pytest.mark.parametrize("n", [2, 3])
+    def test_one_nonzero_off_diagonal_node_stays_dense(self, n):
+        rng = np.random.default_rng(150 + n)
+        M = _diagonal_factor(rng, n, (4, 5))
+        M[n - 1, 0, 2, 3] = 1e-300
+        assert factor_form(M) is M
+        assert factor_form(M[:, :, 2:, 3:]) is not None
+        assert isinstance(factor_form(M[:, :, :2]), Diagonal)
+
+    def test_one_node_diagonal_and_constant_matrix_are_told_apart(self):
+        """For d = 1 a per-node diagonal on one node and a constant 1x1
+        matrix have one shape; the form keeps them apart."""
+        per_node, constant = np.full((1, 1, 1), 2.0), np.full((1, 1), 2.0)
+        assert isinstance(factor_form(per_node), Diagonal)
+        assert factor_form(constant) is constant
+        u = np.arange(1.0, 4.0).reshape(3, 1, 1)
+        for M in (per_node, constant):
+            assert np.array_equal(right_mul(u, factor_form(M)), 2.0 * u)
+            assert np.array_equal(left_mul(factor_form(M), u.reshape(1, 3, 1)),
+                                  2.0 * u.reshape(1, 3, 1))
+
+    def test_catalogue_factors(self):
+        """The flat parameter metric's g^{-1/2} = [[1, -0], [-0, 1]] and the
+        Euclidean target drop out; the warped-product charts are diagonal;
+        a tabulated full metric stays dense."""
+        grid = Grid((5, 4), (1.0, 1.0), (0.5, 0.0))
+        gsi = spd_factors(np.eye(2))[2]
+        assert np.signbit(gsi[0, 1]) and factor_form(gsi) is None
+        assert target_factors_cm(chart("euclidean", 3), None) == (None, None, None)
+        for name in ("sphere", "hyperbolic", "polar"):
+            for M in chart_factors(chart(name), grid.nodes)[2:]:
+                assert isinstance(factor_form(component_major(M, 2)), Diagonal)
+        A = np.array([[1.0, 0.3], [-0.2, 0.9]])
+        table = MetricChart.from_table(grid, np.broadcast_to(A.T @ A, grid.counts + (2, 2)))
+        for M in chart_factors(table, grid.nodes)[2:]:
+            M = component_major(M, 2)
+            assert factor_form(M) is M
 
 
 class TestStiefelProjection:

@@ -20,7 +20,7 @@ from imlab.fields import (DirectorField, DiscreteImmersion, Grid, fmt17, load_bi
 from imlab.geometry import chart
 from imlab import geometry, harness
 from imlab import optimize as optimize_module
-from imlab.optimize import energy_gradient, unpack_like
+from imlab.optimize import MAX_MEMORY, energy_gradient, unpack_like
 from imlab.harness import (ExperimentConfig, config_from_dict, load_config,
                            run_check, run_minimize, run_experiment,
                            run_stability_sweep, wrinkle_profile, write_json)
@@ -340,6 +340,19 @@ class TestCli:
         assert report["recent_records"] == 6 == len(trace)
         assert report["recent_energy_decrease"] == trace[0, 1] - trace[-1, 1] > 0.0
         assert "over the last 6 trace records" in err
+
+    def test_optimizer_memory_above_cap_exits_1(self, tmp_path, capsys):
+        """An L-BFGS memory above MAX_MEMORY is a config error (exit 1 and
+        one error line), not a history allocation that dies with a traceback."""
+        cfgpath = tmp_path / "cfg.json"
+        cfgpath.write_text(json.dumps({
+            "imlab_config": 1, "experiment": "minimize", "preset": "flat",
+            "grid": [9, 9], "out": str(tmp_path / "out"),
+            "optimizer": {"memory": 100000000}}))
+        assert cli_main(["minimize", "--config", str(cfgpath)]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("imlab: error:") and f"<= {MAX_MEMORY}" in err
+        assert "Traceback" not in err and not (tmp_path / "out").exists()
 
     def test_converged_minimize_reports_no_stall(self, tmp_path, capsys):
         out = tmp_path / "out"

@@ -12,13 +12,14 @@ from imlab.errors import (BadConfig, RankDeficient, UnsupportedExponent,
                           UnsupportedTarget)
 from imlab.fields import (DirectorField, DiscreteImmersion, Grid, ShapeField, fmt17,
                           quadrature_weights)
-from imlab.geometry import chart, sqrt_and_inv_sqrt
+from imlab import geometry
+from imlab.geometry import Diagonal, MetricChart, chart, sqrt_and_inv_sqrt
 from imlab.harness import (_sym_field, random_curve_immersion, random_director,
                            random_smooth_field, random_surface_immersion)
 from imlab.immersion import normal_director
-from imlab.optimize import (SMOOTH_BETA, SMOOTH_POWER, OptimizeConfig, _Evaluator,
-                            _GridSmoother, _History, energy_gradient, minimize,
-                            pack_arrays, pack_state, unpack_like)
+from imlab.optimize import (MAX_MEMORY, SMOOTH_BETA, SMOOTH_POWER, OptimizeConfig,
+                            _Evaluator, _GridSmoother, _History, energy_gradient,
+                            minimize, pack_arrays, pack_state, unpack_like)
 from imlab.presets import get_preset
 
 E2 = chart("euclidean", 2)
@@ -281,12 +282,60 @@ class TestOneIntegrandCore:
                 assert got == (lib.total, lib.stretch, lib.bend)
 
 
+def _dense_node_products(monkeypatch, state, g, S):
+    """Dense per-node products (geometry._node_product) in one energy and
+    one gradient of the state, the factors already built."""
+    ev, x = _Evaluator(state, g, S, 2.0), pack_state(state)
+    calls = []
+    real = geometry._node_product
+    monkeypatch.setattr(geometry, "_node_product",
+                        lambda a, b: calls.append(a.shape) or real(a, b))
+    ev.energy(x)
+    ev.gradient(x)
+    return ev.core, len(calls)
+
+
+class TestFactorForms:
+    @pytest.mark.parametrize("kind", ["immersion", "director"])
+    def test_sphere_chart_takes_no_dense_node_product(self, monkeypatch, kind):
+        """On sphere-incompatible the Euclidean target's factors drop out and
+        g^{-1/2}, g^{-1} are diagonal: no product is a dense per-node sum."""
+        pre = get_preset("sphere-incompatible")
+        grid = pre.grid((9, 9))
+        values = _plane(grid).values
+        values[..., :2] += 0.02 * random_smooth_field(grid, 2, np.random.default_rng(151))
+        f = DiscreteImmersion(grid, values, E3)
+        state = f if kind == "immersion" else normal_director(f)
+        core, calls = _dense_node_products(monkeypatch, state, pre.g, pre.shape_field(grid))
+        assert (core.H, core.Hs, core.Hsi) == (None, None, None)
+        assert all(isinstance(M, Diagonal) for M in (core.gs, core.gsi, core.ginv))
+        assert calls == 0
+
+    @pytest.mark.parametrize("kind", ["immersion", "director"])
+    def test_tabulated_full_metric_keeps_dense_node_products(self, monkeypatch, kind):
+        """The survey's tabulated metric A^T A has nonzero off-diagonal
+        entries at every node: its factors stay dense and are applied as
+        dense per-node sums."""
+        grid = _grid(9)
+        A = np.eye(2) + 0.2 * np.random.default_rng(3).normal(size=(2, 2))
+        g = MetricChart.from_table(grid, np.broadcast_to(A.T @ A, grid.counts + (2, 2)))
+        f = random_surface_immersion(grid, np.random.default_rng(152), amplitude=0.05)
+        state = f if kind == "immersion" else normal_director(f)
+        core, calls = _dense_node_products(monkeypatch, state, g, _zero_shape(grid))
+        assert all(isinstance(M, np.ndarray) and M.shape == (2, 2) + grid.counts
+                   for M in (core.gs, core.gsi, core.ginv))
+        assert calls > 0
+
+
 class TestMinimize:
     def test_bad_config(self):
         with pytest.raises(BadConfig):
             OptimizeConfig(max_iters=0)
         with pytest.raises(BadConfig):
             OptimizeConfig(grad_tol=0.0)
+        assert OptimizeConfig(memory=MAX_MEMORY).memory == MAX_MEMORY
+        with pytest.raises(BadConfig):
+            OptimizeConfig(memory=MAX_MEMORY + 1)
 
     def test_flat_perturbation_returns_to_zero(self):
         grid = _grid(9)
