@@ -104,6 +104,9 @@ class Integrands:
         self.wdet = quadrature_weights(grid) * sdet
         if target.is_constant:
             self.H, self.Hs, self.Hsi = target_factors_cm(target, None)
+        # ((B.shape, bytes of B), (dist2, sigma_min, R)) of the last director
+        # frame (:meth:`_rotations`)
+        self._frame_memo = None
 
     def _target(self, points):
         """(h, h^{1/2}, h^{-1/2}) in their exact forms: single matrices, or
@@ -154,6 +157,24 @@ class Integrands:
         HAG, q2 = self._bend_sq(H, self._with_shape(J, connector(self.target, values, Dn, J, n)))
         return ImmersionNodes(dist2, q2, Q, P, nu, nhat, HAG)
 
+    def _rotations(self, B):
+        """Read-only rotation_factors_cm(B, polar=True), kept for the last B.
+
+        The minimizer's gradient forward at an accepted point repeats the
+        frame B of the energy forward that accepted it, and the 3x3 rotation
+        kernel is most of a director forward; a B with the same shape and
+        the same bytes (so -0.0 and +0.0, or two NaN payloads, differ)
+        returns the kept factors.  Once the gradient starts from the
+        accepted trial's forward itself, this memo has no hits; delete it
+        then."""
+        key = (B.shape, B.tobytes())
+        if self._frame_memo is None or self._frame_memo[0] != key:
+            factors = rotation_factors_cm(B, polar=True)
+            for a in factors:
+                a.flags.writeable = False
+            self._frame_memo = key, factors
+        return self._frame_memo[1]
+
     def director_terms(self, foot, vec):
         """(Jx, K o Dxi, h, h^{1/2}) of the director field (foot, vec), shared
         by :meth:`director` and :meth:`sasaki_sq`."""
@@ -164,14 +185,16 @@ class Integrands:
     def director(self, foot, vec, polar=False, guard=None, terms=None):
         """DirectorNodes of the director field (foot, vec); with ``guard``,
         None where sigma_min(B) < guard.  ``terms`` reuses what
-        :meth:`director_terms` returned for this field."""
+        :meth:`director_terms` returned for this field.  dist2, sigma_min
+        and R are read-only (:meth:`_rotations`); ``polar`` only decides
+        whether R is returned."""
         Jx, K, H, Hs = self.director_terms(foot, vec) if terms is None else terms
         B = left_mul(Hs, np.concatenate([right_mul(Jx, self.gsi), vec[:, None]], axis=1))
-        dist2, smin, R = rotation_factors_cm(B, polar)
+        dist2, smin, R = self._rotations(B)
         if guard is not None and np.min(smin) < guard:
             return None
         HCG, q2 = self._bend_sq(H, self._with_shape(Jx, K))
-        return DirectorNodes(dist2, q2, B, R, HCG)
+        return DirectorNodes(dist2, q2, B, R if polar else None, HCG)
 
     def sasaki_sq(self, foot, vec, terms=None):
         """Squared Sasaki norm |Df_x|^2_{g,h} + |K o Dxi|^2_{g,h} per node;

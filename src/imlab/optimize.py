@@ -2,7 +2,10 @@
 
 Energies and the intermediates of the gradients come from the forwards of
 :class:`imlab.energy.Integrands`, the ones the library energies use, so the
-minimizer and the library agree to the last bit.  The state vector holds each
+minimizer and the library agree to the last bit.  On director states each
+accepted point runs the 3x3 rotation kernel once: the gradient forward
+finds the frame of the energy forward that accepted the point in the
+Integrands' one-entry memo.  The state vector holds each
 node array component-major, (d+1, *counts), the layout of the forwards and
 the stencils, so the reverse passes never transpose; :func:`unpack_like`,
 :func:`energy_gradient` and the state :func:`minimize` returns are node-major.

@@ -2,6 +2,8 @@
 
 import os
 import tempfile
+import tracemalloc
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -13,9 +15,10 @@ import helpers as ref
 from helpers import convergence_orders
 from imlab import fields
 from imlab.errors import BadExponent, GridMismatch
-from imlab.fields import (DirectorField, DiscreteImmersion, Grid, ShapeField,
-                          atomic_write, axis_derivative, axis_derivative_adjoint,
-                          axis_second_derivative, difference_matrix, fd_jacobian,
+from imlab.fields import (DENSE_MAX_NODES, DirectorField, DiscreteImmersion, Grid,
+                          ShapeField, atomic_write, axis_derivative,
+                          axis_derivative_adjoint, axis_second_derivative,
+                          difference_matrix, fd_jacobian,
                           fmt17, integrate_density, jacobian_adjoint, jacobian_array,
                           load_binary, load_node_csv, lp_norm, quadrature_weights,
                           save_binary, save_node_csv, w1p_distance, write_csv)
@@ -87,6 +90,40 @@ def _stencil_cases(draw):
     return Grid(counts, extents), trailing, np.random.default_rng(draw(st.integers(0, 2 ** 32)))
 
 
+@st.composite
+def _long_axis_cases(draw):
+    """(grid, entry shape, rng) as :func:`_stencil_cases`, with one axis of
+    DENSE_MAX_NODES + 1 to + 64 nodes, which the stencils slice, and on 2-D
+    grids the other axis, first or second, of 4-9 nodes."""
+    long = draw(st.integers(DENSE_MAX_NODES + 1, DENSE_MAX_NODES + 64))
+    counts = draw(st.sampled_from([(long,), (long, draw(st.integers(4, 9))),
+                                   (draw(st.integers(4, 9)), long)]))
+    extents = tuple(draw(st.floats(0.05, 20.0)) for _ in counts)
+    trailing = draw(st.sampled_from([(), (3,)]))
+    return Grid(counts, extents), trailing, np.random.default_rng(draw(st.integers(0, 2 ** 32)))
+
+
+def _assert_adjoint_identity(case):
+    """<J u, v> = <u, J^T v> on component-major (*entries, *counts) arrays,
+    and per axis on the grid axes, trailing as in that layout and leading as
+    in node-major arrays."""
+    grid, entries, rng = case
+    k = len(entries)
+    u = rng.normal(size=entries + grid.counts)
+    v = rng.normal(size=entries + (grid.dim,) + grid.counts)
+    Ju = jacobian_array(u, grid)
+    assert Ju.shape == v.shape
+    lhs, rhs = np.sum(Ju * v), np.sum(u * jacobian_adjoint(v, grid))
+    assert abs(lhs - rhs) <= 1e-12 * np.sum(np.abs(Ju * v))
+    col = (slice(None),) * k
+    for axis, h in enumerate(grid.spacing):
+        w = v[col + (axis,)]
+        for a, b, ax in ((u, w, k + axis), (node_major(u, k), node_major(w, k), axis)):
+            Da = axis_derivative(a, ax, h)
+            lhs, rhs = np.sum(Da * b), np.sum(a * axis_derivative_adjoint(b, ax, h))
+            assert abs(lhs - rhs) <= 1e-12 * np.sum(np.abs(Da * b))
+
+
 class TestStencils:
     def test_exact_on_affine(self):
         g = Grid((7, 5), (1.2, 0.8))
@@ -126,24 +163,43 @@ class TestStencils:
     @settings(max_examples=60, deadline=None)
     @given(_stencil_cases())
     def test_adjoint_identity(self, case):
-        """<J u, v> = <u, J^T v> on component-major (*entries, *counts)
-        arrays, and per axis on the grid axes, trailing as in that layout
-        and leading as in node-major arrays."""
+        _assert_adjoint_identity(case)
+
+    @settings(max_examples=30, deadline=None)
+    @given(_long_axis_cases())
+    def test_sliced_adjoint_identity(self, case):
+        """The adjoint identity on grids with an axis above DENSE_MAX_NODES."""
+        _assert_adjoint_identity(case)
+
+    @settings(max_examples=30, deadline=None)
+    @given(_long_axis_cases())
+    def test_sliced_stencils_match_dense_reference(self, case):
+        """Along an axis above DENSE_MAX_NODES the stencils and their
+        adjoints build no difference matrix, and agree with dense products by the reference
+        stencils' matrices to 1e-13 of the larger of the result and the
+        input over h^order, on every axis of either layout."""
         grid, entries, rng = case
         k = len(entries)
-        u = rng.normal(size=entries + grid.counts)
-        v = rng.normal(size=entries + (grid.dim,) + grid.counts)
-        Ju = jacobian_array(u, grid)
-        assert Ju.shape == v.shape
-        lhs, rhs = np.sum(Ju * v), np.sum(u * jacobian_adjoint(v, grid))
-        assert abs(lhs - rhs) <= 1e-12 * np.sum(np.abs(Ju * v))
-        col = (slice(None),) * k
-        for axis, h in enumerate(grid.spacing):
-            w = v[col + (axis,)]
-            for a, b, ax in ((u, w, k + axis), (node_major(u, k), node_major(w, k), axis)):
-                Da = axis_derivative(a, ax, h)
-                lhs, rhs = np.sum(Da * b), np.sum(a * axis_derivative_adjoint(b, ax, h))
-                assert abs(lhs - rhs) <= 1e-12 * np.sum(np.abs(Da * b))
+        u = 10.0 ** rng.uniform(-3, 3) * rng.normal(size=entries + grid.counts)
+        refs = ((axis_derivative, ref.axis_derivative, False, 1),
+                (axis_derivative_adjoint, ref.axis_derivative, True, 1),
+                (axis_second_derivative, ref.axis_second_derivative, False, 2))
+        # a difference matrix built on the way would call None and fail
+        with mock.patch.object(fields, "difference_matrix", None):
+            for axis, h in enumerate(grid.spacing):
+                if grid.counts[axis] <= DENSE_MAX_NODES:
+                    continue
+                for a, ax in ((u, k + axis), (node_major(u, k), axis)):
+                    n = a.shape[ax]
+                    for fn, stencil, adjoint, order in refs:
+                        D = stencil(np.eye(n), 0, h)
+                        want = np.moveaxis(np.tensordot(D.T if adjoint else D,
+                                                        np.moveaxis(a, ax, 0), 1), 0, ax)
+                        got = fn(a, ax, h)
+                        scale = max(np.max(np.abs(want)), np.max(np.abs(a)) / h ** order)
+                        assert np.max(np.abs(got - want)) <= 1e-13 * scale
+        with pytest.raises(ValueError, match="up to"):
+            difference_matrix(DENSE_MAX_NODES + 1, 1.0)
 
     @settings(max_examples=60, deadline=None)
     @given(_stencil_cases())
@@ -276,6 +332,23 @@ class TestSobolevDistance:
         for p in (1.5, 2.0, 3.0):
             assert w1p_distance(f, f0, p) == pytest.approx(0.5, rel=1e-12)
 
+    def test_long_axis_builds_no_matrix(self):
+        """A 20001-node curve allocates a few node arrays, not the 3.2 GB
+        difference matrix of its axis."""
+        n = 20001
+        g = Grid((n,), (1.0,))
+        e2 = chart("euclidean", 2)
+        t = g.nodes()[..., 0]
+        f0 = DiscreteImmersion(g, np.stack([t, np.zeros(n)], axis=-1), e2)
+        f = DiscreteImmersion(g, np.stack([t, np.sin(t)], axis=-1), e2)
+        tracemalloc.start()
+        try:
+            w1p_distance(f, f0, 2.0)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 64 * n * 8
+
     def test_wrinkle_against_fine_grid_oracle(self):
         n, k, eps = 20001, 3, 0.05
         g = Grid((n,), (1.0,))
@@ -401,6 +474,25 @@ class TestSerialization:
         path.write_text(header + "\n")
         with pytest.raises(ValueError):
             load_node_csv(path)
+
+    @pytest.mark.parametrize("body, what", [
+        ("0,0,1.0\n99999,99999,1.0\n", "rows cannot fill"),
+        ("0,0,1.0\n0,1,x\n", "numbers"),
+        ("0,0,1.0\n0,1.5,1.0\n", "integers"),
+    ], ids=["two-rows-huge-grid", "non-numeric-value", "non-integer-index"])
+    def test_csv_rejects_malformed_tables_naming_the_path(self, tmp_path, body, what):
+        """Two rows at (0, 0) and (99999, 99999) span 1e10 nodes: a
+        ValueError, not a 74.5 GiB bincount; bad cells name the path too."""
+        path = tmp_path / "table.csv"
+        path.write_text("i0,i1,c0\n" + body)
+        tracemalloc.start()
+        try:
+            with pytest.raises(ValueError, match=what) as err:
+                load_node_csv(path)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert str(path) in str(err.value) and peak < 1 << 20
 
     def test_binary_roundtrip_and_magic(self, tmp_path):
         rng = np.random.default_rng(4)

@@ -245,6 +245,23 @@ class TestCustomProblem:
         with pytest.raises(BadConfig):
             run_experiment(cfg)
 
+    def test_table_spanning_a_huge_grid_exits_1(self, tmp_path, capsys):
+        """A two-row g table at indices (0, 0) and (99999, 99999) is an input
+        error (exit 1 and one error line naming the table), not a 74.5 GiB
+        allocation that dies with a traceback."""
+        gpath = tmp_path / "metric.csv"
+        gpath.write_text("i0,i1,c0,c1,c2,c3\n0,0,1,0,0,1\n99999,99999,1,0,0,1\n")
+        cfgpath = tmp_path / "cfg.json"
+        cfgpath.write_text(json.dumps({
+            "imlab_config": 1, "experiment": "energy", "preset": "custom",
+            "grid": [9, 9], "out": str(tmp_path / "out"),
+            "custom": {"g": {"csv": str(gpath)}, "s": [[0.0, 0.0], [0.0, 0.0]],
+                       "box": [[0.0, 1.0], [0.0, 1.0]]}}))
+        assert cli_main(["energy", "--config", str(cfgpath)]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("imlab: error:") and str(gpath) in err
+        assert "Traceback" not in err and len(err.splitlines()) == 1
+
 
 class TestCli:
     def test_check_exit_codes(self, tmp_path, capsys):

@@ -7,18 +7,19 @@ from hypothesis import strategies as st
 
 from helpers import (GridSmoother, library_jacobian, library_jacobian_adjoint,
                      random_rotation, two_loop)
+from imlab import energy
 from imlab.energy import relaxed_total, total_energy
 from imlab.errors import (BadConfig, RankDeficient, UnsupportedExponent,
                           UnsupportedTarget)
 from imlab.fields import (DirectorField, DiscreteImmersion, Grid, ShapeField, fmt17,
                           quadrature_weights)
 from imlab import geometry
-from imlab.geometry import Diagonal, MetricChart, chart, sqrt_and_inv_sqrt
+from imlab.geometry import Diagonal, MetricChart, chart, component_major, sqrt_and_inv_sqrt
 from imlab.harness import (_sym_field, random_curve_immersion, random_director,
                            random_smooth_field, random_surface_immersion)
 from imlab.immersion import normal_director
-from imlab.optimize import (MAX_MEMORY, SMOOTH_BETA, SMOOTH_POWER, OptimizeConfig,
-                            _Evaluator, _GridSmoother, _History, energy_gradient,
+from imlab.optimize import (MAX_MEMORY, SMOOTH_BETA, SMOOTH_POWER, TRACE_COLUMNS,
+                            OptimizeConfig, _Evaluator, _GridSmoother, _History, energy_gradient,
                             minimize, pack_arrays, pack_state, unpack_like)
 from imlab.presets import get_preset
 
@@ -462,6 +463,95 @@ _grids = st.one_of(
     st.builds(lambda n1, n2, e1, e2: Grid((n1, n2), (e1, e2)),
               st.integers(4, 24), st.integers(4, 24),
               st.floats(0.05, 20.0), st.floats(0.05, 20.0)))
+
+
+class TestFrameMemo:
+    """The one-entry memo of the director frame's rotation factors in
+    :class:`imlab.energy.Integrands`."""
+
+    @staticmethod
+    def _relax_start():
+        """The relax workload's start at 9^2: the doubled unit normal
+        director of the flat graph with its foot kicked."""
+        pre = get_preset("sphere-incompatible")
+        grid = pre.grid((9, 9))
+        base = normal_director(_plane(grid))
+        foot = base.foot + 0.01 * random_smooth_field(grid, 3, np.random.default_rng(3))
+        return DirectorField(grid, foot, 2.0 * base.vec, E3), pre.g, pre.shape_field(grid)
+
+    @staticmethod
+    def _count_kernel(monkeypatch):
+        calls = [0]
+        real = energy.rotation_factors_cm
+
+        def counted(*args, **kwargs):
+            calls[0] += 1
+            return real(*args, **kwargs)
+
+        monkeypatch.setattr(energy, "rotation_factors_cm", counted)
+        return calls
+
+    def test_one_kernel_run_per_energy_evaluation(self, monkeypatch):
+        """The gradient forward at an accepted point reuses the energy
+        forward's factors: nfev kernel runs, not nfev + ngev."""
+        calls = self._count_kernel(monkeypatch)
+        _, trace = minimize(*self._relax_start(), 2.0, OptimizeConfig(max_iters=60))
+        assert trace.backtracks > 0 and trace.ngev > 1
+        assert calls[0] == trace.nfev
+
+    def test_memo_changes_no_bit(self, monkeypatch):
+        """The state and trace equal, byte for byte, those of a run whose
+        Integrands forgets the memo before every forward."""
+        xi, g, S = self._relax_start()
+        cfg = OptimizeConfig(max_iters=60)
+        runs = [minimize(xi, g, S, 2.0, cfg)]
+        real = energy.Integrands.director
+
+        def forgetful(self, *args, **kwargs):
+            self._frame_memo = None
+            return real(self, *args, **kwargs)
+
+        monkeypatch.setattr(energy.Integrands, "director", forgetful)
+        runs.append(minimize(xi, g, S, 2.0, cfg))
+        (a, ta), (b, tb) = runs
+        assert a.foot.tobytes() == b.foot.tobytes() and a.vec.tobytes() == b.vec.tobytes()
+        rows = [np.array([[r[k] for k in TRACE_COLUMNS] for r in t.records]) for t in (ta, tb)]
+        assert rows[0].tobytes() == rows[1].tobytes()
+        assert ((ta.reason, ta.nfev, ta.ngev, ta.backtracks)
+                == (tb.reason, tb.nfev, tb.ngev, tb.backtracks))
+
+    def test_one_ulp_or_a_zero_sign_misses(self, monkeypatch):
+        """A frame that differs by one ulp, or by the sign of one zero, runs
+        the kernel again and gives a fresh Integrands' results bit for bit;
+        the same bytes in another array hit."""
+        xi, g, S = self._relax_start()
+        foot, vec = component_major(xi.foot, 1), component_major(xi.vec, 1)
+        # with the Euclidean target, B's last column is vec itself
+        vec[0, 4, 4] = 0.0
+        ulp, zero = vec.copy(), vec.copy()
+        ulp[2, 3, 5] = np.nextafter(ulp[2, 3, 5], np.inf)
+        zero[0, 4, 4] = -0.0
+        calls = self._count_kernel(monkeypatch)
+        for other in (ulp, zero):
+            core = energy.Integrands(xi.grid, g, E3, S)
+            core.director(foot, vec, True)
+            assert calls[0] == 1
+            got = core.director(foot, other, True)
+            assert calls[0] == 2
+            again = core.director(foot.copy(), other.copy(), False)
+            assert calls[0] == 2 and again.R is None
+            assert again.dist2.tobytes() == got.dist2.tobytes()
+            want = energy.Integrands(xi.grid, g, E3, S).director(foot, other, True)
+            assert all(x.tobytes() == y.tobytes() for x, y in zip(got, want))
+            calls[0] = 0
+
+    def test_memoised_factors_are_read_only(self):
+        xi, g, S = self._relax_start()
+        core = energy.Integrands(xi.grid, g, E3, S)
+        nodes = core.director(component_major(xi.foot, 1), component_major(xi.vec, 1), True)
+        for a in (nodes.R, nodes.dist2):
+            with pytest.raises(ValueError, match="read-only"):
+                a[(0,) * a.ndim] = 1.0
 
 
 class TestGridSmoother:
