@@ -7,7 +7,7 @@ batched: a point argument of shape ``(..., n)`` yields matrices of shape
 square root) come from one kernel, closed form for 2x2 and 1x1 matrices,
 and a constant chart is factored once.  The module also provides the
 Frobenius distances to the rotation group (closed form for 2x2 frames,
-scaled Newton polar iteration for 3x3 ones of either sign of det, with an
+one scaled Newton polar batch for 3x3 ones of both signs of det, with an
 SVD fallback for the rows it cannot certify) and to the
 set of orthonormal-column matrices (closed form for hypersurface frames),
 which are the building blocks of the stretching integrands.  The frame
@@ -525,8 +525,8 @@ def _newton_polar(x, c, det):
 
 
 def _flip_smallest(b, p, adet):
-    """(dist^2, R, separated) of component-major (9, N) frames B with det B
-    = -adet < 0 and orthogonal polar factor P (det P = -1): R = P (I - 2 v v^T)
+    """(R, separated) of component-major (9, N) frames B with det B = -adet
+    < 0 and orthogonal polar factor P (det P = -1): R = P (I - 2 v v^T)
     with v the unit eigenvector of the smallest eigenvalue of H = sym(P^T B).
 
     The eigenvalues of H (the singular values of B) come from the
@@ -537,8 +537,7 @@ def _flip_smallest(b, p, adet):
     products of its rows, times adj(H - lambda I) once more (one step of
     inverse iteration).  ``separated`` holds where the two smallest
     eigenvalues differ by at least FLIP_GAP_RTOL times their mean tr H / 3,
-    so v is determined; elsewhere, degenerate rows included, the results are
-    not used."""
+    so v is determined; elsewhere, degenerate rows included, R is not used."""
     p3, b3 = p.reshape(3, 3, -1), b.reshape(3, 3, -1)
     ptb = p3[0, :, None] * b3[0] + p3[1, :, None] * b3[1] + p3[2, :, None] * b3[2]
     h = 0.5 * (ptb + ptb.transpose(1, 0, 2)).reshape(9, -1)
@@ -561,8 +560,7 @@ def _flip_smallest(b, p, adet):
         v = np.add.reduce(adj * col, axis=1)
         v = v / np.sqrt(np.add.reduce(v * v, axis=0))
     pv = np.add.reduce(p3 * v, axis=1)
-    r = (p3 - 2.0 * pv[:, None] * v).reshape(9, -1)
-    return np.add.reduce((b - r) ** 2, axis=0), r, separated
+    return (p3 - 2.0 * pv[:, None] * v).reshape(9, -1), separated
 
 
 def _rotation_factors_3(b):
@@ -570,38 +568,24 @@ def _rotation_factors_3(b):
     c, det = _cofactors(b)
     cnorm = np.sqrt(np.add.reduce(c * c, axis=0))
     n2 = np.add.reduce(b * b, axis=0)
+    adet = np.abs(det)
     # |det B| / |cof B|_F = 1 / |B^{-1}|_F lies in [sigma_3 / sqrt(3), sigma_3]:
     # at or above the guard, past the rounding error of det, the guard
-    # cannot fire
+    # cannot fire; the zero frame, whose floor is 0, is not certified
     floor = SIGMA_GUARD * cnorm + DET_ROUNDING * n2 * np.sqrt(n2)
-    ok = (det > 0.0) & (det >= floor) & (det < np.inf)
-    # boolean gathers cost as much as a Newton step: skip them when every
-    # row is certified, as in descent runs
-    every = bool(ok.all())
-    sel = slice(None) if every else ok
-    x, done = _newton_polar(b[:, sel], c[:, sel], det[sel])
-    if every and done.all():
-        return np.add.reduce((b - x) ** 2, axis=0), det / cnorm, x
-    ok[ok] = done
-    r = np.empty_like(b)
-    dist2 = np.empty(b.shape[1])
-    smin = np.empty(b.shape[1])
-    r[:, ok] = x[:, done]
-    dist2[ok] = np.add.reduce((b[:, ok] - r[:, ok]) ** 2, axis=0)
-    smin[ok] = det[ok] / cnorm[ok]
-    # det B < 0: cof(-B) = cof B and det(-B) > 0, so the iteration on -B
-    # returns -P, the negated orthogonal polar factor of B
-    neg = (det < 0.0) & (-det >= floor) & (-det < np.inf)
+    ok = (adet > 0.0) & (adet >= floor) & (adet < np.inf)
+    # sign(det B) B has the cofactors of B and determinant |det B|, so the
+    # iteration on it returns sign(det B) P; the other rows start at the
+    # identity, a fixed point (gamma = 1, step 0)
+    x = np.copysign(1.0, det) * b
+    x[:, ~ok] = c[:, ~ok] = _EYE9
+    r, done = _newton_polar(x, c, np.where(ok, adet, 1.0))
+    ok &= done
+    neg = ok & (det < 0.0)
     if neg.any():
-        bn = b[:, neg]
-        x, done = _newton_polar(-bn, c[:, neg], -det[neg])
-        d2, rn, separated = _flip_smallest(bn, -x, -det[neg])
-        done &= separated
-        neg[neg] = done
-        r[:, neg] = rn[:, done]
-        dist2[neg] = d2[done]
-        smin[neg] = -det[neg] / cnorm[neg]
-        ok |= neg
+        r[:, neg], ok[neg] = _flip_smallest(b[:, neg], -r[:, neg], adet[neg])
+    dist2 = np.add.reduce((b - r) ** 2, axis=0)
+    smin = np.divide(adet, cnorm, out=np.empty_like(adet), where=ok)     # no 0 / 0
     rest = ~ok
     if rest.any():
         dist2[rest], smin[rest], R = _rotation_factors_svd(b[:, rest].T.reshape(-1, 3, 3))
@@ -626,13 +610,15 @@ def rotation_factors_cm(b, polar=False):
     certifies: |det B| / |cof B|_F >= SIGMA_GUARD, with |det B| past its
     rounding error (DET_ROUNDING |B|_F^3).  That ratio lies in
     [sigma_3 / sqrt(3), sigma_3]; it is returned as sigma_min of those rows,
-    which is all the guard needs, since it is at least SIGMA_GUARD.  Rows
-    with det B > 0 take the polar factor as R, in one batch.  Rows with
-    det B < 0 iterate from -B in a second batch and flip the smallest
-    singular direction of the polar factor (:func:`_flip_smallest`), where
-    the two smallest singular values are separated.  The other rows
-    (det B = 0, not certified, not converged or not separated) take the SVD
-    and return the exact sigma_min.
+    which is all the guard needs, since it is at least SIGMA_GUARD.  One
+    batch serves both signs of det B: it iterates from sign(det B) B, whose
+    cofactors are those of B and whose determinant is |det B|, so it returns
+    sign(det B) P for the orthogonal polar factor P, with the other rows held
+    at the identity, a fixed point.  Rows with det B > 0 take P as R; rows
+    with det B < 0 flip the smallest singular direction of P
+    (:func:`_flip_smallest`), where the two smallest singular values are
+    separated.  The other rows (det B = 0, not certified, not converged or
+    not separated) take the SVD and return the exact sigma_min.
 
     dist^2 = |B - R|_F^2 is formed directly, with no |B|^2 - 2 tr + n
     cancellation.  R is None unless ``polar`` is set.

@@ -499,7 +499,8 @@ class TestSerialization:
         vals = rng.normal(size=(4, 6, 3))
         path = tmp_path / "field.bin"
         save_binary(path, vals)
-        assert open(path, "rb").read(8) == b"IMLAB001"
+        with open(path, "rb") as fh:
+            assert fh.read(8) == b"IMLAB001"
         assert np.array_equal(load_binary(path), vals)
         bad = tmp_path / "bad.bin"
         bad.write_bytes(b"NOTMAGIC" + b"\x00" * 16)

@@ -9,6 +9,7 @@ from hypothesis import strategies as st
 import helpers
 from helpers import (lambdify_tensor, random_rotation, symbolic_christoffel,
                      symbolic_riemann_lowered)
+from imlab import geometry
 from imlab.errors import NotSPD, RankDeficient, SingularMetric
 from imlab.fields import Grid
 from imlab.geometry import (SPD_RTOL, MetricChart, chart, chart_factors, christoffel,
@@ -521,7 +522,9 @@ def _orthogonal(rng, m, n):
 
 class TestRotationKernel:
     """Closed-form (n = 2) and Newton polar (n = 3) component-major kernel
-    against the SVD on seeded n x n corpora with both signs of det.
+    against the SVD on seeded n x n corpora with both signs of det; for
+    n = 3 one Newton batch serves both signs, and only the rows it cannot
+    certify reach the SVD.
 
     dist^2 agrees to 1e-14 relative to max(1, |B|^2).  R agrees to 1e-12
     where the nearest rotation is well separated, sigma_{n-1} + sign(det B)
@@ -630,8 +633,9 @@ class TestRotationKernel:
 
     def test_separated_reflections_take_no_svd(self, monkeypatch):
         """det < 0 frames whose two smallest singular values are separated,
-        from O(1) to near-singular, badly scaled and relax-like: R within
-        1e-12 and dist^2 within 1e-14 of the SVD's, with no SVD call."""
+        from O(1) to near-singular, badly scaled and relax-like, and those
+        frames mixed with det > 0 ones: R within 1e-12 and dist^2 within
+        1e-14 of the SVD's, with no SVD call."""
         rng = np.random.default_rng(130)
         m = 2000
         sigma = np.sort(rng.uniform(0.2, 3.0, size=(m, 3)), axis=1)[:, ::-1].copy()
@@ -645,10 +649,13 @@ class TestRotationKernel:
         kicked = kicked[np.linalg.det(kicked) < 0]
         s_kicked = np.linalg.svd(kicked, compute_uv=False)
         kicked = kicked[s_kicked[:, 1] - s_kicked[:, 2] >= 1e-2 * s_kicked.mean(axis=1)]
+        mixed = self._reflections(rng, sigma)
+        mixed[::2] = -mixed[::2]
         for B in (self._reflections(rng, sigma), self._reflections(rng, tiny),
-                  self._reflections(rng, wide), kicked):
+                  self._reflections(rng, wide), kicked, mixed):
             ref2, ref_smin, ref_R, s, sign = _svd_rotation(B)
-            assert np.all(sign < 0)
+            flipped = np.arange(len(B)) % 2 == 0 if B is mixed else False
+            assert np.array_equal(sign > 0, np.broadcast_to(flipped, sign.shape))
             with monkeypatch.context() as patch:
                 self._no_svd(patch)
                 dist2, smin, R = rotation_cm(B, polar=True)
@@ -658,6 +665,48 @@ class TestRotationKernel:
             slack = 1e-13 * s[..., 0]
             assert np.all(smin <= ref_smin + slack)
             assert np.all(smin >= ref_smin / np.sqrt(3.0) - slack)
+
+    def test_one_newton_batch_for_both_signs(self, monkeypatch):
+        """Certified det > 0 rows, separated det < 0 rows and uncertified
+        rows (zero, rank 1, near rank 1) in one call: one Newton batch, the
+        SVD on exactly the uncertified rows, and the certified rows' results
+        bit for bit those of a call on them alone."""
+        rng = np.random.default_rng(133)
+        m = 300
+        pos = np.eye(3) + 0.1 * rng.normal(size=(m, 3, 3))
+        sigma = np.sort(rng.uniform(0.2, 3.0, size=(m, 3)), axis=1)[:, ::-1].copy()
+        sigma[:, 2] = np.minimum(sigma[:, 2], 0.9 * sigma[:, 1])
+        neg = self._reflections(rng, sigma)
+        tiny = 10.0 ** rng.uniform(-16.0, -9.0, size=m)     # sigma_3 below the guard
+        low = np.stack([rng.uniform(1.0, 3.0, m), tiny * rng.uniform(1.0, 2.0, m), tiny], 1)
+        near = (_orthogonal(rng, m, 3) * low[:, None, :]) @ _orthogonal(rng, m, 3)
+        rank1 = rng.normal(size=(m, 3, 1)) * rng.normal(size=(m, 1, 3))
+        B = np.concatenate([pos, neg, np.zeros((m, 3, 3)), rank1, near])
+        order = rng.permutation(len(B))
+        B = B[order]
+        certified = order < 2 * m
+        assert np.any(np.linalg.det(B[certified]) < 0.0)
+        assert np.any(np.linalg.det(B[certified]) > 0.0)
+        alone = rotation_cm(B[certified], polar=True)
+        newton, svd_inputs = [], []
+        polar, svd = geometry._newton_polar, np.linalg.svd
+
+        def counted_newton(*args):
+            newton.append(args[0].shape[1])
+            return polar(*args)
+
+        def recorded_svd(A, *args, **kwargs):
+            svd_inputs.append(np.array(A))
+            return svd(A, *args, **kwargs)
+
+        monkeypatch.setattr(geometry, "_newton_polar", counted_newton)
+        monkeypatch.setattr(np.linalg, "svd", recorded_svd)
+        dist2, smin, R = rotation_cm(B, polar=True)
+        monkeypatch.undo()
+        assert newton == [len(B)]
+        assert len(svd_inputs) == 1 and np.array_equal(svd_inputs[0], B[~certified])
+        for got, want in zip((dist2, smin, R), alone):
+            assert got[certified].tobytes() == want.tobytes()
 
     @pytest.mark.parametrize("gap", [1e-9, 1e-12])
     def test_reflections_with_clustered_singular_values(self, gap):
