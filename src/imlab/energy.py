@@ -34,10 +34,10 @@ import numpy as np
 
 from .fields import (DirectorField, DiscreteImmersion, Grid, ShapeField, check_exponent,
                      jacobian_array, quadrature_weights)
-from .geometry import (MetricChart, chart_factors, component_major, cross_columns_cm,
-                       factor_form, left_mul, node_major, right_mul, rotation_factors_cm,
-                       sigma_max_cm, stiefel_factors_cm, target_factors_cm)
-from .immersion import _frame_and_rank_check, connector
+from .geometry import (MetricChart, chart_factors, component_major, factor_form, left_mul,
+                       node_major, right_mul, rotation_factors_cm, sigma_max_cm,
+                       target_factors_cm)
+from .immersion import _frame, connector
 
 
 @dataclass(frozen=True)
@@ -64,9 +64,9 @@ def parameter_factors(g: MetricChart, grid: Grid):
 # Per-node integrands (squared frame distance dist2, squared bending norm q2)
 # and the intermediates of their VJPs, component-major: the frame Q or B,
 # its polar factor P or nearest rotation R (None unless asked for),
-# nu = |cross(Q)| = sigma_1 sigma_2, the unit cross product nhat, and
-# h A g^{-1} of the bending field A, half its q2-derivative.
-ImmersionNodes = namedtuple("ImmersionNodes", "dist2 q2 Q P nu nhat HAG")
+# nu = |cross(Q)| = sigma_1 sigma_2, the unit cross product nhat and the normal
+# n = h^{-1/2} nhat, and h A g^{-1} of the bending field A, half its q2-derivative.
+ImmersionNodes = namedtuple("ImmersionNodes", "dist2 q2 Q P nu nhat HAG n")
 DirectorNodes = namedtuple("DirectorNodes", "dist2 q2 B R HCG")
 
 
@@ -132,33 +132,23 @@ class Integrands:
 
     def immersion(self, values, polar=False, guard=None):
         """ImmersionNodes of the immersion with component-major node values
-        ``values`` (d+1, *counts).
-
-        Without ``guard``, raises RankDeficient where h^{1/2} J is rank
-        deficient (:func:`imlab.immersion.unit_normal`'s rule); with it,
-        returns None where sigma_min(Q) < guard.
+        ``values`` (d+1, *counts), from one frame pass on Q = h^{1/2} J g^{-1/2}
+        (:func:`imlab.immersion._frame`): without ``guard`` it raises
+        RankDeficient where Q is rank deficient (the rule of unit_normal), and
+        with it returns None where sigma_min(Q) < guard.
         """
         J = self._jacobian(values)
         H, Hs, Hsi = self._target(values)
-        B = left_mul(Hs, J)
-        Q = right_mul(B, self.gsi)
-        # the cross product of the columns of Q is det(g^{-1/2}) > 0 times
-        # that of h^{1/2} J: same unit normal, and its length is sigma_1 sigma_2
-        c = cross_columns_cm(Q)
-        nu = np.sqrt(np.add.reduce(c * c, axis=0))
-        dist2, smin, P = stiefel_factors_cm(Q, nu, polar)
-        if guard is None:
-            _frame_and_rank_check(B, cross_columns_cm(B))
-        elif np.min(smin) < guard:
+        frame = _frame(left_mul(Hs, J), Hsi, self.gsi, polar, guard)
+        if frame is None:
             return None
-        nhat = c / nu
-        n = left_mul(Hsi, nhat[:, None])[:, 0]
-        Dn = self._jacobian(n)
-        HAG, q2 = self._bend_sq(H, self._with_shape(J, connector(self.target, values, Dn, J, n)))
-        return ImmersionNodes(dist2, q2, Q, P, nu, nhat, HAG)
+        Q, dist2, P, nu, nhat, n = frame
+        K = connector(self.target, values, self._jacobian(n), J, n)
+        HAG, q2 = self._bend_sq(H, self._with_shape(J, K))
+        return ImmersionNodes(dist2, q2, Q, P, nu, nhat, HAG, n)
 
     def _rotations(self, B):
-        """Read-only rotation_factors_cm(B, polar=True), kept for the last B.
+        """Read-only rotation_factors_cm(B), kept for the last B.
 
         The minimizer's gradient forward at an accepted point repeats the
         frame B of the energy forward that accepted it, and the 3x3 rotation
@@ -169,7 +159,7 @@ class Integrands:
         then."""
         key = (B.shape, B.tobytes())
         if self._frame_memo is None or self._frame_memo[0] != key:
-            factors = rotation_factors_cm(B, polar=True)
+            factors = rotation_factors_cm(B)
             for a in factors:
                 a.flags.writeable = False
             self._frame_memo = key, factors

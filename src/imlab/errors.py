@@ -25,7 +25,7 @@ class GridMismatch(ImlabError):
 
 
 class BadExponent(ImlabError):
-    """Integrability exponent p out of range (p < 1)."""
+    """Integrability exponent p out of range (p < 1, or not finite)."""
 
 
 class UnsupportedExponent(ImlabError):

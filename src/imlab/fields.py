@@ -354,9 +354,9 @@ def integrate_density(density, grid: Grid, g: Optional[MetricChart] = None) -> f
 
 
 def check_exponent(p) -> None:
-    """Raise BadExponent unless the integrability exponent p is >= 1."""
-    if p < 1:
-        raise BadExponent("p must be >= 1")
+    """Raise BadExponent unless the integrability exponent p is finite and >= 1."""
+    if not 1 <= p < np.inf:
+        raise BadExponent("p must be finite and >= 1")
 
 
 def lp_norm(values, p: float, g: Optional[MetricChart], grid: Grid) -> float:

@@ -593,7 +593,7 @@ def _rotation_factors_3(b):
     return dist2, smin, r
 
 
-def rotation_factors_cm(b, polar=False):
+def rotation_factors_cm(b):
     """(dist^2, sigma_min, nearest rotation R) of component-major (n, n, ...)
     frames, n in {2, 3}.
 
@@ -621,7 +621,7 @@ def rotation_factors_cm(b, polar=False):
     not separated) take the SVD and return the exact sigma_min.
 
     dist^2 = |B - R|_F^2 is formed directly, with no |B|^2 - 2 tr + n
-    cancellation.  R is None unless ``polar`` is set.
+    cancellation, so R is formed in any case and always returned.
     """
     n = b.shape[0]
     if n not in (2, 3) or b.shape[1] != n:
@@ -630,7 +630,7 @@ def rotation_factors_cm(b, polar=False):
     nodes = b.shape[2:]
     flat = np.ascontiguousarray(b, dtype=float).reshape(n * n, -1)
     dist2, smin, r = (_rotation_factors_2 if n == 2 else _rotation_factors_3)(flat)
-    return dist2.reshape(nodes), smin.reshape(nodes), r.reshape(b.shape) if polar else None
+    return dist2.reshape(nodes), smin.reshape(nodes), r.reshape(b.shape)
 
 
 def cross3_cm(a, b, out=None):

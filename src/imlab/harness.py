@@ -438,13 +438,13 @@ def _sym_field(grid, rng):
 
 
 def _identity_forwards(f: DiscreteImmersion, g, S=None):
-    """The Integrands of (f, g, S), its forwards of f and of the normal
-    director of f, and the max node-wise gap between their frame distances
-    (to the orthonormal columns and to the rotations)."""
+    """The Integrands of (f, g, S), its forwards of f and of the normal director
+    of f (the normal of the first), and the max node-wise gap between their
+    frame distances (to the orthonormal columns and to the rotations)."""
     core = en.Integrands(f.grid, g, f.target, S)
-    xi = normal_director(f)
-    imm = core.immersion(component_major(f.values, 1))
-    dirn = core.director(component_major(xi.foot, 1), component_major(xi.vec, 1))
+    x = component_major(f.values, 1)
+    imm = core.immersion(x)
+    dirn = core.director(x, imm.n)
     return core, imm, dirn, float(np.max(np.abs(np.sqrt(dirn.dist2) - np.sqrt(imm.dist2))))
 
 

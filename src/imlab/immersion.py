@@ -1,11 +1,12 @@
 """Unit normals, pullback metrics, and shape operators of discrete immersions.
 
-The oriented unit normal is computed pointwise: the Jacobian columns are moved
-to the target-orthonormal frame by the metric square root, the Euclidean
-generalized cross product of the columns is normalized, and the result is
-mapped back.  The cross product uses the closed forms for d = 1 (rotation by
-90 degrees) and d = 2 (cofactor expansion); both make the frame
-(df(e_1), ..., df(e_d), n) positively oriented by construction.
+One private frame pass forms the oriented unit normal pointwise, for this
+module and for :class:`imlab.energy.Integrands`: the Jacobian columns are moved
+to the target-orthonormal frame by the metric square roots, and the Euclidean
+generalized cross product of the columns (closed forms for d = 1, a rotation by
+90 degrees, and d = 2, the cofactor expansion, both making the frame
+(df(e_1), ..., df(e_d), n) positively oriented) is normalized and mapped back;
+the frame's Stiefel factors and rank gate are read from the same cross product.
 """
 
 from __future__ import annotations
@@ -19,20 +20,28 @@ from .geometry import (RANK_RTOL, christoffel, component_major, cross_columns_cm
                        target_factors_cm)
 
 
-def _frame_and_rank_check(b, c):
-    """Raise where sigma_min <= RANK_RTOL sigma_max, else return |c|; c is the
-    cross product of the columns of the component-major (d+1, d, ...) frame
-    b, whose length is sigma_1 ... sigma_d."""
-    s = np.sqrt(np.add.reduce(c * c, axis=0))
-    _, smin, _ = stiefel_factors_cm(b, s)
-    # sigma_max^2 = |B|^2 - (d - 1) sigma_min^2 for d in {1, 2}
-    smax2 = (np.add.reduce((b * b).reshape((-1,) + b.shape[2:]), axis=0)
-             - (b.shape[1] - 1) * smin ** 2)
-    bad = smin <= RANK_RTOL * np.maximum(np.sqrt(np.maximum(smax2, 0.0)), 1e-300)
-    if np.any(bad):
-        idx = tuple(int(i) for i in np.argwhere(bad)[0])
-        raise RankDeficient(f"differential is rank deficient at node {idx}")
-    return s
+def _frame(B, Hsi, gsi=None, polar=False, guard=None):
+    """(Q, dist^2, P, nu, nhat, n) of a component-major (d+1, d, ...) frame
+    B = h^{1/2} J: Q = B g^{-1/2}, its Stiefel factors, nu = |c| for the cross
+    product c of its columns (B's too, up to det g^{-1/2} > 0), nhat = c / nu
+    and n = h^{-1/2} nhat.  Raises RankDeficient where sigma_min(Q) <=
+    RANK_RTOL sigma_max(Q), or with ``guard`` returns None where it is < guard."""
+    Q = right_mul(B, gsi)
+    c = cross_columns_cm(Q)
+    nu = np.sqrt(np.add.reduce(c * c, axis=0))
+    dist2, smin, P = stiefel_factors_cm(Q, nu, polar)
+    if guard is None:
+        # sigma_max^2 = |Q|^2 - (d - 1) sigma_min^2 for d in {1, 2}
+        smax2 = (np.add.reduce((Q * Q).reshape((-1,) + Q.shape[2:]), axis=0)
+                 - (Q.shape[1] - 1) * smin ** 2)
+        bad = smin <= RANK_RTOL * np.maximum(np.sqrt(np.maximum(smax2, 0.0)), 1e-300)
+        if np.any(bad):
+            idx = tuple(int(i) for i in np.argwhere(bad)[0])
+            raise RankDeficient(f"differential is rank deficient at node {idx}")
+    elif np.min(smin) < guard:
+        return None
+    nhat = c / nu
+    return Q, dist2, P, nu, nhat, left_mul(Hsi, nhat[:, None])[:, 0]
 
 
 def _normal_pass(f: DiscreteImmersion) -> tuple:
@@ -42,10 +51,7 @@ def _normal_pass(f: DiscreteImmersion) -> tuple:
     x = component_major(f.values, 1)
     J = jacobian_array(x, f.grid)
     H, Hs, Hsi = target_factors_cm(f.target, f.values)
-    b = left_mul(Hs, J)
-    c = cross_columns_cm(b)
-    c = c / _frame_and_rank_check(b, c)
-    return x, J, H, left_mul(Hsi, c[:, None])[:, 0]
+    return x, J, H, _frame(left_mul(Hs, J), Hsi)[-1]
 
 
 def unit_normal(f: DiscreteImmersion) -> np.ndarray:

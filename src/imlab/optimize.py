@@ -43,8 +43,8 @@ from .errors import (BadConfig, RankDeficient, UnsupportedExponent, UnsupportedT
 # no call here goes through jacobian_array; the binding stays because
 # perfbench/test_perfbench.py::_bindings asserts that imlab.optimize.jacobian_array
 # exists and that the tracer wraps it
-from .fields import (DirectorField, DiscreteImmersion, jacobian_adjoint,  # noqa: F401
-                     jacobian_array, write_csv)
+from .fields import (DirectorField, DiscreteImmersion, check_exponent,  # noqa: F401
+                     jacobian_adjoint, jacobian_array, write_csv)
 from .geometry import (SIGMA_GUARD, MetricChart, component_major, cross3_cm, left_mul,
                        node_major, right_mul)
 
@@ -159,6 +159,7 @@ class _Evaluator:
     """
 
     def __init__(self, template: State, g: MetricChart, S, p: float):
+        check_exponent(p)
         if p < 2:
             raise UnsupportedExponent("gradients require p >= 2")
         if not template.target.is_constant:
@@ -197,7 +198,7 @@ class _Evaluator:
 
     def _immersion_gradient(self, fwd):
         core = self.core
-        dist2, q2, Q, P, nu, nhat, HAG = fwd
+        dist2, q2, Q, P, nu, nhat, HAG, _ = fwd
         Abar = self._bend_bar(HAG, q2)
         # h^{-1/2} is symmetric: the cotangent of nhat is h^{-1/2} nbar
         nhat_bar = left_mul(core.Hsi, jacobian_adjoint(Abar, self.grid))

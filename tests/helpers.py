@@ -338,9 +338,9 @@ def _frames_first(B):
 
 def rotation_factors(B, polar=False):
     """:func:`imlab.geometry.rotation_factors_cm` of node-major (..., n, n)
-    frames."""
-    dist2, smin, r = rotation_factors_cm(_frames_first(B), polar)
-    return dist2, smin, None if r is None else np.moveaxis(r, (0, 1), (-2, -1))
+    frames; R is None unless ``polar`` is set."""
+    dist2, smin, r = rotation_factors_cm(_frames_first(B))
+    return dist2, smin, np.moveaxis(r, (0, 1), (-2, -1)) if polar else None
 
 
 def stiefel_factors(Q, s=None, polar=False):
@@ -403,7 +403,7 @@ def connector(target, points, Dv, J, v):
     return Dv + np.einsum("...abc,...bi,...c->...ai", Gam, J, v)
 
 
-ImmersionNodes = namedtuple("ImmersionNodes", "dist2 q2 Q P nu nhat HA")
+ImmersionNodes = namedtuple("ImmersionNodes", "dist2 q2 Q P nu nhat HA n")
 DirectorNodes = namedtuple("DirectorNodes", "dist2 q2 B R HC")
 
 
@@ -445,9 +445,9 @@ class ReferenceIntegrands:
     def immersion(self, values, polar=False, guard=None):
         """ImmersionNodes of the immersion with node values ``values``.
 
-        Without ``guard``, raises RankDeficient where h^{1/2} J is rank
-        deficient (:func:`imlab.immersion.unit_normal`'s rule); with it,
-        returns None where sigma_min(Q) < guard.
+        Without ``guard``, raises RankDeficient where Q is rank deficient
+        (:func:`imlab.immersion.unit_normal`'s rule, on the frame the energy
+        measures); with it, returns None where sigma_min(Q) < guard.
         """
         J = library_jacobian(values, self.grid)
         H, Hs, Hsi = self._target(values)
@@ -458,8 +458,7 @@ class ReferenceIntegrands:
         nu = np.linalg.norm(c, axis=-1)
         dist2, smin, P = stiefel_factors(Q, nu, polar)
         if guard is None:
-            B = Hs @ J
-            _frame_and_rank_check(B, cross_columns(B))
+            _frame_and_rank_check(Q, c)
         elif np.min(smin) < guard:
             return None
         nhat = c / nu[..., None]
@@ -468,7 +467,7 @@ class ReferenceIntegrands:
         n = nhat @ Hsi if Hsi.ndim == 2 else (Hsi @ nhat[..., None])[..., 0]
         A = connector(self.target, values, library_jacobian(n, self.grid), J, n) + J @ self.Sv
         HA, q2 = self._bend_sq(H, A)
-        return ImmersionNodes(dist2, q2, Q, P, nu, nhat, HA)
+        return ImmersionNodes(dist2, q2, Q, P, nu, nhat, HA, n)
 
     def derivatives(self, foot, vec):
         """The Jacobians (Jx, Jv) of a director field's foot and vector."""
@@ -551,7 +550,7 @@ class ReferenceEvaluator:
 
     def _immersion_gradient(self, fwd):
         core = self.core
-        dist2, q2, Q, P, nu, nhat, HA = fwd
+        dist2, q2, Q, P, nu, nhat, HA, _ = fwd
         Abar = self._bend_bar(HA, q2)
         nhat_bar = library_jacobian_adjoint(Abar, self.grid) @ core.Hsi
         cbar = (nhat_bar - nhat * np.sum(nhat * nhat_bar, axis=-1, keepdims=True)) \

@@ -7,17 +7,20 @@ from scipy.integrate import solve_ivp
 import helpers
 from helpers import library_jacobian, random_rotation
 from imlab import energy as energy_module
+from imlab import geometry as geometry_module
+from imlab import immersion as immersion_module
 from imlab.energy import (Integrands, parameter_factors, relaxed_total, sasaki_bound_margin,
                           sasaki_norm_sq, total_energy)
 from imlab.errors import BadExponent
 from imlab.fields import (DirectorField, DiscreteImmersion, Grid, ShapeField,
-                          integrate_density, jacobian_array)
+                          integrate_density, jacobian_array, lp_norm, w1p_distance)
 from imlab.geometry import (MetricChart, chart, chart_factors, christoffel,
                             christoffel_from_values, component_major, dist_rotations,
                             dist_stiefel, node_major)
 from imlab.harness import (_sym_field, random_curve_immersion, random_director,
                            random_smooth_field, random_surface_immersion)
 from imlab.immersion import covariant_normal_derivative, normal_director, unit_normal
+from imlab.optimize import energy_gradient
 from imlab.presets import get_preset
 
 E2 = chart("euclidean", 2)
@@ -73,6 +76,41 @@ class TestStretchingEnergy:
     def test_bad_exponent(self):
         with pytest.raises(BadExponent):
             total_energy(_plane(_grid(5)), E2, None, 0.7)
+
+    @pytest.mark.parametrize("p", [np.nan, np.inf, -np.inf])
+    @pytest.mark.parametrize("entry", ["lp_norm", "w1p_distance", "total_energy",
+                                       "relaxed_total", "energy_gradient"])
+    def test_non_finite_exponent_is_rejected(self, entry, p):
+        pre = get_preset("cylinder")
+        grid = pre.grid((9, 9))
+        f = pre.reference_immersion(grid)
+        S = pre.shape_field(grid)
+        call = {"lp_norm": lambda: lp_norm(np.ones(grid.counts), p, None, grid),
+                "w1p_distance": lambda: w1p_distance(f, f, p),
+                "total_energy": lambda: total_energy(f, pre.g, S, p),
+                "relaxed_total": lambda: relaxed_total(normal_director(f), pre.g, S, p),
+                "energy_gradient": lambda: energy_gradient(f, pre.g, S, p)}[entry]
+        with pytest.raises(BadExponent):
+            call()
+
+    def test_one_frame_pass_per_energy(self, monkeypatch):
+        """total_energy forms the cross product and the Stiefel factors of
+        its frame once: the rank gate reads them, with no second pass."""
+        calls = []
+        for name in ("cross_columns_cm", "stiefel_factors_cm"):
+            real = getattr(geometry_module, name)
+
+            def counted(*args, _real=real, _name=name, **kwargs):
+                calls.append(_name)
+                return _real(*args, **kwargs)
+
+            for mod in (energy_module, immersion_module):
+                if hasattr(mod, name):
+                    monkeypatch.setattr(mod, name, counted)
+        pre = get_preset("sphere-cap")
+        grid = pre.grid((9, 9))
+        total_energy(pre.reference_immersion(grid), pre.g, pre.shape_field(grid), 2.0)
+        assert sorted(calls) == ["cross_columns_cm", "stiefel_factors_cm"]
 
 
 class TestBendingEnergy:

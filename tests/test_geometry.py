@@ -422,9 +422,9 @@ def stiefel_cm(Q, polar=False):
 
 def rotation_cm(B, polar=False):
     """:func:`rotation_factors_cm` of a node-major (..., n, n) corpus, the
-    nearest rotation moved back to node-major."""
-    dist2, smin, R = rotation_factors_cm(component_major(B, 2), polar)
-    return dist2, smin, None if R is None else node_major(R, 2)
+    nearest rotation moved back to node-major (None unless ``polar``)."""
+    dist2, smin, R = rotation_factors_cm(component_major(B, 2))
+    return dist2, smin, node_major(R, 2) if polar else None
 
 
 class TestStiefelKernel:

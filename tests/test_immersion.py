@@ -12,10 +12,9 @@ from imlab.energy import total_energy
 from imlab.errors import RankDeficient
 from imlab.fields import DiscreteImmersion, Grid, ShapeField, lp_norm
 from imlab.harness import random_smooth_field, random_surface_immersion
-from imlab.geometry import (RANK_RTOL, MetricChart, chart, component_major,
-                            cross_columns_cm)
-from imlab.immersion import (_frame_and_rank_check, covariant_normal_derivative,
-                             pullback_metric, shape_operator, unit_normal)
+from imlab.geometry import RANK_RTOL, MetricChart, chart, component_major
+from imlab.immersion import (_frame, covariant_normal_derivative, pullback_metric,
+                             shape_operator, unit_normal)
 from imlab.presets import get_preset
 
 E2 = chart("euclidean", 2)
@@ -45,9 +44,8 @@ def _rank_corpus(m=400):
 
 
 def _rank_check(frame):
-    """The rank check on node-major frames."""
-    b = component_major(frame, 2)
-    return _frame_and_rank_check(b, cross_columns_cm(b))
+    """The rank gate of the frame pass on node-major frames."""
+    return _frame(component_major(frame, 2), None)
 
 
 class TestUnitNormal:
@@ -129,6 +127,28 @@ class TestUnitNormal:
                     outcome.append(True)
             assert outcome[0] == outcome[1]
             raised.append(outcome[0])
+        assert np.array_equal(raised, ratio < RANK_RTOL)
+
+    def test_energy_gate_reads_the_measured_frame(self):
+        # under a non-identity constant g, differentials J = B g^{1/2} with B
+        # from the corpus: the energy measures Q = J g^{-1/2} = B, and raises
+        # where the SVD rule does on Q (h^{1/2} J itself has other ratios)
+        B, ratio = _rank_corpus()
+        grid = _grid(4)
+        G = np.array([[9.0, 2.0], [2.0, 0.5]])
+        w, V = np.linalg.eigh(G)
+        g = MetricChart(dim=2, domain=[[-np.inf, np.inf]] * 2, constant=G)
+        gs = (V * np.sqrt(w)) @ V.T
+        s_J = np.linalg.svd(B @ gs, compute_uv=False)
+        assert not np.array_equal(s_J[:, -1] <= RANK_RTOL * s_J[:, 0], ratio < RANK_RTOL)
+        raised = []
+        for frame in B:
+            f = DiscreteImmersion(grid, grid.nodes() @ (frame @ gs).T, E3)
+            try:
+                total_energy(f, g, None, 2.0)
+                raised.append(False)
+            except RankDeficient:
+                raised.append(True)
         assert np.array_equal(raised, ratio < RANK_RTOL)
 
     def test_curved_target_normal(self):
