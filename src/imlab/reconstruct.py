@@ -18,12 +18,15 @@ integrates the moving-frame system
 
     d_i f = E_i,   d_i E_j = Gamma^k_ij E_k + II_ij n,   d_i n = -E_j S^j_i
 
-with classical fourth-order Runge-Kutta steps: first along the grid's first
-axis through the anchor, then along the second axis per column.  The discrete
-integration path is fixed (path independence holds only in the continuum).
-The coefficients Gamma, II and S depend on the point only, so each sweep
-evaluates them once, batched over its nodes and midpoints; an RK4 stage reads
-them from that table and updates only the frame (E, n); f follows their E.
+with classical fourth-order Runge-Kutta steps, one sweep per grid axis: sweep
+a marches along axis a from every node the earlier sweeps reached, on the
+anchor's line of the later axes, in one batch (a curve is the one-sweep
+case).  The discrete integration path is fixed (path independence holds only
+in the continuum).  The coefficients Gamma, II and S depend on the point only,
+so each sweep evaluates them once, batched over its nodes and midpoints; an
+RK4 stage reads them from that table and updates only the component-major
+frame (E, n) with the per-node products of :mod:`imlab.geometry`; f follows
+their E.
 """
 
 from __future__ import annotations
@@ -38,9 +41,9 @@ from .errors import (AsymmetricShape, DegenerateCovariance, GridMismatch,
 from .fields import (CompatibilityReport, DiscreteImmersion, Grid, ShapeField,
                      atomic_write, axis_derivative, axis_second_derivative,
                      jacobian_array, quadrature_weights)
-from .geometry import (MetricChart, chart, christoffel, christoffel_from_values,
-                       component_major, first_kind, left_mul, riemann_from_values,
-                       right_mul)
+from .geometry import (MetricChart, _node_product, chart, christoffel,
+                       christoffel_from_values, component_major, first_kind, left_mul,
+                       node_major, riemann_from_values, right_mul)
 
 COMPAT_SAFETY = 10.0
 
@@ -170,17 +173,19 @@ def _validate_frame(g: MetricChart, anchor_point, E0, n0):
         raise NonSPDAnchor("anchor frame must be positively oriented")
 
 
-def _sweep_coefficients(g: MetricChart, X, Snode, Smid, axis: int) -> tuple:
+def _sweep_coefficients(g: MetricChart, X, line, axis: int) -> tuple:
     """The point-only coefficients of the frame system along ``axis`` at the
-    2n-1 half-step points ``X`` (2n-1, batch, d) of one sweep, nodes at even
+    2n-1 half-step points ``X`` (2n-1, *batch, d) of one sweep, nodes at even
     and midpoints at odd indices: Gamma^k_(axis)j, II_(axis)j = (g S)_(axis)j
     and S^j_(axis), from one batched Christoffel and one batched metric
-    evaluation.  ``Snode``/``Smid`` hold S at the nodes and midpoints."""
-    S = np.empty((2 * len(Snode) - 1,) + Snode.shape[1:])
-    S[0::2], S[1::2] = Snode, Smid
-    Gam = christoffel(g, X)[..., :, axis, :].copy()
-    II = (g.eval(X) @ S)[..., axis, :].copy()
-    return Gam, II, S[..., :, axis]
+    evaluation.  ``line`` holds S at the sweep's nodes, node-major with the
+    march along ``axis``.  Each table is indexed [t, entries, *batch]."""
+    S = np.empty(X.shape + (X.shape[-1],))
+    S[0::2] = np.moveaxis(line, axis, 0)
+    S[1::2] = np.moveaxis(_midpoint_values(line, axis), axis, 0)
+    tables = (christoffel(g, X)[..., :, axis, :], (g.eval(X) @ S)[..., axis:axis + 1, :],
+              S[..., :, axis:axis + 1])
+    return [np.ascontiguousarray(np.moveaxis(c, (-2, -1), (1, 2))) for c in tables]
 
 
 def _frame_rhs(coef, t: int, E, N, axis: int):
@@ -188,13 +193,7 @@ def _frame_rhs(coef, t: int, E, N, axis: int):
     coefficients at half-step ``t`` of the sweep's table: state work only.
     It does not depend on the position F, so the RK4 stages carry none."""
     Gam, II, Sa = (c[t] for c in coef)
-    # the sums over k of E Gam and E S, written out in index order
-    GE = E[..., :, 0, None] * Gam[..., None, 0, :]
-    SE = E[..., :, 0] * Sa[..., 0, None]
-    for k in range(1, E.shape[-1]):
-        GE = GE + E[..., :, k, None] * Gam[..., None, k, :]
-        SE = SE + E[..., :, k] * Sa[..., k, None]
-    return E[..., :, axis], GE + N[..., :, None] * II[..., None, :], -SE
+    return E[:, axis], _node_product(E, Gam) + N[:, None] * II, -_node_product(E, Sa)[:, 0]
 
 
 def _rk4_march(coef, axis, h, start, stop, F, E, N, out):
@@ -216,18 +215,6 @@ def _rk4_march(coef, axis, h, start, stop, F, E, N, out):
         E = E + hh / 6.0 * (k1[1] + 2 * k2[1] + 2 * k3[1] + k4[1])
         N = N + hh / 6.0 * (k1[2] + 2 * k2[2] + 2 * k3[2] + k4[2])
         out[j + step] = (F, E, N)
-
-
-def _sweep(g, X, Snode, Smid, axis, h, i0, state) -> list:
-    """March one sweep (see :func:`_sweep_coefficients`) from node ``i0``,
-    which holds ``state``, to both ends; returns F, E and N with the batch
-    leading and the node second."""
-    coef = _sweep_coefficients(g, X, Snode, Smid, axis)
-    slots = [None] * len(Snode)
-    slots[i0] = state
-    _rk4_march(coef, axis, h, i0, len(Snode) - 1, *state, slots)
-    _rk4_march(coef, axis, h, i0, 0, *state, slots)
-    return [np.stack([s[c] for s in slots], axis=1) for c in range(3)]
 
 
 def _anchor(anchor_index, grid: Grid) -> tuple:
@@ -274,30 +261,24 @@ def integrate_frame(g: MetricChart, S: ShapeField, grid: Grid,
         n0 = np.asarray(frame[1], dtype=float)
         _validate_frame(g, anchor_point, E0, n0)
 
-    Sv = S.values
-    h = grid.spacing
-    state = (np.zeros((1, d + 1)), E0[None, ...], n0[None, ...])
-    # half-step coordinates along the first axis, x_0 + (k/2) h
-    x = axes[0][0] + np.arange(2 * grid.counts[0] - 1) / 2.0 * h[0]
-
-    if d == 1:
-        F, E, N = (a[0] for a in _sweep(g, x[:, None, None], Sv[:, None],
-                                        _midpoint_values(Sv, 0)[:, None],
-                                        0, h[0], anchor_index[0], state))
-    else:
-        # first sweep: along axis 0 on the anchor row
-        i0, j0 = anchor_index
-        Srow = Sv[:, j0]
-        row = np.stack([x, np.full_like(x, axes[1][j0])], axis=-1)[:, None]
-        state = [a[0] for a in _sweep(g, row, Srow[:, None],
-                                      _midpoint_values(Srow, 0)[:, None],
-                                      0, h[0], i0, state)]
-        # second sweep: along axis 1, all columns in a single batch
-        y = axes[1][0] + np.arange(2 * grid.counts[1] - 1) / 2.0 * h[1]
-        col = np.stack(np.broadcast_arrays(axes[0], y[:, None]), axis=-1)
-        F, E, N = _sweep(g, col, np.moveaxis(Sv, 1, 0),
-                         np.moveaxis(_midpoint_values(Sv, 1), 1, 0),
-                         1, h[1], j0, state)
+    # component-major state F (d+1, *batch), E (d+1, d, *batch), N (d+1, *batch)
+    state = (np.zeros(d + 1), E0, n0)
+    for a, n in enumerate(grid.counts):
+        # sweep a: along axis a from every node the earlier sweeps reached,
+        # on the anchor's line of the later axes, all in one batch; its
+        # half-step coordinates along axis a are x_0 + (k/2) h
+        x = list(np.meshgrid(axes[a][0] + np.arange(2 * n - 1) / 2.0 * grid.spacing[a],
+                             *axes[:a], indexing="ij"))
+        X = np.stack(x[1:] + x[:1] + [np.full_like(x[0], axes[c][anchor_index[c]])
+                                      for c in range(a + 1, d)], axis=-1)
+        coef = _sweep_coefficients(g, X, S.values[(slice(None),) * (a + 1)
+                                                  + anchor_index[a + 1:]], a)
+        slots = [None] * n
+        slots[anchor_index[a]] = state
+        for stop in (n - 1, 0):
+            _rk4_march(coef, a, grid.spacing[a], anchor_index[a], stop, *state, slots)
+        state = [np.stack([s[c] for s in slots], axis=-1) for c in range(3)]
+    F, E, N = (np.ascontiguousarray(node_major(c, k)) for c, k in zip(state, (1, 2, 1)))
     out = DiscreteImmersion(grid, F, chart("euclidean", d + 1))
     return (out, E, N) if return_frame else out
 
