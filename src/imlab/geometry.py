@@ -115,35 +115,45 @@ class MetricChart:
     @staticmethod
     def from_table(grid, values):
         """Multilinear interpolant of node-sampled metric values on a grid,
-        the chart named ``tabulated``.
+        the chart named ``tabulated``, whose derivative is the same
+        interpolant of the table's grid partials (second order up to the
+        boundary, :func:`imlab.fields.jacobian_array`).
 
-        Continuous but only piecewise-smooth; adequate for energies and
-        quadrature, not for curvature through the interpolation kinks.
+        Continuous but only piecewise-smooth; adequate for energies,
+        quadrature and the frame march, not for curvature through the
+        interpolation kinks.
         """
+        from .fields import jacobian_array     # fields imports this module
         values = np.asarray(values, dtype=float)
         d = grid.dim
         if values.shape != grid.counts + (d, d):
             raise ValueError("tabulated metric has wrong shape")
         origin = np.asarray(grid.origin)
         spacing = np.asarray(grid.spacing)
-        counts = grid.counts
+        counts = np.array(grid.counts)
 
-        def interp(x):
-            x = np.asarray(x, dtype=float)
-            t = (x - origin) / spacing
-            t = np.clip(t, 0.0, np.array(counts) - 1.0)
-            i0 = np.minimum(t.astype(int), np.array(counts) - 2)
-            w = (t - i0)[..., None, None]
-            for c in range(2 ** d):     # cell corners, first axis fastest
-                up = [(c >> a) & 1 for a in range(d)]
-                weight = np.multiply.reduce([w[..., a, :, :] if up[a] else 1 - w[..., a, :, :]
-                                             for a in range(d)])   # in axis order
-                term = weight * values[tuple(i0[..., a] + up[a] for a in range(d))]
-                out = term if c == 0 else out + term
-            return out
+        def interpolant(table):     # points (..., d) to (..., *entries)
+            pad = (1,) * (table.ndim - d)
 
+            def interp(x):
+                t = np.clip((np.asarray(x, dtype=float) - origin) / spacing, 0.0, counts - 1.0)
+                i0 = np.minimum(t.astype(int), counts - 2)
+                w = np.moveaxis(t - i0, -1, 0).reshape((d,) + t.shape[:-1] + pad)
+                for c in range(2 ** d):     # cell corners, first axis fastest
+                    up = [(c >> a) & 1 for a in range(d)]
+                    weight = np.multiply.reduce([w[a] if up[a] else 1 - w[a]
+                                                 for a in range(d)])   # in axis order
+                    term = weight * table[tuple(i0[..., a] + up[a] for a in range(d))]
+                    out = term if c == 0 else out + term
+                return out
+            return interp
+
+        # [*nodes, k, i, j] = d_k g_ij
+        dG = node_major(np.moveaxis(jacobian_array(component_major(values, 2), grid), 2, 0), 3)
         domain = np.stack([origin, origin + np.asarray(grid.extents)], axis=1)
-        return MetricChart(dim=d, domain=domain, matrix=interp, name="tabulated")
+        return MetricChart(dim=d, domain=domain, matrix=interpolant(values),
+                           matrix_deriv=interpolant(np.ascontiguousarray(dG)),
+                           name="tabulated")
 
 
 # ---------------------------------------------------------------------------

@@ -177,6 +177,23 @@ class TestFromTable:
         x = rng.uniform(0.0, 1.0, size=(300, d))
         want = linear(x)
         assert np.max(np.abs(m.eval(x) - want)) <= 1e-15 * np.max(np.abs(want))
+        # the grid stencils are exact on linear tables, so is the derivative
+        assert np.max(np.abs(m.eval_deriv(x) - D)) <= 1e-12 * np.max(np.abs(D))
+
+    def test_derivative_second_order_up_to_the_boundary(self):
+        # the sphere metric diag(1, sin^2 x) on the sphere-cap box, sampled at
+        # random points and on both boundary rows x = 0.5 and x = 1.5, where a
+        # centred difference of the clamped interpolant halves d_0 g_11
+        rng = np.random.default_rng(5)
+        x = rng.uniform(size=(200, 2))
+        x[:50, 0] = np.repeat([0.0, 1.0], 25)
+        x[:, 0] += 0.5
+        sphere = chart("sphere")
+        for n in (17, 33, 65):
+            grid = Grid((n, n), (1.0, 1.0), (0.5, 0.0))
+            m = MetricChart.from_table(grid, sphere.eval(grid.nodes()))
+            err = np.max(np.abs(m.eval_deriv(x) - sphere.eval_deriv(x)))
+            assert err <= 2.0 * grid.spacing[0] ** 2
 
 
 class TestRiemannCurvature:

@@ -208,6 +208,17 @@ class TestIntegrateFrame:
             errs.append(np.max(np.abs(pullback_metric(f) - gv)))
         assert np.all(convergence_orders(errs) >= 1.9)
 
+    def test_tabulated_sphere_cap_pullback_within_h2(self):
+        # the sphere-cap metric read from a node table: the march takes the
+        # table's own derivative, second order up to the boundary rows
+        pre = get_preset("sphere-cap")
+        for n in (17, 33):
+            grid = pre.grid((n, n))
+            gv = pre.g.eval(grid.nodes())
+            f = integrate_frame(MetricChart.from_table(grid, gv), pre.shape_field(grid), grid)
+            h = max(grid.spacing)
+            assert np.max(np.abs(pullback_metric(f) - gv)) <= 10.0 * h * h
+
     def test_incompatible_forms_rejected(self):
         pre = get_preset("sphere-incompatible")
         grid = pre.grid((17, 17))
@@ -264,13 +275,20 @@ class TestIntegrateFrame:
         assert np.max(np.linalg.norm(f.values - expect, axis=-1)) < 1e-8
 
 
-def _march_case(kind, n=9):
+def _march_case(kind, counts=(9, 9)):
     """(g, S, grid) of a sphere (analytic derivatives), a Euclidean (constant)
-    or a tabulated sphere metric (finite-difference derivatives); "swapped" is
+    or a tabulated sphere metric (derivatives from the table); "swapped" is
     the sphere with its coordinates exchanged, so the metric varies along the
-    second grid axis."""
+    second grid axis, and "curve" a curve on counts[0] nodes with a
+    finite-differenced metric."""
+    if kind == "curve":
+        grid = Grid(counts[:1], (1.0,))
+        g1 = MetricChart(dim=1, domain=[[0.0, 1.0]],
+                         matrix=lambda p: (1.0 + 0.3 * p ** 2)[..., None])
+        x = grid.nodes()[..., 0]
+        return g1, ShapeField(grid, (np.sin(3.0 * x) + 1.5)[:, None, None]), grid
     pre = get_preset("cylinder" if kind == "euclidean" else "sphere-cap")
-    grid = pre.grid((n, n))
+    grid = pre.grid(counts)
     g = pre.g
     if kind == "tabulated":
         g = MetricChart.from_table(grid, pre.g.eval(grid.nodes()))
@@ -311,16 +329,21 @@ class TestPerSweepMarch:
         R = random_rotation(np.random.default_rng(11), 3)
         self._assert_same_bits(g, S, grid, anchor, (R @ E0, R @ np.array([0.0, 0.0, 1.0])))
 
+    @pytest.mark.parametrize("kind", ["sphere", "swapped", "tabulated"])
+    @pytest.mark.parametrize("counts", [(7, 12), (12, 7)])
+    def test_bytes_match_on_oblong_grids(self, kind, counts):
+        # a square grid hides a swapped axis in the sweep loop; anchors on
+        # the far edges march each sweep in one direction only
+        g, S, grid = _march_case(kind, counts)
+        n0, n1 = counts
+        for anchor in (None, (n0 - 1, n1 - 1), (n0 - 1, 0), (0, n1 - 1)):
+            self._assert_same_bits(g, S, grid, anchor)
+
     @pytest.mark.parametrize("anchor", [None, (7,), (16,)])
     def test_bytes_match_on_a_curve(self, anchor):
-        grid = Grid((17,), (1.0,))
-        g1 = MetricChart(dim=1, domain=[[0.0, 1.0]],
-                         matrix=lambda p: (1.0 + 0.3 * p ** 2)[..., None])
-        x = grid.nodes()[..., 0]
-        S = ShapeField(grid, (np.sin(3.0 * x) + 1.5)[:, None, None])
-        self._assert_same_bits(g1, S, grid, anchor)
+        self._assert_same_bits(*_march_case("curve", (17,)), anchor)
 
-    @pytest.mark.parametrize("kind", ["sphere", "tabulated"])
+    @pytest.mark.parametrize("kind", ["sphere", "tabulated", "curve"])
     def test_christoffel_calls_per_sweep(self, kind, monkeypatch):
         calls = []
 
@@ -329,12 +352,11 @@ class TestPerSweepMarch:
             return helpers.christoffel(m, x)
 
         monkeypatch.setattr(reconstruct, "christoffel", counting)
-        counts = []
         for n in (9, 33):
             calls.clear()
-            integrate_frame(*_march_case(kind, n))
-            counts.append(len(calls))
-        assert counts[0] == counts[1] <= 2
+            g, S, grid = _march_case(kind, (n, n))
+            integrate_frame(g, S, grid)
+            assert len(calls) == grid.dim
 
 
 class TestAnchorValidation:
