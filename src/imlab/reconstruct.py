@@ -173,7 +173,7 @@ def _validate_frame(g: MetricChart, anchor_point, E0, n0):
         raise NonSPDAnchor("anchor frame must be positively oriented")
 
 
-def _sweep_coefficients(g: MetricChart, X, line, axis: int) -> tuple:
+def _sweep_coefficients(g: MetricChart, X, line, axis: int) -> list:
     """The point-only coefficients of the frame system along ``axis`` at the
     2n-1 half-step points ``X`` (2n-1, *batch, d) of one sweep, nodes at even
     and midpoints at odd indices: Gamma^k_(axis)j, II_(axis)j = (g S)_(axis)j
