@@ -32,6 +32,7 @@ from typing import Optional, Sequence
 
 import numpy as np
 
+from .errors import GridMismatch
 from .fields import (DirectorField, DiscreteImmersion, Grid, ShapeField, check_exponent,
                      jacobian_array, quadrature_weights)
 from .geometry import (MetricChart, chart_factors, component_major, factor_form, left_mul,
@@ -86,7 +87,7 @@ class Integrands:
     states (d+1, k, *counts), and return component-major intermediates; a
     batch is read from the state's shape, and the per-node factors of g and
     S broadcast over its axis.  With a list of k shape fields, S is a batch
-    itself, one field per state.
+    itself, one field per state; every field lives on ``grid`` (GridMismatch).
     """
 
     def __init__(self, grid: Grid, g: MetricChart, target: MetricChart, S=None):
@@ -98,8 +99,9 @@ class Integrands:
         gs, gsi = component_major(gs, 2), component_major(gsi, 2)
         self.gs, self.gsi, self.ginv = (factor_form(M)
                                         for M in (gs, gsi, left_mul(gsi, gsi)))
-        Sv = (np.stack([s.values for s in S]) if isinstance(S, list)
-              else None if S is None else S.values)
+        if any(s.grid != grid for s in (S if isinstance(S, list) else [] if S is None else [S])):
+            raise GridMismatch("shape field and metric live on different grids")
+        Sv = np.stack([s.values for s in S]) if isinstance(S, list) else getattr(S, "values", None)
         self.S = None if Sv is None or not Sv.any() else component_major(Sv, 2)
         self.wdet = quadrature_weights(grid) * sdet
         if target.is_constant:

@@ -1,7 +1,11 @@
 """Parameter-domain grids, discrete maps and tensor fields, derivatives, norms.
 
 The field classes hold node arrays row-major with the grid axes leading, e.g.
-a map into R^3 on an n1 x n2 grid has shape (n1, n2, 3).  The stencils work
+a map into R^3 on an n1 x n2 grid has shape (n1, n2, 3).  Every node array
+that enters (a field, a tabulated or array metric, a quadrature density) has
+one check, :func:`_node_values`: the shape is grid.counts + entries, every
+entry is finite, and points of a target chart need a chart of dimension
+grid dim + 1 whose domain holds them (1e-12 margin).  The stencils work
 component-major, entries leading and grid axes trailing: :func:`jacobian_array`
 takes (comps, n1, n2) and returns (comps, dim, n1, n2), the layout of the
 integrand forwards and the minimizer's state vector; :func:`fd_jacobian` is
@@ -87,11 +91,21 @@ class Grid:
         return np.stack(mesh, axis=-1)
 
 
-def _check_in_domain(values, target: MetricChart, what: str):
-    lo = target.domain[:, 0] - 1e-12
-    hi = target.domain[:, 1] + 1e-12
-    if np.any(values < lo) or np.any(values > hi):
-        raise ValueError(f"{what} values leave the target chart domain")
+def _node_values(grid: Grid, values, entries: tuple, what: str, target=None) -> np.ndarray:
+    """``values`` as a float array, after the module's one check of a node
+    array of ``grid`` with ``entries``-shaped values (ValueError naming
+    ``what``); ``target`` is the chart the values are points of, if any."""
+    v = np.asarray(values, dtype=float)
+    if v.shape != grid.counts + entries:
+        raise ValueError(f"{what} values have shape {v.shape}, expected {grid.counts + entries}")
+    if not np.all(np.isfinite(v)):
+        raise ValueError(f"{what} values must be finite")
+    if target is not None:
+        if target.dim != grid.dim + 1:
+            raise ValueError("target chart dimension must be grid dim + 1")
+        if np.any(v < target.domain[:, 0] - 1e-12) or np.any(v > target.domain[:, 1] + 1e-12):
+            raise ValueError(f"{what} values leave the target chart domain")
+    return v
 
 
 @dataclass(frozen=True)
@@ -103,16 +117,8 @@ class DiscreteImmersion:
     target: MetricChart
 
     def __post_init__(self):
-        v = np.asarray(self.values, dtype=float)
-        expected = self.grid.counts + (self.grid.dim + 1,)
-        if v.shape != expected:
-            raise ValueError(f"immersion values have shape {v.shape}, expected {expected}")
-        if self.target.dim != self.grid.dim + 1:
-            raise ValueError("target chart dimension must be grid dim + 1")
-        if not np.all(np.isfinite(v)):
-            raise ValueError("immersion values must be finite")
-        _check_in_domain(v, self.target, "immersion")
-        object.__setattr__(self, "values", v)
+        object.__setattr__(self, "values", _node_values(
+            self.grid, self.values, (self.grid.dim + 1,), "immersion", self.target))
 
 
 @dataclass(frozen=True)
@@ -125,16 +131,9 @@ class DirectorField:
     target: MetricChart
 
     def __post_init__(self):
-        f = np.asarray(self.foot, dtype=float)
-        v = np.asarray(self.vec, dtype=float)
-        expected = self.grid.counts + (self.grid.dim + 1,)
-        if f.shape != expected or v.shape != expected:
-            raise ValueError("director foot/vec have wrong shape")
-        if not (np.all(np.isfinite(f)) and np.all(np.isfinite(v))):
-            raise ValueError("director feet and vectors must be finite")
-        _check_in_domain(f, self.target, "director foot")
-        object.__setattr__(self, "foot", f)
-        object.__setattr__(self, "vec", v)
+        grid, m = self.grid, (self.grid.dim + 1,)
+        object.__setattr__(self, "foot", _node_values(grid, self.foot, m, "foot", self.target))
+        object.__setattr__(self, "vec", _node_values(grid, self.vec, m, "vec"))
 
 
 @dataclass(frozen=True)
@@ -145,14 +144,8 @@ class ShapeField:
     values: np.ndarray
 
     def __post_init__(self):
-        v = np.asarray(self.values, dtype=float)
-        d = self.grid.dim
-        expected = self.grid.counts + (d, d)
-        if v.shape != expected:
-            raise ValueError(f"shape-field values have shape {v.shape}, expected {expected}")
-        if not np.all(np.isfinite(v)):
-            raise ValueError("shape-field values must be finite")
-        object.__setattr__(self, "values", v)
+        object.__setattr__(self, "values", _node_values(
+            self.grid, self.values, (self.grid.dim,) * 2, "shape-field"))
 
 
 @dataclass(frozen=True)
@@ -344,9 +337,7 @@ def integrate_density(density, grid: Grid, g: Optional[MetricChart] = None) -> f
     Summation order is fixed (row-major numpy reduction) so results are
     reproducible bit-for-bit.
     """
-    density = np.asarray(density, dtype=float)
-    if density.shape != grid.counts:
-        raise ValueError("density shape does not match the grid")
+    density = _node_values(grid, density, (), "density")
     if g is not None and g.dim != grid.dim:
         raise ValueError("volume metric dimension must match the grid")
     sdet = 1.0 if g is None else chart_factors(g, grid.nodes, SingularMetric)[1]

@@ -123,11 +123,9 @@ class MetricChart:
         quadrature and the frame march, not for curvature through the
         interpolation kinks.
         """
-        from .fields import jacobian_array     # fields imports this module
-        values = np.asarray(values, dtype=float)
+        from .fields import _node_values, jacobian_array     # fields imports this module
         d = grid.dim
-        if values.shape != grid.counts + (d, d):
-            raise ValueError("tabulated metric has wrong shape")
+        values = _node_values(grid, values, (d, d), "tabulated metric")
         origin = np.asarray(grid.origin)
         spacing = np.asarray(grid.spacing)
         counts = np.array(grid.counts)

@@ -129,7 +129,7 @@ def _check_custom(custom) -> None:
 
 
 def config_from_dict(d: dict) -> ExperimentConfig:
-    require(isinstance(d, dict) and d.get("imlab_config") == CONFIG_VERSION,
+    require(isinstance(d, dict) and is_int(ver := d.get("imlab_config")) and ver == CONFIG_VERSION,
             f"config must be an object declaring \"imlab_config\": {CONFIG_VERSION}")
     kwargs = {k: v for k, v in d.items() if k != "imlab_config"}
     opt = kwargs.pop("optimizer", None)
@@ -568,13 +568,16 @@ def _ridders(energies, x, idx, h, target) -> np.ndarray:
 
 
 def _load_tensor_table(path, grid: Grid) -> np.ndarray:
-    """A d x d tensor per node read from CSV, checked against the config grid."""
+    """A finite d x d tensor per node read from CSV, checked against the config grid."""
     table = load_node_csv(path)
     d = grid.dim
     if table.shape != grid.counts + (d * d,):
         raise BadConfig(f"table {path} has node counts {table.shape[:-1]} and "
                         f"{table.shape[-1]} components; the config grid needs "
                         f"{grid.counts} and {d * d}")
+    bad = np.argwhere(~np.isfinite(table))[:1, :-1].tolist()
+    if bad:
+        raise BadConfig(f"table {path} has a non-finite value at node {tuple(bad[0])}")
     return table.reshape(grid.counts + (d, d))
 
 

@@ -39,7 +39,7 @@ import numpy as np
 from .errors import (AsymmetricShape, DegenerateCovariance, GridMismatch,
                      IncompatibleForms, NonSPDAnchor, is_int)
 from .fields import (CompatibilityReport, DiscreteImmersion, Grid, ShapeField,
-                     atomic_write, axis_derivative, axis_second_derivative,
+                     _node_values, atomic_write, axis_derivative, axis_second_derivative,
                      jacobian_array, quadrature_weights)
 from .geometry import (MetricChart, _node_product, chart, christoffel,
                        christoffel_from_values, component_major, first_kind, left_mul,
@@ -51,11 +51,7 @@ COMPAT_SAFETY = 10.0
 def _metric_node_values(g, grid: Grid) -> np.ndarray:
     if isinstance(g, MetricChart):
         return g.eval(grid.nodes())
-    gv = np.asarray(g, dtype=float)
-    d = grid.dim
-    if gv.shape != grid.counts + (d, d):
-        raise ValueError("tabulated metric has wrong shape for this grid")
-    return gv
+    return _node_values(grid, g, (grid.dim,) * 2, "metric")
 
 
 def _christoffel_terms(G, grid: Grid) -> tuple:

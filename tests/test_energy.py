@@ -11,7 +11,7 @@ from imlab import geometry as geometry_module
 from imlab import immersion as immersion_module
 from imlab.energy import (Integrands, parameter_factors, relaxed_total, sasaki_bound_margin,
                           sasaki_norm_sq, total_energy)
-from imlab.errors import BadExponent
+from imlab.errors import BadExponent, GridMismatch
 from imlab.fields import (DirectorField, DiscreteImmersion, Grid, ShapeField,
                           integrate_density, jacobian_array, lp_norm, w1p_distance)
 from imlab.geometry import (MetricChart, chart, chart_factors, christoffel,
@@ -20,7 +20,7 @@ from imlab.geometry import (MetricChart, chart, chart_factors, christoffel,
 from imlab.harness import (_sym_field, random_curve_immersion, random_director,
                            random_smooth_field, random_surface_immersion)
 from imlab.immersion import covariant_normal_derivative, normal_director, unit_normal
-from imlab.optimize import energy_gradient
+from imlab.optimize import OptimizeConfig, energy_gradient, minimize
 from imlab.presets import get_preset
 
 E2 = chart("euclidean", 2)
@@ -157,6 +157,34 @@ class TestTotalEnergy:
         assert rep.total == rep.stretch + rep.bend
         # the stretching term does not depend on S
         assert total_energy(f, E2, None, 2.0).stretch == rep.stretch
+
+
+class TestShapeFieldGrid:
+    """A shape field on another grid than the state's is rejected where the
+    integrands are built, alone or in a batch, as gauss_codazzi_residual
+    rejects it."""
+
+    ENTRIES = {
+        "total_energy": lambda f, xi, g, S: total_energy(f, g, S, 2.0),
+        "relaxed_total": lambda f, xi, g, S: relaxed_total(xi, g, S, 2.0),
+        "energy_gradient": lambda f, xi, g, S: energy_gradient(f, g, S, 2.0),
+        "minimize": lambda f, xi, g, S: minimize(xi, g, S, 2.0, OptimizeConfig(max_iters=1)),
+        "sasaki_bound_margin": lambda f, xi, g, S: sasaki_bound_margin(
+            [xi, xi], g, [_id_shape(f.grid), S]),
+        "Integrands": lambda f, xi, g, S: Integrands(f.grid, g, f.target, [S]),
+    }
+
+    @pytest.mark.parametrize("entry", sorted(ENTRIES))
+    @pytest.mark.parametrize("counts", [(9, 9), (9, 11)])
+    def test_other_grid_raises(self, entry, counts):
+        # the same node counts on the unit square used to pass silently,
+        # reading S at the sphere cap's nodes
+        pre = get_preset("sphere-cap")
+        f = pre.reference_immersion(pre.grid((9, 9)))
+        call = self.ENTRIES[entry]
+        call(f, normal_director(f), pre.g, _id_shape(f.grid))
+        with pytest.raises(GridMismatch):
+            call(f, normal_director(f), pre.g, _id_shape(Grid(counts, (1.0, 1.0))))
 
 
 class TestConnector:

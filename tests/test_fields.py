@@ -22,7 +22,7 @@ from imlab.fields import (DENSE_MAX_NODES, DirectorField, DiscreteImmersion, Gri
                           fmt17, integrate_density, jacobian_adjoint, jacobian_array,
                           load_binary, load_node_csv, lp_norm, quadrature_weights,
                           save_binary, save_node_csv, w1p_distance, write_csv)
-from imlab.geometry import chart, component_major, node_major
+from imlab.geometry import MetricChart, chart, component_major, node_major
 from imlab.harness import random_surface_immersion, write_json, write_svg_loglog
 from imlab.optimize import OptimizeTrace
 from imlab.reconstruct import save_obj
@@ -53,28 +53,65 @@ class TestGrid:
             Grid((9, 9), extents, origin)
 
 
-def _field(kind, value):
-    """A field of the given kind on a 5x5 grid with one node entry set to value."""
+# points of the unit cube; the field helper's points lie in it
+_CUBE = MetricChart(dim=3, domain=[[0.0, 1.0]] * 3, constant=np.eye(3))
+
+
+def _field(kind, value=0.5, target=None, cut=False):
+    """A field of the given kind on a 5x5 grid of the unit square, its point
+    arrays in the unit cube, with one node entry of the ``kind`` array set to
+    value and, with ``cut``, that array one node column short; the target
+    chart defaults to Euclidean 3-space."""
     grid = Grid((5, 5), (1.0, 1.0))
-    E3 = chart("euclidean", 3)
-    x = np.concatenate([grid.nodes(), np.zeros(grid.counts + (1,))], axis=-1)
-    e3 = np.broadcast_to([0.0, 0.0, 1.0], x.shape).copy()
-    zero = np.zeros(grid.counts + (2, 2))
-    {"immersion": x, "foot": x, "vec": e3, "shape": zero}[kind][2, 1, -1] = value
+    target = chart("euclidean", 3) if target is None else target
+    x = np.concatenate([grid.nodes(), np.full(grid.counts + (1,), 0.5)], axis=-1)
+    arrays = {"immersion": x, "foot": x.copy(), "vec": np.zeros(x.shape),
+              "shape": np.zeros(grid.counts + (2, 2))}
+    arrays[kind][2, 1, -1] = value
+    if cut:
+        arrays[kind] = arrays[kind][:, :-1]
     if kind == "immersion":
-        return DiscreteImmersion(grid, x, E3)
+        return DiscreteImmersion(grid, arrays["immersion"], target)
     if kind in ("foot", "vec"):
-        return DirectorField(grid, x, e3, E3)
-    return ShapeField(grid, zero)
+        return DirectorField(grid, arrays["foot"], arrays["vec"], target)
+    return ShapeField(grid, arrays["shape"])
 
 
 class TestFieldValues:
+    """Every field class checks its node arrays through fields._node_values."""
+
     @pytest.mark.parametrize("kind", ["immersion", "foot", "vec", "shape"])
     @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
     def test_rejects_non_finite(self, kind, bad):
         _field(kind, 0.5)
         with pytest.raises(ValueError, match="finite"):
             _field(kind, bad)
+
+    @pytest.mark.parametrize("kind", ["immersion", "foot", "vec", "shape"])
+    def test_rejects_wrong_shape(self, kind):
+        with pytest.raises(ValueError, match=r"have shape \(5, 4, .*expected \(5, 5, "):
+            _field(kind, cut=True)
+
+    @pytest.mark.parametrize("kind", ["immersion", "foot", "vec"])
+    def test_points_must_lie_in_the_target_domain(self, kind):
+        # the vector of a director is a tangent vector, not a point
+        _field(kind, 1.0 + 5e-13, _CUBE)
+        if kind == "vec":
+            _field(kind, 1.5, _CUBE)
+            return
+        with pytest.raises(ValueError, match="leave the target chart domain"):
+            _field(kind, 1.5, _CUBE)
+
+    @pytest.mark.parametrize("kind", ["immersion", "foot"])
+    def test_target_dimension_is_grid_dim_plus_one(self, kind):
+        with pytest.raises(ValueError, match=r"target chart dimension must be grid dim \+ 1"):
+            _field(kind, target=chart("euclidean", 2))
+
+    def test_returns_the_float_array(self):
+        grid = Grid((4,), (1.0,))
+        ints = np.arange(8).reshape(4, 2)
+        v = fields._node_values(grid, ints, (2,), "curve", chart("euclidean", 2))
+        assert v.dtype == float and np.array_equal(v, ints)
 
 
 @st.composite
@@ -311,6 +348,12 @@ class TestQuadrature:
             errs.append(abs(lp_norm(f, 2.0, None, g) - exact))
         assert np.all(convergence_orders(errs) >= 1.9)
 
+    @pytest.mark.parametrize("density, what", [
+        (np.full((9, 9), np.nan), "must be finite"), (np.ones((9, 8)), "have shape")])
+    def test_density_is_a_checked_node_array(self, density, what):
+        with pytest.raises(ValueError, match=what):
+            integrate_density(density, Grid((9, 9), (1.0, 1.0)))
+
     def test_bad_exponent(self):
         g = Grid((5,), (1.0,))
         with pytest.raises(BadExponent):
@@ -405,10 +448,12 @@ class TestSerialization:
         rng = np.random.default_rng(3)
         g = Grid((5, 7), (1.0, 2.0))
         vals = rng.normal(size=g.counts + (3,))
+        # the node tables carry what the field checks reject
+        vals[0, 0], vals[4, 6, 2] = [np.nan, np.inf, -np.inf], np.nan
         path = tmp_path / "field.csv"
         save_node_csv(path, g, vals)
         back = load_node_csv(path)
-        assert np.array_equal(back.reshape(vals.shape), vals)
+        assert np.array_equal(back.reshape(vals.shape), vals, equal_nan=True)
 
     @settings(max_examples=60, deadline=None)
     @given(_node_arrays())

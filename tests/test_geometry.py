@@ -195,6 +195,20 @@ class TestFromTable:
             err = np.max(np.abs(m.eval_deriv(x) - sphere.eval_deriv(x)))
             assert err <= 2.0 * grid.spacing[0] ** 2
 
+    @pytest.mark.parametrize("bad, what", [(np.nan, "must be finite"), (np.inf, "must be finite"),
+                                           (None, "have shape")])
+    def test_table_is_a_checked_node_array(self, bad, what):
+        # a NaN cell used to be interpolated, and its stencils run, until
+        # a factorization far downstream failed
+        grid = Grid((9, 9), (1.0, 1.0))
+        table = np.broadcast_to(np.eye(2), grid.counts + (2, 2)).copy()
+        if bad is None:
+            table = table[:, :-1]
+        else:
+            table[4, 7, 1, 1] = bad
+        with pytest.raises(ValueError, match=f"tabulated metric values {what}"):
+            MetricChart.from_table(grid, table)
+
 
 class TestRiemannCurvature:
     def test_flat_charts_vanish(self):

@@ -245,6 +245,30 @@ class TestCustomProblem:
         with pytest.raises(BadConfig):
             run_experiment(cfg)
 
+    @pytest.mark.parametrize("key", ["g", "s"])
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_non_finite_table_cell_exits_1_naming_table_and_node(self, tmp_path, capsys,
+                                                                 key, bad):
+        """A nan or inf cell in a custom table is an input error naming the
+        table and the node, not a factorization failure downstream."""
+        grid = Grid((9, 9), (1.0, 1.0))
+        table = np.broadcast_to(np.eye(2), grid.counts + (2, 2)).copy()
+        table[6, 2, 1, 0] = table[7, 1, 0, 0] = bad
+        path = tmp_path / f"{key}.csv"
+        save_node_csv(path, grid, table)
+        custom = {"g": "euclidean", "s": [[0.0, 0.0], [0.0, 0.0]],
+                  "box": [[0.0, 1.0], [0.0, 1.0]], key: {"csv": str(path)}}
+        cfgpath = tmp_path / "cfg.json"
+        cfgpath.write_text(json.dumps({
+            "imlab_config": 1, "experiment": "energy", "preset": "custom",
+            "grid": [9, 9], "out": str(tmp_path / "out"), "custom": custom}))
+        with pytest.raises(BadConfig, match=r"non-finite value at node \(6, 2\)"):
+            run_experiment(load_config(cfgpath))
+        assert cli_main(["energy", "--config", str(cfgpath)]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("imlab: error:") and str(path) in err
+        assert len(err.splitlines()) == 1
+
     def test_table_spanning_a_huge_grid_exits_1(self, tmp_path, capsys):
         """A two-row g table at indices (0, 0) and (99999, 99999) is an input
         error (exit 1 and one error line naming the table), not a 74.5 GiB
@@ -769,6 +793,9 @@ def _wrong_for(key):
     also objects with wrong inner values."""
     if key == "out":
         return _WRONG.filter(lambda v: not isinstance(v, str))
+    if key == "imlab_config":
+        # 1.0 and True compare equal to the version 1
+        return st.one_of(_WRONG, st.sampled_from([1.0, True, 2, 0, "1", [1]]))
     if key == "custom":
         return st.one_of(_WRONG.filter(lambda v: v is not None and not isinstance(v, dict)),
                          _wrong_custom())
@@ -803,7 +830,7 @@ class TestConfigParsing:
         assert load_config(path) == cfg
 
     @settings(max_examples=300, deadline=None)
-    @given(key=st.sampled_from(sorted(ExperimentConfig.__dataclass_fields__)),
+    @given(key=st.sampled_from(sorted(ExperimentConfig.__dataclass_fields__) + ["imlab_config"]),
            data=st.data())
     def test_wrong_types_and_non_finite_values_raise_bad_config(self, key, data):
         d = {"imlab_config": 1, "experiment": "check", key: data.draw(_wrong_for(key))}
@@ -865,6 +892,8 @@ class TestConfigParsing:
 
     @pytest.mark.parametrize("doc", [[], "check", 1, None, {"experiment": "check"},
                                      {"imlab_config": 2, "experiment": "check"},
+                                     {"imlab_config": 1.0, "experiment": "check"},
+                                     {"imlab_config": True, "experiment": "check"},
                                      {"imlab_config": 1}])
     def test_documents_that_are_not_configs_raise_bad_config(self, doc):
         with pytest.raises(BadConfig):

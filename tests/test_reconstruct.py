@@ -72,6 +72,22 @@ class TestGaussCodazzi:
         assert np.all(convergence_orders(errs) >= 1.9)
 
 
+    @pytest.mark.parametrize("bad, what", [(np.nan, "must be finite"), (-np.inf, "must be finite"),
+                                           (None, "have shape")])
+    def test_array_metric_is_a_checked_node_array(self, bad, what):
+        # a NaN metric entry used to run through every stencil and report
+        # NaN residuals
+        pre = get_preset("flat")
+        grid = pre.grid((9, 9))
+        gv = np.broadcast_to(np.eye(2), grid.counts + (2, 2)).copy()
+        if bad is None:
+            gv = gv[:-1]
+        else:
+            gv[3, 5, 0, 0] = bad
+        with pytest.raises(ValueError, match=f"metric values {what}"):
+            gauss_codazzi_residual(gv, pre.shape_field(grid), grid)
+
+
 def _random_forms(counts, extents, seed):
     """A varying non-diagonal SPD metric table A^T A + I and a shape field
     S = g^{-1} B with B random symmetric, so that II = g S passes the
