@@ -195,18 +195,11 @@ class Integrands:
         return self._bend_sq(H, Jx)[1] + self._bend_sq(H, K)[1]
 
     def report(self, nodes, p: float) -> EnergyReport:
-        """Quadrature of the p-th powers of the integrands against dVol_g."""
+        """Quadrature of the p-th powers of the integrands against dVol_g, a
+        sum over the grid axes: scalars for one state, (k,) for a batch of k."""
         sd, bd = nodes.dist2 ** (p / 2.0), nodes.q2 ** (p / 2.0)
-        return EnergyReport(p=p, stretch=float(np.sum(self.wdet * sd)),
-                            bend=float(np.sum(self.wdet * bd)),
-                            stretch_density=sd, bend_density=bd)
-
-    def totals(self, nodes, p: float) -> np.ndarray:
-        """The total energies (k,) of a batch of k states, each summed as
-        :meth:`report` sums one state's."""
-        axes = tuple(range(1, nodes.dist2.ndim))
-        return (np.sum(self.wdet * nodes.dist2 ** (p / 2.0), axis=axes)
-                + np.sum(self.wdet * nodes.q2 ** (p / 2.0), axis=axes))
+        axes = tuple(range(sd.ndim - self.grid.dim, sd.ndim))
+        return EnergyReport(p, *(np.sum(self.wdet * a, axis=axes) for a in (sd, bd)), sd, bd)
 
 
 def total_energy(f: DiscreteImmersion, g: MetricChart, S: Optional[ShapeField],
@@ -257,9 +250,11 @@ def sasaki_bound_margin(xis: Sequence[DirectorField], g: MetricChart,
     Below the threshold the bound does not apply and NaN is returned as an
     explicit not-applicable sentinel.
     """
+    if not xis or len(Ss) != len(xis) or any(
+            x.target is not xis[0].target or x.grid != xis[0].grid for x in xis):
+        raise ValueError("a margin batch needs one or more fields on one grid and one "
+                         "target, and one S per field")
     grid, target = xis[0].grid, xis[0].target
-    if len(Ss) != len(xis) or any(x.target is not target or x.grid != grid for x in xis):
-        raise ValueError("a margin batch needs one grid, one target and one S per field")
     core = Integrands(grid, g, target, list(Ss))
     foot, vec = (component_major(np.stack([getattr(x, a) for x in xis]), 1)
                  for a in ("foot", "vec"))

@@ -8,12 +8,12 @@ class ImlabError(Exception):
     """Base class for all library errors."""
 
 
-class SingularMetric(ImlabError):
-    """Metric matrix is not invertible to working precision."""
-
-
 class NotSPD(ImlabError):
     """Matrix expected to be symmetric positive definite is not."""
+
+
+class SingularMetric(NotSPD):
+    """Metric matrix fails the one SPD gate, :func:`imlab.geometry.spd_factors`."""
 
 
 class RankDeficient(ImlabError):

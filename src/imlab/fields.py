@@ -30,7 +30,7 @@ from typing import Optional, Sequence
 
 import numpy as np
 
-from .errors import BadExponent, GridMismatch, SingularMetric, UnsupportedTarget
+from .errors import BadExponent, GridMismatch, UnsupportedTarget, is_int
 from .geometry import MetricChart, chart_factors, component_major, node_major
 
 BINARY_MAGIC = b"IMLAB001"
@@ -40,8 +40,8 @@ BINARY_MAGIC = b"IMLAB001"
 class Grid:
     """Uniform tensor-product grid on an axis-aligned box.
 
-    spacing = extent / (count - 1) per axis; at least 4 nodes per axis so the
-    one-sided boundary stencils have room.
+    spacing = extent / (count - 1) per axis; at least 4 nodes per axis, an
+    integer count, so the one-sided boundary stencils have room.
     """
 
     counts: tuple
@@ -49,7 +49,7 @@ class Grid:
     origin: tuple = None
 
     def __post_init__(self):
-        counts = tuple(int(c) for c in np.atleast_1d(self.counts))
+        counts = tuple(np.atleast_1d(self.counts).tolist())
         extents = tuple(float(e) for e in np.atleast_1d(self.extents))
         origin = self.origin
         if origin is None:
@@ -59,8 +59,8 @@ class Grid:
             raise ValueError("grid dimension must be 1 or 2")
         if len(extents) != len(counts) or len(origin) != len(counts):
             raise ValueError("counts, extents and origin must have equal length")
-        if any(c < 4 for c in counts):
-            raise ValueError("need at least 4 nodes per axis")
+        if not all(is_int(c) and c >= 4 for c in counts):
+            raise ValueError(f"need at least 4 nodes per axis, as integers, got {counts}")
         if not all(np.isfinite(extents)) or not all(np.isfinite(origin)):
             raise ValueError("extents and origin must be finite")
         if any(e <= 0 for e in extents):
@@ -340,7 +340,7 @@ def integrate_density(density, grid: Grid, g: Optional[MetricChart] = None) -> f
     density = _node_values(grid, density, (), "density")
     if g is not None and g.dim != grid.dim:
         raise ValueError("volume metric dimension must match the grid")
-    sdet = 1.0 if g is None else chart_factors(g, grid.nodes, SingularMetric)[1]
+    sdet = 1.0 if g is None else chart_factors(g, grid.nodes)[1]
     return float(np.sum(quadrature_weights(grid) * density * sdet))
 
 

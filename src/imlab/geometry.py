@@ -30,7 +30,7 @@ from typing import Callable, NamedTuple, Optional
 
 import numpy as np
 
-from .errors import NotSPD, RankDeficient, SingularMetric
+from .errors import RankDeficient, SingularMetric
 
 # Scale-relative tolerances: smallest eigenvalue / singular value versus largest.
 SPD_RTOL = 1e-12
@@ -48,6 +48,13 @@ def _as_points(x, dim):
     if x.shape[-1] != dim:
         raise ValueError(f"point has {x.shape[-1]} coordinates, chart has dim {dim}")
     return x
+
+
+def _central_differences(fn, x, steps) -> list:
+    """[(fn(x + h_k e_k) - fn(x - h_k e_k)) / (2 h_k) for each axis k] at the
+    points x (..., n), with the per-axis steps h."""
+    return [(fn(x + dx) - fn(x - dx)) / (2.0 * h)
+            for h, dx in zip(steps, steps * np.eye(len(steps)))]
 
 
 @dataclass(frozen=True)
@@ -99,25 +106,19 @@ class MetricChart:
     def eval_deriv(self, x) -> np.ndarray:
         """Partials d_k m_ij, shape (..., dim, dim, dim) with k leading."""
         x = _as_points(x, self.dim)
-        n = self.dim
         if self.constant is not None:
-            return np.zeros(x.shape[:-1] + (n, n, n))
+            return np.zeros(x.shape[:-1] + (self.dim,) * 3)
         if self.matrix_deriv is not None:
             return np.asarray(self.matrix_deriv(x), dtype=float)
-        steps = self.extents() * FD_STEP_REL
-        out = np.empty(x.shape[:-1] + (n, n, n))
-        for k in range(n):
-            dx = np.zeros(n)
-            dx[k] = steps[k]
-            out[..., k, :, :] = (self.eval(x + dx) - self.eval(x - dx)) / (2.0 * steps[k])
-        return out
+        return np.stack(_central_differences(self.eval, x, self.extents() * FD_STEP_REL), axis=-3)
 
     @staticmethod
     def from_table(grid, values):
         """Multilinear interpolant of node-sampled metric values on a grid,
         the chart named ``tabulated``, whose derivative is the same
         interpolant of the table's grid partials (second order up to the
-        boundary, :func:`imlab.fields.jacobian_array`).
+        boundary, :func:`imlab.fields.jacobian_array`), built past the SPD
+        gate of :func:`spd_factors`, which names the first node it rejects.
 
         Continuous but only piecewise-smooth; adequate for energies,
         quadrature and the frame march, not for curvature through the
@@ -126,6 +127,7 @@ class MetricChart:
         from .fields import _node_values, jacobian_array     # fields imports this module
         d = grid.dim
         values = _node_values(grid, values, (d, d), "tabulated metric")
+        spd_factors(values)     # the SPD gate, once on the whole table
         origin = np.asarray(grid.origin)
         spacing = np.asarray(grid.spacing)
         counts = np.array(grid.counts)
@@ -205,9 +207,10 @@ def chart(name: str, dim: int | None = None) -> MetricChart:
 # symmetric positive-definite factors
 
 
-def spd_factors(G, err=NotSPD):
+def spd_factors(G):
     """(sqrt(det G), G^{1/2}, G^{-1/2}) of the symmetric part of (..., n, n)
-    matrices; raises ``err`` unless lambda_min > SPD_RTOL |lambda_max|, so
+    matrices, past the one SPD gate: SingularMetric, naming the index of the
+    first matrix it rejects, unless lambda_min > SPD_RTOL |lambda_max|, so
     also on NaN or infinite entries.
 
     n = 2 is in closed form (Higham, Functions of Matrices, SIAM 2008, Sec. 6):
@@ -217,19 +220,21 @@ def spd_factors(G, err=NotSPD):
     and det G > SPD_RTOL lambda_max^2.  n = 1 is the scalar root, n > 2 eigh.
     """
     G = np.asarray(G, dtype=float)
-    n, ok = G.shape[-1], np.isfinite(G).all()
-    if ok and n > 2:
+    n, ok = G.shape[-1], np.isfinite(G).all(axis=(-2, -1))
+    if ok.all() and n > 2:
         w, V = np.linalg.eigh(0.5 * (G + np.swapaxes(G, -1, -2)))
-        ok, det = np.all(w[..., 0] > SPD_RTOL * np.abs(w[..., -1])), np.prod(w, axis=-1)
-    elif ok and n == 2:
+        ok, det = w[..., 0] > SPD_RTOL * np.abs(w[..., -1]), np.prod(w, axis=-1)
+    elif ok.all() and n == 2:
         a, c, b = G[..., 0, 0], G[..., 1, 1], 0.5 * (G[..., 0, 1] + G[..., 1, 0])
         det, lmax = a * c - b * b, 0.5 * (a + c + np.hypot(a - c, 2.0 * b))
-        ok = np.all((lmax > 0.0) & (det > SPD_RTOL * lmax * lmax))
-    elif ok:
+        ok = (lmax > 0.0) & (det > SPD_RTOL * lmax * lmax)
+    elif ok.all():
         det = G[..., 0, 0]
-        ok = np.all(det > SPD_RTOL * np.abs(det))
-    if not ok:
-        raise err("matrix is not positive definite to working precision")
+        ok = det > SPD_RTOL * np.abs(det)
+    if not ok.all():
+        at = np.argwhere(~ok)[0].tolist()     # [] for a single matrix
+        raise SingularMetric("matrix is not positive definite to working precision"
+                             + (f" at index {tuple(at)}" if at else ""))
     s = np.sqrt(det)
     if n > 2:
         r, Vt = np.sqrt(w)[..., None, :], np.swapaxes(V, -1, -2)
@@ -249,17 +254,17 @@ def sqrt_and_inv_sqrt(G):
 
 
 def spd_sqrt_det(G) -> np.ndarray:
-    """sqrt(det G) for SPD matrices (the Riemannian volume density); raises
-    SingularMetric where :func:`spd_factors` rejects G."""
-    return spd_factors(G, SingularMetric)[0]
+    """sqrt(det G) for SPD matrices (the Riemannian volume density), past
+    the gate of :func:`spd_factors`."""
+    return spd_factors(G)[0]
 
 
-def chart_factors(m: MetricChart, x, err=NotSPD):
+def chart_factors(m: MetricChart, x):
     """(m, sqrt(det m), m^{1/2}, m^{-1/2}) at points x (..., dim) or at those a
     callable x returns (:func:`spd_factors`).  A constant chart is factored
     once, x unused: its factors are single matrices, broadcast by numpy."""
     G = m.constant if m.is_constant else m.eval(x() if callable(x) else x)
-    return (G,) + spd_factors(G, err)
+    return (G,) + spd_factors(G)
 
 
 def target_factors_cm(m: MetricChart, x):
@@ -284,8 +289,8 @@ def christoffel_from_values(G, dG) -> tuple:
     """(Gamma, G^{-1}) from component-major metric values G (d, d, *nodes) and
     partials dG[i, j, k] = d_k g_ij, the jacobian_array layout: Gamma^a_bc =
     G^{ae} Gamma_ebc (:func:`first_kind`) as an elementwise sum over e, with
-    G^{-1} = (G^{-1/2})^2 past the SingularMetric gate of :func:`spd_factors`."""
-    Gsi = component_major(spd_factors(node_major(G, 2), SingularMetric)[2], 2)
+    G^{-1} = (G^{-1/2})^2 past the gate of :func:`spd_factors`."""
+    Gsi = component_major(spd_factors(node_major(G, 2))[2], 2)
     Ginv = left_mul(Gsi, Gsi)
     Gam = np.empty(dG.shape)
     for b in range(G.shape[0]):
@@ -300,9 +305,9 @@ def christoffel(m: MetricChart, x) -> np.ndarray:
     shape = x.shape[:-1] + (m.dim,) * 3
     if m.is_constant:
         return np.zeros(shape)
-    p = x.reshape(-1, m.dim)     # one node axis, so every product is elementwise
+    p = x if x.ndim > 1 else x[None]     # node axes, so every product is elementwise
     Gam, _ = christoffel_from_values(component_major(m.eval(p), 2),
-                                     component_major(m.eval_deriv(p), 3).transpose(1, 2, 0, 3))
+                                     np.moveaxis(component_major(m.eval_deriv(p), 3), 0, 2))
     return np.ascontiguousarray(node_major(Gam, 3)).reshape(shape)
 
 
@@ -336,11 +341,8 @@ def riemann_curvature(m: MetricChart, x) -> np.ndarray:
     # larger step when the metric derivative itself is finite-differenced,
     # to keep the nested-difference noise below truncation error
     rel = FD_STEP_REL if m.matrix_deriv is not None else 1e-4
-    steps = m.extents() * rel
-    dGam = np.empty((n,) * 4 + x.shape[:-1])
-    for k, dx in enumerate(steps * np.eye(n)):
-        dGam[k] = component_major((christoffel(m, x + dx) - christoffel(m, x - dx))
-                                  / (2.0 * steps[k]), 3)
+    dGam = np.stack([component_major(D, 3) for D in
+                     _central_differences(lambda y: christoffel(m, y), x, m.extents() * rel)])
     Rp = riemann_from_values(component_major(G, 2), component_major(Gam, 3), dGam)
     R = np.zeros((n,) * 4 + x.shape[:-1])     # zero where k = l
     for p, (k, l) in enumerate(combinations(range(n), 2)):
@@ -506,13 +508,12 @@ def _rotation_factors_2(b):
 
 
 def _rotation_factors_svd(B):
-    """(dist^2, sigma_min, R) of (M, n, n) frames from the SVD: the nearest
-    rotation flips the smallest singular direction when det < 0."""
+    """(dist^2, descending singular values (M, n), R) of (M, n, n) frames from
+    the SVD: the nearest rotation R flips the smallest singular direction when det < 0."""
     U, s, Vt = np.linalg.svd(B)
     target = np.ones_like(s)
     target[:, -1] = np.where(np.linalg.det(U) * np.linalg.det(Vt) < 0, -1.0, 1.0)
-    return (np.sum((s - target) ** 2, axis=-1), s[:, -1],
-            (U * target[:, None, :]) @ Vt)
+    return np.sum((s - target) ** 2, axis=-1), s, (U * target[:, None, :]) @ Vt
 
 
 def _newton_polar(x, c, det):
@@ -596,8 +597,8 @@ def _rotation_factors_3(b):
     smin = np.divide(adet, cnorm, out=np.empty_like(adet), where=ok)     # no 0 / 0
     rest = ~ok
     if rest.any():
-        dist2[rest], smin[rest], R = _rotation_factors_svd(b[:, rest].T.reshape(-1, 3, 3))
-        r[:, rest] = R.reshape(-1, 9).T
+        dist2[rest], s, R = _rotation_factors_svd(b[:, rest].T.reshape(-1, 3, 3))
+        smin[rest], r[:, rest] = s[:, -1], R.reshape(-1, 9).T
     return dist2, smin, r
 
 

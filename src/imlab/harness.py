@@ -21,8 +21,8 @@ from typing import Optional
 import numpy as np
 
 from . import energy as en
-from .errors import (AsymmetricShape, BadConfig, IncompatibleForms, is_finite,
-                     is_int, require)
+from .errors import (AsymmetricShape, BadConfig, IncompatibleForms, SingularMetric,
+                     is_finite, is_int, require)
 # no call here goes through jacobian_array; the binding stays because
 # perfbench/test_perfbench.py::_bindings asserts that imlab.harness.jacobian_array
 # exists and that the tracer wraps it
@@ -586,8 +586,11 @@ def _custom_context(cfg: ExperimentConfig):
     gspec, sspec, box = cfg.custom["g"], cfg.custom["s"], cfg.custom["box"]
     counts = cfg.grid if len(cfg.grid) == 2 else cfg.grid * 2
     grid = Grid(counts, tuple(hi - lo for lo, hi in box), tuple(lo for lo, _ in box))
-    g = (chart(gspec, grid.dim) if isinstance(gspec, str)
-         else MetricChart.from_table(grid, _load_tensor_table(gspec["csv"], grid)))
+    try:
+        g = (chart(gspec, grid.dim) if isinstance(gspec, str)
+             else MetricChart.from_table(grid, _load_tensor_table(gspec["csv"], grid)))
+    except SingularMetric as exc:     # name the table whose node the gate rejects
+        raise BadConfig(f"table {gspec['csv']}: {exc}") from None
     Sv = (_load_tensor_table(sspec["csv"], grid) if isinstance(sspec, dict)
           else _const_shape(sspec)(grid))
     return g, grid, ShapeField(grid, Sv), None

@@ -14,7 +14,7 @@ from __future__ import annotations
 import numpy as np
 
 from .errors import RankDeficient
-from .fields import DirectorField, DiscreteImmersion, ShapeField, jacobian_array
+from .fields import DirectorField, DiscreteImmersion, ShapeField, _node_values, jacobian_array
 from .geometry import (RANK_RTOL, christoffel, component_major, cross_columns_cm,
                        left_mul, node_major, right_mul, stiefel_factors_cm,
                        target_factors_cm)
@@ -94,6 +94,7 @@ def covariant_normal_derivative(f: DiscreteImmersion, n: np.ndarray) -> np.ndarr
     (grad n)_i^a = d_i n^a + Gamma^a_bc(f) d_i f^b n^c, as the node array
     (*counts, d+1, d).  With n the unit normal of f it is grad n.
     """
+    n = _node_values(f.grid, n, (f.grid.dim + 1,), "vector field")
     x, v = component_major(f.values, 1), component_major(n, 1)
     K = connector(f.target, x, jacobian_array(v, f.grid), jacobian_array(x, f.grid), v)
     return np.ascontiguousarray(node_major(K, 2))

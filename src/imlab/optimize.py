@@ -219,8 +219,8 @@ class _Evaluator:
         fwd = self._forward(x, polar=False)
         if fwd is None:
             return np.inf, np.inf, np.inf
-        rep = self.core.report(fwd, self.p)
-        return rep.total, rep.stretch, rep.bend
+        rep = self.core.report(fwd, self.p)     # the trace keeps floats, not numpy scalars
+        return float(rep.total), float(rep.stretch), float(rep.bend)
 
     def energies(self, X: np.ndarray) -> np.ndarray:
         """The total energies (k,) of a (k, n) stack of state vectors, from
@@ -229,7 +229,7 @@ class _Evaluator:
         fwd = self._forward(X, polar=False)
         if fwd is None:
             return np.array([self.energy(x)[0] for x in X])
-        return self.core.totals(fwd, self.p)
+        return self.core.report(fwd, self.p).total
 
     def gradient(self, x: np.ndarray) -> np.ndarray:
         """The gradient, laid out like the state vector."""

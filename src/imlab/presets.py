@@ -34,7 +34,7 @@ class Preset:
     reference: Optional[Callable] = None
 
     def grid(self, counts) -> Grid:
-        counts = tuple(int(c) for c in np.atleast_1d(counts))
+        counts = tuple(np.atleast_1d(counts))
         if len(counts) == 1 and self.dim == 2:
             counts = counts * 2
         extents = tuple(hi - lo for lo, hi in self.box)

@@ -41,9 +41,9 @@ from .errors import (AsymmetricShape, DegenerateCovariance, GridMismatch,
 from .fields import (CompatibilityReport, DiscreteImmersion, Grid, ShapeField,
                      _node_values, atomic_write, axis_derivative, axis_second_derivative,
                      jacobian_array, quadrature_weights)
-from .geometry import (MetricChart, _node_product, chart, christoffel,
-                       christoffel_from_values, component_major, first_kind, left_mul,
-                       node_major, riemann_from_values, right_mul)
+from .geometry import (RANK_RTOL, MetricChart, _node_product, _rotation_factors_svd, chart,
+                       christoffel, christoffel_from_values, component_major, first_kind,
+                       left_mul, node_major, riemann_from_values, right_mul)
 
 COMPAT_SAFETY = 10.0
 
@@ -287,8 +287,10 @@ def align_rigid(f: DiscreteImmersion, f0: DiscreteImmersion):
     """Optimal rotation and translation matching f0 to f (weighted Procrustes).
 
     Minimizes the quadrature-weighted squared L2 distance over proper
-    rotations via the SVD of the cross-covariance.  Returns (R, b, aligned f0)
-    with aligned values R f0 + b.
+    rotations: R is the nearest rotation to the cross-covariance, from the
+    rotation kernel's SVD, unless its second singular value is at most
+    RANK_RTOL times the largest (DegenerateCovariance).  Returns (R, b,
+    aligned f0) with aligned values R f0 + b.
     """
     if f.grid != f0.grid:
         raise GridMismatch("alignment requires a common grid")
@@ -299,13 +301,9 @@ def align_rigid(f: DiscreteImmersion, f0: DiscreteImmersion):
     mu = (w @ A) / wsum
     mu0 = (w @ B) / wsum
     C = (w[:, None] * (A - mu)).T @ (B - mu0)
-    U, s, Vt = np.linalg.svd(C)
-    if s[-2] <= 1e-12 * max(s[0], 1e-300):
+    _, (s,), (R,) = _rotation_factors_svd(C[None])
+    if s[-2] <= RANK_RTOL * max(s[0], 1e-300):
         raise DegenerateCovariance("cross-covariance is rank deficient")
-    sign = np.sign(np.linalg.det(U) * np.linalg.det(Vt))
-    D = np.ones(len(s))
-    D[-1] = sign
-    R = (U * D) @ Vt
     b = mu - R @ mu0
     aligned = DiscreteImmersion(f0.grid, f0.values @ R.T + b, f0.target)
     return R, b, aligned

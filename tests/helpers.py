@@ -11,8 +11,10 @@ component-major compatibility path is checked against, and the per-field
 bound margin, per-draw margin sweep, one-coordinate-at-a-time Ridders
 differences and tensor-product random fields that the check suite's batched
 margins, lockstep gradient check and separable fields (and their scalar
-generator draws, against its per-mode array draws) are checked against, and
-the two-stencil Sobolev distance."""
+generator draws, against its per-mode array draws) are checked against,
+the two-stencil Sobolev distance, and the rigid alignment with its own SVD
+and sign flip that the alignment through the rotation kernel's SVD is
+checked against."""
 
 from collections import namedtuple
 from typing import Optional
@@ -22,7 +24,7 @@ import sympy as sp
 
 from imlab import fields
 from imlab.energy import Integrands
-from imlab.errors import (AsymmetricShape, RankDeficient, SingularMetric,
+from imlab.errors import (AsymmetricShape, DegenerateCovariance, RankDeficient,
                           UnsupportedExponent, UnsupportedTarget)
 from imlab.fields import (CompatibilityReport, DiscreteImmersion, Grid, ShapeField,
                           quadrature_weights)
@@ -657,7 +659,7 @@ def two_loop(grad, pairs, smooth):
 
 def christoffel_from_values(G, dG) -> np.ndarray:
     """Gamma^a_bc from metric values and partials dG[..., k, i, j] = d_k g_ij."""
-    _, _, Gsi = spd_factors(G, SingularMetric)
+    _, _, Gsi = spd_factors(G)
     t1 = np.swapaxes(dG, -3, -2)        # [d,b,c] = dG[b,d,c]
     t2 = np.moveaxis(dG, -3, -1)        # [d,b,c] = dG[c,d,b]
     term = t1 + t2 - dG                 # contracted with G^{-1} as a matmul
@@ -930,3 +932,27 @@ def w1p_distance(f: DiscreteImmersion, f0: DiscreteImmersion, p: float,
     term0 = fields.lp_norm(diff, p, g, f.grid) ** p
     term1 = fields.lp_norm(jnorm, p, g, f.grid) ** p
     return (term0 + term1) ** (1.0 / p)
+
+
+
+def align_rigid(f: DiscreteImmersion, f0: DiscreteImmersion):
+    """imlab.reconstruct.align_rigid as it was before it read the rotation
+    kernel's SVD: its own SVD of the cross-covariance, its own det-sign flip
+    and the literal 1e-12 degeneracy test."""
+    w = quadrature_weights(f.grid).reshape(-1)
+    A = f.values.reshape(-1, f.values.shape[-1])
+    B = f0.values.reshape(-1, f0.values.shape[-1])
+    wsum = float(np.sum(w))
+    mu = (w @ A) / wsum
+    mu0 = (w @ B) / wsum
+    C = (w[:, None] * (A - mu)).T @ (B - mu0)
+    U, s, Vt = np.linalg.svd(C)
+    if s[-2] <= 1e-12 * max(s[0], 1e-300):
+        raise DegenerateCovariance("cross-covariance is rank deficient")
+    sign = np.sign(np.linalg.det(U) * np.linalg.det(Vt))
+    D = np.ones(len(s))
+    D[-1] = sign
+    R = (U * D) @ Vt
+    b = mu - R @ mu0
+    aligned = DiscreteImmersion(f0.grid, f0.values @ R.T + b, f0.target)
+    return R, b, aligned

@@ -11,7 +11,7 @@ from imlab import geometry as geometry_module
 from imlab import immersion as immersion_module
 from imlab.energy import (Integrands, parameter_factors, relaxed_total, sasaki_bound_margin,
                           sasaki_norm_sq, total_energy)
-from imlab.errors import BadExponent, GridMismatch
+from imlab.errors import BadExponent, GridMismatch, NotSPD, SingularMetric
 from imlab.fields import (DirectorField, DiscreteImmersion, Grid, ShapeField,
                           integrate_density, jacobian_array, lp_norm, w1p_distance)
 from imlab.geometry import (MetricChart, chart, chart_factors, christoffel,
@@ -22,6 +22,7 @@ from imlab.harness import (_sym_field, random_curve_immersion, random_director,
 from imlab.immersion import covariant_normal_derivative, normal_director, unit_normal
 from imlab.optimize import OptimizeConfig, energy_gradient, minimize
 from imlab.presets import get_preset
+from imlab.reconstruct import gauss_codazzi_residual
 
 E2 = chart("euclidean", 2)
 E3 = chart("euclidean", 3)
@@ -490,6 +491,36 @@ class TestBoundMargin:
         moved = DirectorField(grid, xi.foot, xi.vec, chart("euclidean", 3))
         with pytest.raises(ValueError):
             sasaki_bound_margin([xi, moved], E2, [_zero_shape(grid)] * 2)
+
+    def test_empty_batch_raises_its_own_value_error(self):
+        # it used to fail as an IndexError on xis[0]
+        with pytest.raises(ValueError, match="margin batch needs one or more fields"):
+            sasaki_bound_margin([], E2, [])
+
+
+def test_one_spd_gate_one_exception_class():
+    """A metric that is indefinite at one node raises SingularMetric itself,
+    naming that node, from every entry point that factors it: the energies,
+    the volume form, the Christoffel symbols and the Gauss-Codazzi residual.
+    total_energy and relaxed_total used to raise NotSPD instead."""
+    grid = _grid(9)
+
+    def matrix(x):     # identity but at the node (4, 4) = (0.5, 0.5)
+        g = np.broadcast_to(np.eye(2), x.shape[:-1] + (2, 2)).copy()
+        g[np.all(x == 0.5, axis=-1)] = [[1.0, 2.0], [2.0, 1.0]]
+        return g
+
+    g = MetricChart(dim=2, domain=[[0.0, 1.0]] * 2, matrix=matrix)
+    f = _plane(grid)
+    calls = [lambda: total_energy(f, g, None, 2.0),
+             lambda: relaxed_total(normal_director(f), g, None, 2.0),
+             lambda: lp_norm(np.ones(grid.counts), 2.0, g, grid),
+             lambda: christoffel(g, grid.nodes()),
+             lambda: gauss_codazzi_residual(g, _zero_shape(grid), grid)]
+    for call in calls:
+        with pytest.raises(SingularMetric, match=r"at index \(4, 4\)") as info:
+            call()
+        assert type(info.value) is SingularMetric and isinstance(info.value, NotSPD)
 
 
 def test_integrand_inverse_metric_is_the_christoffel_one():

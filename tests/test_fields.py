@@ -25,6 +25,7 @@ from imlab.fields import (DENSE_MAX_NODES, DirectorField, DiscreteImmersion, Gri
 from imlab.geometry import MetricChart, chart, component_major, node_major
 from imlab.harness import random_surface_immersion, write_json, write_svg_loglog
 from imlab.optimize import OptimizeTrace
+from imlab.presets import get_preset
 from imlab.reconstruct import save_obj
 
 
@@ -43,6 +44,20 @@ class TestGrid:
             Grid((5, 5), (0.0, 1.0))
         with pytest.raises(ValueError):
             Grid((5, 5, 5), (1.0, 1.0, 1.0))
+
+    @pytest.mark.parametrize("counts", [(4.7, 5.9), (9.0, 9), (9, 9.5), 17.5, ("9", 9)])
+    def test_counts_must_be_integers(self, counts):
+        # (4.7, 5.9) used to be read as a 4 x 5 grid, and a preset's grid
+        # truncated its counts the same way
+        with pytest.raises(ValueError, match="as integers"):
+            Grid(counts, (1.0, 1.0)[:len(np.atleast_1d(counts))])
+        with pytest.raises(ValueError, match="as integers"):
+            get_preset("sphere-cap").grid(counts)
+
+    def test_integer_counts_of_any_integer_type(self):
+        grid = Grid(np.array([9, 17]), (1.0, 1.0))
+        assert grid.counts == (9, 17) and all(type(c) is int for c in grid.counts)
+        assert get_preset("cylinder").grid(np.int64(9)).counts == (9, 9)
 
     @pytest.mark.parametrize("extents, origin", [
         ((np.nan, 1.0), None), ((1.0, np.inf), None), ((-np.inf, 1.0), None),

@@ -168,6 +168,7 @@ class TestFromTable:
         rng = np.random.default_rng(40 + d)
         grid = Grid((9,) * d, (1.0,) * d)
         C, D = rng.normal(size=(d, d)), rng.normal(size=(d, d, d))
+        C += 10.0 * np.eye(d)     # positive definite on the box, past the SPD gate
 
         def linear(x):
             return C + np.tensordot(x, D, axes=(-1, 0))

@@ -269,6 +269,31 @@ class TestCustomProblem:
         assert err.startswith("imlab: error:") and str(path) in err
         assert len(err.splitlines()) == 1
 
+    @pytest.mark.parametrize("experiment", ["energy", "reconstruct"])
+    def test_indefinite_metric_node_exits_1_naming_table_and_node(self, tmp_path, capsys,
+                                                                  experiment):
+        """A g table that is indefinite at one node fails the SPD gate when
+        its chart is built: exit 1 with one error line naming the table and
+        the node, which used to read only "matrix is not positive definite
+        to working precision"."""
+        grid = Grid((9, 9), (1.0, 1.0))
+        table = np.broadcast_to(np.eye(2), grid.counts + (2, 2)).copy()
+        table[4, 5] = [[1.0, 2.0], [2.0, 1.0]]
+        path = tmp_path / "metric.csv"
+        save_node_csv(path, grid, table)
+        cfgpath = tmp_path / "cfg.json"
+        cfgpath.write_text(json.dumps({
+            "imlab_config": 1, "experiment": experiment, "preset": "custom",
+            "grid": [9, 9], "out": str(tmp_path / "out"),
+            "custom": {"g": {"csv": str(path)}, "s": [[0.0, 0.0], [0.0, 0.0]],
+                       "box": [[0.0, 1.0], [0.0, 1.0]]}}))
+        with pytest.raises(BadConfig, match=r"at index \(4, 5\)"):
+            run_experiment(load_config(cfgpath))
+        assert cli_main([experiment, "--config", str(cfgpath)]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("imlab: error: table") and str(path) in err and "(4, 5)" in err
+        assert len(err.splitlines()) == 1
+
     def test_table_spanning_a_huge_grid_exits_1(self, tmp_path, capsys):
         """A two-row g table at indices (0, 0) and (99999, 99999) is an input
         error (exit 1 and one error line naming the table), not a 74.5 GiB

@@ -229,6 +229,22 @@ class TestCovariantNormalDerivative:
         assert np.max(np.abs(W[..., 1])) < 1e-10
 
 
+    @pytest.mark.parametrize("bad, what", [("short", "have shape"), (np.nan, "must be finite"),
+                                           (np.inf, "must be finite")])
+    def test_vector_is_a_checked_node_array(self, bad, what):
+        # a (9, 8, 3) array on the 9 x 9 grid used to fail in a numpy
+        # broadcast, and one NaN entry came back as 18 NaN derivative entries
+        pre = get_preset("sphere-cap")
+        f = pre.reference_immersion(pre.grid((9, 9)))
+        n = unit_normal(f)
+        if bad == "short":
+            n = n[:, :-1]
+        else:
+            n[4, 4, 1] = bad
+        with pytest.raises(ValueError, match=f"vector field values {what}"):
+            covariant_normal_derivative(f, n)
+
+
 class TestShapeOperator:
     def test_flat_plane_zero(self):
         S = shape_operator(_plane(_grid()))

@@ -11,7 +11,7 @@ from imlab import reconstruct
 from imlab.errors import (AsymmetricShape, DegenerateCovariance, GridMismatch,
                           IncompatibleForms, NonSPDAnchor, SingularMetric)
 from imlab.fields import DiscreteImmersion, Grid, ShapeField, lp_norm, quadrature_weights
-from imlab.geometry import MetricChart, chart, christoffel
+from imlab.geometry import MetricChart, chart
 from imlab.harness import random_smooth_field
 from imlab.immersion import pullback_metric, shape_operator
 from imlab.presets import get_preset
@@ -150,17 +150,14 @@ class TestComponentMajorResidual:
         assert rep.passed and calls == []
 
     def test_non_spd_tabulated_metric_raises(self):
-        """As a node array and as the chart interpolating it, at chart points
-        and on the grid: the one gate of the Christoffel formula."""
+        """As a node array, through the one gate of the Christoffel formula,
+        and as a table, which the same gate rejects when the chart is built."""
         gv, S, grid = _random_forms((9, 9), (1.0, 1.0), 4)
         gv[4, 4] = np.array([[1.0, 2.0], [2.0, 1.0]])
-        table = MetricChart.from_table(grid, gv)
+        with pytest.raises(SingularMetric, match=r"at index \(4, 4\)"):
+            MetricChart.from_table(grid, gv)
         with pytest.raises(SingularMetric):
-            christoffel(table, grid.nodes()[3:6, 3:6])
-        for g in (gv, table):
-            with pytest.raises(SingularMetric):
-                gauss_codazzi_residual(g, ShapeField(grid, np.zeros(grid.counts + (2, 2))),
-                                       grid)
+            gauss_codazzi_residual(gv, ShapeField(grid, np.zeros(grid.counts + (2, 2))), grid)
 
 
 class TestShapeFieldGrid:
@@ -455,6 +452,28 @@ class TestAlignRigid:
         _, _, aligned = align_rigid(f, f0)
         vol = float(np.sum(quadrature_weights(grid)))
         assert _l2_gap(f, aligned) <= np.sqrt(3.0) * eps * np.sqrt(vol) * (1 + 1e-6)
+
+    @pytest.mark.parametrize("dim", [1, 2])
+    def test_matches_the_own_svd_reference_bit_for_bit(self, dim):
+        """The rotation, translation and aligned values from the rotation
+        kernel's SVD are those of the alignment's former SVD and det-sign
+        flip, bit for bit, for curves in the plane and surfaces in space:
+        random pairs, and noisy rotations (det C > 0) and reflections
+        (det C < 0, where the smallest singular direction flips) of one map."""
+        rng = np.random.default_rng(60 + dim)
+        grid = Grid((9,) * dim, (1.0,) * dim)
+        target = chart("euclidean", dim + 1)
+        mirror = np.diag([1.0] * dim + [-1.0])
+        for k in range(300):
+            v0 = rng.normal(size=grid.counts + (dim + 1,))
+            Q = random_rotation(rng, dim + 1) @ (mirror if k % 3 == 2 else np.eye(dim + 1))
+            v = (rng.normal(size=v0.shape) if k % 3 == 0
+                 else v0 @ Q.T + 1e-3 * rng.normal(size=v0.shape))
+            f, f0 = DiscreteImmersion(grid, v, target), DiscreteImmersion(grid, v0, target)
+            got, want = align_rigid(f, f0), helpers.align_rigid(f, f0)
+            assert np.array_equal(got[0], want[0]) and np.array_equal(got[1], want[1])
+            assert np.array_equal(got[2].values, want[2].values)
+            assert np.linalg.det(got[0]) > 0.0
 
     def test_degenerate_covariance(self):
         grid = Grid((9, 9), (1.0, 1.0))
