@@ -45,7 +45,8 @@ class IncompatibleForms(ImlabError):
 
 
 class NonSPDAnchor(ImlabError):
-    """Anchor frame does not reproduce the metric at the anchor point."""
+    """Custom anchor frame not finite, not shaped (d+1, d) and (d+1,), or not a
+    positively oriented frame reproducing the metric at the anchor point."""
 
 
 class DegenerateCovariance(ImlabError):

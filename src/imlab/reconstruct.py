@@ -14,19 +14,19 @@ Christoffel formula of :mod:`imlab.geometry`, and it computes only the
 independent index pairs: R_ijkl at k < l and the Codazzi tensor at i < j.
 Their other entries are exact negations or zeros in floating point, so the
 maxima over the pairs are the maxima over all entries.  Reconstruction
-integrates the moving-frame system
+integrates the moving-frame system for the frame P = [E | n] and position f,
 
-    d_i f = E_i,   d_i E_j = Gamma^k_ij E_k + II_ij n,   d_i n = -E_j S^j_i
+    d_a P = P omega_a,   d_a f = E_a,
 
-with classical fourth-order Runge-Kutta steps, one sweep per grid axis: sweep
-a marches along axis a from every node the earlier sweeps reached, on the
-anchor's line of the later axes, in one batch (a curve is the one-sweep
-case).  The discrete integration path is fixed (path independence holds only
-in the continuum).  The coefficients Gamma, II and S depend on the point only,
-so each sweep evaluates them once, batched over its nodes and midpoints; an
-RK4 stage reads them from that table and updates only the component-major
-frame (E, n) with the per-node products of :mod:`imlab.geometry`; f follows
-their E.
+with the connection omega_a[k, j] = Gamma^k_aj, omega_a[d, j] = II_aj,
+omega_a[k, d] = -S^k_a and omega_a[d, d] = 0, by classical fourth-order
+Runge-Kutta steps, one sweep per grid axis: sweep a marches along axis a
+from every node the earlier sweeps reached, on the anchor's line of the
+later axes, in one batch (a curve is the one-sweep case).  The discrete
+integration path is fixed (path independence holds only in the continuum).
+omega_a depends on the point only, so each sweep tabulates it once over its
+nodes and midpoints; an RK4 stage is one per-node product P omega_a of
+:mod:`imlab.geometry`, and f follows the stage's column P[:, a].
 """
 
 from __future__ import annotations
@@ -43,7 +43,7 @@ from .fields import (CompatibilityReport, DiscreteImmersion, Grid, ShapeField,
                      jacobian_array, quadrature_weights)
 from .geometry import (RANK_RTOL, MetricChart, _node_product, _rotation_factors_svd, chart,
                        christoffel, christoffel_from_values, component_major, first_kind,
-                       left_mul, node_major, riemann_from_values, right_mul)
+                       left_mul, node_major, riemann_from_values, right_mul, spd_factors)
 
 COMPAT_SAFETY = 10.0
 
@@ -100,6 +100,7 @@ def gauss_codazzi_residual(g, S: ShapeField, grid: Grid) -> CompatibilityReport:
     if asym > COMPAT_SAFETY * h * h * (1.0 + np.max(np.abs(II))):
         raise AsymmetricShape(f"g*S asymmetry {asym:.3e} exceeds tolerance")
     if grid.dim == 1:
+        spd_factors(gv)     # the gate christoffel_from_values runs in 2-D
         zeros = np.zeros(grid.counts)
         tol = np.full(grid.counts, COMPAT_SAFETY * h * h)
         return CompatibilityReport(zeros, zeros.copy(), tol, True)
@@ -144,73 +145,72 @@ def _midpoint_values(arr, axis: int) -> np.ndarray:
     return np.moveaxis(mid, 0, axis)
 
 
-def _default_anchor_frame(g: MetricChart, anchor_point) -> tuple:
-    """Transposed Cholesky factor of g(anchor) in the last-coordinate-zero plane."""
-    ga = g.eval(anchor_point)
-    try:
-        L = np.linalg.cholesky(ga)
-    except np.linalg.LinAlgError as exc:
-        raise NonSPDAnchor("metric at the anchor is not positive definite") from exc
-    d = g.dim
-    E0 = np.zeros((d + 1, d))
-    E0[:d, :] = L.T
-    n0 = np.zeros(d + 1)
-    n0[d] = 1.0
-    return E0, n0
-
-
-def _validate_frame(g: MetricChart, anchor_point, E0, n0):
-    ga = g.eval(anchor_point)
+def _anchor_frame(g: MetricChart, anchor_point, frame) -> np.ndarray:
+    """The frame matrix P0 = [E0 | n0] (d+1, d+1) at the anchor, from one
+    evaluation of g there: by default E0 is the transposed Cholesky factor of
+    g(anchor) in the last-coordinate-zero plane and n0 the last axis (the
+    residual gate has passed g at every node through the SPD gate); a custom
+    ``frame=(E0, n0)`` must be finite, shaped (d+1, d) and (d+1,), reproduce
+    g(anchor) and carry a unit normal orthogonal to E0 that makes P0
+    positively oriented (NonSPDAnchor otherwise)."""
+    ga, d = g.eval(anchor_point), g.dim
+    if frame is None:
+        P0 = np.eye(d + 1)
+        P0[:d, :d] = np.linalg.cholesky(ga).T
+        return P0
+    E0, n0 = (np.asarray(c, dtype=float) for c in frame)
+    if E0.shape != (d + 1, d) or n0.shape != (d + 1,) \
+            or not (np.isfinite(E0).all() and np.isfinite(n0).all()):
+        raise NonSPDAnchor(f"anchor frame must be finite arrays of shapes {(d + 1, d)} "
+                           f"and {(d + 1,)}, got {E0.shape} and {n0.shape}")
     if np.max(np.abs(E0.T @ E0 - ga)) > 1e-8 * (1.0 + np.max(np.abs(ga))):
         raise NonSPDAnchor("anchor frame does not reproduce g(anchor)")
     if abs(n0 @ n0 - 1.0) > 1e-8 or np.max(np.abs(E0.T @ n0)) > 1e-8:
         raise NonSPDAnchor("anchor normal must be unit and orthogonal to the frame")
-    if np.linalg.det(np.column_stack([E0, n0])) <= 0:
+    P0 = np.column_stack([E0, n0])
+    if np.linalg.det(P0) <= 0:
         raise NonSPDAnchor("anchor frame must be positively oriented")
+    return P0
 
 
-def _sweep_coefficients(g: MetricChart, X, line, axis: int) -> list:
-    """The point-only coefficients of the frame system along ``axis`` at the
+def _sweep_coefficients(g: MetricChart, X, line, axis: int) -> np.ndarray:
+    """The connection table omega of the frame system along ``axis`` at the
     2n-1 half-step points ``X`` (2n-1, *batch, d) of one sweep, nodes at even
-    and midpoints at odd indices: Gamma^k_(axis)j, II_(axis)j = (g S)_(axis)j
-    and S^j_(axis), from one batched Christoffel and one batched metric
-    evaluation.  ``line`` holds S at the sweep's nodes, node-major with the
-    march along ``axis``.  Each table is indexed [t, entries, *batch]."""
-    S = np.empty(X.shape + (X.shape[-1],))
+    and midpoints at odd indices, indexed [t, d+1, d+1, *batch]: omega[k, j]
+    = Gamma^k_(axis)j, omega[d, j] = II_(axis)j = (g S)_(axis)j, omega[k, d]
+    = -S^k_(axis) and omega[d, d] = 0, from one batched Christoffel and one
+    batched metric evaluation.  ``line`` holds S at the sweep's nodes,
+    node-major with the march along ``axis``."""
+    d = X.shape[-1]
+    S = np.empty(X.shape + (d,))
     S[0::2] = np.moveaxis(line, axis, 0)
     S[1::2] = np.moveaxis(_midpoint_values(line, axis), axis, 0)
-    tables = (christoffel(g, X)[..., :, axis, :], (g.eval(X) @ S)[..., axis:axis + 1, :],
-              S[..., :, axis:axis + 1])
-    return [np.ascontiguousarray(np.moveaxis(c, (-2, -1), (1, 2))) for c in tables]
+    Gam, II = christoffel(g, X)[..., :, axis, :], (g.eval(X) @ S)[..., axis, :]
+    omega = np.zeros((X.shape[0], d + 1, d + 1) + X.shape[1:-1])
+    w = np.moveaxis(omega, (1, 2), (-2, -1))     # its node-major view
+    w[..., :d, :d], w[..., d, :d], w[..., :d, d] = Gam, II, -S[..., :, axis]
+    return omega
 
 
-def _frame_rhs(coef, t: int, E, N, axis: int):
-    """Right-hand side of the moving-frame system along one axis, with the
-    coefficients at half-step ``t`` of the sweep's table: state work only.
-    It does not depend on the position F, so the RK4 stages carry none."""
-    Gam, II, Sa = (c[t] for c in coef)
-    return E[:, axis], _node_product(E, Gam) + N[:, None] * II, -_node_product(E, Sa)[:, 0]
-
-
-def _rk4_march(coef, axis, h, start, stop, F, E, N, out):
-    """March the frame system from node ``start`` to ``stop`` of one sweep.
-
-    Node j reads the coefficient table at half-step 2j, the midpoint towards
-    the next node at 2j + step.  States are written into ``out`` (a list of
-    per-node slots).
-    """
+def _rk4_march(omega, axis, h, start, stop, F, P, out):
+    """March d_axis P = P omega, d_axis f = P[:, axis] from node ``start`` to
+    ``stop`` of one sweep, each stage one per-node product with the table
+    omega at half-step 2j for node j, 2j + step for the midpoint towards the
+    next node.  States are written into ``out`` (a list of per-node slots)."""
     step = 1 if stop > start else -1
     hh = h * step
     for j in range(start, stop, step):
-        k1 = _frame_rhs(coef, 2 * j, E, N, axis)
-        k2 = _frame_rhs(coef, 2 * j + step, E + 0.5 * hh * k1[1], N + 0.5 * hh * k1[2], axis)
-        k3 = _frame_rhs(coef, 2 * j + step, E + 0.5 * hh * k2[1], N + 0.5 * hh * k2[2], axis)
-        k4 = _frame_rhs(coef, 2 * (j + step), E + hh * k3[1], N + hh * k3[2], axis)
+        K1 = _node_product(P, omega[2 * j])
+        P2 = P + 0.5 * hh * K1
+        K2 = _node_product(P2, omega[2 * j + step])
+        P3 = P + 0.5 * hh * K2
+        K3 = _node_product(P3, omega[2 * j + step])
+        P4 = P + hh * K3
+        K4 = _node_product(P4, omega[2 * (j + step)])
 
-        F = F + hh / 6.0 * (k1[0] + 2 * k2[0] + 2 * k3[0] + k4[0])
-        E = E + hh / 6.0 * (k1[1] + 2 * k2[1] + 2 * k3[1] + k4[1])
-        N = N + hh / 6.0 * (k1[2] + 2 * k2[2] + 2 * k3[2] + k4[2])
-        out[j + step] = (F, E, N)
+        F = F + hh / 6.0 * (P[:, axis] + 2 * P2[:, axis] + 2 * P3[:, axis] + P4[:, axis])
+        P = P + hh / 6.0 * (K1 + 2 * K2 + 2 * K3 + K4)
+        out[j + step] = (F, P)
 
 
 def _anchor(anchor_index, grid: Grid) -> tuple:
@@ -233,10 +233,10 @@ def integrate_frame(g: MetricChart, S: ShapeField, grid: Grid,
 
     The anchor frame defaults to the transposed Cholesky factor of g(anchor)
     embedded in the last-coordinate plane with the normal on the last axis;
-    pass ``frame=(E0, n0)`` for a custom admissible frame.  ``anchor_index``
-    must be d integers 0 <= i < n_a (ValueError otherwise).  With
-    ``return_frame`` the integrated tangent frame and normal node arrays are
-    returned alongside the immersion.  ``g`` must be a chart (TypeError
+    pass ``frame=(E0, n0)`` for a custom admissible frame (NonSPDAnchor
+    otherwise).  ``anchor_index`` must be d integers 0 <= i < n_a
+    (ValueError otherwise).  With ``return_frame`` the integrated tangent
+    frame and normal node arrays are returned alongside the immersion.  ``g`` must be a chart (TypeError
     otherwise): the march evaluates it between the nodes.
     """
     if not isinstance(g, MetricChart):
@@ -250,15 +250,10 @@ def integrate_frame(g: MetricChart, S: ShapeField, grid: Grid,
     d = grid.dim
     axes = grid.axes()
     anchor_point = np.array([axes[a][anchor_index[a]] for a in range(d)])
-    if frame is None:
-        E0, n0 = _default_anchor_frame(g, anchor_point)
-    else:
-        E0 = np.asarray(frame[0], dtype=float)
-        n0 = np.asarray(frame[1], dtype=float)
-        _validate_frame(g, anchor_point, E0, n0)
 
-    # component-major state F (d+1, *batch), E (d+1, d, *batch), N (d+1, *batch)
-    state = (np.zeros(d + 1), E0, n0)
+    # component-major state: the position F (d+1, *batch) and the frame
+    # matrix P = [E | n] (d+1, d+1, *batch)
+    state = (np.zeros(d + 1), _anchor_frame(g, anchor_point, frame))
     for a, n in enumerate(grid.counts):
         # sweep a: along axis a from every node the earlier sweeps reached,
         # on the anchor's line of the later axes, all in one batch; its
@@ -267,14 +262,16 @@ def integrate_frame(g: MetricChart, S: ShapeField, grid: Grid,
                              *axes[:a], indexing="ij"))
         X = np.stack(x[1:] + x[:1] + [np.full_like(x[0], axes[c][anchor_index[c]])
                                       for c in range(a + 1, d)], axis=-1)
-        coef = _sweep_coefficients(g, X, S.values[(slice(None),) * (a + 1)
-                                                  + anchor_index[a + 1:]], a)
+        omega = _sweep_coefficients(g, X, S.values[(slice(None),) * (a + 1)
+                                                   + anchor_index[a + 1:]], a)
         slots = [None] * n
         slots[anchor_index[a]] = state
         for stop in (n - 1, 0):
-            _rk4_march(coef, a, grid.spacing[a], anchor_index[a], stop, *state, slots)
-        state = [np.stack([s[c] for s in slots], axis=-1) for c in range(3)]
-    F, E, N = (np.ascontiguousarray(node_major(c, k)) for c, k in zip(state, (1, 2, 1)))
+            _rk4_march(omega, a, grid.spacing[a], anchor_index[a], stop, *state, slots)
+        state = [np.stack([s[c] for s in slots], axis=-1) for c in range(2)]
+    F, P = state
+    F, E, N = (np.ascontiguousarray(node_major(c, k))
+               for c, k in ((F, 1), (P[:, :d], 2), (P[:, d], 1)))
     out = DiscreteImmersion(grid, F, chart("euclidean", d + 1))
     return (out, E, N) if return_frame else out
 

@@ -24,7 +24,7 @@ import sympy as sp
 
 from imlab import fields
 from imlab.energy import Integrands
-from imlab.errors import (AsymmetricShape, DegenerateCovariance, RankDeficient,
+from imlab.errors import (AsymmetricShape, DegenerateCovariance, NonSPDAnchor, RankDeficient,
                           UnsupportedExponent, UnsupportedTarget)
 from imlab.fields import (CompatibilityReport, DiscreteImmersion, Grid, ShapeField,
                           quadrature_weights)
@@ -35,8 +35,7 @@ from imlab.harness import RIDDERS_COLUMNS, RIDDERS_SHRINK, _sym_field, random_di
 from imlab.immersion import covariant_normal_derivative, unit_normal
 from imlab.optimize import SMOOTH_BETA, SMOOTH_POWER, _Evaluator, pack_state
 from imlab.presets import get_preset
-from imlab.reconstruct import (COMPAT_SAFETY, _default_anchor_frame,
-                               _metric_node_values, _midpoint_values, _validate_frame)
+from imlab.reconstruct import COMPAT_SAFETY, _metric_node_values, _midpoint_values
 
 
 def random_rotation(rng, n):
@@ -190,8 +189,35 @@ def jacobian_adjoint(bar, grid: Grid) -> np.ndarray:
 
 # ---------------------------------------------------------------------------
 # reference frame march: the per-stage RK4 march that the per-sweep
-# coefficient tables of imlab.reconstruct replaced, kept verbatim (the
-# Gauss-Codazzi gate aside); returns the immersion values, frame and normal
+# connection tables of imlab.reconstruct replaced, kept verbatim (the
+# Gauss-Codazzi gate aside), with the separate anchor-frame and frame-check
+# functions that its one anchor-frame function replaced; returns the
+# immersion values, frame and normal
+
+
+def _default_anchor_frame(g: MetricChart, anchor_point) -> tuple:
+    """Transposed Cholesky factor of g(anchor) in the last-coordinate-zero plane."""
+    ga = g.eval(anchor_point)
+    try:
+        L = np.linalg.cholesky(ga)
+    except np.linalg.LinAlgError as exc:
+        raise NonSPDAnchor("metric at the anchor is not positive definite") from exc
+    d = g.dim
+    E0 = np.zeros((d + 1, d))
+    E0[:d, :] = L.T
+    n0 = np.zeros(d + 1)
+    n0[d] = 1.0
+    return E0, n0
+
+
+def _validate_frame(g: MetricChart, anchor_point, E0, n0):
+    ga = g.eval(anchor_point)
+    if np.max(np.abs(E0.T @ E0 - ga)) > 1e-8 * (1.0 + np.max(np.abs(ga))):
+        raise NonSPDAnchor("anchor frame does not reproduce g(anchor)")
+    if abs(n0 @ n0 - 1.0) > 1e-8 or np.max(np.abs(E0.T @ n0)) > 1e-8:
+        raise NonSPDAnchor("anchor normal must be unit and orthogonal to the frame")
+    if np.linalg.det(np.column_stack([E0, n0])) <= 0:
+        raise NonSPDAnchor("anchor frame must be positively oriented")
 
 
 def _frame_rhs(g, X, Sx, F, E, N, axis: int):

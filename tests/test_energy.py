@@ -22,7 +22,7 @@ from imlab.harness import (_sym_field, random_curve_immersion, random_director,
 from imlab.immersion import covariant_normal_derivative, normal_director, unit_normal
 from imlab.optimize import OptimizeConfig, energy_gradient, minimize
 from imlab.presets import get_preset
-from imlab.reconstruct import gauss_codazzi_residual
+from imlab.reconstruct import gauss_codazzi_residual, integrate_frame
 
 E2 = chart("euclidean", 2)
 E3 = chart("euclidean", 3)
@@ -501,8 +501,10 @@ class TestBoundMargin:
 def test_one_spd_gate_one_exception_class():
     """A metric that is indefinite at one node raises SingularMetric itself,
     naming that node, from every entry point that factors it: the energies,
-    the volume form, the Christoffel symbols and the Gauss-Codazzi residual.
-    total_energy and relaxed_total used to raise NotSPD instead."""
+    the volume form, the Christoffel symbols, the Gauss-Codazzi residual and,
+    on a curve, the residual and the frame march behind it.  total_energy and
+    relaxed_total used to raise NotSPD instead; on a curve the residual used
+    to pass and the march to raise NonSPDAnchor."""
     grid = _grid(9)
 
     def matrix(x):     # identity but at the node (4, 4) = (0.5, 0.5)
@@ -521,6 +523,19 @@ def test_one_spd_gate_one_exception_class():
         with pytest.raises(SingularMetric, match=r"at index \(4, 4\)") as info:
             call()
         assert type(info.value) is SingularMetric and isinstance(info.value, NotSPD)
+
+    curve = Grid((9,), (1.0,))     # node 4 at x = 0.5
+    g1 = MetricChart(dim=1, domain=[[0.0, 1.0]],
+                     matrix=lambda x: np.where(x == 0.5, -1.0, 1.0)[..., None])
+    gv = np.ones((9, 1, 1))
+    gv[4] = -2.0
+    S1 = ShapeField(curve, np.zeros((9, 1, 1)))
+    for call in (lambda: gauss_codazzi_residual(g1, S1, curve),
+                 lambda: gauss_codazzi_residual(gv, S1, curve),
+                 lambda: integrate_frame(g1, S1, curve)):
+        with pytest.raises(SingularMetric, match=r"at index \(4,\)") as info:
+            call()
+        assert type(info.value) is SingularMetric
 
 
 def test_integrand_inverse_metric_is_the_christoffel_one():

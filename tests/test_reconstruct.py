@@ -246,6 +246,28 @@ class TestIntegrateFrame:
         with pytest.raises(NonSPDAnchor):
             integrate_frame(pre.g, pre.shape_field(grid), grid, frame=(E0, n0))
 
+    @pytest.mark.parametrize("case", ["nan normal", "inf frame", "3x3 frame", "short normal",
+                                      "one tangent"])
+    def test_anchor_frame_finite_and_shaped(self, case, monkeypatch):
+        # a NaN passes every tolerance comparison, so finiteness is its own
+        # check; shapes are checked before any product of the frame
+        pre = get_preset("cylinder")
+        grid = pre.grid((9, 9))
+        E0 = np.zeros((3, 2))
+        E0[:2] = np.linalg.cholesky(pre.g.eval(np.array(grid.origin))).T
+        n0 = np.array([0.0, 0.0, 1.0])
+        bad = np.array([[np.inf, 0.0], [0.0, 0.0], [0.0, 0.0]])
+        frame = {"nan normal": (E0, [0.0, 0.0, np.nan]), "inf frame": (E0 + bad, n0),
+                 "3x3 frame": (np.eye(3), n0), "short normal": (E0, n0[1:]),
+                 "one tangent": (E0[:, 0], n0)}[case]
+
+        def no_march(*args):
+            raise AssertionError("the frame was not checked before the march")
+
+        monkeypatch.setattr(reconstruct, "_sweep_coefficients", no_march)
+        with pytest.raises(NonSPDAnchor, match="finite arrays of shapes"):
+            integrate_frame(pre.g, pre.shape_field(grid), grid, frame=frame)
+
     def test_uniqueness_modulo_rigid_motion(self):
         rng = np.random.default_rng(6)
         pre = get_preset("sphere-cap")
@@ -370,6 +392,25 @@ class TestPerSweepMarch:
             g, S, grid = _march_case(kind, (n, n))
             integrate_frame(g, S, grid)
             assert len(calls) == grid.dim
+
+    @pytest.mark.parametrize("kind, counts, anchor", [("sphere", (7, 12), (3, 5)),
+                                                      ("tabulated", (9, 9), None),
+                                                      ("curve", (17,), (7,))])
+    def test_one_node_product_per_rk4_stage(self, kind, counts, anchor, monkeypatch):
+        # each RK4 stage is one product P omega of the frame matrix P = [E | n]
+        shapes = []
+
+        def counting(x, y):
+            shapes.append((x.shape, y.shape))
+            return real(x, y)
+
+        real = reconstruct._node_product
+        monkeypatch.setattr(reconstruct, "_node_product", counting)
+        g, S, grid = _march_case(kind, counts)
+        integrate_frame(g, S, grid, anchor_index=anchor)
+        d = grid.dim
+        assert len(shapes) == 4 * sum(n - 1 for n in grid.counts)
+        assert all(x[:2] == y[:2] == (d + 1, d + 1) for x, y in shapes)
 
 
 class TestAnchorValidation:
