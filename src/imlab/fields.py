@@ -99,7 +99,8 @@ def _node_values(grid: Grid, values, entries: tuple, what: str, target=None) -> 
     if v.shape != grid.counts + entries:
         raise ValueError(f"{what} values have shape {v.shape}, expected {grid.counts + entries}")
     if not np.all(np.isfinite(v)):
-        raise ValueError(f"{what} values must be finite")
+        node = tuple(np.argwhere(~np.isfinite(v))[0, :grid.dim].tolist())
+        raise ValueError(f"{what} values must be finite: non-finite value at node {node}")
     if target is not None:
         if target.dim != grid.dim + 1:
             raise ValueError("target chart dimension must be grid dim + 1")
@@ -384,11 +385,13 @@ def atomic_write(path, data) -> None:
     """Write text (UTF-8) or bytes to ``path`` through a temporary file in the
     same directory and ``os.replace``: readers see the old file or the new
     one, never part of a write, and a failed write leaves no temporary file.
-    The file gets the mode a plain ``open`` would give it (0o666 less the
-    umask), since the temporary file is created with that mode."""
+    The directory is made if missing, when the first file goes in.  The file
+    gets the mode a plain ``open`` would give it (0o666 less the umask),
+    since the temporary file is created with that mode."""
     path = os.fspath(path)
-    tmp = os.path.join(os.path.dirname(os.path.abspath(path)),
-                       f".{os.path.basename(path)}.{os.urandom(6).hex()}.tmp")
+    folder = os.path.dirname(os.path.abspath(path))
+    os.makedirs(folder, exist_ok=True)
+    tmp = os.path.join(folder, f".{os.path.basename(path)}.{os.urandom(6).hex()}.tmp")
     fd = os.open(tmp, os.O_WRONLY | os.O_CREAT | os.O_EXCL, 0o666)
     try:
         if isinstance(data, bytes):

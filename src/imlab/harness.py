@@ -23,17 +23,14 @@ import numpy as np
 from . import energy as en
 from .errors import (AsymmetricShape, BadConfig, IncompatibleForms, SingularMetric,
                      is_finite, is_int, require)
-# no call here goes through jacobian_array; the binding stays because
-# perfbench/test_perfbench.py::_bindings asserts that imlab.harness.jacobian_array
-# exists and that the tracer wraps it
-from .fields import (DirectorField, DiscreteImmersion, Grid, ShapeField,  # noqa: F401
+from .fields import (DirectorField, DiscreteImmersion, Grid, ShapeField, _node_values,
                      atomic_write, fd_jacobian, fmt17, jacobian_array, load_node_csv,
                      save_binary, save_node_csv, w1p_distance, write_csv)
 from .geometry import (CHART_NAMES, MetricChart, chart, christoffel, component_major,
-                       dist_stiefel, project_stiefel)
-from .immersion import normal_director, pullback_metric, shape_operator, unit_normal
+                       dist_stiefel, project_stiefel, target_factors_cm)
+from .immersion import _gram, normal_director, pullback_metric, shape_operator, unit_normal
 from .optimize import OptimizeConfig, _Evaluator, energy_gradient, minimize, pack_state
-from .presets import PRESETS, _const_shape, _flat_reference, get_preset
+from .presets import PRESETS, _const_shape, _flat_reference, box_grid, get_preset
 from .reconstruct import align_rigid, gauss_codazzi_residual, integrate_frame, save_obj
 
 CONFIG_VERSION = 1
@@ -114,7 +111,8 @@ def _is_list(v, item, size=None) -> bool:
 def _check_custom(custom) -> None:
     """Reject a malformed custom problem, whose grid is two-dimensional: g is
     a chart name or {"csv": path}, s a 2x2 list of finite numbers or
-    {"csv": path}, box two finite [lo, hi] pairs with lo < hi."""
+    {"csv": path}, box two finite [lo, hi] pairs with lo < hi, inside the
+    domain of a named chart."""
     def table(v):
         return isinstance(v, dict) and set(v) == {"csv"} and isinstance(v["csv"], str)
 
@@ -126,6 +124,11 @@ def _check_custom(custom) -> None:
             "custom.s must be a 2x2 list of finite numbers or {\"csv\": path}")
     require(_is_list(custom["box"], lambda b: _is_list(b, is_finite, 2) and b[0] < b[1], 2),
             "custom.box must be two [lo, hi] pairs of finite numbers with lo < hi")
+    if isinstance(custom["g"], str):
+        domain = chart(custom["g"], 2).domain
+        require(all(a <= lo and hi <= b for (lo, hi), (a, b) in zip(custom["box"], domain)),
+                f"custom.box {custom['box']} leaves the domain {domain.tolist()} "
+                f"of the {custom['g']} chart")
 
 
 def config_from_dict(d: dict) -> ExperimentConfig:
@@ -324,10 +327,9 @@ def _check_entry(name, violation, tol, n_samples, **extra):
 
 def run_check(cfg: ExperimentConfig):
     """Run the registered invariant suites; emit a JSON report."""
-    os.makedirs(cfg.out, exist_ok=True)
     rng = np.random.default_rng(cfg.seed)
     checks = []
-    grid2 = Grid((cfg.grid[0], cfg.grid[-1]), (1.0, 1.0))
+    grid2 = get_preset("flat").grid(cfg.grid)
     grid1 = Grid((max(cfg.grid),), (1.0,))
 
     # relaxation identity and node-wise distance identity on random surfaces,
@@ -568,31 +570,25 @@ def _ridders(energies, x, idx, h, target) -> np.ndarray:
 
 
 def _load_tensor_table(path, grid: Grid) -> np.ndarray:
-    """A finite d x d tensor per node read from CSV, checked against the config grid."""
-    table = load_node_csv(path)
+    """A d x d tensor per node read from CSV, past the one node-array check."""
     d = grid.dim
-    if table.shape != grid.counts + (d * d,):
-        raise BadConfig(f"table {path} has node counts {table.shape[:-1]} and "
-                        f"{table.shape[-1]} components; the config grid needs "
-                        f"{grid.counts} and {d * d}")
-    bad = np.argwhere(~np.isfinite(table))[:1, :-1].tolist()
-    if bad:
-        raise BadConfig(f"table {path} has a non-finite value at node {tuple(bad[0])}")
+    table = _node_values(grid, load_node_csv(path), (d * d,), f"table {path}")
     return table.reshape(grid.counts + (d, d))
 
 
 def _custom_context(cfg: ExperimentConfig):
     """Problem built from the config: named or tabulated g, constant or tabulated S."""
-    gspec, sspec, box = cfg.custom["g"], cfg.custom["s"], cfg.custom["box"]
-    counts = cfg.grid if len(cfg.grid) == 2 else cfg.grid * 2
-    grid = Grid(counts, tuple(hi - lo for lo, hi in box), tuple(lo for lo, _ in box))
+    gspec, sspec = cfg.custom["g"], cfg.custom["s"]
+    grid = box_grid(cfg.custom["box"], cfg.grid)
     try:
         g = (chart(gspec, grid.dim) if isinstance(gspec, str)
              else MetricChart.from_table(grid, _load_tensor_table(gspec["csv"], grid)))
+        Sv = (_load_tensor_table(sspec["csv"], grid) if isinstance(sspec, dict)
+              else _const_shape(sspec)(grid))
     except SingularMetric as exc:     # name the table whose node the gate rejects
         raise BadConfig(f"table {gspec['csv']}: {exc}") from None
-    Sv = (_load_tensor_table(sspec["csv"], grid) if isinstance(sspec, dict)
-          else _const_shape(sspec)(grid))
+    except ValueError as exc:         # a table its reader or the node check rejects
+        raise BadConfig(str(exc)) from None
     return g, grid, ShapeField(grid, Sv), None
 
 
@@ -612,7 +608,6 @@ def _grid_meta(grid: Grid) -> dict:
 
 def run_energy(cfg: ExperimentConfig):
     """Evaluate the energy of the preset's reference immersion; export densities."""
-    os.makedirs(cfg.out, exist_ok=True)
     g, grid, S, f0 = _problem_context(cfg)
     if f0 is None:
         f0 = integrate_frame(g, S, grid)
@@ -638,7 +633,6 @@ def _form_errors(f: DiscreteImmersion, g: MetricChart, S: ShapeField) -> dict:
 
 def run_reconstruct(cfg: ExperimentConfig):
     """Reconstruct the immersion carrying the preset's forms; report errors."""
-    os.makedirs(cfg.out, exist_ok=True)
     g, grid, S, ref = _problem_context(cfg)
     f = integrate_frame(g, S, grid)
     report = {"imlab_config": CONFIG_VERSION, "experiment": "reconstruct",
@@ -678,7 +672,6 @@ def _stall_diagnostics(state, g, S, p, trace) -> dict:
 
 def run_minimize(cfg: ExperimentConfig):
     """Descend the energy from a perturbed start; dump terminal state and trace."""
-    os.makedirs(cfg.out, exist_ok=True)
     g, grid, S, f0 = _problem_context(cfg)
     rng = np.random.default_rng(cfg.seed)
     if f0 is None:
@@ -719,12 +712,12 @@ def run_minimize(cfg: ExperimentConfig):
     else:
         save_node_csv(os.path.join(cfg.out, "terminal_foot.csv"), grid, state.foot)
         save_node_csv(os.path.join(cfg.out, "terminal_vec.csv"), grid, state.vec)
-        H = state.target.eval(state.foot)
-        vnorm = np.sqrt(np.einsum("...ab,...a,...b->...", H, state.vec, state.vec))
-        J = fd_jacobian(state.foot, grid)
-        tangency = np.einsum("...ab,...ai,...b->...i", H, J, state.vec)
-        report["vec_norm_max_error"] = float(np.max(np.abs(vnorm - 1.0)))
-        report["tangency_max_error"] = float(np.max(np.abs(tangency)))
+        # |v|_h^2 and v^T h J, component-major
+        vv, vJ = _gram(component_major(state.vec, 1)[:, None],
+                       target_factors_cm(state.target, state.foot)[0],
+                       jacobian_array(component_major(state.foot, 1), grid))
+        report["vec_norm_max_error"] = float(np.max(np.abs(np.sqrt(vv[0, 0]) - 1.0)))
+        report["tangency_max_error"] = float(np.max(np.abs(vJ[0])))
     write_json(os.path.join(cfg.out, "minimize_report.json"), report)
     return report, True
 
@@ -735,7 +728,6 @@ def run_minimize(cfg: ExperimentConfig):
 
 def run_stability_sweep(cfg: ExperimentConfig):
     """Wrinkle-family sweep: energies, aligned Sobolev distances, bound ratios."""
-    os.makedirs(cfg.out, exist_ok=True)
     g, grid, S, _ = _problem_context(cfg)
     f0 = integrate_frame(g, S, grid)
     n0 = unit_normal(f0)

@@ -24,6 +24,15 @@ SPHERE_CAP_BOX = ((0.5, 1.5), (0.0, 1.0))
 SPHERE_INCOMPATIBLE_BOX = ((0.5, 1.9), (0.0, 1.4))
 
 
+def box_grid(box, counts) -> Grid:
+    """The grid with node ``counts`` on ``box``, one (lo, hi) pair per axis;
+    a single count on a two-dimensional box serves both axes."""
+    counts = tuple(np.atleast_1d(counts))
+    if len(counts) == 1 and len(box) == 2:
+        counts = counts * 2
+    return Grid(counts, tuple(hi - lo for lo, hi in box), tuple(lo for lo, _ in box))
+
+
 @dataclass(frozen=True)
 class Preset:
     name: str
@@ -34,12 +43,7 @@ class Preset:
     reference: Optional[Callable] = None
 
     def grid(self, counts) -> Grid:
-        counts = tuple(np.atleast_1d(counts))
-        if len(counts) == 1 and self.dim == 2:
-            counts = counts * 2
-        extents = tuple(hi - lo for lo, hi in self.box)
-        origin = tuple(lo for lo, _ in self.box)
-        return Grid(counts, extents, origin)
+        return box_grid(self.box, counts)
 
     def shape_field(self, grid: Grid) -> ShapeField:
         return ShapeField(grid, self.shape_values(grid))

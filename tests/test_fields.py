@@ -103,6 +103,22 @@ class TestFieldValues:
             _field(kind, bad)
 
     @pytest.mark.parametrize("kind", ["immersion", "foot", "vec", "shape"])
+    def test_names_the_non_finite_node(self, kind):
+        with pytest.raises(ValueError, match=r"values must be finite: non-finite value at "
+                                             r"node \(2, 1\)$"):
+            _field(kind, np.nan)
+
+    def test_names_the_first_non_finite_node_of_any_array(self):
+        grid = Grid((9, 9), (1.0, 1.0))
+        density = np.ones(grid.counts)
+        density[6, 2] = density[3, 7] = np.inf
+        with pytest.raises(ValueError, match=r"^density values must be finite: "
+                                             r"non-finite value at node \(3, 7\)$"):
+            integrate_density(density, grid)
+        with pytest.raises(ValueError, match=r"non-finite value at node \(4,\)$"):
+            integrate_density(np.where(np.arange(9) >= 4, np.nan, 1.0), Grid((9,), (1.0,)))
+
+    @pytest.mark.parametrize("kind", ["immersion", "foot", "vec", "shape"])
     def test_rejects_wrong_shape(self, kind):
         with pytest.raises(ValueError, match=r"have shape \(5, 4, .*expected \(5, 5, "):
             _field(kind, cut=True)
@@ -624,6 +640,14 @@ class TestAtomicWrite:
         assert plain & 0o777 == 0o644
         for name in _artifact_writers():
             assert os.stat(tmp_path / name).st_mode == plain, name
+
+    def test_every_writer_makes_a_missing_directory(self, tmp_path):
+        folder = tmp_path / "a" / "b"
+        for name, write in _artifact_writers().items():
+            write(str(folder / name))
+        assert sorted(os.listdir(folder)) == sorted(_artifact_writers())
+        atomic_write(os.path.relpath(folder / "c" / "field.bin"), b"new")
+        assert (folder / "c" / "field.bin").read_bytes() == b"new"
 
     def test_failed_replace_keeps_old_file_and_leaves_no_temp(self, tmp_path,
                                                                monkeypatch):

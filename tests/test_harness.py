@@ -15,8 +15,8 @@ import helpers
 from imlab.cli import main as cli_main
 from imlab.energy import relaxed_total, total_energy
 from imlab.errors import BadConfig
-from imlab.fields import (DirectorField, DiscreteImmersion, Grid, fmt17, load_binary,
-                          load_node_csv, save_node_csv)
+from imlab.fields import (DirectorField, DiscreteImmersion, Grid, fd_jacobian, fmt17,
+                          load_binary, load_node_csv, save_node_csv)
 from imlab.geometry import chart
 from imlab import geometry, harness
 from imlab import optimize as optimize_module
@@ -177,6 +177,15 @@ class TestRunMinimize:
         report, _ = run_minimize(cfg)
         assert report["vec_norm_max_error"] <= 1e-4
         assert report["tangency_max_error"] <= 1e-4
+        # against the node-major einsum assembly of |v|_h and J^T h v
+        grid = get_preset("flat").grid((9, 9))
+        foot = load_node_csv(tmp_path / "terminal_foot.csv")
+        vec = load_node_csv(tmp_path / "terminal_vec.csv")
+        H = chart("euclidean", 3).eval(foot)
+        vnorm = np.sqrt(np.einsum("...ab,...a,...b->...", H, vec, vec))
+        tangency = np.einsum("...ab,...ai,...b->...i", H, fd_jacobian(foot, grid), vec)
+        assert abs(report["vec_norm_max_error"] - np.max(np.abs(vnorm - 1.0))) <= 1e-15
+        assert abs(report["tangency_max_error"] - np.max(np.abs(tangency))) <= 1e-15
 
 
     @pytest.mark.parametrize("g", ["euclidean", "sphere"])
@@ -310,6 +319,69 @@ class TestCustomProblem:
         err = capsys.readouterr().err
         assert err.startswith("imlab: error:") and str(gpath) in err
         assert "Traceback" not in err and len(err.splitlines()) == 1
+
+    @pytest.mark.parametrize("g, box, domain", [
+        ("sphere", [[3.5, 4.5], [0, 1]], "[[0.001, 3.14"),
+        ("polar", [[0.0, 1.0], [0.0, 1.0]], "[[0.001, inf], [-inf, inf]]")],
+        ids=["sphere", "polar-from-0"])
+    def test_box_outside_the_chart_domain_exits_1_at_config_load(self, tmp_path, capsys,
+                                                                 g, box, domain):
+        """A box that leaves its named chart's domain is a config error naming
+        the box and the domain: the sphere box used to run and exit 0, the
+        polar box at r = 0 to fail late in the SPD gate naming neither."""
+        custom = {"g": g, "s": [[1, 0], [0, 1]], "box": box}
+        with pytest.raises(BadConfig, match="custom.box") as exc:
+            config_from_dict({"imlab_config": 1, "experiment": "reconstruct",
+                              "preset": "custom", "custom": custom})
+        assert str(box) in str(exc.value) and domain in str(exc.value)
+        cfgpath = tmp_path / "cfg.json"
+        cfgpath.write_text(json.dumps({"imlab_config": 1, "experiment": "reconstruct",
+                                       "preset": "custom", "grid": [9, 9], "custom": custom}))
+        out = tmp_path / "out"
+        assert cli_main(["reconstruct", "--config", str(cfgpath), "--out", str(out)]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("imlab: error: custom.box") and len(err.splitlines()) == 1
+        assert not out.exists()
+
+    def test_box_inside_the_chart_domain_is_the_preset_grid(self):
+        cfg = ExperimentConfig(experiment="energy", preset="custom", grid=(9,),
+                               custom={"g": "sphere", "s": [[1, 0], [0, 1]],
+                                       "box": [[0.5, 1.5], [0, 1]]})
+        assert harness._problem_context(cfg)[1] == get_preset("sphere-cap").grid(9)
+
+
+_ARTIFACTS = {
+    "check": ["check_report.json"],
+    "energy": ["bend_density.csv", "energy_report.json", "immersion.csv",
+               "stretch_density.csv"],
+    "reconstruct": ["reconstruct_report.json", "reconstructed.bin", "reconstructed.csv",
+                    "reconstructed.obj"],
+    "minimize": ["minimize_report.json", "terminal.bin", "terminal.csv", "trace.csv"],
+    "stability-sweep": ["field_000.bin", "field_001.bin", "sweep.csv", "sweep.json",
+                        "sweep_energy.svg", "sweep_ratio.svg"],
+}
+_ARTIFACTS["ratio-study"] = sorted(_ARTIFACTS["stability-sweep"] + ["ratio_study.json"])
+
+
+class TestOutputDirectory:
+    """The writer makes the output directory with the first artifact."""
+
+    def test_run_that_fails_before_writing_leaves_no_directory(self, tmp_path, capsys):
+        out = tmp_path / "X" / "a" / "b"
+        assert cli_main(["reconstruct", "--preset", "sphere-incompatible", "--grid", "9x9",
+                         "--out", str(out)]) == 1
+        assert "imlab: error:" in capsys.readouterr().err
+        assert os.listdir(tmp_path) == []
+
+    @pytest.mark.parametrize("experiment", sorted(_ARTIFACTS))
+    def test_nested_new_directory_gets_every_artifact(self, tmp_path, experiment):
+        from imlab.optimize import OptimizeConfig
+        out = tmp_path / "X" / "a" / "b"
+        cfg = ExperimentConfig(experiment=experiment, preset="cylinder", grid=(9, 9),
+                               amplitudes=(0.1, 0.05), num_random=1, out=str(out),
+                               optimizer=OptimizeConfig(max_iters=3))
+        run_experiment(cfg)
+        assert sorted(os.listdir(out)) == _ARTIFACTS[experiment]
 
 
 class TestCli:
