@@ -14,8 +14,7 @@ from .errors import (AsymmetricShape, BadConfig, BadExponent,
 from .fields import (DirectorField, DiscreteImmersion, Grid, ShapeField, fd_jacobian,
                      lp_norm, w1p_distance)
 from .geometry import (MetricChart, chart, christoffel, dist_rotations,
-                       dist_stiefel, project_stiefel, riemann_curvature,
-                       sqrt_and_inv_sqrt)
+                       dist_stiefel, project_stiefel, sqrt_and_inv_sqrt)
 from .immersion import (covariant_normal_derivative, normal_director,
                         pullback_metric, shape_operator, unit_normal)
 from .optimize import OptimizeConfig, OptimizeTrace, energy_gradient, minimize

@@ -149,22 +149,6 @@ class ShapeField:
             self.grid, self.values, (self.grid.dim,) * 2, "shape-field"))
 
 
-@dataclass(frozen=True)
-class CompatibilityReport:
-    gauss_residual: np.ndarray
-    codazzi_residual: np.ndarray
-    tolerance: np.ndarray
-    passed: bool
-
-    @property
-    def max_gauss(self) -> float:
-        return float(np.max(self.gauss_residual))
-
-    @property
-    def max_codazzi(self) -> float:
-        return float(np.max(self.codazzi_residual))
-
-
 # ---------------------------------------------------------------------------
 # finite-difference stencils
 

@@ -1,4 +1,4 @@
-"""Metric charts, Christoffel symbols, curvature, and matrix distances/projections.
+"""Metric charts, SPD factors, Christoffel symbols, and per-node kernels.
 
 A :class:`MetricChart` evaluates a Riemannian metric (and optionally its first
 partial derivatives) on an axis-aligned coordinate box.  All evaluators are
@@ -18,14 +18,13 @@ exact form (:func:`factor_form`: an exact identity is dropped, a per-node
 diagonal is one elementwise product); :func:`dist_stiefel` and
 :func:`dist_rotations` take node-major frames.  Christoffel symbols have one
 component-major formula, :func:`christoffel_from_values`, for chart points and
-grid nodes; the lowered curvature is component-major too, at the pairs k < l
-of its last two indices.
+grid nodes.  Curvature belongs to the compatibility check of
+:mod:`imlab.reconstruct`, its one caller.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import combinations
 from typing import Callable, NamedTuple, Optional
 
 import numpy as np
@@ -48,13 +47,6 @@ def _as_points(x, dim):
     if x.shape[-1] != dim:
         raise ValueError(f"point has {x.shape[-1]} coordinates, chart has dim {dim}")
     return x
-
-
-def _central_differences(fn, x, steps) -> list:
-    """[(fn(x + h_k e_k) - fn(x - h_k e_k)) / (2 h_k) for each axis k] at the
-    points x (..., n), with the per-axis steps h."""
-    return [(fn(x + dx) - fn(x - dx)) / (2.0 * h)
-            for h, dx in zip(steps, steps * np.eye(len(steps)))]
 
 
 @dataclass(frozen=True)
@@ -110,7 +102,9 @@ class MetricChart:
             return np.zeros(x.shape[:-1] + (self.dim,) * 3)
         if self.matrix_deriv is not None:
             return np.asarray(self.matrix_deriv(x), dtype=float)
-        return np.stack(_central_differences(self.eval, x, self.extents() * FD_STEP_REL), axis=-3)
+        steps = self.extents() * FD_STEP_REL     # central differences along each axis
+        return np.stack([(self.eval(x + dx) - self.eval(x - dx)) / (2.0 * h)
+                         for h, dx in zip(steps, steps * np.eye(self.dim))], axis=-3)
 
     @staticmethod
     def from_table(grid, values):
@@ -276,7 +270,7 @@ def target_factors_cm(m: MetricChart, x):
 
 
 # ---------------------------------------------------------------------------
-# Christoffel symbols and curvature
+# Christoffel symbols
 
 
 def first_kind(D, b: int) -> np.ndarray:
@@ -309,45 +303,6 @@ def christoffel(m: MetricChart, x) -> np.ndarray:
     Gam, _ = christoffel_from_values(component_major(m.eval(p), 2),
                                      np.moveaxis(component_major(m.eval_deriv(p), 3), 0, 2))
     return np.ascontiguousarray(node_major(Gam, 3)).reshape(shape)
-
-
-def riemann_from_values(G, Gam, dGam) -> np.ndarray:
-    """Lowered curvature R_ijkl = g_im (A^m_jkl - A^m_jlk), A^m_jkl = d_k Gamma^m_lj
-    + Gamma^m_kn Gamma^n_lj, at the pairs k < l in ``combinations`` order:
-    component-major (d, d, pairs, ...) from G (d, d, ...), Gam[a, b, c] =
-    Gamma^a_bc and dGam[k, a, b, c] = d_k Gamma^a_bc, read only where b != k.
-    As a difference of A and its swap, R is exactly antisymmetric in (k, l)."""
-    pairs = list(combinations(range(G.shape[0]), 2))
-    R = np.empty(G.shape[:2] + (len(pairs),) + G.shape[2:])
-    for p, (k, l) in enumerate(pairs):
-        R[:, :, p] = left_mul(G, (dGam[k, :, l] + left_mul(Gam[:, k], Gam[:, l]))
-                              - (dGam[l, :, k] + left_mul(Gam[:, l], Gam[:, k])))
-    return R
-
-
-def riemann_curvature(m: MetricChart, x) -> np.ndarray:
-    """Lowered curvature tensor R_ijkl of the Levi-Civita connection at x.
-
-    Antisymmetric in (i,j) and in (k,l), symmetric under pair exchange; the
-    (k, l) antisymmetry is exact (:func:`riemann_from_values`).  Partials of
-    the Christoffel symbols are taken by central differences.
-    """
-    x = _as_points(x, m.dim)
-    n = m.dim
-    if m.is_constant:
-        return np.zeros(x.shape[:-1] + (n,) * 4)
-    G = m.eval(x)
-    Gam = christoffel(m, x)
-    # larger step when the metric derivative itself is finite-differenced,
-    # to keep the nested-difference noise below truncation error
-    rel = FD_STEP_REL if m.matrix_deriv is not None else 1e-4
-    dGam = np.stack([component_major(D, 3) for D in
-                     _central_differences(lambda y: christoffel(m, y), x, m.extents() * rel)])
-    Rp = riemann_from_values(component_major(G, 2), component_major(Gam, 3), dGam)
-    R = np.zeros((n,) * 4 + x.shape[:-1])     # zero where k = l
-    for p, (k, l) in enumerate(combinations(range(n), 2)):
-        R[:, :, k, l], R[:, :, l, k] = Rp[:, :, p], -Rp[:, :, p]
-    return np.ascontiguousarray(node_major(R, 4))
 
 
 # ---------------------------------------------------------------------------

@@ -27,7 +27,7 @@ from .fields import (DirectorField, DiscreteImmersion, Grid, ShapeField, _node_v
                      atomic_write, fd_jacobian, fmt17, jacobian_array, load_node_csv,
                      save_binary, save_node_csv, w1p_distance, write_csv)
 from .geometry import (CHART_NAMES, MetricChart, chart, christoffel, component_major,
-                       dist_stiefel, project_stiefel, target_factors_cm)
+                       dist_stiefel, project_stiefel, spd_factors, target_factors_cm)
 from .immersion import _gram, normal_director, pullback_metric, shape_operator, unit_normal
 from .optimize import OptimizeConfig, _Evaluator, energy_gradient, minimize, pack_state
 from .presets import PRESETS, _const_shape, _flat_reference, box_grid, get_preset
@@ -69,16 +69,16 @@ class ExperimentConfig:
                     for k in ("experiment", "preset", "out", "start")),
                 "experiment, preset, out and start must be strings")
         require(self.experiment in EXPERIMENTS, f"unknown experiment {self.experiment!r}")
-        if self.custom is not None:
-            _check_custom(self.custom)
-        if self.preset == "custom":
-            require(self.custom is not None, "preset 'custom' needs a custom object")
-        else:
-            require(self.preset in PRESETS, f"unknown preset {self.preset!r}")
         grid = (self.grid,) if is_int(self.grid) else self.grid
         require(_is_list(grid, is_int) and 1 <= len(grid) <= 2 and min(grid) >= 4,
                 "grid needs one or two integer node counts of at least 4")
         object.__setattr__(self, "grid", tuple(int(c) for c in grid))
+        if self.custom is not None:
+            _check_custom(self.custom, self.grid)
+        if self.preset == "custom":
+            require(self.custom is not None, "preset 'custom' needs a custom object")
+        else:
+            require(self.preset in PRESETS, f"unknown preset {self.preset!r}")
         for name in ("p", "start_amplitude", "director_scale"):
             require(is_finite(getattr(self, name)), f"{name} must be a finite number")
         require(self.p >= 1, "p must be >= 1")
@@ -89,11 +89,13 @@ class ExperimentConfig:
             require(_is_list(getattr(self, name), is_finite),
                     f"{name} must be a list of finite numbers")
             object.__setattr__(self, name, tuple(float(a) for a in getattr(self, name)))
-        amps = self.amplitudes
-        if self.experiment in ("stability-sweep", "ratio-study"):
-            require(all(a >= 0 for a in amps) and all(
-                a2 < a1 for a1, a2 in zip(amps, amps[1:])),
-                "amplitudes must be nonnegative and strictly decreasing")
+        amps, freqs = self.amplitudes, self.frequencies
+        if self.experiment in ("stability-sweep", "ratio-study"):     # a wrinkle to measure
+            require(amps and amps[0] > 0 and amps[-1] >= 0
+                    and all(a2 < a1 for a1, a2 in zip(amps, amps[1:])),
+                    "amplitudes must be nonnegative and strictly decreasing, the first positive")
+            require(freqs and min(freqs) > 0,
+                    "frequencies must be a non-empty list of positive numbers")
         require(self.start in ("immersion", "director"),
                 "start must be 'immersion' or 'director'")
         if self.s_override is not None:
@@ -108,11 +110,11 @@ def _is_list(v, item, size=None) -> bool:
             and size in (None, len(v)))
 
 
-def _check_custom(custom) -> None:
+def _check_custom(custom, counts) -> None:
     """Reject a malformed custom problem, whose grid is two-dimensional: g is
     a chart name or {"csv": path}, s a 2x2 list of finite numbers or
     {"csv": path}, box two finite [lo, hi] pairs with lo < hi, inside the
-    domain of a named chart."""
+    domain of a named chart, whose metric is finite and SPD on its grid nodes."""
     def table(v):
         return isinstance(v, dict) and set(v) == {"csv"} and isinstance(v["csv"], str)
 
@@ -125,10 +127,16 @@ def _check_custom(custom) -> None:
     require(_is_list(custom["box"], lambda b: _is_list(b, is_finite, 2) and b[0] < b[1], 2),
             "custom.box must be two [lo, hi] pairs of finite numbers with lo < hi")
     if isinstance(custom["g"], str):
-        domain = chart(custom["g"], 2).domain
+        domain = (m := chart(custom["g"], 2)).domain
         require(all(a <= lo and hi <= b for (lo, hi), (a, b) in zip(custom["box"], domain)),
                 f"custom.box {custom['box']} leaves the domain {domain.tolist()} "
                 f"of the {custom['g']} chart")
+        try:     # hyperbolic sinh^2 overflows past x = 355, is ill-conditioned past 14.5
+            with np.errstate(over="ignore", invalid="ignore"):
+                spd_factors(m.eval(box_grid(custom["box"], counts).nodes()))
+        except SingularMetric as exc:
+            raise BadConfig(f"custom.box {custom['box']}: the {custom['g']} chart's metric on "
+                            f"its grid nodes is not finite and positive definite: {exc}") from None
 
 
 def config_from_dict(d: dict) -> ExperimentConfig:

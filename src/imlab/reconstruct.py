@@ -1,4 +1,4 @@
-"""Compatibility checking and reconstruction of immersions from (g, S).
+"""The compatibility equations of (g, S) and the frame march that realizes them.
 
 For a Euclidean target the fundamental forms must satisfy the Gauss and
 Codazzi identities (with II = g S):
@@ -7,11 +7,11 @@ Codazzi identities (with II = g S):
     grad_i II_jk = grad_j II_ik
 
 Both residuals are evaluated with the same grid stencils used everywhere else,
-so they converge at second order for smooth compatible data.  The curvature
-path is component-major, (entries, *counts), with every contraction an
-elementwise sum over the contracted index, Gamma and g^{-1} from the
-Christoffel formula of :mod:`imlab.geometry`, and it computes only the
-independent index pairs: R_ijkl at k < l and the Codazzi tensor at i < j.
+so they converge at second order for smooth compatible data.  The library's
+one curvature path is component-major, (entries, *counts), with every
+contraction an elementwise sum over the contracted index, Gamma and g^{-1}
+from the Christoffel formula of :mod:`imlab.geometry`, and it computes only
+the independent index pairs: R_ijkl at k < l and the Codazzi tensor at i < j.
 Their other entries are exact negations or zeros in floating point, so the
 maxima over the pairs are the maxima over all entries.  Reconstruction
 integrates the moving-frame system for the frame P = [E | n] and position f,
@@ -31,6 +31,7 @@ nodes and midpoints; an RK4 stage is one per-node product P omega_a of
 
 from __future__ import annotations
 
+from dataclasses import dataclass
 from itertools import combinations
 from typing import Optional
 
@@ -38,14 +39,29 @@ import numpy as np
 
 from .errors import (AsymmetricShape, DegenerateCovariance, GridMismatch,
                      IncompatibleForms, NonSPDAnchor, is_int)
-from .fields import (CompatibilityReport, DiscreteImmersion, Grid, ShapeField,
-                     _node_values, atomic_write, axis_derivative, axis_second_derivative,
-                     jacobian_array, quadrature_weights)
+from .fields import (DiscreteImmersion, Grid, ShapeField, _node_values, atomic_write,
+                     axis_derivative, axis_second_derivative, jacobian_array, quadrature_weights)
 from .geometry import (RANK_RTOL, MetricChart, _node_product, _rotation_factors_svd, chart,
                        christoffel, christoffel_from_values, component_major, first_kind,
-                       left_mul, node_major, riemann_from_values, right_mul, spd_factors)
+                       left_mul, node_major, right_mul, spd_factors)
 
 COMPAT_SAFETY = 10.0
+
+
+@dataclass(frozen=True)
+class CompatibilityReport:
+    gauss_residual: np.ndarray
+    codazzi_residual: np.ndarray
+    tolerance: np.ndarray
+    passed: bool
+
+    @property
+    def max_gauss(self) -> float:
+        return float(np.max(self.gauss_residual))
+
+    @property
+    def max_codazzi(self) -> float:
+        return float(np.max(self.codazzi_residual))
 
 
 def _metric_node_values(g, grid: Grid) -> np.ndarray:
@@ -78,6 +94,20 @@ def _christoffel_terms(G, grid: Grid) -> tuple:
     return Gam, dGam
 
 
+def _riemann_pairs(G, Gam, dGam) -> np.ndarray:
+    """Lowered curvature R_ijkl = g_im (A^m_jkl - A^m_jlk), A^m_jkl = d_k Gamma^m_lj
+    + Gamma^m_kn Gamma^n_lj, at the pairs k < l in ``combinations`` order:
+    component-major (d, d, pairs, ...) from G (d, d, ...), Gam[a, b, c] =
+    Gamma^a_bc and dGam[k, a, b, c] = d_k Gamma^a_bc, read only where b != k.
+    As a difference of A and its swap, R is exactly antisymmetric in (k, l)."""
+    pairs = list(combinations(range(G.shape[0]), 2))
+    R = np.empty(G.shape[:2] + (len(pairs),) + G.shape[2:])
+    for p, (k, l) in enumerate(pairs):
+        R[:, :, p] = left_mul(G, (dGam[k, :, l] + left_mul(Gam[:, k], Gam[:, l]))
+                              - (dGam[l, :, k] + left_mul(Gam[:, l], Gam[:, k])))
+    return R
+
+
 def gauss_codazzi_residual(g, S: ShapeField, grid: Grid) -> CompatibilityReport:
     """Node-wise residuals of the Gauss and Codazzi identities for (g, S).
 
@@ -107,7 +137,7 @@ def gauss_codazzi_residual(g, S: ShapeField, grid: Grid) -> CompatibilityReport:
     II = component_major(0.5 * (II + np.swapaxes(II, -1, -2)), 2)
     G = component_major(gv, 2)
     Gam, dGam = _christoffel_terms(G, grid)
-    R = riemann_from_values(G, Gam, dGam)
+    R = _riemann_pairs(G, Gam, dGam)
     # II_ik II_jl - II_il II_jk over the pairs k < l, indexed [i, j, pair]
     k, l = np.array(list(combinations(range(grid.dim), 2))).T
     Ik, Il = II[:, k], II[:, l]

@@ -1,6 +1,9 @@
 """Shared test utilities: random rotations, convergence orders, symbolic oracles,
-the slicing finite-difference stencils that the library's difference
-matrices are checked against, the per-stage RK4 frame march that the
+the chart curvature at points (central differences of the Christoffel
+symbols, checked against the symbolic oracle) that the Gauss-Codazzi gate's
+grid curvature is checked against, the slicing finite-difference stencils
+that the library's difference matrices are checked against, the per-stage
+RK4 frame march that the
 library's per-sweep march is checked against, the node-major integrand
 forwards and reverse passes that the component-major core is checked
 against, the node-major grid smoother and L-BFGS two-loop recursion that
@@ -17,6 +20,7 @@ and sign flip that the alignment through the rotation kernel's SVD is
 checked against."""
 
 from collections import namedtuple
+from itertools import combinations
 from typing import Optional
 
 import numpy as np
@@ -26,16 +30,16 @@ from imlab import fields
 from imlab.energy import Integrands
 from imlab.errors import (AsymmetricShape, DegenerateCovariance, NonSPDAnchor, RankDeficient,
                           UnsupportedExponent, UnsupportedTarget)
-from imlab.fields import (CompatibilityReport, DiscreteImmersion, Grid, ShapeField,
-                          quadrature_weights)
-from imlab.geometry import (RANK_RTOL, SIGMA_GUARD, MetricChart, chart, chart_factors,
-                            christoffel, component_major, node_major,
+from imlab.fields import DiscreteImmersion, Grid, ShapeField, quadrature_weights
+from imlab.geometry import (FD_STEP_REL, RANK_RTOL, SIGMA_GUARD, MetricChart, chart,
+                            chart_factors, christoffel, component_major, node_major,
                             rotation_factors_cm, spd_factors, stiefel_factors_cm)
 from imlab.harness import RIDDERS_COLUMNS, RIDDERS_SHRINK, _sym_field, random_director
 from imlab.immersion import covariant_normal_derivative, unit_normal
 from imlab.optimize import SMOOTH_BETA, SMOOTH_POWER, _Evaluator, pack_state
 from imlab.presets import get_preset
-from imlab.reconstruct import COMPAT_SAFETY, _metric_node_values, _midpoint_values
+from imlab.reconstruct import (COMPAT_SAFETY, CompatibilityReport, _metric_node_values,
+                               _midpoint_values, _riemann_pairs)
 
 
 def random_rotation(rng, n):
@@ -104,6 +108,38 @@ def lambdify_tensor(coords, tensor, shape):
         return vals.reshape(shape)
 
     return evaluate
+
+
+# ---------------------------------------------------------------------------
+# chart curvature at points, independent of the grid stencils of the
+# Gauss-Codazzi gate: its d Gamma is one central difference of the
+# Christoffel symbols
+
+
+def riemann_curvature(m: MetricChart, x) -> np.ndarray:
+    """Lowered curvature tensor R_ijkl of the Levi-Civita connection at x.
+
+    Antisymmetric in (i,j) and in (k,l), symmetric under pair exchange; the
+    (k, l) antisymmetry is exact (the pair formula of imlab.reconstruct).
+    Partials of the Christoffel symbols are taken by central differences.
+    """
+    x = np.asarray(x, dtype=float)
+    n = m.dim
+    if m.is_constant:
+        return np.zeros(x.shape[:-1] + (n,) * 4)
+    G = m.eval(x)
+    Gam = christoffel(m, x)
+    # larger step when the metric derivative itself is finite-differenced,
+    # to keep the nested-difference noise below truncation error
+    steps = m.extents() * (FD_STEP_REL if m.matrix_deriv is not None else 1e-4)
+    dGam = np.stack([component_major((christoffel(m, x + dx) - christoffel(m, x - dx))
+                                     / (2.0 * h), 3)
+                     for h, dx in zip(steps, steps * np.eye(n))])
+    Rp = _riemann_pairs(component_major(G, 2), component_major(Gam, 3), dGam)
+    R = np.zeros((n,) * 4 + x.shape[:-1])     # zero where k = l
+    for p, (k, l) in enumerate(combinations(range(n), 2)):
+        R[:, :, k, l], R[:, :, l, k] = Rp[:, :, p], -Rp[:, :, p]
+    return np.ascontiguousarray(node_major(R, 4))
 
 
 # ---------------------------------------------------------------------------
@@ -678,7 +714,7 @@ def two_loop(grad, pairs, smooth):
 # ---------------------------------------------------------------------------
 # reference compatibility path: the node-major einsum contractions, the
 # batched-matmul Christoffel formula and the LAPACK inverse that the
-# component-major curvature of imlab.geometry and imlab.reconstruct replaced,
+# component-major curvature of imlab.reconstruct replaced,
 # kept verbatim but for the function names; and the einsum and
 # np.linalg.solve fundamental forms of imlab.immersion
 

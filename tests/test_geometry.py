@@ -7,8 +7,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import helpers
-from helpers import (lambdify_tensor, random_rotation, symbolic_christoffel,
-                     symbolic_riemann_lowered)
+from helpers import (lambdify_tensor, random_rotation, riemann_curvature,
+                     symbolic_christoffel, symbolic_riemann_lowered)
 from imlab import geometry
 from imlab.errors import NotSPD, RankDeficient, SingularMetric
 from imlab.fields import Grid
@@ -16,11 +16,11 @@ from imlab.geometry import (SPD_RTOL, MetricChart, chart, chart_factors, christo
                             christoffel_from_values, component_major, cross3_cm,
                             cross_columns_cm, Diagonal, dist_rotations, dist_stiefel,
                             factor_form, left_mul,
-                            node_major, project_stiefel, riemann_curvature,
-                            riemann_from_values, right_mul,
+                            node_major, project_stiefel, right_mul,
                             rotation_factors_cm, sigma_max_cm, spd_factors, spd_sqrt_det,
                             sqrt_and_inv_sqrt, stiefel_factors_cm, target_factors_cm)
 from imlab.optimize import SIGMA_GUARD
+from imlab.reconstruct import _riemann_pairs
 
 
 def _symbolic_charts():
@@ -257,8 +257,8 @@ class TestRiemannCurvature:
         G, Gam = m.eval(x), christoffel(m, x)
         dGam = np.random.default_rng(3).normal(size=(2, 2, 2, 2, 2))
         want = helpers.riemann_from_values(G, Gam, dGam)
-        got = riemann_from_values(component_major(G, 2), component_major(Gam, 3),
-                                  component_major(dGam, 4))
+        got = _riemann_pairs(component_major(G, 2), component_major(Gam, 3),
+                             component_major(dGam, 4))
         assert got.shape == (2, 2, 1, 2)
         want_pairs = component_major(want, 4)[:, :, 0, 1]
         assert np.allclose(got[:, :, 0], want_pairs, rtol=1e-13, atol=1e-13)

@@ -53,6 +53,30 @@ class TestConfig:
         cfg = config_from_dict({**base, "amplitudes": [0.1, 0.05, 0.0]})
         assert cfg.amplitudes[-1] == 0.0
 
+    @pytest.mark.parametrize("experiment", ["stability-sweep", "ratio-study"])
+    @pytest.mark.parametrize("key, value", [
+        ("amplitudes", []), ("amplitudes", [0.0]), ("frequencies", []),
+        ("frequencies", [0]), ("frequencies", [2, -4])],
+        ids=["no-amplitude", "zero-amplitude", "no-frequency", "zero-frequency",
+             "negative-frequency"])
+    def test_sweep_with_nothing_to_measure_exits_1(self, tmp_path, capsys, experiment,
+                                                    key, value):
+        """No amplitude, no positive amplitude, or no positive frequency (a
+        zero wrinkle) is a config error: the ratio study on the cylinder
+        used to exit 0 with num_ratios 0, or report the unperturbed
+        reference's 4.3e-13 as a stability ratio."""
+        d = {"imlab_config": 1, "experiment": experiment, "preset": "cylinder",
+             "grid": [9, 9], key: value}
+        with pytest.raises(BadConfig, match=key):
+            config_from_dict(d)
+        cfgpath = tmp_path / "cfg.json"
+        cfgpath.write_text(json.dumps(d))
+        out = tmp_path / "out"
+        assert cli_main([experiment, "--config", str(cfgpath), "--out", str(out)]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith(f"imlab: error: {key}") and len(err.splitlines()) == 1
+        assert not out.exists()
+
     @pytest.mark.parametrize("key,value", [
         ("p", float("nan")), ("p", float("inf")), ("p", "2"),
         ("start_amplitude", float("nan")),
@@ -334,6 +358,31 @@ class TestCustomProblem:
             config_from_dict({"imlab_config": 1, "experiment": "reconstruct",
                               "preset": "custom", "custom": custom})
         assert str(box) in str(exc.value) and domain in str(exc.value)
+        cfgpath = tmp_path / "cfg.json"
+        cfgpath.write_text(json.dumps({"imlab_config": 1, "experiment": "reconstruct",
+                                       "preset": "custom", "grid": [9, 9], "custom": custom}))
+        out = tmp_path / "out"
+        assert cli_main(["reconstruct", "--config", str(cfgpath), "--out", str(out)]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("imlab: error: custom.box") and len(err.splitlines()) == 1
+        assert not out.exists()
+
+    @pytest.mark.parametrize("hi, node", [(800.0, "(4, 0)"), (20.0, "(6, 0)")],
+                             ids=["overflow", "ill-conditioned"])
+    def test_box_where_the_chart_metric_fails_the_gate_exits_1_at_config_load(
+            self, tmp_path, capsys, hi, node):
+        """A box inside the hyperbolic chart's domain on whose grid nodes
+        sinh^2 overflows (from node 4 at 400), or fails the SPD gate's
+        conditioning (from node 6 at 15.1), is a config error naming the box,
+        the chart and the first such node, with no warning: the box to 800
+        used to fail late, after five RuntimeWarnings, naming neither the box
+        nor the overflow."""
+        custom = {"g": "hyperbolic", "s": [[0, 0], [0, 0]], "box": [[0.5, hi], [0, 1]]}
+        with pytest.raises(BadConfig, match="custom.box") as exc:
+            config_from_dict({"imlab_config": 1, "experiment": "reconstruct",
+                              "preset": "custom", "grid": [9, 9], "custom": custom})
+        msg = str(exc.value)
+        assert str(custom["box"]) in msg and "hyperbolic" in msg and node in msg
         cfgpath = tmp_path / "cfg.json"
         cfgpath.write_text(json.dumps({"imlab_config": 1, "experiment": "reconstruct",
                                        "preset": "custom", "grid": [9, 9], "custom": custom}))
@@ -819,14 +868,18 @@ _FLOATS = st.floats(-1e3, 1e3)
 @st.composite
 def _valid_configs(draw):
     d = {"imlab_config": 1, "experiment": draw(st.sampled_from(harness.EXPERIMENTS))}
+    # a sweep needs a positive amplitude and positive frequencies
+    sweep = d["experiment"] in ("stability-sweep", "ratio-study")
     optional = {
         "preset": st.sampled_from(sorted(PRESETS)),
         "grid": st.one_of(st.integers(4, 65),
                           st.lists(st.integers(4, 65), min_size=1, max_size=2)),
         "p": st.floats(1.0, 8.0),
-        "frequencies": st.lists(_FLOATS, max_size=4),
-        "amplitudes": st.lists(st.floats(0.0, 1.0), unique=True, max_size=4).map(
-            lambda a: sorted(a, reverse=True)),
+        "frequencies": st.lists(st.floats(1e-3, 1e3) if sweep else _FLOATS,
+                                min_size=int(sweep), max_size=4),
+        "amplitudes": st.lists(st.floats(0.0, 1.0), unique=True, min_size=int(sweep),
+                               max_size=4).map(lambda a: sorted(a, reverse=True)).filter(
+            lambda a: not sweep or a[0] > 0),
         "seed": st.integers(0, 2 ** 63),
         "out": st.text(max_size=8),
         "start": st.sampled_from(["immersion", "director"]),

@@ -11,7 +11,7 @@ from imlab import reconstruct
 from imlab.errors import (AsymmetricShape, DegenerateCovariance, GridMismatch,
                           IncompatibleForms, NonSPDAnchor, SingularMetric)
 from imlab.fields import DiscreteImmersion, Grid, ShapeField, lp_norm, quadrature_weights
-from imlab.geometry import MetricChart, chart
+from imlab.geometry import MetricChart, chart, component_major
 from imlab.harness import random_smooth_field
 from imlab.immersion import pullback_metric, shape_operator
 from imlab.presets import get_preset
@@ -158,6 +158,31 @@ class TestComponentMajorResidual:
             MetricChart.from_table(grid, gv)
         with pytest.raises(SingularMetric):
             gauss_codazzi_residual(gv, ShapeField(grid, np.zeros(grid.counts + (2, 2))), grid)
+
+
+class TestGateCurvature:
+    """The gate's curvature, from the stencils of the node-sampled metric,
+    against the chart curvature of helpers.riemann_curvature at the nodes."""
+
+    @staticmethod
+    def _errors(name):
+        m, errors = chart(name), []
+        for n in (17, 33, 65):
+            grid = Grid((n, n), (1.0, 1.0), (0.5, 0.0))
+            G = component_major(reconstruct._metric_node_values(m, grid), 2)
+            R = reconstruct._riemann_pairs(G, *reconstruct._christoffel_terms(G, grid))
+            want = component_major(helpers.riemann_curvature(m, grid.nodes()), 4)
+            errors.append(np.max(np.abs(R[:, :, 0] - want[:, :, 0, 1])))
+        return errors
+
+    @pytest.mark.parametrize("name", ["sphere", "hyperbolic"])
+    def test_second_order_on_curved_charts(self, name):
+        assert np.all(convergence_orders(self._errors(name)) >= 1.9)
+
+    def test_exact_on_the_flat_polar_chart(self):
+        # diag(1, r^2) is quadratic, so every stencil is exact and the gate
+        # agrees with the chart curvature to the latter's difference noise
+        assert max(self._errors("polar")) < 1e-8
 
 
 class TestShapeFieldGrid:
