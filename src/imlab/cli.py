@@ -14,12 +14,11 @@ exits 0.
 from __future__ import annotations
 
 import argparse
-import dataclasses
 import json
 import sys
 
 from .errors import ImlabError
-from .harness import (EXPERIMENTS, ExperimentConfig, load_config, run_experiment)
+from .harness import CONFIG_VERSION, EXPERIMENTS, config_from_dict, run_experiment
 
 
 class _Parser(argparse.ArgumentParser):
@@ -56,18 +55,18 @@ def build_parser() -> argparse.ArgumentParser:
 
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
+    overrides = {k: getattr(args, k) for k in ("out", "grid", "p", "seed", "preset")
+                 if getattr(args, k) is not None}
     try:
+        doc = {"imlab_config": CONFIG_VERSION, "experiment": args.experiment}
         if args.config is not None:
-            cfg = load_config(args.config)
-            if cfg.experiment != args.experiment:
-                cfg = dataclasses.replace(cfg, experiment=args.experiment)
-        else:
-            cfg = ExperimentConfig(experiment=args.experiment)
-        overrides = {k: getattr(args, k) for k in ("out", "grid", "p", "seed", "preset")
-                     if getattr(args, k) is not None}
-        if overrides:
-            cfg = dataclasses.replace(cfg, **overrides)
-        report, passed = run_experiment(cfg)
+            with open(args.config, "r", encoding="utf-8") as fh:
+                doc = json.load(fh)
+        # the subcommand and the flags replace the file's fields, so the config
+        # is checked once, with the values the run uses
+        if isinstance(doc, dict) and "experiment" in doc:
+            doc = {**doc, "experiment": args.experiment, **overrides}
+        report, passed = run_experiment(config_from_dict(doc))
     except (ImlabError, OSError, json.JSONDecodeError, ValueError) as exc:
         print(f"imlab: error: {exc}", file=sys.stderr)
         return 1

@@ -77,10 +77,10 @@ class Integrands:
     g^{+-1/2} and g^{-1} = (g^{-1/2})^2 (as christoffel_from_values forms
     it) from one factorization of g, the quadrature weights times sqrt det g
     and the factors of a constant target are computed once, here, each in its
-    exact form (:func:`imlab.geometry.factor_form`); a curved
-    target is factored at the state's points in each forward, which then also
-    adds the connector term Gamma(f) df v.  Without S, or with S = 0, the
-    shape operator is left out.  With H = h, the bending integrand
+    exact form (:func:`imlab.geometry.factor_form`); a curved target is
+    factored at the state's points in one chart pass per forward, whose
+    Gamma(f) gives the connector term Gamma(f) df v.  Without S, or with
+    S = 0, the shape operator is left out.  With H = h, the bending integrand
     g^{ij} h_ab A^a_i A^b_j is sum((H A g^{-1}) * A).
 
     The forwards take component-major states (d+1, *counts), or a batch of k
@@ -104,18 +104,16 @@ class Integrands:
         Sv = np.stack([s.values for s in S]) if isinstance(S, list) else getattr(S, "values", None)
         self.S = None if Sv is None or not Sv.any() else component_major(Sv, 2)
         self.wdet = quadrature_weights(grid) * sdet
-        if target.is_constant:
-            self.H, self.Hs, self.Hsi = target_factors_cm(target, None)
+        self._h = target_factors_cm(target, None) if target.is_constant else None
+        self.H, self.Hs, self.Hsi, _ = self._h or (None,) * 4
         # ((B.shape, bytes of B), (dist2, sigma_min, R)) of the last director
         # frame (:meth:`_rotations`)
         self._frame_memo = None
 
     def _target(self, points):
-        """(h, h^{1/2}, h^{-1/2}) in their exact forms: single matrices, or
-        per node at the component-major points."""
-        if self.target.is_constant:
-            return self.H, self.Hs, self.Hsi
-        return target_factors_cm(self.target, node_major(points, 1))
+        """(h, h^{1/2}, h^{-1/2}, Gamma) of the target from one chart pass (target_factors_cm):
+        a constant target's, made once, or one at the component-major points."""
+        return self._h or target_factors_cm(self.target, node_major(points, 1))
 
     def _jacobian(self, x):
         """jacobian_array of a state, (m, d, *counts) or (m, d, k, *counts)."""
@@ -140,12 +138,12 @@ class Integrands:
         with it returns None where sigma_min(Q) < guard.
         """
         J = self._jacobian(values)
-        H, Hs, Hsi = self._target(values)
+        H, Hs, Hsi, Gam = self._target(values)
         frame = _frame(left_mul(Hs, J), Hsi, self.gsi, polar, guard)
         if frame is None:
             return None
         Q, dist2, P, nu, nhat, n = frame
-        K = connector(self.target, values, self._jacobian(n), J, n)
+        K = connector(Gam, self._jacobian(n), J, n)
         HAG, q2 = self._bend_sq(H, self._with_shape(J, K))
         return ImmersionNodes(dist2, q2, Q, P, nu, nhat, HAG, n)
 
@@ -171,8 +169,8 @@ class Integrands:
         """(Jx, K o Dxi, h, h^{1/2}) of the director field (foot, vec), shared
         by :meth:`director` and :meth:`sasaki_sq`."""
         Jx, Jv = self._jacobian(foot), self._jacobian(vec)
-        H, Hs, _ = self._target(foot)
-        return Jx, connector(self.target, foot, Jv, Jx, vec), H, Hs
+        H, Hs, _, Gam = self._target(foot)
+        return Jx, connector(Gam, Jv, Jx, vec), H, Hs
 
     def director(self, foot, vec, polar=False, guard=None, terms=None):
         """DirectorNodes of the director field (foot, vec); with ``guard``,

@@ -262,11 +262,19 @@ def chart_factors(m: MetricChart, x):
 
 
 def target_factors_cm(m: MetricChart, x):
-    """(m, m^{1/2}, m^{-1/2}) of a chart at points x (..., n), component-major
-    (n, n, ...), or the single (n, n) matrices of a constant chart, each in
-    its exact form (:func:`factor_form`): None for the Euclidean target."""
+    """(m, m^{1/2}, m^{-1/2}, Gamma) at points x (..., n) with node axes, from one
+    m.eval, spd_factors and m.eval_deriv: the factors component-major (n, n, ...)
+    in their exact form (:func:`factor_form`), Gamma[a, b, c, ...] = Gamma^a_bc
+    from the dense m^{-1/2}; a constant chart's single matrices, Gamma None, x unused."""
     H, _, Hs, Hsi = chart_factors(m, x)
-    return tuple(factor_form(component_major(M, 2)) for M in (H, Hs, Hsi))
+    H, Hs, Hsi = (component_major(M, 2) for M in (H, Hs, Hsi))
+    Gam = None if m.is_constant else _chart_christoffel(m, x, Hsi)
+    return tuple(factor_form(M) for M in (H, Hs, Hsi)) + (Gam,)
+
+
+def _chart_christoffel(m: MetricChart, x, Hsi):
+    """Gamma[a, b, c, ...] of a curved chart at points x with node axes, from its m^{-1/2} there."""
+    return christoffel_from_values(Hsi, np.moveaxis(component_major(m.eval_deriv(x), 3), 0, 2))[0]
 
 
 # ---------------------------------------------------------------------------
@@ -279,29 +287,27 @@ def first_kind(D, b: int) -> np.ndarray:
     return (D[:, :, b] + D[:, b]) - np.swapaxes(D[b], 0, 1)
 
 
-def christoffel_from_values(G, dG) -> tuple:
-    """(Gamma, G^{-1}) from component-major metric values G (d, d, *nodes) and
-    partials dG[i, j, k] = d_k g_ij, the jacobian_array layout: Gamma^a_bc =
-    G^{ae} Gamma_ebc (:func:`first_kind`) as an elementwise sum over e, with
-    G^{-1} = (G^{-1/2})^2 past the gate of :func:`spd_factors`."""
-    Gsi = component_major(spd_factors(node_major(G, 2))[2], 2)
+def christoffel_from_values(Gsi, dG) -> tuple:
+    """(Gamma, G^{-1}) from the component-major G^{-1/2} (d, d, *nodes) that
+    :func:`spd_factors` returned past its gate and the partials dG[i, j, k] =
+    d_k g_ij, the jacobian_array layout: Gamma^a_bc = G^{ae} Gamma_ebc
+    (:func:`first_kind`) as an elementwise sum over e, G^{-1} = (G^{-1/2})^2."""
     Ginv = left_mul(Gsi, Gsi)
     Gam = np.empty(dG.shape)
-    for b in range(G.shape[0]):
+    for b in range(Gsi.shape[0]):
         Gam[:, b] = 0.5 * left_mul(Ginv, first_kind(dG, b))
     return Gam, Ginv
 
 
 def christoffel(m: MetricChart, x) -> np.ndarray:
     """Levi-Civita Christoffel symbols [..., a, b, c] = Gamma^a_bc of a metric
-    chart at point(s) x (..., dim)."""
+    chart at point(s) x (..., dim), formed as :func:`target_factors_cm` forms them."""
     x = _as_points(x, m.dim)
     shape = x.shape[:-1] + (m.dim,) * 3
     if m.is_constant:
         return np.zeros(shape)
     p = x if x.ndim > 1 else x[None]     # node axes, so every product is elementwise
-    Gam, _ = christoffel_from_values(component_major(m.eval(p), 2),
-                                     np.moveaxis(component_major(m.eval_deriv(p), 3), 0, 2))
+    Gam = _chart_christoffel(m, p, component_major(chart_factors(m, p)[3], 2))
     return np.ascontiguousarray(node_major(Gam, 3)).reshape(shape)
 
 
@@ -626,14 +632,14 @@ def cross_columns_cm(q):
 
 
 def stiefel_factors_cm(q, s=None, polar=False):
-    """Closed-form (dist^2, sigma_min, polar factor) of component-major
-    (d+1, d, ...) frames.
+    """Closed-form (dist^2, sigma_min, sigma_max, polar factor) of
+    component-major (d+1, d, ...) frames.
 
     For d = 2, with G = Q^T Q, s = sigma_1 sigma_2 = |q_1 x q_2| (the cross
     product keeps s accurate near rank deficiency, where sqrt(det G) cancels)
     and t = sigma_1 + sigma_2 = sqrt(|Q|^2 + 2 s):
-    dist^2 = |Q|^2 - 2 t + 2; sigma_min = s / sigma_max with
-    sigma_max = (t + sqrt(|Q|^2 - 2 s)) / 2; P = Q G^{-1/2} with
+    dist^2 = |Q|^2 - 2 t + 2; sigma_max = (t + sqrt(|Q|^2 - 2 s)) / 2 and
+    sigma_min = s / sigma_max; P = Q G^{-1/2} with
     G^{-1/2} = (adj G + s I) / (t s) (2x2 square root identity, Higham,
     Functions of Matrices, 2008).  For d = 1, sigma = |q| and P = q / |q|.
 
@@ -653,14 +659,14 @@ def stiefel_factors_cm(q, s=None, polar=False):
         c = cross_columns_cm(q)
         s = np.sqrt(np.add.reduce(c * c, axis=0))
     if d == 1:
-        return (s - 1.0) ** 2, s, q * _safe_reciprocal(s) if polar else None
+        return (s - 1.0) ** 2, s, s, q * _safe_reciprocal(s) if polar else None
     n2 = np.add.reduce((q * q).reshape((6,) + q.shape[2:]), axis=0)
     t = np.sqrt(n2 + 2.0 * s)
     dist2 = np.maximum(n2 - 2.0 * t + 2.0, 0.0)
     smax = 0.5 * (t + np.sqrt(np.maximum(n2 - 2.0 * s, 0.0)))
     smin = s / np.maximum(smax, np.finfo(float).tiny)
     if not polar:
-        return dist2, smin, None
+        return dist2, smin, smax, None
     q1, q2 = q[:, 0], q[:, 1]
     g11 = np.add.reduce(q1 * q1, axis=0)
     g22 = np.add.reduce(q2 * q2, axis=0)
@@ -669,7 +675,7 @@ def stiefel_factors_cm(q, s=None, polar=False):
     P = np.empty(q.shape)
     np.multiply(q1 * (g22 + s) - q2 * g12, inv, out=P[:, 0])
     np.multiply(q2 * (g11 + s) - q1 * g12, inv, out=P[:, 1])
-    return dist2, smin, P
+    return dist2, smin, smax, P
 
 
 def _safe_reciprocal(x):

@@ -28,10 +28,11 @@ from .fields import (DirectorField, DiscreteImmersion, Grid, ShapeField, _node_v
                      save_binary, save_node_csv, w1p_distance, write_csv)
 from .geometry import (CHART_NAMES, MetricChart, chart, christoffel, component_major,
                        dist_stiefel, project_stiefel, spd_factors, target_factors_cm)
-from .immersion import _gram, normal_director, pullback_metric, shape_operator, unit_normal
+from .immersion import _gram, normal_director, unit_normal
 from .optimize import OptimizeConfig, _Evaluator, energy_gradient, minimize, pack_state
 from .presets import PRESETS, _const_shape, _flat_reference, box_grid, get_preset
-from .reconstruct import align_rigid, gauss_codazzi_residual, integrate_frame, save_obj
+from .reconstruct import (_form_errors, align_rigid, gauss_codazzi_residual, integrate_frame,
+                          save_obj)
 
 CONFIG_VERSION = 1
 EXPERIMENTS = ("energy", "check", "reconstruct", "minimize",
@@ -96,6 +97,9 @@ class ExperimentConfig:
                     "amplitudes must be nonnegative and strictly decreasing, the first positive")
             require(freqs and min(freqs) > 0,
                     "frequencies must be a non-empty list of positive numbers")
+            w = wrinkle_profile(box_grid(((0.0, 1.0),) * 2, self.grid), freqs)
+            require(np.max(np.abs(w)) > 1e-12, f"frequencies {list(freqs)} are a zero wrinkle "
+                    f"on the {'x'.join(map(str, w.shape))} grid: it vanishes at every node")
         require(self.start in ("immersion", "director"),
                 "start must be 'immersion' or 'director'")
         if self.s_override is not None:
@@ -151,11 +155,6 @@ def config_from_dict(d: dict) -> ExperimentConfig:
     require(not unknown, f"unknown config keys: {unknown}")
     require("experiment" in kwargs, "config must name an experiment")
     return ExperimentConfig(**kwargs, optimizer=OptimizeConfig(**opt))
-
-
-def load_config(path) -> ExperimentConfig:
-    with open(path, "r", encoding="utf-8") as fh:
-        return config_from_dict(json.load(fh))
 
 
 # ---------------------------------------------------------------------------
@@ -342,8 +341,7 @@ def run_check(cfg: ExperimentConfig):
 
     # relaxation identity and node-wise distance identity on random surfaces,
     # from one pair of forwards each: the frame distances do not depend on S
-    relax_viol = 0.0
-    dist_viol = 0.0
+    relax_viol = dist_viol = 0.0
     for _ in range(cfg.num_random):
         f = random_surface_immersion(grid2, rng)
         Sf = ShapeField(grid2, 0.3 * _sym_field(grid2, rng))
@@ -617,8 +615,7 @@ def _grid_meta(grid: Grid) -> dict:
 def run_energy(cfg: ExperimentConfig):
     """Evaluate the energy of the preset's reference immersion; export densities."""
     g, grid, S, f0 = _problem_context(cfg)
-    if f0 is None:
-        f0 = integrate_frame(g, S, grid)
+    f0 = integrate_frame(g, S, grid) if f0 is None else f0
     rep = en.total_energy(f0, g, S, cfg.p)
     save_node_csv(os.path.join(cfg.out, "immersion.csv"), grid, f0.values)
     save_node_csv(os.path.join(cfg.out, "stretch_density.csv"), grid, rep.stretch_density)
@@ -630,21 +627,12 @@ def run_energy(cfg: ExperimentConfig):
     return report, True
 
 
-def _form_errors(f: DiscreteImmersion, g: MetricChart, S: ShapeField) -> dict:
-    """Max-norm errors of the pullback metric and the shape operator of f
-    against the prescribed (g, S)."""
-    pb = pullback_metric(f) - g.eval(f.grid.nodes())
-    so = shape_operator(f).values - S.values
-    return {"pullback_max_error": float(np.max(np.abs(pb))),
-            "shape_operator_max_error": float(np.max(np.abs(so)))}
-
-
 def run_reconstruct(cfg: ExperimentConfig):
     """Reconstruct the immersion carrying the preset's forms; report errors."""
     g, grid, S, ref = _problem_context(cfg)
     f = integrate_frame(g, S, grid)
     report = {"imlab_config": CONFIG_VERSION, "experiment": "reconstruct",
-              "preset": cfg.preset, "grid_meta": _grid_meta(grid), **_form_errors(f, g, S)}
+              "preset": cfg.preset, "grid_meta": _grid_meta(grid), **_form_errors(f, g, S)[0]}
     if ref is not None:
         _, _, aligned = align_rigid(ref, f)
         report["aligned_max_distance"] = float(
@@ -716,7 +704,7 @@ def run_minimize(cfg: ExperimentConfig):
     if isinstance(state, DiscreteImmersion):
         save_node_csv(os.path.join(cfg.out, "terminal.csv"), grid, state.values)
         save_binary(os.path.join(cfg.out, "terminal.bin"), state.values)
-        report.update(_form_errors(state, g, S))
+        report.update(_form_errors(state, g, S)[0])
     else:
         save_node_csv(os.path.join(cfg.out, "terminal_foot.csv"), grid, state.foot)
         save_node_csv(os.path.join(cfg.out, "terminal_vec.csv"), grid, state.vec)
@@ -739,8 +727,7 @@ def run_stability_sweep(cfg: ExperimentConfig):
     g, grid, S, _ = _problem_context(cfg)
     f0 = integrate_frame(g, S, grid)
     n0 = unit_normal(f0)
-    records = []
-    field_files = []
+    records, field_files = [], []
     for k, eps in enumerate(cfg.amplitudes):
         feps = wrinkled_immersion(f0, n0, eps, cfg.frequencies)
         rep = en.total_energy(feps, g, S, cfg.p)

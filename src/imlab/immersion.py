@@ -15,9 +15,8 @@ import numpy as np
 
 from .errors import RankDeficient
 from .fields import DirectorField, DiscreteImmersion, ShapeField, _node_values, jacobian_array
-from .geometry import (RANK_RTOL, christoffel, component_major, cross_columns_cm,
-                       left_mul, node_major, right_mul, stiefel_factors_cm,
-                       target_factors_cm)
+from .geometry import (RANK_RTOL, _node_product, component_major, cross_columns_cm, left_mul,
+                       node_major, right_mul, stiefel_factors_cm, target_factors_cm)
 
 
 def _frame(B, Hsi, gsi=None, polar=False, guard=None):
@@ -29,12 +28,9 @@ def _frame(B, Hsi, gsi=None, polar=False, guard=None):
     Q = right_mul(B, gsi)
     c = cross_columns_cm(Q)
     nu = np.sqrt(np.add.reduce(c * c, axis=0))
-    dist2, smin, P = stiefel_factors_cm(Q, nu, polar)
+    dist2, smin, smax, P = stiefel_factors_cm(Q, nu, polar)
     if guard is None:
-        # sigma_max^2 = |Q|^2 - (d - 1) sigma_min^2 for d in {1, 2}
-        smax2 = (np.add.reduce((Q * Q).reshape((-1,) + Q.shape[2:]), axis=0)
-                 - (Q.shape[1] - 1) * smin ** 2)
-        bad = smin <= RANK_RTOL * np.maximum(np.sqrt(np.maximum(smax2, 0.0)), 1e-300)
+        bad = smin <= RANK_RTOL * np.maximum(smax, 1e-300)
         if np.any(bad):
             idx = tuple(int(i) for i in np.argwhere(bad)[0])
             raise RankDeficient(f"differential is rank deficient at node {idx}")
@@ -45,19 +41,18 @@ def _frame(B, Hsi, gsi=None, polar=False, guard=None):
 
 
 def _normal_pass(f: DiscreteImmersion) -> tuple:
-    """Component-major (x, J, h, n) of an immersion: node values, raw Jacobian,
-    target metric in its exact form (None if Euclidean, see
-    :func:`imlab.geometry.factor_form`), rank-checked oriented h-unit normal."""
-    x = component_major(f.values, 1)
-    J = jacobian_array(x, f.grid)
-    H, Hs, Hsi = target_factors_cm(f.target, f.values)
-    return x, J, H, _frame(left_mul(Hs, J), Hsi)[-1]
+    """Component-major (J, h, Gamma, n) of an immersion: raw Jacobian, target
+    metric and Christoffel symbols from one chart pass at its values
+    (:func:`imlab.geometry.target_factors_cm`), rank-checked oriented h-unit normal."""
+    J = jacobian_array(component_major(f.values, 1), f.grid)
+    H, Hs, Hsi, Gam = target_factors_cm(f.target, f.values)
+    return J, H, Gam, _frame(left_mul(Hs, J), Hsi)[-1]
 
 
 def unit_normal(f: DiscreteImmersion) -> np.ndarray:
     """Oriented h-unit normal of a full-rank discrete immersion, as a node
     array (*counts, d+1)."""
-    return np.ascontiguousarray(node_major(_normal_pass(f)[3], 1))
+    return np.ascontiguousarray(node_major(_normal_pass(f)[-1], 1))
 
 
 def _gram(J, H, *W) -> list:
@@ -74,18 +69,15 @@ def pullback_metric(f: DiscreteImmersion) -> np.ndarray:
     return np.ascontiguousarray(node_major(0.5 * (G + np.swapaxes(G, 0, 1)), 2))
 
 
-def connector(target, points, Dv, J, v):
-    """Derivative along a map, with differential J and values at ``points``,
-    of a target vector field v with raw derivative Dv:
-    Dv^a_i + Gamma^a_bc d_i f^b v^c (Dv itself for a constant target).
-    Dv, J (m, d, ...), v and ``points`` (m, ...) are component-major."""
-    if target.is_constant:
+def connector(Gam, Dv, J, v):
+    """Derivative along a map with differential J of a target vector field v
+    with raw derivative Dv: Dv^a_i + Gamma^a_bc d_i f^b v^c for the target's
+    Gam[a, b, c, ...] at the map's points (:func:`imlab.geometry.target_factors_cm`),
+    Dv itself for Gam None.  Dv, J (m, d, ...), v (m, ...) are component-major."""
+    if Gam is None:
         return Dv
-    Gam = component_major(christoffel(target, node_major(points, 1)), 3)
-    Gv = Gam[:, :, 0] * v[0]
-    for c in range(1, v.shape[0]):
-        Gv = Gv + Gam[:, :, c] * v[c]
-    return Dv + left_mul(Gv, J)
+    Gv = _node_product(Gam.reshape((-1,) + Gam.shape[2:]), v[:, None])     # Gamma^a_bc v^c
+    return Dv + left_mul(Gv.reshape(Gam.shape[:2] + v.shape[1:]), J)
 
 
 def covariant_normal_derivative(f: DiscreteImmersion, n: np.ndarray) -> np.ndarray:
@@ -94,9 +86,9 @@ def covariant_normal_derivative(f: DiscreteImmersion, n: np.ndarray) -> np.ndarr
     (grad n)_i^a = d_i n^a + Gamma^a_bc(f) d_i f^b n^c, as the node array
     (*counts, d+1, d).  With n the unit normal of f it is grad n.
     """
-    n = _node_values(f.grid, n, (f.grid.dim + 1,), "vector field")
-    x, v = component_major(f.values, 1), component_major(n, 1)
-    K = connector(f.target, x, jacobian_array(v, f.grid), jacobian_array(x, f.grid), v)
+    v = component_major(_node_values(f.grid, n, (f.grid.dim + 1,), "vector field"), 1)
+    J = jacobian_array(component_major(f.values, 1), f.grid)
+    K = connector(target_factors_cm(f.target, f.values)[3], jacobian_array(v, f.grid), J, v)
     return np.ascontiguousarray(node_major(K, 2))
 
 
@@ -108,8 +100,8 @@ def shape_operator(f: DiscreteImmersion) -> ShapeField:
     |grad n + df S|_h, S = -(adj G / det G) J^T h grad n (d in {1, 2}, as
     :func:`unit_normal` requires).
     """
-    x, J, H, n = _normal_pass(f)
-    G, rhs = _gram(J, H, connector(f.target, x, jacobian_array(n, f.grid), J, n))
+    J, H, Gam, n = _normal_pass(f)
+    G, rhs = _gram(J, H, connector(Gam, jacobian_array(n, f.grid), J, n))
     if G.shape[0] == 1:
         adj, det = np.ones_like(G), G[0, 0]
     else:

@@ -44,6 +44,7 @@ from .fields import (DiscreteImmersion, Grid, ShapeField, _node_values, atomic_w
 from .geometry import (RANK_RTOL, MetricChart, _node_product, _rotation_factors_svd, chart,
                        christoffel, christoffel_from_values, component_major, first_kind,
                        left_mul, node_major, right_mul, spd_factors)
+from .immersion import pullback_metric, shape_operator
 
 COMPAT_SAFETY = 10.0
 
@@ -70,11 +71,11 @@ def _metric_node_values(g, grid: Grid) -> np.ndarray:
     return _node_values(grid, g, (grid.dim,) * 2, "metric")
 
 
-def _christoffel_terms(G, grid: Grid) -> tuple:
+def _christoffel_terms(G, Gsi, grid: Grid) -> tuple:
     """Gamma^a_bc and, at b != k, d_k Gamma^a_bc, component-major, from the
     stencils of the metric values G (d, d, *counts), whose error coefficients,
-    unlike Gamma's, do not jump between boundary and interior stencils.
-    Gamma, G^{-1} from christoffel_from_values, d_k G^{-1} = -G^{-1} d_k G G^{-1}."""
+    unlike Gamma's, do not jump between boundary and interior stencils.  Gamma,
+    G^{-1} from christoffel_from_values on G^{-1/2} = Gsi, d_k G^{-1} = -G^{-1} d_k G G^{-1}."""
     d, h = grid.dim, grid.spacing
     dG = jacobian_array(G, grid)                    # [i, j, k] = d_k g_ij
     # [i, j, k, l] = d_k d_l g_ij: same-axis stencils, mixed ones nested
@@ -84,7 +85,7 @@ def _christoffel_terms(G, grid: Grid) -> tuple:
         d2G[:, :, k, k] = axis_second_derivative(G, 2 + k, h[k])
         for l in range(k + 1, d):
             d2G[:, :, k, l] = d2G[:, :, l, k] = axis_derivative(dG[:, :, l], 2 + k, h[k])
-    Gam, Ginv = christoffel_from_values(G, dG)
+    Gam, Ginv = christoffel_from_values(Gsi, dG)
     dGam = np.empty((d,) * 4 + grid.counts)
     for k in range(d):
         dGinv = -right_mul(left_mul(Ginv, dG[:, :, k]), Ginv)
@@ -129,14 +130,14 @@ def gauss_codazzi_residual(g, S: ShapeField, grid: Grid) -> CompatibilityReport:
     asym = np.max(np.abs(II - np.swapaxes(II, -1, -2)))
     if asym > COMPAT_SAFETY * h * h * (1.0 + np.max(np.abs(II))):
         raise AsymmetricShape(f"g*S asymmetry {asym:.3e} exceeds tolerance")
+    Gsi = spd_factors(gv)[2]     # the SPD gate, on curves and surfaces alike
     if grid.dim == 1:
-        spd_factors(gv)     # the gate christoffel_from_values runs in 2-D
         zeros = np.zeros(grid.counts)
         tol = np.full(grid.counts, COMPAT_SAFETY * h * h)
         return CompatibilityReport(zeros, zeros.copy(), tol, True)
     II = component_major(0.5 * (II + np.swapaxes(II, -1, -2)), 2)
     G = component_major(gv, 2)
-    Gam, dGam = _christoffel_terms(G, grid)
+    Gam, dGam = _christoffel_terms(G, component_major(Gsi, 2), grid)
     R = _riemann_pairs(G, Gam, dGam)
     # II_ik II_jl - II_il II_jk over the pairs k < l, indexed [i, j, pair]
     k, l = np.array(list(combinations(range(grid.dim), 2))).T
@@ -266,19 +267,21 @@ def integrate_frame(g: MetricChart, S: ShapeField, grid: Grid,
     pass ``frame=(E0, n0)`` for a custom admissible frame (NonSPDAnchor
     otherwise).  ``anchor_index`` must be d integers 0 <= i < n_a
     (ValueError otherwise).  With ``return_frame`` the integrated tangent
-    frame and normal node arrays are returned alongside the immersion.  ``g`` must be a chart (TypeError
-    otherwise): the march evaluates it between the nodes.
+    frame and normal node arrays are returned alongside the immersion.  ``g``
+    must be a chart (TypeError otherwise): the march evaluates it between the
+    nodes.  Forms that fail the Gauss-Codazzi gate raise IncompatibleForms, and
+    so do forms the march does not carry, which the gate passes on some coarse
+    grids: a pullback error above 10 h^2 max|g| or a shape-operator error above
+    10 h^2 (1 + max|S|), h the largest spacing.
     """
     if not isinstance(g, MetricChart):
         raise TypeError(f"integrate_frame needs a MetricChart g, not {type(g).__name__}")
     anchor_index = _anchor(anchor_index, grid)
     report = gauss_codazzi_residual(g, S, grid)
     if not report.passed:
-        raise IncompatibleForms(
-            f"Gauss residual {report.max_gauss:.3e}, "
-            f"Codazzi residual {report.max_codazzi:.3e} exceed tolerance")
-    d = grid.dim
-    axes = grid.axes()
+        raise IncompatibleForms(f"Gauss residual {report.max_gauss:.3e}, Codazzi residual "
+                                f"{report.max_codazzi:.3e} exceed tolerance")
+    d, axes = grid.dim, grid.axes()
     anchor_point = np.array([axes[a][anchor_index[a]] for a in range(d)])
 
     # component-major state: the position F (d+1, *batch) and the frame
@@ -303,7 +306,22 @@ def integrate_frame(g: MetricChart, S: ShapeField, grid: Grid,
     F, E, N = (np.ascontiguousarray(node_major(c, k))
                for c, k in ((F, 1), (P[:, :d], 2), (P[:, d], 1)))
     out = DiscreteImmersion(grid, F, chart("euclidean", d + 1))
+    errors, scale = _form_errors(out, g, S)
+    tol = COMPAT_SAFETY * max(grid.spacing) ** 2 * np.array(scale)
+    if not np.all(np.array(list(errors.values())) <= tol):     # NaN included
+        raise IncompatibleForms("the march misses its forms: pullback, shape-operator errors "
+                                "%.3e, %.3e > %g h^2 max|g|, %g h^2 (1 + max|S|) = %.3e, %.3e"
+                                % (*errors.values(), COMPAT_SAFETY, COMPAT_SAFETY, *tol))
     return (out, E, N) if return_frame else out
+
+
+def _form_errors(f: DiscreteImmersion, g: MetricChart, S: ShapeField) -> tuple:
+    """Max-norm errors of the pullback metric and the shape operator of f against
+    (g, S), as report entries, and the sizes max|g| and 1 + max|S| of their bounds."""
+    gv, so = g.eval(f.grid.nodes()), shape_operator(f).values - S.values
+    return ({"pullback_max_error": float(np.max(np.abs(pullback_metric(f) - gv))),
+             "shape_operator_max_error": float(np.max(np.abs(so)))},
+            (np.max(np.abs(gv)), 1.0 + np.max(np.abs(S.values))))
 
 
 # ---------------------------------------------------------------------------

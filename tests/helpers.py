@@ -410,7 +410,7 @@ def rotation_factors(B, polar=False):
 def stiefel_factors(Q, s=None, polar=False):
     """:func:`imlab.geometry.stiefel_factors_cm` of node-major (..., d+1, d)
     frames."""
-    dist2, smin, P = stiefel_factors_cm(_frames_first(Q), s, polar)
+    dist2, smin, _, P = stiefel_factors_cm(_frames_first(Q), s, polar)
     return dist2, smin, None if P is None else np.moveaxis(P, (0, 1), (-2, -1))
 
 

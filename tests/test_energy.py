@@ -16,7 +16,7 @@ from imlab.fields import (DirectorField, DiscreteImmersion, Grid, ShapeField,
                           integrate_density, jacobian_array, lp_norm, w1p_distance)
 from imlab.geometry import (MetricChart, chart, chart_factors, christoffel,
                             christoffel_from_values, component_major, dist_rotations,
-                            dist_stiefel, node_major)
+                            dist_stiefel, node_major, spd_factors)
 from imlab.harness import (_sym_field, random_curve_immersion, random_director,
                            random_smooth_field, random_surface_immersion)
 from imlab.immersion import covariant_normal_derivative, normal_director, unit_normal
@@ -546,7 +546,8 @@ def test_integrand_inverse_metric_is_the_christoffel_one():
     A = np.eye(2) + 0.2 * np.random.default_rng(3).normal(size=(2, 2))
     g = MetricChart.from_table(grid, np.broadcast_to(A.T @ A, grid.counts + (2, 2)))
     G = component_major(g.eval(grid.nodes()), 2)
-    _, Ginv = christoffel_from_values(G, jacobian_array(G, grid))
+    Gsi = component_major(spd_factors(node_major(G, 2))[2], 2)
+    _, Ginv = christoffel_from_values(Gsi, jacobian_array(G, grid))
     ginv = Integrands(grid, g, E3).ginv
     assert ginv.shape == Ginv.shape and ginv.tobytes() == Ginv.tobytes()
 
@@ -625,9 +626,56 @@ def _reference_relaxed(xi, g, S, p):
     return stretch, bend
 
 
+def _stereographic():
+    """The conformal chart h = lam I, lam = 4 / (1 + |y|^2)^2, of the round
+    3-sphere, with its partials d_k lam = -4 y_k lam / (1 + |y|^2)."""
+    def lam(y):
+        return 4.0 / (1.0 + np.sum(y * y, axis=-1)) ** 2
+
+    def deriv(y):     # [..., k, i, j] = d_k lam delta_ij
+        dlam = -4.0 * y * (lam(y) / (1.0 + np.sum(y * y, axis=-1)))[..., None]
+        return dlam[..., None, None] * np.eye(3)
+
+    return MetricChart(dim=3, domain=[[-np.inf, np.inf]] * 3, name="stereographic",
+                       matrix=lambda y: lam(y)[..., None, None] * np.eye(3),
+                       matrix_deriv=deriv)
+
+
 class TestCurvedTargets:
     """Library energies on curved target charts and a curved parameter
     metric against the reference formulas above."""
+
+    @pytest.mark.parametrize("case", ["sphere-curve", "stereographic-surface"])
+    def test_one_chart_pass_per_forward(self, case, monkeypatch):
+        """Each immersion and director forward on a curved target evaluates
+        the target chart once and factors it once (one eigh on a 3-D chart),
+        and reads the connector's Gamma from that pass: each used to make a
+        second evaluation and factorization for Gamma."""
+        rng = np.random.default_rng(8)
+        if case == "sphere-curve":
+            grid, g, target = Grid((33,), (1.0,)), chart("euclidean", 1), chart("sphere")
+            x = component_major(random_curve_immersion(grid, target, rng).values, 1)
+        else:
+            grid, g, target = _grid(9), E2, _stereographic()
+            x = component_major(_plane(grid).values, 1)
+        vec = component_major(random_smooth_field(grid, grid.dim + 1, rng), 1)
+        core = Integrands(grid, g, target)
+        calls = []
+        for owner, name in ((MetricChart, "eval"), (geometry_module, "spd_factors"),
+                            (np.linalg, "eigh")):
+            real = getattr(owner, name)
+
+            def counted(*args, _real=real, _name=name, **kwargs):
+                if _name != "eval" or args[0] is target:
+                    calls.append(_name)
+                return _real(*args, **kwargs)
+
+            monkeypatch.setattr(owner, name, counted)
+        want = sorted(["eval", "spd_factors"] + ["eigh"] * (target.dim == 3))
+        for forward in (lambda: core.immersion(x), lambda: core.director(x, vec)):
+            calls.clear()
+            nodes = forward()
+            assert sorted(calls) == want and np.all(np.isfinite(nodes.q2))
 
     def _cases(self):
         rng = np.random.default_rng(41)

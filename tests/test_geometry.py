@@ -65,6 +65,14 @@ def _random_table_chart(d, rng):
 
 
 class TestChristoffel:
+    def test_forms_only_gamma(self, monkeypatch):
+        """christoffel shares the Gamma of target_factors_cm, bit for bit, but
+        forms none of its exact-form factors."""
+        m, x = chart("sphere"), np.array([[0.7, 0.2], [1.1, 0.4], [0.9, 2.0]])
+        want = node_major(target_factors_cm(m, x)[3], 3)
+        monkeypatch.setattr(geometry, "factor_form", lambda M: pytest.fail("a factor form"))
+        assert christoffel(m, x).tobytes() == np.ascontiguousarray(want).tobytes()
+
     @settings(max_examples=60, deadline=None)
     @given(seed=st.integers(0, 2 ** 32 - 1), d=st.sampled_from([1, 2]),
            table=st.booleans(), batch=st.sampled_from([(), (1,), (7,), (3, 5)]))
@@ -88,18 +96,18 @@ class TestChristoffel:
 
     @pytest.mark.parametrize("d", [1, 2, 3])
     def test_inverse_squares_the_spd_kernel_root(self, d):
-        """christoffel_from_values assembles only G^{-1/2}: the root of
-        spd_factors, bit for bit, past the same SingularMetric gate."""
+        """christoffel_from_values squares the G^{-1/2} its caller took from
+        spd_factors, bit for bit, past that call's SingularMetric gate."""
         rng = np.random.default_rng(70 + d)
         A = rng.normal(size=(40, d, d))
         G = A @ np.swapaxes(A, -1, -2) + 0.1 * np.eye(d)
         dG = rng.normal(size=(d, d, d, 40))
-        _, Ginv = christoffel_from_values(component_major(G, 2), dG)
+        _, Ginv = christoffel_from_values(component_major(spd_factors(G)[2], 2), dG)
         Gsi = component_major(spd_factors(G)[2], 2)
         assert np.array_equal(Ginv, left_mul(Gsi, Gsi))
         G[7] = 0.0
         with pytest.raises(SingularMetric):
-            christoffel_from_values(component_major(G, 2), dG)
+            christoffel_from_values(component_major(spd_factors(G)[2], 2), dG)
 
     def test_euclidean_is_zero(self):
         m = chart("euclidean", 3)
@@ -448,7 +456,7 @@ def _orthonormal_frames(rng, n, d):
 def stiefel_cm(Q, polar=False):
     """:func:`stiefel_factors_cm` of a node-major (..., d+1, d) corpus, the
     polar factor moved back to node-major."""
-    dist2, smin, P = stiefel_factors_cm(component_major(Q, 2), polar=polar)
+    dist2, smin, _, P = stiefel_factors_cm(component_major(Q, 2), polar=polar)
     return dist2, smin, None if P is None else node_major(P, 2)
 
 
@@ -518,6 +526,16 @@ class TestStiefelKernel:
         assert np.array_equal(smin < SIGMA_GUARD, side < 1.0)
         assert np.array_equal(ref_smin < SIGMA_GUARD, side < 1.0)
         assert np.max(np.abs(smin - ref_smin) / ref_smin) <= 1e-6
+
+    @pytest.mark.parametrize("d", [1, 2])
+    def test_sigma_max_matches_svd(self, d):
+        """sigma_max, which the rank gate of the frame pass reads."""
+        rng = np.random.default_rng(80 + d)
+        scales = 10.0 ** rng.uniform(-3.0, 3.0, size=(4000, 1, d))
+        Q = rng.normal(size=(4000, d + 1, d)) * scales
+        smax = stiefel_factors_cm(component_major(Q, 2))[2]
+        ref = np.linalg.svd(Q, compute_uv=False)[:, 0]
+        assert np.max(np.abs(smax - ref) / ref) <= 1e-14
 
     def test_rank_deficient_is_quiet(self):
         Q = np.zeros((2, 3, 2))
@@ -940,7 +958,7 @@ class TestFactorForms:
         grid = Grid((5, 4), (1.0, 1.0), (0.5, 0.0))
         gsi = spd_factors(np.eye(2))[2]
         assert np.signbit(gsi[0, 1]) and factor_form(gsi) is None
-        assert target_factors_cm(chart("euclidean", 3), None) == (None, None, None)
+        assert target_factors_cm(chart("euclidean", 3), None)[:3] == (None, None, None)
         for name in ("sphere", "hyperbolic", "polar"):
             for M in chart_factors(chart(name), grid.nodes)[2:]:
                 assert isinstance(factor_form(component_major(M, 2)), Diagonal)

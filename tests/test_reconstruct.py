@@ -7,11 +7,11 @@ from hypothesis import strategies as st
 
 import helpers
 from helpers import convergence_orders, random_rotation
-from imlab import reconstruct
+from imlab import geometry, reconstruct
 from imlab.errors import (AsymmetricShape, DegenerateCovariance, GridMismatch,
                           IncompatibleForms, NonSPDAnchor, SingularMetric)
 from imlab.fields import DiscreteImmersion, Grid, ShapeField, lp_norm, quadrature_weights
-from imlab.geometry import MetricChart, chart, component_major
+from imlab.geometry import MetricChart, chart, component_major, node_major, spd_factors
 from imlab.harness import random_smooth_field
 from imlab.immersion import pullback_metric, shape_operator
 from imlab.presets import get_preset
@@ -149,9 +149,29 @@ class TestComponentMajorResidual:
         rep = gauss_codazzi_residual(pre.g, pre.shape_field(grid), grid)
         assert rep.passed and calls == []
 
+    @pytest.mark.parametrize("counts", [(9,), (9, 9)])
+    def test_one_spd_gate_per_metric(self, counts, monkeypatch):
+        """The residual runs the SPD gate once, before its curve branch, and
+        the Christoffel formula squares the gate's G^{-1/2}: it factors
+        nothing itself (it used to run a second gate on surfaces)."""
+        calls = []
+
+        def gate(G):
+            calls.append(G.shape)
+            return spd_factors(G)
+
+        monkeypatch.setattr(reconstruct, "spd_factors", gate)
+        monkeypatch.setattr(geometry, "spd_factors", lambda G: pytest.fail("a second gate"))
+        pre, d = get_preset("sphere-cap"), len(counts)
+        grid = pre.grid(counts) if d == 2 else Grid(counts, (1.0,))
+        g = pre.g if d == 2 else chart("euclidean", 1)
+        assert gauss_codazzi_residual(g, ShapeField(grid, pre.shape_values(grid)[..., :d, :d]),
+                                      grid).passed
+        assert calls == [counts + (d, d)]
+
     def test_non_spd_tabulated_metric_raises(self):
-        """As a node array, through the one gate of the Christoffel formula,
-        and as a table, which the same gate rejects when the chart is built."""
+        """As a node array, through the one gate of the residual, and as a
+        table, which the same gate rejects when the chart is built."""
         gv, S, grid = _random_forms((9, 9), (1.0, 1.0), 4)
         gv[4, 4] = np.array([[1.0, 2.0], [2.0, 1.0]])
         with pytest.raises(SingularMetric, match=r"at index \(4, 4\)"):
@@ -170,7 +190,8 @@ class TestGateCurvature:
         for n in (17, 33, 65):
             grid = Grid((n, n), (1.0, 1.0), (0.5, 0.0))
             G = component_major(reconstruct._metric_node_values(m, grid), 2)
-            R = reconstruct._riemann_pairs(G, *reconstruct._christoffel_terms(G, grid))
+            Gsi = component_major(spd_factors(node_major(G, 2))[2], 2)
+            R = reconstruct._riemann_pairs(G, *reconstruct._christoffel_terms(G, Gsi, grid))
             want = component_major(helpers.riemann_curvature(m, grid.nodes()), 4)
             errors.append(np.max(np.abs(R[:, :, 0] - want[:, :, 0, 1])))
         return errors
@@ -261,6 +282,16 @@ class TestIntegrateFrame:
         pre = get_preset("sphere-incompatible")
         grid = pre.grid((17, 17))
         with pytest.raises(IncompatibleForms):
+            integrate_frame(pre.g, pre.shape_field(grid), grid)
+
+    @pytest.mark.parametrize("n", [4, 5, 6, 7])
+    def test_forms_the_gate_passes_but_the_march_misses_rejected(self, n):
+        """The gate passes sphere-incompatible on 4x4 to 7x7; the march's
+        pullback error there, 17 to 50 h^2, exceeds 10 h^2 max|g| = 10 h^2."""
+        pre = get_preset("sphere-incompatible")
+        grid = pre.grid((n, n))
+        assert gauss_codazzi_residual(pre.g, pre.shape_field(grid), grid).passed
+        with pytest.raises(IncompatibleForms, match=r"^the march misses its forms: pullback"):
             integrate_frame(pre.g, pre.shape_field(grid), grid)
 
     def test_anchor_frame_validation(self):
