@@ -92,13 +92,14 @@ def covariant_normal_derivative(f: DiscreteImmersion, n: np.ndarray) -> np.ndarr
     return np.ascontiguousarray(node_major(K, 2))
 
 
-def shape_operator(f: DiscreteImmersion) -> ShapeField:
-    """Shape operator extracted from grad n = -df o S by least squares.
+def _forms(f: DiscreteImmersion) -> tuple:
+    """Raw pullback Gram matrix G = J^T h J, component-major (d, d, *counts),
+    and the shape operator as a node array (*counts, d, d), from one normal pass.
 
-    Normal equations with the pullback Gram matrix G = J^T h J: the discrete
-    grad n is never exactly tangential, so S is the minimizer of
-    |grad n + df S|_h, S = -(adj G / det G) J^T h grad n (d in {1, 2}, as
-    :func:`unit_normal` requires).
+    S is extracted from grad n = -df o S by least squares, with the normal
+    equations of G: the discrete grad n is never exactly tangential, so S is
+    the minimizer of |grad n + df S|_h, S = -(adj G / det G) J^T h grad n
+    (d in {1, 2}, as :func:`unit_normal` requires).
     """
     J, H, Gam, n = _normal_pass(f)
     G, rhs = _gram(J, H, connector(Gam, jacobian_array(n, f.grid), J, n))
@@ -109,7 +110,12 @@ def shape_operator(f: DiscreteImmersion) -> ShapeField:
         det = G[0, 0] * G[1, 1] - G[0, 1] * G[1, 0]
     if not np.all(det > 0.0):
         raise RankDeficient("singular pullback metric in the shape-operator equations")
-    return ShapeField(f.grid, np.ascontiguousarray(node_major(left_mul(adj, rhs) / -det, 2)))
+    return G, np.ascontiguousarray(node_major(left_mul(adj, rhs) / -det, 2))
+
+
+def shape_operator(f: DiscreteImmersion) -> ShapeField:
+    """Shape operator extracted from grad n = -df o S by least squares (:func:`_forms`)."""
+    return ShapeField(f.grid, _forms(f)[1])
 
 
 def normal_director(f: DiscreteImmersion) -> DirectorField:

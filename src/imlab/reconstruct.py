@@ -38,13 +38,13 @@ from typing import Optional
 import numpy as np
 
 from .errors import (AsymmetricShape, DegenerateCovariance, GridMismatch,
-                     IncompatibleForms, NonSPDAnchor, is_int)
+                     IncompatibleForms, NonSPDAnchor, RankDeficient, is_int)
 from .fields import (DiscreteImmersion, Grid, ShapeField, _node_values, atomic_write,
                      axis_derivative, axis_second_derivative, jacobian_array, quadrature_weights)
 from .geometry import (RANK_RTOL, MetricChart, _node_product, _rotation_factors_svd, chart,
                        christoffel, christoffel_from_values, component_major, first_kind,
                        left_mul, node_major, right_mul, spd_factors)
-from .immersion import pullback_metric, shape_operator
+from .immersion import _forms
 
 COMPAT_SAFETY = 10.0
 
@@ -270,9 +270,9 @@ def integrate_frame(g: MetricChart, S: ShapeField, grid: Grid,
     frame and normal node arrays are returned alongside the immersion.  ``g``
     must be a chart (TypeError otherwise): the march evaluates it between the
     nodes.  Forms that fail the Gauss-Codazzi gate raise IncompatibleForms, and
-    so do forms the march does not carry, which the gate passes on some coarse
-    grids: a pullback error above 10 h^2 max|g| or a shape-operator error above
-    10 h^2 (1 + max|S|), h the largest spacing.
+    so do forms the gate passes but the march does not carry: a map that is not
+    finite or not of full rank, a pullback error above 10 h^2 max|g| or a
+    shape-operator error above 10 h^2 (1 + max|S|), h the largest spacing.
     """
     if not isinstance(g, MetricChart):
         raise TypeError(f"integrate_frame needs a MetricChart g, not {type(g).__name__}")
@@ -287,26 +287,30 @@ def integrate_frame(g: MetricChart, S: ShapeField, grid: Grid,
     # component-major state: the position F (d+1, *batch) and the frame
     # matrix P = [E | n] (d+1, d+1, *batch)
     state = (np.zeros(d + 1), _anchor_frame(g, anchor_point, frame))
-    for a, n in enumerate(grid.counts):
-        # sweep a: along axis a from every node the earlier sweeps reached,
-        # on the anchor's line of the later axes, all in one batch; its
-        # half-step coordinates along axis a are x_0 + (k/2) h
-        x = list(np.meshgrid(axes[a][0] + np.arange(2 * n - 1) / 2.0 * grid.spacing[a],
-                             *axes[:a], indexing="ij"))
-        X = np.stack(x[1:] + x[:1] + [np.full_like(x[0], axes[c][anchor_index[c]])
-                                      for c in range(a + 1, d)], axis=-1)
-        omega = _sweep_coefficients(g, X, S.values[(slice(None),) * (a + 1)
-                                                   + anchor_index[a + 1:]], a)
-        slots = [None] * n
-        slots[anchor_index[a]] = state
-        for stop in (n - 1, 0):
-            _rk4_march(omega, a, grid.spacing[a], anchor_index[a], stop, *state, slots)
-        state = [np.stack([s[c] for s in slots], axis=-1) for c in range(2)]
-    F, P = state
-    F, E, N = (np.ascontiguousarray(node_major(c, k))
-               for c, k in ((F, 1), (P[:, :d], 2), (P[:, d], 1)))
-    out = DiscreteImmersion(grid, F, chart("euclidean", d + 1))
-    errors, scale = _form_errors(out, g, S)
+    with np.errstate(over="ignore", invalid="ignore"):     # the check reports divergence
+        for a, n in enumerate(grid.counts):
+            # sweep a: along axis a from every node the earlier sweeps reached,
+            # on the anchor's line of the later axes, all in one batch; its
+            # half-step coordinates along axis a are x_0 + (k/2) h
+            x = list(np.meshgrid(axes[a][0] + np.arange(2 * n - 1) / 2.0 * grid.spacing[a],
+                                 *axes[:a], indexing="ij"))
+            X = np.stack(x[1:] + x[:1] + [np.full_like(x[0], axes[c][anchor_index[c]])
+                                          for c in range(a + 1, d)], axis=-1)
+            omega = _sweep_coefficients(g, X, S.values[(slice(None),) * (a + 1)
+                                                       + anchor_index[a + 1:]], a)
+            slots = [None] * n
+            slots[anchor_index[a]] = state
+            for stop in (n - 1, 0):
+                _rk4_march(omega, a, grid.spacing[a], anchor_index[a], stop, *state, slots)
+            state = [np.stack([s[c] for s in slots], axis=-1) for c in range(2)]
+        F, P = state
+        F, E, N = (np.ascontiguousarray(node_major(c, k))
+                   for c, k in ((F, 1), (P[:, :d], 2), (P[:, d], 1)))
+        try:
+            out = DiscreteImmersion(grid, F, chart("euclidean", d + 1))
+            errors, scale = _form_errors(out, g, S)
+        except (ValueError, RankDeficient) as e:     # not finite, or not full rank
+            raise IncompatibleForms(f"the march does not build an immersion: {e}") from None
     tol = COMPAT_SAFETY * max(grid.spacing) ** 2 * np.array(scale)
     if not np.all(np.array(list(errors.values())) <= tol):     # NaN included
         raise IncompatibleForms("the march misses its forms: pullback, shape-operator errors "
@@ -317,10 +321,12 @@ def integrate_frame(g: MetricChart, S: ShapeField, grid: Grid,
 
 def _form_errors(f: DiscreteImmersion, g: MetricChart, S: ShapeField) -> tuple:
     """Max-norm errors of the pullback metric and the shape operator of f against
-    (g, S), as report entries, and the sizes max|g| and 1 + max|S| of their bounds."""
-    gv, so = g.eval(f.grid.nodes()), shape_operator(f).values - S.values
-    return ({"pullback_max_error": float(np.max(np.abs(pullback_metric(f) - gv))),
-             "shape_operator_max_error": float(np.max(np.abs(so)))},
+    (g, S), as report entries, and the sizes max|g| and 1 + max|S| of their bounds,
+    from one normal pass of f: the pullback is the symmetric part of its Gram matrix."""
+    G, Sf = _forms(f)
+    gv = component_major(g.eval(f.grid.nodes()), 2)
+    return ({"pullback_max_error": float(np.max(np.abs(0.5 * (G + np.swapaxes(G, 0, 1)) - gv))),
+             "shape_operator_max_error": float(np.max(np.abs(Sf - S.values)))},
             (np.max(np.abs(gv)), 1.0 + np.max(np.abs(S.values))))
 
 

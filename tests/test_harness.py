@@ -18,7 +18,7 @@ from imlab.errors import BadConfig
 from imlab.fields import (DirectorField, DiscreteImmersion, Grid, fd_jacobian, fmt17,
                           load_binary, load_node_csv, save_node_csv)
 from imlab.geometry import chart
-from imlab import geometry, harness
+from imlab import geometry, harness, presets
 from imlab import optimize as optimize_module
 from imlab.optimize import MAX_MEMORY, energy_gradient, unpack_like
 from imlab.harness import (ExperimentConfig, config_from_dict,
@@ -502,6 +502,44 @@ class TestReconstructCarriesItsForms:
         err = capsys.readouterr().err
         assert err.startswith("imlab: error: the march misses its forms: pullback")
         assert not out.exists()
+
+    @staticmethod
+    def _diverging(tmp_path, experiment, n, **fields):
+        """A config whose forms pass the gate and whose march diverges: the
+        hyperbolic chart with S = 0 out to x = 14.4, where 10 h^2 >= 1."""
+        cfgpath = tmp_path / "cfg.json"
+        cfgpath.write_text(json.dumps({
+            "imlab_config": 1, "experiment": experiment, "preset": "custom", "grid": [n, n],
+            "custom": {"g": "hyperbolic", "s": [[0, 0], [0, 0]],
+                       "box": [[0.5, 14.4], [0, 1]]}, **fields}))
+        return str(cfgpath)
+
+    @pytest.mark.parametrize("n", [5, 9, 17, 33])
+    def test_a_march_that_diverges_exits_1_with_one_line(self, tmp_path, capsys, n):
+        """The run used to print up to seven RuntimeWarnings and exit on
+        "differential is rank deficient" or "immersion values must be finite"."""
+        out = tmp_path / "out"
+        assert cli_main(["reconstruct", "--config", self._diverging(tmp_path, "reconstruct", n),
+                         "--out", str(out)]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("imlab: error: the march does not build an immersion: ")
+        assert len(err.splitlines()) == 1
+        assert not out.exists()
+
+    def test_minimize_starts_from_the_flat_graph_when_the_march_diverges(self, tmp_path,
+                                                                         monkeypatch):
+        starts = []
+
+        def flat(x):
+            starts.append(x.shape)
+            return presets._flat_reference(x)
+
+        monkeypatch.setattr(harness, "_flat_reference", flat)
+        cfgpath = self._diverging(tmp_path, "minimize", 9, optimizer={"max_iters": 3})
+        out = tmp_path / "out"
+        assert cli_main(["minimize", "--config", cfgpath, "--out", str(out)]) == 0
+        assert starts == [(9, 9, 2)]
+        assert json.loads((out / "minimize_report.json").read_text())["iterations"] == 3
 
     @pytest.mark.parametrize("name", ["flat", "cylinder", "sphere-cap"])
     def test_compatible_presets_on_the_coarsest_grid_exit_0(self, tmp_path, name):

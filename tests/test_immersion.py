@@ -7,7 +7,7 @@ import pytest
 
 import helpers
 from helpers import convergence_orders, library_jacobian, random_rotation
-from imlab import fields, immersion
+from imlab import fields, geometry, immersion, reconstruct
 from imlab.energy import total_energy
 from imlab.errors import RankDeficient
 from imlab.fields import DiscreteImmersion, Grid, ShapeField, lp_norm
@@ -200,6 +200,17 @@ class TestPullbackMetric:
         moved = DiscreteImmersion(grid, f.values @ R.T + b, E3)
         assert np.max(np.abs(pullback_metric(moved) - pullback_metric(f))) < 1e-12
 
+    def test_rank_deficient_map_has_a_singular_pullback(self):
+        """pullback_metric runs no rank gate: a map that collapses the second
+        axis has the pullback diag(1, 0), where the normal pass raises."""
+        grid = _grid(9)
+        f = DiscreteImmersion(grid, _plane(grid).values * [1.0, 0.0, 0.0], E3)
+        pb = pullback_metric(f)
+        assert np.max(np.abs(pb - np.diag([1.0, 0.0]))) <= 1e-13
+        assert np.max(np.abs(np.linalg.det(pb))) <= 1e-13
+        with pytest.raises(RankDeficient):
+            shape_operator(f)
+
 
 class TestCovariantNormalDerivative:
     def test_flat_plane_zero(self):
@@ -314,6 +325,13 @@ def _form_cases():
     return cases
 
 
+def _form_problem(f):
+    """Forms (g, S) to check f against: its reference pullback as a node-table
+    chart and its reference shape operator."""
+    return (MetricChart.from_table(f.grid, helpers.pullback_metric(f)),
+            helpers.shape_operator(f))
+
+
 class TestFormsAgainstReference:
     def test_shape_operator_differentiates_twice(self, monkeypatch):
         """One stencil pass on f (normal, connector, Gram matrices share it)
@@ -337,3 +355,39 @@ class TestFormsAgainstReference:
                                helpers.shape_operator(f).values)):
                 assert got.shape == want.shape
                 assert np.max(np.abs(got - want)) <= 1e-12 * np.max(np.abs(want))
+
+    def test_form_errors_make_one_normal_pass(self, monkeypatch):
+        """The march check reads the pullback and the shape operator from one
+        normal pass: one target chart pass, one stencil pass on f and one on
+        the normal, on a surface and on a curve."""
+        calls = {"chart": 0, "stencil": 0}
+
+        def counting(name, fn):
+            def wrapped(*args):
+                calls[name] += 1
+                return fn(*args)
+            return wrapped
+
+        for module in (immersion, reconstruct):
+            monkeypatch.setattr(module, "jacobian_array",
+                                counting("stencil", fields.jacobian_array))
+        monkeypatch.setattr(immersion, "target_factors_cm",
+                            counting("chart", geometry.target_factors_cm))
+        cases = _form_cases()
+        for f in (cases[4], cases[-1]):
+            g, S = _form_problem(f)
+            calls.update(chart=0, stencil=0)
+            reconstruct._form_errors(f, g, S)
+            assert calls == {"chart": 1, "stencil": 2}
+
+    def test_form_errors_match_the_two_entry_points_bit_for_bit(self):
+        """_form_errors equals the errors of pullback_metric and shape_operator,
+        against forms near f's own so that the maxima are small and sensitive."""
+        for f in _form_cases():
+            g, S = _form_problem(f)
+            gv = g.eval(f.grid.nodes())
+            want = ({"pullback_max_error": float(np.max(np.abs(pullback_metric(f) - gv))),
+                     "shape_operator_max_error":
+                         float(np.max(np.abs(shape_operator(f).values - S.values)))},
+                    (np.max(np.abs(gv)), 1.0 + np.max(np.abs(S.values))))
+            assert reconstruct._form_errors(f, g, S) == want

@@ -14,7 +14,7 @@ from imlab.fields import DiscreteImmersion, Grid, ShapeField, lp_norm, quadratur
 from imlab.geometry import MetricChart, chart, component_major, node_major, spd_factors
 from imlab.harness import random_smooth_field
 from imlab.immersion import pullback_metric, shape_operator
-from imlab.presets import get_preset
+from imlab.presets import box_grid, get_preset
 from imlab.reconstruct import align_rigid, gauss_codazzi_residual, integrate_frame, save_obj
 
 E3 = chart("euclidean", 3)
@@ -293,6 +293,18 @@ class TestIntegrateFrame:
         assert gauss_codazzi_residual(pre.g, pre.shape_field(grid), grid).passed
         with pytest.raises(IncompatibleForms, match=r"^the march misses its forms: pullback"):
             integrate_frame(pre.g, pre.shape_field(grid), grid)
+
+    @pytest.mark.parametrize("n", [5, 9, 17, 33])
+    def test_a_march_that_diverges_rejected(self, n):
+        """The hyperbolic chart with S = 0 out to x = 14.4: with 10 h^2 >= 1 the
+        gate's tolerance exceeds the Gauss defect, the gate passes and the
+        march overflows, which used to end in RuntimeWarnings and a
+        RankDeficient (5x5 to 17x17) or a ValueError (33x33)."""
+        grid = box_grid([[0.5, 14.4], [0.0, 1.0]], (n, n))
+        g, S = chart("hyperbolic"), ShapeField(grid, np.zeros(grid.counts + (2, 2)))
+        assert gauss_codazzi_residual(g, S, grid).passed
+        with pytest.raises(IncompatibleForms, match=r"^the march does not build an immersion: "):
+            integrate_frame(g, S, grid)
 
     def test_anchor_frame_validation(self):
         pre = get_preset("cylinder")
