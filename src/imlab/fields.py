@@ -428,11 +428,11 @@ def save_node_csv(path, grid: Grid, values) -> None:
 def load_node_csv(path) -> np.ndarray:
     """Inverse of :func:`save_node_csv`; component axis kept even when single.
 
-    Every malformed table raises ValueError naming the path: ragged rows,
-    non-integer indices, non-numeric values, and index ranges whose node
-    count differs from the row count (checked before any grid-sized
-    allocation, so two rows cannot ask for a huge grid), or missing and
-    repeated nodes."""
+    Every malformed table raises ValueError naming the path: ragged rows, a
+    header other than the i0, ..., c0, ... one it writes, non-integer indices,
+    non-numeric values, and index ranges whose node count differs from the row
+    count (checked before any grid-sized allocation, so two rows cannot ask for
+    a huge grid), or missing and repeated nodes."""
     with open(path, "r", encoding="utf-8") as fh:
         rows = fh.read().strip().split("\n")
     header = rows[0].split(",")
@@ -440,6 +440,8 @@ def load_node_csv(path) -> np.ndarray:
     data = [r.split(",") for r in rows[1:]]
     if n_idx < 1 or not data or any(len(r) != len(header) for r in data):
         raise ValueError(f"{path}: node table is empty or has ragged rows")
+    if header != [f"i{a}" for a in range(n_idx)] + [f"c{k}" for k in range(len(header) - n_idx)]:
+        raise ValueError(f"{path}: header {rows[0]!r} is not the i0,...,c0,... of save_node_csv")
     try:
         idx = np.array([[int(c) for c in r[:n_idx]] for r in data])
         vals = np.array([[float(c) for c in r[n_idx:]] for r in data])

@@ -268,12 +268,15 @@ def target_factors_cm(m: MetricChart, x):
     from the dense m^{-1/2}; a constant chart's single matrices, Gamma None, x unused."""
     H, _, Hs, Hsi = chart_factors(m, x)
     H, Hs, Hsi = (component_major(M, 2) for M in (H, Hs, Hsi))
-    Gam = None if m.is_constant else _chart_christoffel(m, x, Hsi)
-    return tuple(factor_form(M) for M in (H, Hs, Hsi)) + (Gam,)
+    return tuple(factor_form(M) for M in (H, Hs, Hsi)) + (_chart_christoffel(m, x, Hsi),)
 
 
-def _chart_christoffel(m: MetricChart, x, Hsi):
-    """Gamma[a, b, c, ...] of a curved chart at points x with node axes, from its m^{-1/2} there."""
+def _chart_christoffel(m: MetricChart, x, Hsi=None):
+    """Gamma[a, b, c, ...] of a chart at points x with node axes, from its component-major
+    m^{-1/2} there (factored here if not given); None on a constant chart, whose Gamma is 0."""
+    if m.is_constant:
+        return None
+    Hsi = component_major(chart_factors(m, x)[3], 2) if Hsi is None else Hsi
     return christoffel_from_values(Hsi, np.moveaxis(component_major(m.eval_deriv(x), 3), 0, 2))[0]
 
 
@@ -303,12 +306,10 @@ def christoffel(m: MetricChart, x) -> np.ndarray:
     """Levi-Civita Christoffel symbols [..., a, b, c] = Gamma^a_bc of a metric
     chart at point(s) x (..., dim), formed as :func:`target_factors_cm` forms them."""
     x = _as_points(x, m.dim)
-    shape = x.shape[:-1] + (m.dim,) * 3
-    if m.is_constant:
-        return np.zeros(shape)
-    p = x if x.ndim > 1 else x[None]     # node axes, so every product is elementwise
-    Gam = _chart_christoffel(m, p, component_major(chart_factors(m, p)[3], 2))
-    return np.ascontiguousarray(node_major(Gam, 3)).reshape(shape)
+    Gam = _chart_christoffel(m, x if x.ndim > 1 else x[None])     # node axes: elementwise
+    if Gam is None:
+        return np.zeros(x.shape[:-1] + (m.dim,) * 3)
+    return np.ascontiguousarray(node_major(Gam, 3)).reshape(x.shape[:-1] + (m.dim,) * 3)
 
 
 # ---------------------------------------------------------------------------

@@ -31,8 +31,8 @@ from .geometry import (CHART_NAMES, MetricChart, chart, christoffel, component_m
 from .immersion import _gram, normal_director, unit_normal
 from .optimize import OptimizeConfig, _Evaluator, energy_gradient, minimize, pack_state
 from .presets import PRESETS, _const_shape, _flat_reference, box_grid, get_preset
-from .reconstruct import (_form_errors, align_rigid, gauss_codazzi_residual, integrate_frame,
-                          save_obj)
+from .reconstruct import (_form_errors, _integrate, align_rigid, gauss_codazzi_residual,
+                          integrate_frame, save_obj)
 
 CONFIG_VERSION = 1
 EXPERIMENTS = ("energy", "check", "reconstruct", "minimize",
@@ -628,11 +628,11 @@ def run_energy(cfg: ExperimentConfig):
 
 
 def run_reconstruct(cfg: ExperimentConfig):
-    """Reconstruct the immersion carrying the preset's forms; report errors."""
+    """Reconstruct the immersion carrying the preset's forms; report its check's errors."""
     g, grid, S, ref = _problem_context(cfg)
-    f = integrate_frame(g, S, grid)
+    f, _, _, errors = _integrate(g, S, grid)
     report = {"imlab_config": CONFIG_VERSION, "experiment": "reconstruct",
-              "preset": cfg.preset, "grid_meta": _grid_meta(grid), **_form_errors(f, g, S)[0]}
+              "preset": cfg.preset, "grid_meta": _grid_meta(grid), **errors}
     if ref is not None:
         _, _, aligned = align_rigid(ref, f)
         report["aligned_max_distance"] = float(

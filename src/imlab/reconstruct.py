@@ -24,10 +24,10 @@ Runge-Kutta steps, one sweep per grid axis: sweep a marches along axis a
 from every node the earlier sweeps reached, on the anchor's line of the
 later axes, in one batch (a curve is the one-sweep case).  The discrete
 integration path is fixed (path independence holds only in the continuum).
-omega_a depends on the point only, so each sweep tabulates it once over its
-nodes and midpoints; an RK4 stage is one per-node product P omega_a of
-:mod:`imlab.geometry`, and f follows the stage's column P[:, a].
-"""
+omega_a depends on the point only: each sweep tabulates it from one chart pass
+at its nodes and midpoints, and an RK4 stage is one per-node product P omega_a
+(f follows its column P[:, a]).  The gate's node values of g give the anchor
+frame and the check of the built map."""
 
 from __future__ import annotations
 
@@ -41,9 +41,9 @@ from .errors import (AsymmetricShape, DegenerateCovariance, GridMismatch,
                      IncompatibleForms, NonSPDAnchor, RankDeficient, is_int)
 from .fields import (DiscreteImmersion, Grid, ShapeField, _node_values, atomic_write,
                      axis_derivative, axis_second_derivative, jacobian_array, quadrature_weights)
-from .geometry import (RANK_RTOL, MetricChart, _node_product, _rotation_factors_svd, chart,
-                       christoffel, christoffel_from_values, component_major, first_kind,
-                       left_mul, node_major, right_mul, spd_factors)
+from .geometry import (RANK_RTOL, MetricChart, _chart_christoffel, _node_product,
+                       _rotation_factors_svd, chart, chart_factors, christoffel_from_values,
+                       component_major, first_kind, left_mul, node_major, right_mul, spd_factors)
 from .immersion import _forms
 
 COMPAT_SAFETY = 10.0
@@ -55,6 +55,7 @@ class CompatibilityReport:
     codazzi_residual: np.ndarray
     tolerance: np.ndarray
     passed: bool
+    metric: Optional[np.ndarray] = None     # the node values of g, SPD-gated
 
     @property
     def max_gauss(self) -> float:
@@ -123,6 +124,7 @@ def gauss_codazzi_residual(g, S: ShapeField, grid: Grid) -> CompatibilityReport:
     if S.grid != grid:
         raise GridMismatch("shape field and metric live on different grids")
     gv = _metric_node_values(g, grid)
+    Gsi = spd_factors(gv)[2]     # the SPD gate, before any product with g
     II = gv @ S.values
     h = max(grid.spacing)
     # same h^2 scaling as the compatibility gate: forms extracted from a
@@ -130,11 +132,10 @@ def gauss_codazzi_residual(g, S: ShapeField, grid: Grid) -> CompatibilityReport:
     asym = np.max(np.abs(II - np.swapaxes(II, -1, -2)))
     if asym > COMPAT_SAFETY * h * h * (1.0 + np.max(np.abs(II))):
         raise AsymmetricShape(f"g*S asymmetry {asym:.3e} exceeds tolerance")
-    Gsi = spd_factors(gv)[2]     # the SPD gate, on curves and surfaces alike
     if grid.dim == 1:
         zeros = np.zeros(grid.counts)
         tol = np.full(grid.counts, COMPAT_SAFETY * h * h)
-        return CompatibilityReport(zeros, zeros.copy(), tol, True)
+        return CompatibilityReport(zeros, zeros.copy(), tol, True, gv)
     II = component_major(0.5 * (II + np.swapaxes(II, -1, -2)), 2)
     G = component_major(gv, 2)
     Gam, dGam = _christoffel_terms(G, component_major(Gsi, 2), grid)
@@ -156,7 +157,7 @@ def gauss_codazzi_residual(g, S: ShapeField, grid: Grid) -> CompatibilityReport:
         + np.max(np.abs(II), axis=(0, 1)) ** 2
     tol = COMPAT_SAFETY * h * h * local_scale
     passed = bool(np.all(gauss_res <= tol) and np.all(codazzi_res <= tol))
-    return CompatibilityReport(gauss_res, codazzi_res, tol, passed)
+    return CompatibilityReport(gauss_res, codazzi_res, tol, passed, gv)
 
 
 # ---------------------------------------------------------------------------
@@ -176,15 +177,14 @@ def _midpoint_values(arr, axis: int) -> np.ndarray:
     return np.moveaxis(mid, 0, axis)
 
 
-def _anchor_frame(g: MetricChart, anchor_point, frame) -> np.ndarray:
-    """The frame matrix P0 = [E0 | n0] (d+1, d+1) at the anchor, from one
-    evaluation of g there: by default E0 is the transposed Cholesky factor of
-    g(anchor) in the last-coordinate-zero plane and n0 the last axis (the
-    residual gate has passed g at every node through the SPD gate); a custom
-    ``frame=(E0, n0)`` must be finite, shaped (d+1, d) and (d+1,), reproduce
-    g(anchor) and carry a unit normal orthogonal to E0 that makes P0
-    positively oriented (NonSPDAnchor otherwise)."""
-    ga, d = g.eval(anchor_point), g.dim
+def _anchor_frame(ga, frame) -> np.ndarray:
+    """The frame matrix P0 = [E0 | n0] (d+1, d+1) at the anchor, where g is ga:
+    by default E0 is the transposed Cholesky factor of ga in the plane of the
+    first d axes and n0 the last axis (ga has passed the SPD gate); a custom
+    ``frame=(E0, n0)`` must be finite, shaped (d+1, d) and (d+1,), reproduce ga
+    and carry a unit normal orthogonal to E0 that makes P0 positively oriented
+    (NonSPDAnchor otherwise)."""
+    d = ga.shape[0]
     if frame is None:
         P0 = np.eye(d + 1)
         P0[:d, :d] = np.linalg.cholesky(ga).T
@@ -209,17 +209,20 @@ def _sweep_coefficients(g: MetricChart, X, line, axis: int) -> np.ndarray:
     2n-1 half-step points ``X`` (2n-1, *batch, d) of one sweep, nodes at even
     and midpoints at odd indices, indexed [t, d+1, d+1, *batch]: omega[k, j]
     = Gamma^k_(axis)j, omega[d, j] = II_(axis)j = (g S)_(axis)j, omega[k, d]
-    = -S^k_(axis) and omega[d, d] = 0, from one batched Christoffel and one
-    batched metric evaluation.  ``line`` holds S at the sweep's nodes,
-    node-major with the march along ``axis``."""
+    = -S^k_(axis) and omega[d, d] = 0, from one chart pass at X; ``line`` holds
+    S at the sweep's nodes, node-major, marched along ``axis``."""
     d = X.shape[-1]
     S = np.empty(X.shape + (d,))
     S[0::2] = np.moveaxis(line, axis, 0)
     S[1::2] = np.moveaxis(_midpoint_values(line, axis), axis, 0)
-    Gam, II = christoffel(g, X)[..., :, axis, :], (g.eval(X) @ S)[..., axis, :]
+    G, Gsi = chart_factors(g, X)[::3]     # g and g^{-1/2}
+    II, Gsi = (G @ S)[..., axis, :], component_major(Gsi, 2)
+    del G     # not held through the Christoffel step, the sweep's memory peak
+    Gam = _chart_christoffel(g, X, Gsi)
     omega = np.zeros((X.shape[0], d + 1, d + 1) + X.shape[1:-1])
     w = np.moveaxis(omega, (1, 2), (-2, -1))     # its node-major view
-    w[..., :d, :d], w[..., d, :d], w[..., :d, d] = Gam, II, -S[..., :, axis]
+    w[..., :d, :d] = 0.0 if Gam is None else node_major(Gam[:, axis], 2)
+    w[..., d, :d], w[..., :d, d] = II, -S[..., :, axis]
     return omega
 
 
@@ -257,23 +260,24 @@ def _anchor(anchor_index, grid: Grid) -> tuple:
 
 
 def integrate_frame(g: MetricChart, S: ShapeField, grid: Grid,
-                    anchor_index: Optional[tuple] = None,
-                    frame: Optional[tuple] = None,
-                    return_frame: bool = False):
+                    anchor_index: Optional[tuple] = None, frame: Optional[tuple] = None):
     """Reconstruct the Euclidean-target immersion carrying (g, S).
 
     The anchor frame defaults to the transposed Cholesky factor of g(anchor)
     embedded in the last-coordinate plane with the normal on the last axis;
     pass ``frame=(E0, n0)`` for a custom admissible frame (NonSPDAnchor
     otherwise).  ``anchor_index`` must be d integers 0 <= i < n_a
-    (ValueError otherwise).  With ``return_frame`` the integrated tangent
-    frame and normal node arrays are returned alongside the immersion.  ``g``
-    must be a chart (TypeError otherwise): the march evaluates it between the
-    nodes.  Forms that fail the Gauss-Codazzi gate raise IncompatibleForms, and
-    so do forms the gate passes but the march does not carry: a map that is not
-    finite or not of full rank, a pullback error above 10 h^2 max|g| or a
-    shape-operator error above 10 h^2 (1 + max|S|), h the largest spacing.
-    """
+    (ValueError otherwise).  ``g`` must be a chart (TypeError otherwise): the
+    march evaluates it between the nodes.  Forms that fail the Gauss-Codazzi gate
+    raise IncompatibleForms, and so do forms the gate passes but the march does
+    not carry: a map that is not finite or not of full rank, a pullback error
+    above 10 h^2 max|g| or a shape-operator error above 10 h^2 (1 + max|S|), h
+    the largest spacing."""
+    return _integrate(g, S, grid, anchor_index, frame)[0]
+
+
+def _integrate(g: MetricChart, S: ShapeField, grid: Grid, anchor_index=None, frame=None):
+    """The map, tangent frame, normal and check errors (f, E, N, errors) of integrate_frame."""
     if not isinstance(g, MetricChart):
         raise TypeError(f"integrate_frame needs a MetricChart g, not {type(g).__name__}")
     anchor_index = _anchor(anchor_index, grid)
@@ -282,11 +286,10 @@ def integrate_frame(g: MetricChart, S: ShapeField, grid: Grid,
         raise IncompatibleForms(f"Gauss residual {report.max_gauss:.3e}, Codazzi residual "
                                 f"{report.max_codazzi:.3e} exceed tolerance")
     d, axes = grid.dim, grid.axes()
-    anchor_point = np.array([axes[a][anchor_index[a]] for a in range(d)])
 
     # component-major state: the position F (d+1, *batch) and the frame
     # matrix P = [E | n] (d+1, d+1, *batch)
-    state = (np.zeros(d + 1), _anchor_frame(g, anchor_point, frame))
+    state = (np.zeros(d + 1), _anchor_frame(report.metric[anchor_index], frame))
     with np.errstate(over="ignore", invalid="ignore"):     # the check reports divergence
         for a, n in enumerate(grid.counts):
             # sweep a: along axis a from every node the earlier sweeps reached,
@@ -308,7 +311,7 @@ def integrate_frame(g: MetricChart, S: ShapeField, grid: Grid,
                    for c, k in ((F, 1), (P[:, :d], 2), (P[:, d], 1)))
         try:
             out = DiscreteImmersion(grid, F, chart("euclidean", d + 1))
-            errors, scale = _form_errors(out, g, S)
+            errors, scale = _form_errors(out, report.metric, S)
         except (ValueError, RankDeficient) as e:     # not finite, or not full rank
             raise IncompatibleForms(f"the march does not build an immersion: {e}") from None
     tol = COMPAT_SAFETY * max(grid.spacing) ** 2 * np.array(scale)
@@ -316,15 +319,15 @@ def integrate_frame(g: MetricChart, S: ShapeField, grid: Grid,
         raise IncompatibleForms("the march misses its forms: pullback, shape-operator errors "
                                 "%.3e, %.3e > %g h^2 max|g|, %g h^2 (1 + max|S|) = %.3e, %.3e"
                                 % (*errors.values(), COMPAT_SAFETY, COMPAT_SAFETY, *tol))
-    return (out, E, N) if return_frame else out
+    return out, E, N, errors
 
 
-def _form_errors(f: DiscreteImmersion, g: MetricChart, S: ShapeField) -> tuple:
-    """Max-norm errors of the pullback metric and the shape operator of f against
-    (g, S), as report entries, and the sizes max|g| and 1 + max|S| of their bounds,
-    from one normal pass of f: the pullback is the symmetric part of its Gram matrix."""
+def _form_errors(f: DiscreteImmersion, g, S: ShapeField) -> tuple:
+    """Max-norm errors of the pullback metric (the symmetric part of f's Gram matrix)
+    and the shape operator of f against (g, S), g a chart or its node values, as report
+    entries, and the sizes max|g| and 1 + max|S| of their bounds, from one normal pass."""
     G, Sf = _forms(f)
-    gv = component_major(g.eval(f.grid.nodes()), 2)
+    gv = component_major(_metric_node_values(g, f.grid), 2)
     return ({"pullback_max_error": float(np.max(np.abs(0.5 * (G + np.swapaxes(G, 0, 1)) - gv))),
              "shape_operator_max_error": float(np.max(np.abs(Sf - S.values)))},
             (np.max(np.abs(gv)), 1.0 + np.max(np.abs(S.values))))

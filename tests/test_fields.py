@@ -570,6 +570,24 @@ class TestSerialization:
             tracemalloc.stop()
         assert str(path) in str(err.value) and peak < 1 << 20
 
+    @pytest.mark.parametrize("header", ["c0,i0,c1", "i0,x,c0", "i0,c1,c0", "i0,c0,c2",
+                                        "i1,i0,c0"])
+    def test_csv_header_must_be_the_one_it_writes(self, tmp_path, header):
+        """Columns are read by position, so any header but i0, ..., c0, ...
+        loaded its columns as other quantities: a value column as the node
+        index (c0,i0,...), a stray column as a value (i0,x,c0), or the table
+        transposed (i1,i0,c0)."""
+        grid = Grid((4, 5), (1.0, 1.0)) if header.startswith("i1") else Grid((5,), (1.0,))
+        path = tmp_path / "table.csv"
+        values = np.arange((3 - grid.dim) * grid.num_nodes, dtype=float)
+        save_node_csv(path, grid, values.reshape(grid.counts + (-1,)))
+        body = path.read_text().split("\n", 1)[1]
+        assert load_node_csv(path).shape == grid.counts + (3 - grid.dim,)
+        path.write_text(header + "\n" + body)
+        with pytest.raises(ValueError, match="header") as err:
+            load_node_csv(path)
+        assert str(path) in str(err.value) and header in str(err.value)
+
     def test_binary_roundtrip_and_magic(self, tmp_path):
         rng = np.random.default_rng(4)
         vals = rng.normal(size=(4, 6, 3))

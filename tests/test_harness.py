@@ -383,6 +383,27 @@ class TestCustomProblem:
         assert err.startswith("imlab: error: table") and str(path) in err and "(4, 5)" in err
         assert len(err.splitlines()) == 1
 
+    def test_table_with_swapped_axes_exits_1_naming_the_table(self, tmp_path, capsys):
+        """A sphere-cap metric table whose header lists its axes as i1,i0
+        used to load transposed: at 9x9 the run exited 0 on the transposed
+        metric, at 33x33 it failed the Gauss-Codazzi gate with a residual of
+        0.995, naming neither the table nor its header."""
+        grid = get_preset("sphere-cap").grid((9, 9))
+        path = tmp_path / "metric.csv"
+        save_node_csv(path, grid, chart("sphere").eval(grid.nodes()))
+        header, body = path.read_text().split("\n", 1)
+        path.write_text(header.replace("i0,i1", "i1,i0") + "\n" + body)
+        cfgpath = tmp_path / "cfg.json"
+        cfgpath.write_text(json.dumps({
+            "imlab_config": 1, "experiment": "reconstruct", "preset": "custom", "grid": [9, 9],
+            "custom": {"g": {"csv": str(path)}, "s": [[1.0, 0.0], [0.0, 1.0]],
+                       "box": [[0.5, 1.5], [0.0, 1.0]]}}))
+        out = tmp_path / "out"
+        assert cli_main(["reconstruct", "--config", str(cfgpath), "--out", str(out)]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("imlab: error:") and str(path) in err and "header" in err
+        assert len(err.splitlines()) == 1 and not out.exists()
+
     def test_table_spanning_a_huge_grid_exits_1(self, tmp_path, capsys):
         """A two-row g table at indices (0, 0) and (99999, 99999) is an input
         error (exit 1 and one error line naming the table), not a 74.5 GiB
@@ -566,6 +587,48 @@ class TestReconstructCarriesItsForms:
         h2 = (6.0 / (n - 1)) ** 2
         assert 10.0 * h2 < report["pullback_max_error"] <= 490.0 * h2 / 8
         assert report["shape_operator_max_error"] <= 1e-12
+
+
+class TestReconstructReport:
+    """run_reconstruct reports the errors of the check its march passed."""
+
+    def test_one_node_evaluation_one_chart_pass_per_sweep_one_check(self, tmp_path,
+                                                                     monkeypatch):
+        """Sphere-cap 65x65: the chart is evaluated at the nodes once (the
+        gate) and at each sweep's points once, its derivative once per sweep,
+        and the built map's forms once; it used to be 8 evaluations and 2
+        passes of _forms."""
+        from imlab import immersion, reconstruct
+        calls = {"eval": 0, "eval_deriv": 0, "_forms": 0}
+
+        def counting(name, fn):
+            def wrapped(*args):
+                calls[name] += 1
+                return fn(*args)
+            return wrapped
+
+        for name in ("eval", "eval_deriv"):
+            monkeypatch.setattr(geometry.MetricChart, name,
+                                counting(name, getattr(geometry.MetricChart, name)))
+        monkeypatch.setattr(reconstruct, "_forms", counting("_forms", immersion._forms))
+        cfg = ExperimentConfig(experiment="reconstruct", preset="sphere-cap", grid=(65, 65),
+                               out=str(tmp_path))
+        run_experiment(cfg)
+        assert calls == {"eval": 3, "eval_deriv": 2, "_forms": 1}
+
+    @pytest.mark.parametrize("preset, n", [("sphere-cap", 33), ("cylinder", 17), ("flat", 9)])
+    def test_reported_errors_are_a_fresh_check_of_the_map(self, tmp_path, preset, n):
+        from imlab.reconstruct import _form_errors
+        cfg = ExperimentConfig(experiment="reconstruct", preset=preset, grid=(n, n),
+                               out=str(tmp_path))
+        report, _ = run_experiment(cfg)
+        pre = get_preset(preset)
+        grid = pre.grid((n, n))
+        f = DiscreteImmersion(grid, load_binary(tmp_path / "reconstructed.bin"),
+                              chart("euclidean", 3))
+        want = _form_errors(f, pre.g, pre.shape_field(grid))[0]
+        for key, value in want.items():
+            assert np.float64(report[key]).tobytes() == np.float64(value).tobytes()
 
 
 class TestOutputDirectory:

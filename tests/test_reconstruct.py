@@ -179,6 +179,23 @@ class TestComponentMajorResidual:
         with pytest.raises(SingularMetric):
             gauss_codazzi_residual(gv, ShapeField(grid, np.zeros(grid.counts + (2, 2))), grid)
 
+    def test_spd_gate_runs_before_the_product_with_s(self):
+        """An indefinite metric is named as such, at its node, even where the
+        product g S is asymmetric: with S = diag(1, 0), g S at the indefinite
+        node [[1, 2], [2, 1]] is [[1, 0], [2, 0]], whose asymmetry 2 used to be
+        reported as AsymmetricShape, blaming S."""
+        grid = Grid((9, 9), (1.0, 1.0))
+        gv = np.broadcast_to(np.eye(2), grid.counts + (2, 2)).copy()
+        gv[4, 4] = [[1.0, 2.0], [2.0, 1.0]]
+        S = ShapeField(grid, np.broadcast_to(np.diag([1.0, 0.0]), grid.counts + (2, 2)))
+        g = MetricChart(2, [[0.0, 1.0]] * 2, matrix=lambda x: gv if x.shape == gv.shape[:3]
+                        else pytest.fail("evaluated off the nodes"))
+        for metric in (gv, g):
+            with pytest.raises(SingularMetric, match=r"at index \(4, 4\)"):
+                gauss_codazzi_residual(metric, S, grid)
+        with pytest.raises(SingularMetric, match=r"at index \(4, 4\)"):
+            integrate_frame(g, S, grid)
+
 
 class TestGateCurvature:
     """The gate's curvature, from the stencils of the node-sampled metric,
@@ -357,8 +374,7 @@ class TestIntegrateFrame:
         errs = []
         for n in (9, 17, 33):
             grid = pre.grid((n, n))
-            _, E, _ = integrate_frame(pre.g, pre.shape_field(grid), grid,
-                                      return_frame=True)
+            _, E, _, _ = reconstruct._integrate(pre.g, pre.shape_field(grid), grid)
             gram = np.einsum("...ai,...aj->...ij", E, E)
             gv = pre.g.eval(grid.nodes())
             errs.append(np.max(np.abs(gram - gv)))
@@ -410,8 +426,7 @@ class TestPerSweepMarch:
 
     @staticmethod
     def _assert_same_bits(g, S, grid, anchor_index=None, frame=None):
-        f, E, N = integrate_frame(g, S, grid, anchor_index=anchor_index,
-                                  frame=frame, return_frame=True)
+        f, E, N, _ = reconstruct._integrate(g, S, grid, anchor_index, frame)
         ref = helpers.integrate_frame(g, S, grid, anchor_index, frame)
         for got, want in zip((f.values, E, N), ref):
             assert got.shape == want.shape
@@ -446,20 +461,35 @@ class TestPerSweepMarch:
     def test_bytes_match_on_a_curve(self, anchor):
         self._assert_same_bits(*_march_case("curve", (17,)), anchor)
 
-    @pytest.mark.parametrize("kind", ["sphere", "tabulated", "curve"])
-    def test_christoffel_calls_per_sweep(self, kind, monkeypatch):
-        calls = []
+    @pytest.mark.parametrize("kind", ["sphere", "euclidean", "tabulated", "curve"])
+    def test_one_chart_pass_per_sweep(self, kind, monkeypatch):
+        """Each sweep's table comes from one chart pass at its half-step
+        points, g and Gamma from its g^{-1/2} (on the curve's chart, whose
+        derivative is a central difference, two more evaluations per axis);
+        the gate evaluates g at the nodes, once, and the march check reads
+        those values.  A constant chart is evaluated by the gate only."""
+        passes, evals = [], []
 
         def counting(m, x):
-            calls.append(np.shape(x))
-            return helpers.christoffel(m, x)
+            passes.append(np.shape(x))
+            return geometry.chart_factors(m, x)
 
-        monkeypatch.setattr(reconstruct, "christoffel", counting)
+        def counting_eval(m, x):
+            evals.append(np.shape(x))
+            return real_eval(m, x)
+
+        real_eval = MetricChart.eval
+        monkeypatch.setattr(reconstruct, "chart_factors", counting)
+        monkeypatch.setattr(MetricChart, "eval", counting_eval)
         for n in (9, 33):
-            calls.clear()
             g, S, grid = _march_case(kind, (n, n))
+            passes.clear(), evals.clear()
             integrate_frame(g, S, grid)
-            assert len(calls) == grid.dim
+            d = grid.dim
+            sweeps = [(2 * grid.counts[a] - 1,) + grid.counts[:a] + (d,) for a in range(d)]
+            assert passes == sweeps
+            per_pass = 0 if g.is_constant else 1 + (2 * d if g.matrix_deriv is None else 0)
+            assert evals == [grid.counts + (d,)] + [X for X in sweeps for _ in range(per_pass)]
 
     @pytest.mark.parametrize("kind, counts, anchor", [("sphere", (7, 12), (3, 5)),
                                                       ("tabulated", (9, 9), None),
